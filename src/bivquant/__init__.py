@@ -11,9 +11,7 @@ from .curves import CURVE_TOL, QuantileCurve, curve_from_conditional, curve_poin
 from .errors import (
     BivquantError,
     BoundaryError,
-    BracketError,
     ConfigError,
-    ConvergenceError,
     DegenerateConditioningError,
     DegenerateLevelError,
     DivergenceError,
@@ -21,7 +19,6 @@ from .errors import (
     InfiniteMeanError,
     InsufficientMassError,
     IntegrandError,
-    InversionError,
     MissingMeanError,
     ModelSpecError,
     MonotonicityError,
@@ -49,7 +46,7 @@ from .models import (
     orthant_prob,
     swap_axes,
 )
-from .numerics import DEFAULT_CONFIG, NumericConfig, differentiate, integrate, invert_monotone
+from .numerics import DEFAULT_CONFIG, NumericConfig, integrate
 from .reconstruction import (
     RECON_CONFIG,
     ComponentFunction,

@@ -97,10 +97,11 @@ class RunConfig:
     out_path: str | None
 
     @classmethod
-    def from_args(cls, args) -> "RunConfig":
+    def from_args(cls, args, base: NumericConfig | None = None) -> "RunConfig":
+        """``base`` is the default the ``--config`` overrides land on."""
         return cls(
             model=load_model(args.model),
-            numerics=load_numeric_config(args.config),
+            numerics=load_numeric_config(args.config, base),
             format=args.format,
             out_path=args.out,
         )
@@ -116,6 +117,8 @@ def load_sample_csv(path: str, model_tag: str = "") -> estimation.SampleSet:
         raise ModelSpecError(f"sample file {path!r} is not a two-column CSV: {exc}") from exc
     if data.shape[1] != 2:
         raise ModelSpecError(f"sample file {path!r} must have exactly two columns (x,y)")
+    if not np.isfinite(data).all():
+        raise ModelSpecError(f"sample file {path!r} holds a non-finite value")
     return estimation.SampleSet(pairs=data, seed=-1, n=data.shape[0], model_tag=model_tag)
 
 
@@ -213,18 +216,10 @@ def cmd_curve(args) -> int:
     return 0
 
 
-_FIELD_KINDS = {
-    "hazard": (reliability.hazard_first, reliability.hazard_second),
-    "mrl": (reliability.mrl_first, reliability.mrl_second),
-    "rev-hazard": (reliability.reversed_hazard_first, reliability.reversed_hazard_second),
-    "rev-mrl": (reliability.reversed_mrl_first, reliability.reversed_mrl_second),
-}
-
-
 def cmd_field(args) -> int:
     run = RunConfig.from_args(args)
     model, cfg = run.model, run.numerics
-    first_fn, second_fn = _FIELD_KINDS[args.kind]
+    first_fn, second_fn = reliability.QUANTITIES[args.kind]
     g = args.grid
     if g < 1:
         raise DomainError(f"grid must be >= 1, got {g}")
@@ -241,19 +236,7 @@ def cmd_field(args) -> int:
     return 0
 
 
-_RECON_KINDS = {
-    ("hazard", "first"): ("hazard1", reconstruction.quantile_from_hazard),
-    ("hazard", "second"): ("hazard2", reconstruction.quantile_from_hazard),
-    ("mrl", "first"): ("mrl1", reconstruction.quantile_from_mrl),
-    ("mrl", "second"): ("mrl2", reconstruction.quantile_from_mrl),
-    ("rev-hazard", "first"): ("rev_hazard1", reconstruction.quantile_from_reversed_hazard),
-    ("rev-hazard", "second"): ("rev_hazard2", reconstruction.quantile_from_reversed_hazard),
-    ("rev-mrl", "first"): ("rev_mrl1", reconstruction.quantile_from_reversed_mrl),
-    ("rev-mrl", "second"): ("rev_mrl2", reconstruction.quantile_from_reversed_mrl),
-}
-
-
-def _true_quantile(model, component: str, kind: str, conditioning_u: float, t: float, cfg) -> float:
+def _true_quantile(model, quantity: str, component: str, conditioning_u: float, t: float, cfg) -> float:
     """Reference value for a reconstruction.
 
     Hazard-type maps are invariant to a support shift and recover the
@@ -266,7 +249,7 @@ def _true_quantile(model, component: str, kind: str, conditioning_u: float, t: f
     else:
         value = models.conditional_quantile(model, "le", conditioning_u, t, cfg)
         origin = model.marginal_y.support[0]
-    if kind in ("mrl1", "mrl2"):
+    if quantity == "mrl":
         return value
     return value - origin
 
@@ -274,20 +257,20 @@ def _true_quantile(model, component: str, kind: str, conditioning_u: float, t: f
 def cmd_reconstruct(args) -> int:
     # overrides land on the tight-clip reconstruction defaults, not the
     # package-wide ones, so bumping quad_points does not loosen the clip
-    run = RunConfig.from_args(args)
-    model = run.model
-    cfg = load_numeric_config(args.config, base=reconstruction.RECON_CONFIG)
-    kind, inverse_map = _RECON_KINDS[(args.kind, args.component)]
+    run = RunConfig.from_args(args, base=reconstruction.RECON_CONFIG)
+    model, cfg = run.model, run.numerics
+    if args.grid < 1:
+        raise DomainError(f"grid must be >= 1, got {args.grid}")
+    inverse_map, (lo, hi) = reconstruction.INVERSE_MAPS[args.kind]
+    kind = reconstruction.KIND_OF[args.kind, args.component]
     comp = reconstruction.component_from_model(model, kind, args.conditioning_u, cfg)
-    lo, hi = (0.05, 0.99) if args.kind.startswith("rev-") else (0.01, 0.95)
-    ts = np.linspace(lo, hi, args.grid)
     rows = []
-    for t in ts:
+    for t in np.linspace(lo, hi, args.grid):
         rec = inverse_map(comp, float(t), cfg)
-        ref = _true_quantile(model, args.component, kind, args.conditioning_u, float(t), cfg)
+        ref = _true_quantile(model, args.kind, args.component, args.conditioning_u, float(t), cfg)
         rows.append(f"{_fmt(t)},{_fmt(rec)},{_fmt(ref)},{_fmt(abs(rec - ref))}")
     _write_text(run.out_path, _csv("t,reconstructed,reference,abs_error", rows))
-    if kind.startswith("rev_hazard"):
+    if args.kind == "rev-hazard":
         bias = reconstruction.reversed_hazard_clip_bias(comp, cfg)
         sys.stdout.write(f"reversed-hazard lower-clip bias estimate: {_fmt(bias)}\n")
     return 0
@@ -296,30 +279,19 @@ def cmd_reconstruct(args) -> int:
 def _verification_checks(model, cfg):
     """Round trips plus the hazard/MRL identity; one result row per check."""
     u0 = VERIFY_CONDITIONING_U
-    ts_main = np.linspace(0.01, 0.95, 17)
-    ts_rev = np.linspace(0.05, 0.99, 17)
     ts_identity = np.arange(1, 34) / 34.0
-    specs = [
-        ("hazard-roundtrip-first", "hazard1", reconstruction.quantile_from_hazard, ts_main),
-        ("hazard-roundtrip-second", "hazard2", reconstruction.quantile_from_hazard, ts_main),
-        ("mrl-roundtrip-first", "mrl1", reconstruction.quantile_from_mrl, ts_main),
-        ("mrl-roundtrip-second", "mrl2", reconstruction.quantile_from_mrl, ts_main),
-        ("rev-hazard-roundtrip-first", "rev_hazard1", reconstruction.quantile_from_reversed_hazard, ts_rev),
-        ("rev-hazard-roundtrip-second", "rev_hazard2", reconstruction.quantile_from_reversed_hazard, ts_rev),
-        ("rev-mrl-roundtrip-first", "rev_mrl1", reconstruction.quantile_from_reversed_mrl, ts_rev),
-        ("rev-mrl-roundtrip-second", "rev_mrl2", reconstruction.quantile_from_reversed_mrl, ts_rev),
-    ]
     results = []
-    for name, kind, inverse_map, ts in specs:
-        component = "first" if kind.endswith("1") else "second"
+    for (quantity, component), kind in reconstruction.KIND_OF.items():
+        name = f"{quantity}-roundtrip-{component}"
+        inverse_map, (lo, hi) = reconstruction.INVERSE_MAPS[quantity]
         try:
             comp = reconstruction.component_from_model(model, kind, u0, cfg)
             errs = [
                 abs(
                     inverse_map(comp, float(t), cfg)
-                    - _true_quantile(model, component, kind, u0, float(t), cfg)
+                    - _true_quantile(model, quantity, component, u0, float(t), cfg)
                 )
-                for t in ts
+                for t in np.linspace(lo, hi, 17)
             ]
             max_res = max(errs)
             results.append((name, max_res, ROUND_TRIP_TOL, max_res <= ROUND_TRIP_TOL, "", None))
@@ -340,9 +312,8 @@ def _verification_checks(model, cfg):
 
 
 def cmd_verify(args) -> int:
-    run = RunConfig.from_args(args)
-    cfg = load_numeric_config(args.config, base=reconstruction.RECON_CONFIG)
-    results = _verification_checks(run.model, cfg)
+    run = RunConfig.from_args(args, base=reconstruction.RECON_CONFIG)
+    results = _verification_checks(run.model, run.numerics)
     for name, max_res, tol, passed, note, _ in results:
         if max_res is None:
             sys.stdout.write(f"{name}: FAIL ({note})\n")
@@ -400,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sample CSV (x,y header): emit the empirical curve instead")
 
     p_field = sub.add_parser("field", parents=[common], help="emit a reliability field grid")
-    p_field.add_argument("--kind", choices=tuple(_FIELD_KINDS), required=True)
+    p_field.add_argument("--kind", choices=tuple(reliability.QUANTITIES), required=True)
     p_field.add_argument("--grid", type=int, default=9)
 
     p_recon = sub.add_parser("reconstruct", parents=[common],
                              help="rebuild a quantile function from a reliability component")
-    p_recon.add_argument("--kind", choices=tuple(_FIELD_KINDS), required=True)
+    p_recon.add_argument("--kind", choices=tuple(reliability.QUANTITIES), required=True)
     p_recon.add_argument("--component", choices=("first", "second"), default="first")
     p_recon.add_argument("--conditioning-u", type=float, default=0.5)
     p_recon.add_argument("--grid", type=int, default=33)

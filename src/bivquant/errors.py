@@ -26,26 +26,6 @@ class DegenerateLevelError(BivquantError, ValueError):
     """The admissible parameter interval of a quantile curve is empty."""
 
 
-class InversionError(BivquantError, RuntimeError):
-    """Generic conditional-quantile inversion failed; carries the bracket tried."""
-
-
-class BracketError(BivquantError, ValueError):
-    """Root bracket does not enclose the target value."""
-
-
-class ConvergenceError(BivquantError, RuntimeError):
-    """Iteration cap reached before the tolerance was met.
-
-    Attributes:
-        best: best iterate found so far.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class IntegrandError(BivquantError, ValueError):
     """Integrand returned a non-finite value inside the integration interval."""
 

@@ -13,8 +13,7 @@ reconstructions) only needs four ingredients from the model:
 
 Both built-in copulas (independence and the one-parameter θ family
 ``C(u, v) = uv(1 + θ(1-u)(1-v))``) have conditional CDFs of the quadratic
-form ``v + c·v(1-v)``, so conditional quantiles invert in closed form and
-bisection is only a fallback/oracle path.
+form ``v + c·v(1-v)``, so conditional quantiles invert in closed form.
 """
 
 from __future__ import annotations
@@ -26,14 +25,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import special
 
-from .errors import (
-    BoundaryError,
-    DegenerateConditioningError,
-    DomainError,
-    InversionError,
-    ModelSpecError,
-)
-from .numerics import NumericConfig, clip_prob, invert_monotone
+from .errors import BoundaryError, DegenerateConditioningError, DomainError, ModelSpecError
+from .numerics import NumericConfig, clip_prob
 
 Axis = str  #: "x" or "y"
 Sense = str  #: "le" (conditioning on U <= u), "ge" (U >= u), "eq" (U = u, sampling only)
@@ -60,20 +53,34 @@ def _require_positive(name: str, value) -> float:
     return value
 
 
+class _Family:
+    """A named parametric family; subclasses are frozen dataclasses."""
+
+    kind: str
+
+    def to_dict(self) -> dict:
+        d = {"kind": self.kind}
+        for f in fields(self):  # type: ignore[arg-type]
+            d[f.name] = getattr(self, f.name)
+        return d
+
+    def describe(self) -> str:
+        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))  # type: ignore[arg-type]
+        return f"{self.kind}({params})" if params else self.kind
+
+
 # ---------------------------------------------------------------------------
 # Marginal families
 # ---------------------------------------------------------------------------
 
 
-class Marginal(ABC):
+class Marginal(_Family, ABC):
     """A univariate family with strictly increasing CDF on an interval.
 
     ``quantile``/``quantile_deriv`` assume arguments already clipped to the
     open interval; the model-level operations do the clipping and boundary
     checks.  All methods broadcast over ndarray input.
     """
-
-    kind: str
 
     @property
     @abstractmethod
@@ -122,16 +129,6 @@ class Marginal(ABC):
     @property
     def has_finite_mean(self) -> bool:
         return math.isfinite(self.mean)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for f in fields(self):  # type: ignore[arg-type]
-            d[f.name] = getattr(self, f.name)
-        return d
-
-    def describe(self) -> str:
-        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))  # type: ignore[arg-type]
-        return f"{self.kind}({params})" if params else self.kind
 
 
 @dataclass(frozen=True)
@@ -401,16 +398,15 @@ def _quad_deriv(v, c):
     return 1.0 + c * (1.0 - 2.0 * v)
 
 
-class Copula(ABC):
+class Copula(_Family, ABC):
     """Bivariate copula whose conditional CDFs are quadratic in v.
 
     ``cond_linear_coeff(sense, u)`` returns the coefficient ``c`` of
     ``v + c*v*(1-v)`` for the three conditioning senses: ``"le"``
     (``V | U <= u``), ``"ge"`` (``V | U >= u``) and ``"eq"``
-    (``V | U = u``, the derivative copula used for sampling).
+    (``V | U = u``, the derivative copula used for sampling).  Both
+    built-ins are exchangeable, so swapping the axes keeps the copula.
     """
-
-    kind: str
 
     @abstractmethod
     def cdf(self, u, v):
@@ -428,30 +424,6 @@ class Copula(ABC):
 
     def cond_cdf_deriv(self, sense: Sense, u, v):
         return _quad_deriv(np.asarray(v, dtype=float), self.cond_linear_coeff(sense, u))
-
-    def cond_quantile_bisect(self, sense: Sense, u, p, cfg: NumericConfig | None = None):
-        """Generic bisection fallback on the v scale; bracket is always [0, 1]."""
-        try:
-            return invert_monotone(lambda v: self.cond_cdf(sense, u, v), float(p), (0.0, 1.0), cfg)
-        except Exception as exc:  # Bracket/Convergence -> inversion diagnostics
-            raise InversionError(
-                f"conditional quantile inversion failed on bracket (0, 1) "
-                f"for sense {sense!r}, u = {u}, p = {p}: {exc}"
-            ) from exc
-
-    def transpose(self) -> "Copula":
-        """Copula of (V, U); both built-ins are exchangeable."""
-        return self
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for f in fields(self):  # type: ignore[arg-type]
-            d[f.name] = getattr(self, f.name)
-        return d
-
-    def describe(self) -> str:
-        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))  # type: ignore[arg-type]
-        return f"{self.kind}({params})" if params else self.kind
 
 
 @dataclass(frozen=True)
@@ -637,8 +609,7 @@ def conditional_quantile(
 ):
     """Unique y with ``conditional_cdf(model, sense, u, y) = p``.
 
-    Uses the closed-form inverse of the copula's quadratic conditional;
-    :meth:`Copula.cond_quantile_bisect` is the generic bracketed fallback.
+    Uses the closed-form inverse of the copula's quadratic conditional.
     """
     sense, uc = _validated_conditioning(sense, conditioning_u, cfg)
     parr = _as_prob_array("p", p)
@@ -650,8 +621,8 @@ def conditional_quantile(
 
 
 def swap_axes(model: BivariateModel) -> BivariateModel:
-    """Model of (Y, X); an involution."""
-    return BivariateModel(model.marginal_y, model.marginal_x, model.copula.transpose())
+    """Model of (Y, X); an involution (the built-in copulas are exchangeable)."""
+    return BivariateModel(model.marginal_y, model.marginal_x, model.copula)
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +647,9 @@ def _component_from_dict(section: str, d, registry: dict[str, type]):
     missing = expected - set(params)
     if missing:
         raise ModelSpecError(f"missing {section} keys for {kind}: {sorted(missing)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ModelSpecError(f"{section} parameter {key!r} of {kind} must be a real number, got {value!r}")
     try:
         return cls(**params)
     except DomainError as exc:

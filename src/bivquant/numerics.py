@@ -1,29 +1,20 @@
 """Shared numerical kernels with explicit tolerance contracts.
 
-Three primitives back everything else in the package: central-difference
-differentiation, composite Simpson quadrature (with declared endpoint
-singularities handled by a power-graded mesh), and monotone bisection.
-All kernels are pure and deterministic for a fixed :class:`NumericConfig`.
+Two primitives back everything else in the package: probability clipping
+and composite Simpson quadrature (with declared endpoint singularities
+handled by a power-graded mesh).  Both are pure and deterministic for a
+fixed :class:`NumericConfig`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryError,
-    BracketError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    IntegrandError,
-)
-
-#: Hard cap on bisection iterations.
-MAX_BISECT_ITER = 200
+from .errors import ConfigError, DomainError, IntegrandError
 
 #: Exponent of the power-graded mesh used near declared singular endpoints.
 #: With grading t = clip + rho**GRADE the transformed integrand of an
@@ -42,13 +33,8 @@ class NumericConfig:
         Probability arguments are clipped to ``[eps_boundary, 1 - eps_boundary]``
         before quantile-type evaluation, so unbounded supports never produce
         infinities.
-    diff_step:
-        Relative step of the central difference; the absolute step is
-        ``diff_step * max(|t|, 1)``.
     quad_points:
         Panel count of the composite Simpson rule (rounded up to even).
-    tol_root:
-        Bisection tolerance, measured on the probability scale.
     sing_clip:
         Distance from a declared singular endpoint at which integration stops.
         The reported value approximates the integral over the clipped
@@ -56,14 +42,14 @@ class NumericConfig:
     """
 
     eps_boundary: float = 1e-9
-    diff_step: float = 1e-5
     quad_points: int = 2048
-    tol_root: float = 1e-12
     sing_clip: float = 1e-6
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a real number, got {value!r}")
             if not np.isfinite(value) or value <= 0:
                 raise ConfigError(f"{f.name} must be strictly positive, got {value!r}")
         if self.sing_clip < self.eps_boundary:
@@ -85,31 +71,6 @@ def clip_prob(p, cfg: NumericConfig | None = None):
     """Clip probability value(s) into ``[eps_boundary, 1 - eps_boundary]``."""
     cfg = config_or_default(cfg)
     return np.clip(p, cfg.eps_boundary, 1.0 - cfg.eps_boundary)
-
-
-def differentiate(
-    f: Callable,
-    t: float,
-    cfg: NumericConfig | None = None,
-    domain: tuple[float, float] | None = None,
-) -> float:
-    """Central-difference derivative of ``f`` at ``t``.
-
-    ``domain`` declares an open interval outside which ``f`` is not
-    evaluable (``(0, 1)`` for quantile-type functions); if the stencil
-    escapes it, a :class:`BoundaryError` is raised rather than silently
-    shrinking the step.  Callers with closed-form derivatives should
-    bypass this kernel entirely.
-    """
-    cfg = config_or_default(cfg)
-    step = cfg.diff_step * max(abs(t), 1.0)
-    if domain is not None:
-        lo, hi = domain
-        if not (lo < t - step and t + step < hi):
-            raise BoundaryError(
-                f"difference stencil [{t - step}, {t + step}] escapes the open domain ({lo}, {hi})"
-            )
-    return (float(f(t + step)) - float(f(t - step))) / (2.0 * step)
 
 
 def _simpson(f: Callable, a: float, b: float, panels: int) -> float:
@@ -184,50 +145,3 @@ def integrate(
         return _graded(f, a, +1.0, mid - a, clip, n) + _simpson(f, mid, b, n)
     return _simpson(f, a, b, n)
 
-
-def invert_monotone(
-    g: Callable[[float], float],
-    target: float,
-    bracket: tuple[float, float],
-    cfg: NumericConfig | None = None,
-) -> float:
-    """Find ``t`` with ``|g(t) - target| <= tol_root`` by bisection.
-
-    ``g`` must be nondecreasing on ``bracket``.  Raises
-    :class:`BracketError` when the bracket does not enclose the target and
-    :class:`ConvergenceError` (carrying the best iterate) when the
-    iteration cap is hit, e.g. for a discontinuous ``g`` jumping across
-    the target.
-    """
-    cfg = config_or_default(cfg)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise BracketError(f"invalid bracket ({lo}, {hi})")
-    tol = cfg.tol_root
-    glo, ghi = float(g(lo)), float(g(hi))
-    if glo - tol > target or ghi + tol < target:
-        raise BracketError(
-            f"bracket does not enclose target: g({lo}) = {glo}, g({hi}) = {ghi}, target = {target}"
-        )
-    if abs(glo - target) <= tol:
-        return lo
-    if abs(ghi - target) <= tol:
-        return hi
-    best_t, best_err = lo, abs(glo - target)
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        gm = float(g(mid))
-        err = abs(gm - target)
-        if err < best_err:
-            best_t, best_err = mid, err
-        if err <= tol:
-            return mid
-        if gm < target:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not reach |g(t) - target| <= {tol} in {MAX_BISECT_ITER} iterations "
-        f"(best |error| = {best_err})",
-        best=best_t,
-    )

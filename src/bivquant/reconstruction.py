@@ -34,16 +34,15 @@ from . import models, reliability
 from .errors import DivergenceError, DomainError, MissingMeanError, SignError
 from .numerics import NumericConfig, integrate
 
-COMPONENT_KINDS = (
-    "hazard1",
-    "hazard2",
-    "mrl1",
-    "mrl2",
-    "rev_hazard1",
-    "rev_hazard2",
-    "rev_mrl1",
-    "rev_mrl2",
-)
+#: :class:`ComponentFunction` kind of each (quantity, component) pair: the
+#: quantity spelled with ``_``, then ``1`` for the first component or ``2``
+#: for the second (``("rev-hazard", "second")`` is ``"rev_hazard2"``).
+KIND_OF = {
+    (q, component): q.replace("-", "_") + index
+    for q in reliability.QUANTITIES
+    for component, index in (("first", "1"), ("second", "2"))
+}
+COMPONENT_KINDS = tuple(KIND_OF.values())
 
 #: Tight-clip quadrature defaults for the reconstruction integrals.
 RECON_CONFIG = NumericConfig(eps_boundary=1e-14, sing_clip=1e-14)
@@ -78,7 +77,8 @@ def _require_t(t) -> float:
     return t
 
 
-def _require_kind(f: ComponentFunction, allowed: tuple[str, ...]):
+def _require_kind(f: ComponentFunction, quantity: str):
+    allowed = (KIND_OF[quantity, "first"], KIND_OF[quantity, "second"])
     if f.kind not in allowed:
         raise DomainError(f"expected a component of kind {allowed}, got {f.kind!r}")
 
@@ -106,37 +106,30 @@ def component_from_model(
     given {X <= Q_X(conditioning_u)}); an infinite mean raises here, at
     construction, rather than deep inside a quadrature loop.
     """
+    if kind not in COMPONENT_KINDS:
+        raise DomainError(f"kind must be one of {COMPONENT_KINDS}, got {kind!r}")
     cfg = _cfg(cfg)
     u0 = float(conditioning_u)
-    second = {
-        "hazard2": lambda z: reliability.hazard_second(model, u0, z, cfg),
-        "mrl2": lambda z: reliability.mrl_second(model, u0, z, cfg),
-        "rev_hazard2": lambda z: reliability.reversed_hazard_second(model, u0, z, cfg),
-        "rev_mrl2": lambda z: reliability.reversed_mrl_second(model, u0, z, cfg),
-    }
-    first = {
-        "hazard1": lambda z: reliability.hazard_first(model, z, cfg),
-        "mrl1": lambda z: reliability.mrl_first(model, z, cfg),
-        "rev_hazard1": lambda z: reliability.reversed_hazard_first(model, z, cfg),
-        "rev_mrl1": lambda z: reliability.reversed_mrl_first(model, z, cfg),
-    }
-    table = {**first, **second}
-    if kind not in table:
-        raise DomainError(f"kind must be one of {COMPONENT_KINDS}, got {kind!r}")
+    quantity = kind[:-1].replace("_", "-")
+    first_fn, second_fn = reliability.QUANTITIES[quantity]
     mean_hint = None
-    if kind == "mrl1":
-        reliability._require_finite_mean(model.marginal_x, "X")
-        mean_hint = model.marginal_x.mean
-    elif kind == "mrl2":
-        mean_hint = reliability.conditional_mean(model, u0, cfg)
-    return ComponentFunction(kind=kind, eval=table[kind], mean_hint=mean_hint)
+    if kind.endswith("1"):
+        evaluate = lambda z: first_fn(model, z, cfg)
+        if quantity == "mrl":
+            reliability._require_finite_mean(model.marginal_x, "X")
+            mean_hint = model.marginal_x.mean
+    else:
+        evaluate = lambda z: second_fn(model, u0, z, cfg)
+        if quantity == "mrl":
+            mean_hint = reliability.conditional_mean(model, u0, cfg)
+    return ComponentFunction(kind=kind, eval=evaluate, mean_hint=mean_hint)
 
 
 def quantile_from_hazard(
     f: ComponentFunction, t, cfg: NumericConfig | None = None
 ) -> float:
     """Q(t) = int_0^t dz / ((1-z) f(z)); recovers Q relative to Q(0)."""
-    _require_kind(f, ("hazard1", "hazard2"))
+    _require_kind(f, "hazard")
     t = _require_t(t)
     cfg = _cfg(cfg)
 
@@ -150,7 +143,7 @@ def quantile_from_mrl(
     f: ComponentFunction, t, cfg: NumericConfig | None = None
 ) -> float:
     """Q(t) = mu - f(t) + int_0^t f(z)/(1-z) dz, with mu from the hint or f(0+)."""
-    _require_kind(f, ("mrl1", "mrl2"))
+    _require_kind(f, "mrl")
     t = _require_t(t)
     cfg = _cfg(cfg)
     if f.mean_hint is not None:
@@ -183,7 +176,7 @@ def reversed_hazard_clip_bias(f: ComponentFunction, cfg: NumericConfig | None = 
     The reversed-hazard map only sees ``[clip, t]``; this bounds the
     truncated piece by ``clip * g(clip)`` with ``g(z) = 1/(z f(z))``.
     """
-    _require_kind(f, ("rev_hazard1", "rev_hazard2"))
+    _require_kind(f, "rev-hazard")
     cfg = _cfg(cfg)
     clip = cfg.sing_clip
     return float(clip / (clip * _positive_samples(f, np.asarray([clip]))[0]))
@@ -197,7 +190,7 @@ def quantile_from_reversed_hazard(
     Raises :class:`DivergenceError` when the integrand mass keeps growing
     toward 0 faster than the integrable rate (support unbounded below).
     """
-    _require_kind(f, ("rev_hazard1", "rev_hazard2"))
+    _require_kind(f, "rev-hazard")
     t = _require_t(t)
     cfg = _cfg(cfg)
 
@@ -221,7 +214,7 @@ def quantile_from_reversed_mrl(
     f: ComponentFunction, t, cfg: NumericConfig | None = None
 ) -> float:
     """Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean."""
-    _require_kind(f, ("rev_mrl1", "rev_mrl2"))
+    _require_kind(f, "rev-mrl")
     t = _require_t(t)
     cfg = _cfg(cfg)
 
@@ -229,6 +222,16 @@ def quantile_from_reversed_mrl(
         return np.asarray(f.eval(z), dtype=float) / z
 
     return float(f.eval(t)) + integrate(integrand, 0.0, t, cfg, singular_lower=True, singular_upper=True)
+
+
+#: Each quantity's inverse map and the t-range its round trips are checked
+#: on; keys match :data:`reliability.QUANTITIES`.
+INVERSE_MAPS = {
+    "hazard": (quantile_from_hazard, (0.01, 0.95)),
+    "mrl": (quantile_from_mrl, (0.01, 0.95)),
+    "rev-hazard": (quantile_from_reversed_hazard, (0.05, 0.99)),
+    "rev-mrl": (quantile_from_reversed_mrl, (0.05, 0.99)),
+}
 
 
 def hazard_mrl_identity_residual(

@@ -30,8 +30,6 @@ from . import models
 from .errors import BoundaryError, DomainError, InfiniteMeanError, MonotonicityError
 from .numerics import NumericConfig, clip_prob, config_or_default
 
-_KINDS = ("hazard", "mrl", "reversed_hazard", "reversed_mrl")
-
 
 @dataclass(frozen=True)
 class ReliabilityVector:
@@ -179,63 +177,53 @@ def conditional_mean(model, conditioning_u, cfg: NumericConfig | None = None):
     return float(_phi_partial_integral(model, c, 0.0, 1.0))
 
 
-# --- vector operations -----------------------------------------------------
+# --- the component registry ----------------------------------------------
+
+#: Every reliability quantity, keyed by its CLI spelling, as its pair of
+#: component functions ``(first(model, u, cfg), second(model, conditioning_u, p, cfg))``.
+#: Callers read it when called, never at import, so a span tracer that
+#: swaps the entries (``benchmarks/spans.py``) sees every call.
+QUANTITIES = {
+    "hazard": (hazard_first, hazard_second),
+    "mrl": (mrl_first, mrl_second),
+    "rev-hazard": (reversed_hazard_first, reversed_hazard_second),
+    "rev-mrl": (reversed_mrl_first, reversed_mrl_second),
+}
+
+
+def _vector(quantity: str, model, u, p_x, cfg: NumericConfig | None) -> ReliabilityVector:
+    first_fn, second_fn = QUANTITIES[quantity]
+    return ReliabilityVector(
+        first=float(first_fn(model, u, cfg)),
+        second=float(second_fn(model, u, p_x, cfg)),
+        u=float(u),
+        p_cond=float(p_x),
+        conditioning_u=float(u),
+    )
 
 
 def hazard_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
     """Hazard pair (1/((1-u)Q_X'(u)), 1/((1-p_x)phi'(p_x))) with phi anchored at u."""
-    return ReliabilityVector(
-        first=float(hazard_first(model, u, cfg)),
-        second=float(hazard_second(model, u, p_x, cfg)),
-        u=float(u),
-        p_cond=float(p_x),
-        conditioning_u=float(u),
-    )
+    return _vector("hazard", model, u, p_x, cfg)
 
 
 def mrl_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
     """Mean residual life pair; raises :class:`InfiniteMeanError` for heavy tails."""
-    return ReliabilityVector(
-        first=float(mrl_first(model, u, cfg)),
-        second=float(mrl_second(model, u, p_x, cfg)),
-        u=float(u),
-        p_cond=float(p_x),
-        conditioning_u=float(u),
-    )
+    return _vector("mrl", model, u, p_x, cfg)
 
 
 def reversed_hazard_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
     """Reversed-time hazard pair (1/(u Q_X'(u)), 1/(p_x phi'(p_x)))."""
-    return ReliabilityVector(
-        first=float(reversed_hazard_first(model, u, cfg)),
-        second=float(reversed_hazard_second(model, u, p_x, cfg)),
-        u=float(u),
-        p_cond=float(p_x),
-        conditioning_u=float(u),
-    )
+    return _vector("rev-hazard", model, u, p_x, cfg)
 
 
 def reversed_mrl_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
     """Reversed-time mean residual pair; needs no finite mean."""
-    return ReliabilityVector(
-        first=float(reversed_mrl_first(model, u, cfg)),
-        second=float(reversed_mrl_second(model, u, p_x, cfg)),
-        u=float(u),
-        p_cond=float(p_x),
-        conditioning_u=float(u),
-    )
-
-
-_VECTOR_OPS = {
-    "hazard": hazard_vector,
-    "mrl": mrl_vector,
-    "reversed_hazard": reversed_hazard_vector,
-    "reversed_mrl": reversed_mrl_vector,
-}
+    return _vector("rev-mrl", model, u, p_x, cfg)
 
 
 def interchanged(model, kind: str, v, p_y, cfg: NumericConfig | None = None) -> ReliabilityVector:
-    """The X/Y-interchanged vector: the same quantity on the swapped model."""
-    if kind not in _VECTOR_OPS:
-        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
-    return _VECTOR_OPS[kind](models.swap_axes(model), v, p_y, cfg)
+    """The X/Y-interchanged vector: the quantity ``kind`` on the swapped model."""
+    if kind not in QUANTITIES:
+        raise DomainError(f"kind must be one of {tuple(QUANTITIES)}, got {kind!r}")
+    return _vector(kind, models.swap_axes(model), v, p_y, cfg)

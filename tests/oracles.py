@@ -34,11 +34,6 @@ def fgm_cdf(u, v, theta):
     return u * v * (1.0 + theta * (1.0 - u) * (1.0 - v))
 
 
-def fgm_cond_le_cdf(v, u, theta):
-    """CDF of V given U <= u, straight from C(u, v)/u."""
-    return fgm_cdf(u, v, theta) / u
-
-
 def fgm_cond_le_quantile_roots(p, u, theta):
     """Invert the conditional CDF with np.roots (independent branch selection)."""
     a = theta * (1.0 - u)
@@ -51,7 +46,6 @@ def fgm_cond_le_quantile_roots(p, u, theta):
 
 # Frozen constants, each verified by the oracle functions above in the tests
 PHI_HALF = 0.38196601125010515  # root of 1.5 v - 0.5 v^2 = 0.5, equals (3 - sqrt 5)/2
-PHI_DERIV_HALF = 0.8944271909999159  # 2 / sqrt 5
 SQRT5 = 2.23606797749979
 FGM_M2_HALF = 0.2696723314583159  # 2 * int_{1/2}^1 phi - phi(1/2), phi(z) = (3 - sqrt(9-8z))/2
 FGM_ETA2_HALF = 0.2002710206251927  # phi(1/2) - 2 * int_0^{1/2} phi

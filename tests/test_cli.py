@@ -103,12 +103,25 @@ class TestCurveCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
 
-    def test_unknown_model_key_exit_3(self, tmp_path, model_file):
+    def test_unknown_model_key_exit_3(self, tmp_path, model_file, capsys):
         spec = dict(EXP_MODEL)
         spec["extra"] = 1
         rc = main(["curve", "--model", model_file(spec), "-p", "0.5", "--dir", "++",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+        # parameters must be real numbers, rejected at parse time, not in arithmetic
+        bad_params = [
+            ("marginal_x", {"kind": "Exponential", "rate": "abc"}),
+            ("marginal_x", {"kind": "Exponential", "rate": None}),
+            ("marginal_x", {"kind": "Exponential", "rate": True}),
+            ("copula", {"kind": "FGM", "theta": "0.5"}),
+        ]
+        for section, component in bad_params:
+            spec = dict(EXP_MODEL, **{section: component})
+            rc = main(["curve", "--model", model_file(spec), "-p", "0.5", "--dir", "++",
+                       "--out", str(tmp_path / "x.csv")])
+            assert rc == 3, component
+            assert "must be a real number" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self, tmp_path, model_file):
         rc = main(["curve", "--model", model_file(EXP_MODEL), "--dir", "++",
@@ -160,6 +173,14 @@ class TestReconstructCommand:
         assert list(rows[0]) == ["t", "reconstructed", "reference", "abs_error"]
         assert max(float(r["abs_error"]) for r in rows) <= 1e-4
 
+    def test_empty_grid_exit_2(self, tmp_path, model_file, capsys):
+        out = tmp_path / "recon.csv"
+        rc = main(["reconstruct", "--model", model_file(EXP_MODEL), "--kind", "hazard",
+                   "--grid", "0", "--out", str(out)])
+        assert rc == 2
+        assert "grid must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_second_component(self, tmp_path, model_file):
         out = tmp_path / "recon.csv"
         rc = main(["reconstruct", "--model", model_file(FGM_MODEL), "--kind", "hazard",
@@ -176,7 +197,21 @@ class TestVerifyCommand:
         captured = capsys.readouterr().out
         assert rc == 0
         assert "verify: PASS" in captured
-        assert "max residual" in captured
+        # the check list comes from the component registry; pin names and order
+        assert [line.split(":")[0] for line in captured.splitlines()] == [
+            "hazard-roundtrip-first",
+            "hazard-roundtrip-second",
+            "mrl-roundtrip-first",
+            "mrl-roundtrip-second",
+            "rev-hazard-roundtrip-first",
+            "rev-hazard-roundtrip-second",
+            "rev-mrl-roundtrip-first",
+            "rev-mrl-roundtrip-second",
+            "identity-first",
+            "identity-second",
+            "max residual over all checks",
+            "verify",
+        ]
         rows = read_rows(out)
         assert list(rows[0]) == ["check", "t", "residual"]
         assert {r["check"] for r in rows} == {"identity-first", "identity-second"}
@@ -238,12 +273,17 @@ class TestSampleDrivenCurve:
         # empirical points carry the level only up to sampling noise
         assert max(float(r["orthant_prob_residual"]) for r in rows) <= 0.02
 
-    def test_bad_sample_file(self, tmp_path, model_file):
+    def test_bad_sample_file(self, tmp_path, model_file, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y,z\n1,2,3\n")
         rc = main(["curve", "--model", model_file(FGM_MODEL), "-p", "0.25", "--dir", "mm",
                    "--sample", str(bad), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
+        bad.write_text("x,y\n0.1,0.2\nnan,0.5\n0.3,0.4\n")
+        rc = main(["curve", "--model", model_file(FGM_MODEL), "-p", "0.25", "--dir", "mm",
+                   "--sample", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -268,10 +308,13 @@ class TestConfigFile:
 
     def test_unknown_numerics_key_exit_3(self, tmp_path, model_file):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"numerics": {"panels": 512}}))
-        rc = main(["curve", "--model", model_file(EXP_MODEL), "-p", "0.5", "--dir", "++",
-                   "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
-        assert rc == 3
+        # diff_step was a key of the removed central-difference kernel
+        for overrides in ({"panels": 512}, {"diff_step": 1e-5}, {"quad_points": "abc"},
+                          {"quad_points": True}):
+            cfgfile.write_text(json.dumps({"numerics": overrides}))
+            rc = main(["curve", "--model", model_file(EXP_MODEL), "-p", "0.5", "--dir", "++",
+                       "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+            assert rc == 3, overrides
 
     def test_unknown_top_key_exit_3(self, tmp_path, model_file):
         cfgfile = tmp_path / "cfg.json"

@@ -220,23 +220,6 @@ class TestConditionalQuantile:
         back = conditional_cdf(fgm_uniform, sense, 0.4, ys)
         assert np.max(np.abs(back - ps)) <= 1e-12
 
-    def test_generic_bisection_path_matches_closed_form(self, fgm_uniform):
-        cop = fgm_uniform.copula
-        for p in (0.1, 0.5, 0.9):
-            generic = cop.cond_quantile_bisect("le", 0.5, p)
-            closed = float(cop.cond_quantile("le", 0.5, p))
-            assert generic == pytest.approx(closed, abs=1e-9)
-
-    def test_bisection_failure_wrapped_with_bracket(self, fgm_uniform):
-        from bivquant import InversionError
-
-        class Broken(type(fgm_uniform.copula)):
-            def cond_cdf(self, sense, u, v):  # stuck below any target
-                return np.zeros_like(np.asarray(v, dtype=float))
-
-        with pytest.raises(InversionError, match=r"bracket \(0, 1\)"):
-            Broken(theta=1.0).cond_quantile_bisect("le", 0.5, 0.5)
-
     def test_base_class_cond_cdf_consistency(self, fgm_uniform):
         # generic cond_cdf built from the copula CDF agrees with the quadratic form
         cop = fgm_uniform.copula

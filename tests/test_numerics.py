@@ -1,54 +1,10 @@
 import numpy as np
 import pytest
 
-from bivquant import (
-    BoundaryError,
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    IntegrandError,
-    NumericConfig,
-    differentiate,
-    integrate,
-    invert_monotone,
-)
+from bivquant import DomainError, IntegrandError, NumericConfig, integrate
 from bivquant.errors import ConfigError
 
-from oracles import (
-    CLIPPED_LOG_INTEGRAL,
-    PHI_DERIV_HALF,
-    PHI_HALF,
-    fgm_cond_le_cdf,
-    fgm_cond_le_quantile_roots,
-)
-
-
-class TestDifferentiate:
-    def test_polynomial(self):
-        assert differentiate(lambda t: t * t, 3.0) == pytest.approx(6.0, abs=1e-6)
-
-    def test_exponential_quantile(self):
-        # Q'(u) = 1/(1-u) = 2 at u = 1/2
-        got = differentiate(lambda t: -np.log1p(-t), 0.5, domain=(0.0, 1.0))
-        assert got == pytest.approx(2.0, abs=1e-5)
-
-    def test_fgm_conditional_quantile_derivative(self):
-        phi = lambda p: fgm_cond_le_quantile_roots(p, 0.5, 1.0)
-        got = differentiate(phi, 0.5, domain=(0.0, 1.0))
-        assert got == pytest.approx(PHI_DERIV_HALF, abs=1e-5)
-
-    def test_second_order_accuracy(self):
-        # halving h shrinks the error roughly 4x on the rate-1 quantile
-        f = lambda t: -np.log1p(-t)
-        errs = []
-        for h in (1e-3, 5e-4):
-            cfg = NumericConfig(diff_step=h)
-            errs.append(abs(differentiate(f, 0.5, cfg) - 2.0))
-        assert 3.0 < errs[0] / errs[1] < 5.0
-
-    def test_domain_escape(self):
-        with pytest.raises(BoundaryError):
-            differentiate(lambda t: t, 1.0 - 1e-9, domain=(0.0, 1.0))
+from oracles import CLIPPED_LOG_INTEGRAL
 
 
 class TestIntegrate:
@@ -87,46 +43,6 @@ class TestIntegrate:
     def test_nonfinite_integrand(self):
         with pytest.raises(IntegrandError, match="not finite"):
             integrate(lambda z: np.where(z > 0.5, np.nan, 1.0), 0.0, 1.0)
-
-
-class TestInvertMonotone:
-    def test_identity(self):
-        assert invert_monotone(lambda t: t, 0.3, (0.0, 1.0)) == pytest.approx(0.3, abs=1e-12)
-
-    def test_square(self):
-        assert invert_monotone(lambda t: t * t, 0.25, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-6)
-
-    def test_fgm_conditional(self):
-        g = lambda v: fgm_cond_le_cdf(v, 0.5, 1.0)
-        got = invert_monotone(g, 0.5, (0.0, 1.0))
-        assert got == pytest.approx(PHI_HALF, abs=1e-9)
-
-    def test_random_monotone_batch(self):
-        # post-tolerance contract on 100 random increasing polynomials
-        rng = np.random.default_rng(2024)
-        for _ in range(100):
-            coeffs = rng.random(4)
-            coeffs /= coeffs.sum()
-
-            def g(t, c=coeffs):
-                return c[0] * t + c[1] * t**2 + c[2] * t**3 + c[3] * t**4
-
-            target = rng.uniform(0.05, 0.95)
-            t = invert_monotone(g, target, (0.0, 1.0))
-            assert abs(g(t) - target) <= 1e-12
-
-    def test_bracket_error(self):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda t: t, 2.0, (0.0, 1.0))
-        with pytest.raises(BracketError):
-            invert_monotone(lambda t: t, 0.5, (1.0, 0.0))
-
-    def test_convergence_error_carries_best(self):
-        step = lambda t: 0.0 if t < 0.5 else 1.0
-        with pytest.raises(ConvergenceError) as err:
-            invert_monotone(step, 0.5, (0.0, 1.0))
-        assert err.value.best is not None
-        assert 0.0 <= err.value.best <= 1.0
 
 
 class TestNumericConfig:

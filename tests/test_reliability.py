@@ -173,6 +173,12 @@ class TestInterchanged:
             assert inter.first == pytest.approx(direct.first, abs=1e-12)
             assert inter.second == pytest.approx(direct.second, abs=1e-12)
 
+    def test_cli_spelling(self, fgm_uniform):
+        model = BivariateModel(Exponential(1.0), Uniform01(), fgm_uniform.copula)
+        inter = interchanged(model, "rev-mrl", 0.3, 0.6)
+        direct = reversed_mrl_vector(swap_axes(model), 0.3, 0.6)
+        assert (inter.first, inter.second) == (direct.first, direct.second)
+
     def test_unknown_kind(self, indep_uniform):
         with pytest.raises(DomainError):
             interchanged(indep_uniform, "median", 0.5, 0.5)
