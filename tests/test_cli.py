@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from bivquant.cli import main
+from bivquant.cli import load_sample_csv, main
+from bivquant.errors import ModelSpecError
 
 EXP_MODEL = {
     "marginal_x": {"kind": "Exponential", "rate": 1.0},
@@ -284,6 +285,13 @@ class TestSampleDrivenCurve:
                    "--sample", str(bad), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_load_sample_csv_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "s.csv"
+        path.write_text(f"x,y\n0.1,0.2\n0.3,{value}\n")
+        with pytest.raises(ModelSpecError, match="non-finite"):
+            load_sample_csv(str(path))
 
 
 class TestConfigFile:

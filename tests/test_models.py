@@ -311,3 +311,21 @@ class TestModelSpec:
         bad["copula"] = {"kind": "FGM", "theta": 3.0}
         with pytest.raises(ModelSpecError, match="theta"):
             model_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "section, component",
+        [
+            ("marginal_y", {"kind": "Exponential", "rate": "abc"}),
+            ("marginal_y", {"kind": "Exponential", "rate": None}),
+            ("marginal_y", {"kind": "Exponential", "rate": True}),
+            ("marginal_x", {"kind": "Pareto", "scale": 1.0, "shape": [2.0]}),
+            ("copula", {"kind": "FGM", "theta": "0.5"}),
+            ("copula", {"kind": "FGM", "theta": False}),
+        ],
+        ids=["string", "null", "bool", "list", "numeric-string", "bool-theta"],
+    )
+    def test_non_real_parameter(self, section, component):
+        # parameters are checked at the parse boundary, before any arithmetic
+        bad = self.spec() | {section: component}
+        with pytest.raises(ModelSpecError, match="must be a real number"):
+            model_from_dict(bad)

@@ -53,3 +53,22 @@ class TestNumericConfig:
     def test_rejects_clip_below_boundary(self):
         with pytest.raises(ConfigError):
             NumericConfig(eps_boundary=1e-6, sing_clip=1e-9)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"quad_points": "abc"}, {"quad_points": True}, {"eps_boundary": None}, {"sing_clip": "1e-6"}],
+        ids=["string", "bool", "null", "numeric-string"],
+    )
+    def test_rejects_non_real(self, overrides):
+        with pytest.raises(ConfigError, match="must be a real number"):
+            NumericConfig(**overrides)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ConfigError, match="strictly positive"):
+            NumericConfig(sing_clip=value)
+
+    def test_rejects_fractional_quad_points(self):
+        with pytest.raises(ConfigError, match="integer"):
+            NumericConfig(quad_points=100.5)
+        assert NumericConfig(quad_points=100.0).quad_points == 100.0

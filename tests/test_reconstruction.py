@@ -24,7 +24,8 @@ from bivquant import (
     quantile_from_reversed_hazard,
     quantile_from_reversed_mrl,
 )
-from bivquant.reconstruction import reversed_hazard_clip_bias
+from bivquant.reconstruction import COMPONENT_KINDS, INVERSE_MAPS, KIND_OF, reversed_hazard_clip_bias
+from bivquant.reliability import QUANTITIES
 
 from conftest import mixed_models
 from oracles import LN2, PHI_HALF, fgm_phi_closed, trapezoid
@@ -213,6 +214,31 @@ class TestRoundTrips:
                     for t in REV_GRID
                 )
                 assert e <= 1e-4, (model.describe(), kind)
+
+
+class TestRegistry:
+    def test_inverse_maps_share_quantity_keys(self):
+        assert list(INVERSE_MAPS) == list(QUANTITIES) == ["hazard", "mrl", "rev-hazard", "rev-mrl"]
+        assert INVERSE_MAPS["hazard"][1] == INVERSE_MAPS["mrl"][1] == (0.01, 0.95)
+        assert INVERSE_MAPS["rev-hazard"][1] == INVERSE_MAPS["rev-mrl"][1] == (0.05, 0.99)
+
+    def test_component_kind_spelling(self):
+        assert KIND_OF["rev-hazard", "second"] == "rev_hazard2"
+        assert COMPONENT_KINDS == (
+            "hazard1", "hazard2", "mrl1", "mrl2",
+            "rev_hazard1", "rev_hazard2", "rev_mrl1", "rev_mrl2",
+        )
+
+    @pytest.mark.parametrize("quantity", list(QUANTITIES))
+    def test_first_component_round_trip_through_registry(self, quantity, indep_exp):
+        # support starts at 0, so every inverse map returns the quantile itself
+        comp = component_from_model(indep_exp, KIND_OF[quantity, "first"])
+        inverse, (lo, hi) = INVERSE_MAPS[quantity]
+        e = max(
+            abs(inverse(comp, t) - marginal_quantile(indep_exp, "x", t))
+            for t in np.linspace(lo, hi, 9)
+        )
+        assert e <= 1e-4
 
 
 class TestIdentity:
