@@ -12,35 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import curves, estimation, models, reconstruction, reliability
-from .errors import (
-    BivquantError,
-    BoundaryError,
-    ConfigError,
-    DegenerateConditioningError,
-    DegenerateLevelError,
-    DomainError,
-    InfiniteMeanError,
-    ModelSpecError,
-)
+from .errors import BivquantError, ConfigError, DomainError, InfiniteMeanError, ModelSpecError
 from .numerics import NumericConfig
 
 ROUND_TRIP_TOL = 1e-4
 IDENTITY_TOL = 1e-6
 VERIFY_CONDITIONING_U = 0.5
-
-_USAGE_ERRORS = (
-    DomainError,
-    DegenerateLevelError,
-    DegenerateConditioningError,
-    BoundaryError,
-    InfiniteMeanError,
-)
-_SPEC_ERRORS = (ModelSpecError, ConfigError, OSError)
 
 
 def _fmt(x) -> str:
@@ -87,34 +70,17 @@ def load_numeric_config(
     return replace(base if base is not None else NumericConfig(), **overrides)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's validated inputs: model, numerics overrides, output routing."""
-
-    model: models.BivariateModel
-    numerics: NumericConfig | None
-    format: str
-    out_path: str | None
-
-    @classmethod
-    def from_args(cls, args, base: NumericConfig | None = None) -> "RunConfig":
-        """``base`` is the default the ``--config`` overrides land on."""
-        return cls(
-            model=load_model(args.model),
-            numerics=load_numeric_config(args.config, base),
-            format=args.format,
-            out_path=args.out,
-        )
-
-
 def load_sample_csv(path: str, model_tag: str = "") -> estimation.SampleSet:
     """Read an 'x,y' sample CSV back into a SampleSet (seed unknown: -1)."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, OSError):
-            raise
+        with warnings.catch_warnings():
+            # a header-only file is reported below, as one error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
         raise ModelSpecError(f"sample file {path!r} is not a two-column CSV: {exc}") from exc
+    if data.size == 0:
+        raise ModelSpecError(f"sample file {path!r} has no rows")
     if data.shape[1] != 2:
         raise ModelSpecError(f"sample file {path!r} must have exactly two columns (x,y)")
     if not np.isfinite(data).all():
@@ -193,37 +159,37 @@ def render_curve_svg(curve: curves.QuantileCurve, width: int = 800, height: int 
 
 
 def cmd_curve(args) -> int:
-    run = RunConfig.from_args(args)
+    model = load_model(args.model)
+    cfg = load_numeric_config(args.config)
     direction = models.Direction.from_string(args.dir)
     if args.sample:
-        draws = load_sample_csv(args.sample, run.model.describe())
+        draws = load_sample_csv(args.sample, model.describe())
         lo, hi = curves.admissible_interval(args.level, direction)
         grid = np.linspace(lo, hi, args.points)
         curve = estimation.empirical_curve(draws, args.level, direction, grid)
     else:
-        curve = curves.curve_points(run.model, args.level, direction, args.points, run.numerics)
-    residuals = curves.level_residuals(run.model, curve)
-    if run.format == "csv":
+        curve = curves.curve_points(model, args.level, direction, args.points, cfg)
+    residuals = curves.level_residuals(model, curve)
+    if args.format == "csv":
         rows = (
             f"{_fmt(u)},{_fmt(x)},{_fmt(y)},{_fmt(r)}"
             for (u, x, y), r in zip(curve.points, residuals)
         )
-        _write_text(run.out_path, _csv("u,x,y,orthant_prob_residual", rows))
+        _write_text(args.out, _csv("u,x,y,orthant_prob_residual", rows))
     else:
-        _write_text(run.out_path, json.dumps(curve.to_dict(), sort_keys=True, indent=2) + "\n")
+        _write_text(args.out, json.dumps(curve.to_dict(), sort_keys=True, indent=2) + "\n")
     if args.svg:
         _write_text(args.svg, render_curve_svg(curve))
     return 0
 
 
 def cmd_field(args) -> int:
-    run = RunConfig.from_args(args)
-    model, cfg = run.model, run.numerics
+    model = load_model(args.model)
+    cfg = load_numeric_config(args.config)
     first_fn, second_fn = reliability.QUANTITIES[args.kind]
-    g = args.grid
-    if g < 1:
-        raise DomainError(f"grid must be >= 1, got {g}")
-    probs = np.arange(1, g + 1) / (g + 1.0)
+    if args.grid < 1:
+        raise DomainError(f"grid must be >= 1, got {args.grid}")
+    probs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
     rows = []
     for u in probs:
         first = float(first_fn(model, u, cfg))
@@ -232,45 +198,24 @@ def cmd_field(args) -> int:
             f"{_fmt(u)},{_fmt(p)},{_fmt(first)},{_fmt(s)},{args.kind}"
             for p, s in zip(probs, seconds)
         )
-    _write_text(run.out_path, _csv("u,p_cond,first,second,kind", rows))
+    _write_text(args.out, _csv("u,p_cond,first,second,kind", rows))
     return 0
 
 
-def _true_quantile(model, quantity: str, component: str, conditioning_u: float, t: float, cfg) -> float:
-    """Reference value for a reconstruction.
-
-    Hazard-type maps are invariant to a support shift and recover the
-    quantile relative to its value at probability 0; the MRL map carries
-    the absolute location through the mean.
-    """
-    if component == "first":
-        value = models.marginal_quantile(model, "x", t, cfg)
-        origin = model.marginal_x.support[0]
-    else:
-        value = models.conditional_quantile(model, "le", conditioning_u, t, cfg)
-        origin = model.marginal_y.support[0]
-    if quantity == "mrl":
-        return value
-    return value - origin
-
-
 def cmd_reconstruct(args) -> int:
+    model = load_model(args.model)
     # overrides land on the tight-clip reconstruction defaults, not the
     # package-wide ones, so bumping quad_points does not loosen the clip
-    run = RunConfig.from_args(args, base=reconstruction.RECON_CONFIG)
-    model, cfg = run.model, run.numerics
+    cfg = load_numeric_config(args.config, reconstruction.RECON_CONFIG)
     if args.grid < 1:
         raise DomainError(f"grid must be >= 1, got {args.grid}")
-    inverse_map, (lo, hi) = reconstruction.INVERSE_MAPS[args.kind]
-    kind = reconstruction.KIND_OF[args.kind, args.component]
-    comp = reconstruction.component_from_model(model, kind, args.conditioning_u, cfg)
-    rows = []
-    for t in np.linspace(lo, hi, args.grid):
-        rec = inverse_map(comp, float(t), cfg)
-        ref = _true_quantile(model, args.kind, args.component, args.conditioning_u, float(t), cfg)
-        rows.append(f"{_fmt(t)},{_fmt(rec)},{_fmt(ref)},{_fmt(abs(rec - ref))}")
-    _write_text(run.out_path, _csv("t,reconstructed,reference,abs_error", rows))
+    ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind][1], args.grid)
+    rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
+    rows = (f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{_fmt(abs(a - b))}" for t, a, b in zip(ts, rec, ref))
+    _write_text(args.out, _csv("t,reconstructed,reference,abs_error", rows))
     if args.kind == "rev-hazard":
+        kind = reconstruction.KIND_OF[args.kind, args.component]
+        comp = reconstruction.component_from_model(model, kind, args.conditioning_u, cfg)
         bias = reconstruction.reversed_hazard_clip_bias(comp, cfg)
         sys.stdout.write(f"reversed-hazard lower-clip bias estimate: {_fmt(bias)}\n")
     return 0
@@ -279,41 +224,32 @@ def cmd_reconstruct(args) -> int:
 def _verification_checks(model, cfg):
     """Round trips plus the hazard/MRL identity; one result row per check."""
     u0 = VERIFY_CONDITIONING_U
-    ts_identity = np.arange(1, 34) / 34.0
     results = []
-    for (quantity, component), kind in reconstruction.KIND_OF.items():
+    for quantity, component in reconstruction.KIND_OF:
         name = f"{quantity}-roundtrip-{component}"
-        inverse_map, (lo, hi) = reconstruction.INVERSE_MAPS[quantity]
+        ts = np.linspace(*reconstruction.INVERSE_MAPS[quantity][1], 17)
         try:
-            comp = reconstruction.component_from_model(model, kind, u0, cfg)
-            errs = [
-                abs(
-                    inverse_map(comp, float(t), cfg)
-                    - _true_quantile(model, quantity, component, u0, float(t), cfg)
-                )
-                for t in np.linspace(lo, hi, 17)
-            ]
-            max_res = max(errs)
+            rec, ref = reconstruction.round_trip(model, quantity, component, u0, ts, cfg)
+            max_res = float(max(np.abs(rec - ref)))
             results.append((name, max_res, ROUND_TRIP_TOL, max_res <= ROUND_TRIP_TOL, "", None))
         except InfiniteMeanError as exc:
             results.append((name, None, ROUND_TRIP_TOL, False, str(exc), None))
-    for component in ("first", "second"):
+    ts = np.arange(1, 34) / 34.0
+    for component in reconstruction.COMPONENTS:
         name = f"identity-{component}"
         try:
-            residuals = [
-                (float(t), reconstruction.hazard_mrl_identity_residual(model, component, u0, float(t), cfg))
-                for t in ts_identity
-            ]
-            max_res = max(abs(r) for _, r in residuals)
-            results.append((name, max_res, IDENTITY_TOL, max_res <= IDENTITY_TOL, "", residuals))
+            residuals = reconstruction.hazard_mrl_identity_residual(model, component, u0, ts, cfg)
+            max_res = float(max(np.abs(residuals)))
+            results.append((name, max_res, IDENTITY_TOL, max_res <= IDENTITY_TOL, "", list(zip(ts, residuals))))
         except InfiniteMeanError as exc:
             results.append((name, None, IDENTITY_TOL, False, str(exc), None))
     return results
 
 
 def cmd_verify(args) -> int:
-    run = RunConfig.from_args(args, base=reconstruction.RECON_CONFIG)
-    results = _verification_checks(run.model, run.numerics)
+    model = load_model(args.model)
+    cfg = load_numeric_config(args.config, reconstruction.RECON_CONFIG)
+    results = _verification_checks(model, cfg)
     for name, max_res, tol, passed, note, _ in results:
         if max_res is None:
             sys.stdout.write(f"{name}: FAIL ({note})\n")
@@ -324,20 +260,21 @@ def cmd_verify(args) -> int:
     worst = max((r for _, r, _, _, _, _ in results if r is not None), default=float("nan"))
     sys.stdout.write(f"max residual over all checks: {_fmt(worst)}\n")
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
-    if run.out_path:
+    if args.out:
         rows = []
         for name, _, _, _, _, residuals in results:
             if residuals is not None:
                 rows.extend(f"{name},{_fmt(t)},{_fmt(r)}" for t, r in residuals)
-        _write_text(run.out_path, _csv("check,t,residual", rows))
+        _write_text(args.out, _csv("check,t,residual", rows))
     return 0 if all_pass else 1
 
 
 def cmd_sample(args) -> int:
-    run = RunConfig.from_args(args)
-    sample_set = estimation.sample(run.model, args.n, args.seed, run.numerics)
+    model = load_model(args.model)
+    cfg = load_numeric_config(args.config)
+    sample_set = estimation.sample(model, args.n, args.seed, cfg)
     rows = (f"{_fmt(x)},{_fmt(y)}" for x, y in sample_set.pairs)
-    _write_text(run.out_path, _csv("x,y", rows))
+    _write_text(args.out, _csv("x,y", rows))
     return 0
 
 
@@ -356,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, help="model specification JSON file")
     common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--config", default=None, help="numerics override JSON file")
 
     p_curve = sub.add_parser("curve", parents=[common], help="emit one quantile curve")
@@ -366,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="orthant direction; mm/pm/mp/pp spell the sign pairs for "
                               "values the shell or argparse would eat ('--', '-+')")
     p_curve.add_argument("-n", "--points", type=int, default=200)
+    p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_curve.add_argument("--svg", default=None, help="also write an SVG polyline plot")
     p_curve.add_argument("--sample", default=None,
                          help="sample CSV (x,y header): emit the empirical curve instead")
@@ -377,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recon = sub.add_parser("reconstruct", parents=[common],
                              help="rebuild a quantile function from a reliability component")
     p_recon.add_argument("--kind", choices=tuple(reliability.QUANTITIES), required=True)
-    p_recon.add_argument("--component", choices=("first", "second"), default="first")
+    p_recon.add_argument("--component", choices=reconstruction.COMPONENTS, default="first")
     p_recon.add_argument("--conditioning-u", type=float, default=0.5)
     p_recon.add_argument("--grid", type=int, default=33)
 
@@ -408,13 +345,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except _SPEC_ERRORS as exc:
+    except (ModelSpecError, ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except BivquantError as exc:
+    except BivquantError as exc:  # usage errors and numerical breakdowns
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -19,6 +19,7 @@ form ``v + c·v(1-v)``, so conditional quantiles invert in closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
@@ -46,8 +47,14 @@ def _require_sense(sense) -> str:
     return sense
 
 
+def _require_real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _require_positive(name: str, value) -> float:
-    value = float(value)
+    value = _require_real(name, value)
     if not math.isfinite(value) or value <= 0:
         raise DomainError(f"{name} must be a strictly positive real, got {value!r}")
     return value
@@ -447,7 +454,7 @@ class FGMCopula(Copula):
     kind = "FGM"
 
     def __post_init__(self):
-        theta = float(self.theta)
+        theta = _require_real("theta", self.theta)
         if not math.isfinite(theta) or not -1.0 <= theta <= 1.0:
             raise DomainError(f"theta must lie in [-1, 1], got {self.theta!r}")
 
@@ -647,9 +654,6 @@ def _component_from_dict(section: str, d, registry: dict[str, type]):
     missing = expected - set(params)
     if missing:
         raise ModelSpecError(f"missing {section} keys for {kind}: {sorted(missing)}")
-    for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelSpecError(f"{section} parameter {key!r} of {kind} must be a real number, got {value!r}")
     try:
         return cls(**params)
     except DomainError as exc:

@@ -162,6 +162,15 @@ class TestFieldCommand:
                    "--grid", "3", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [["field", "--kind", "hazard"], ["sample", "--n", "10"]],
+                             ids=["field", "sample"])
+    def test_format_belongs_to_curve_only(self, tmp_path, model_file, argv):
+        # only curve writes JSON; elsewhere --format would be silently ignored
+        out = tmp_path / "x.csv"
+        rc = main([*argv, "--model", model_file(EXP_MODEL), "--format", "json", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestReconstructCommand:
     @pytest.mark.parametrize("kind", ["hazard", "mrl", "rev-hazard", "rev-mrl"])
@@ -180,6 +189,14 @@ class TestReconstructCommand:
                    "--grid", "0", "--out", str(out)])
         assert rc == 2
         assert "grid must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_conditioning_u_checked_for_first_component(self, tmp_path, model_file, capsys):
+        out = tmp_path / "recon.csv"
+        rc = main(["reconstruct", "--model", model_file(FGM_MODEL), "--kind", "hazard",
+                   "--component", "first", "--conditioning-u", "1.5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: conditioning_u must lie in (0,1), got 1.5\n"
         assert not out.exists()
 
     def test_second_component(self, tmp_path, model_file):
@@ -285,6 +302,16 @@ class TestSampleDrivenCurve:
                    "--sample", str(bad), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_header_only_sample_is_one_error(self, tmp_path, model_file, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x,y\n")
+        rc = main(["curve", "--model", model_file(FGM_MODEL), "-p", "0.25", "--dir", "mm",
+                   "--sample", str(empty), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "has no rows" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_load_sample_csv_rejects_non_finite(self, tmp_path, value):

@@ -321,11 +321,17 @@ class TestModelSpec:
             ("marginal_x", {"kind": "Pareto", "scale": 1.0, "shape": [2.0]}),
             ("copula", {"kind": "FGM", "theta": "0.5"}),
             ("copula", {"kind": "FGM", "theta": False}),
+            ("marginal_x", {"kind": "Weibull", "scale": 1.0, "shape": "2"}),
         ],
-        ids=["string", "null", "bool", "list", "numeric-string", "bool-theta"],
+        ids=["string", "null", "bool", "list", "numeric-string", "bool-theta", "weibull-string"],
     )
     def test_non_real_parameter(self, section, component):
-        # parameters are checked at the parse boundary, before any arithmetic
+        # the constructor rejects it before any arithmetic ...
+        cls = {"Exponential": Exponential, "Pareto": Pareto, "Weibull": Weibull, "FGM": FGMCopula}
+        params = {k: v for k, v in component.items() if k != "kind"}
+        with pytest.raises(DomainError, match="must be a real number"):
+            cls[component["kind"]](**params)
+        # ... and a spec file names it as a specification error
         bad = self.spec() | {section: component}
         with pytest.raises(ModelSpecError, match="must be a real number"):
             model_from_dict(bad)

@@ -24,7 +24,15 @@ from bivquant import (
     quantile_from_reversed_hazard,
     quantile_from_reversed_mrl,
 )
-from bivquant.reconstruction import COMPONENT_KINDS, INVERSE_MAPS, KIND_OF, reversed_hazard_clip_bias
+from bivquant import reconstruction
+from bivquant.reconstruction import (
+    COMPONENT_KINDS,
+    INVERSE_MAPS,
+    KIND_OF,
+    RECON_CONFIG,
+    reversed_hazard_clip_bias,
+    round_trip,
+)
 from bivquant.reliability import QUANTITIES
 
 from conftest import mixed_models
@@ -239,6 +247,97 @@ class TestRegistry:
             for t in np.linspace(lo, hi, 9)
         )
         assert e <= 1e-4
+
+
+class TestGrids:
+    """Every inverse map and the identity take a scalar t or a 1-D grid."""
+
+    @pytest.mark.parametrize("quantity", list(QUANTITIES))
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_grid_equals_scalar_calls(self, quantity, component):
+        model = BivariateModel(Exponential(1.3), Weibull(1.1, 1.7), FGMCopula(-0.6))
+        comp = component_from_model(model, KIND_OF[quantity, component], 0.4)
+        inverse, (lo, hi) = INVERSE_MAPS[quantity]
+        ts = np.linspace(lo, hi, 5)
+        scalars = [inverse(comp, t) for t in ts]
+        assert all(type(v) is float for v in scalars)
+        grid = inverse(comp, ts)
+        assert isinstance(grid, np.ndarray) and grid.shape == ts.shape
+        assert np.array_equal(grid, scalars)  # bit for bit
+
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_identity_grid_equals_scalar_calls(self, fgm_uniform, component):
+        scalars = [hazard_mrl_identity_residual(fgm_uniform, component, 0.5, t) for t in IDENTITY_GRID]
+        assert all(type(v) is float for v in scalars)
+        grid = hazard_mrl_identity_residual(fgm_uniform, component, 0.5, IDENTITY_GRID)
+        assert np.array_equal(grid, scalars)
+
+    @pytest.mark.parametrize("kind, inverse", [("mrl1", quantile_from_mrl), ("rev_mrl1", quantile_from_reversed_mrl)])
+    def test_point_terms_are_scalar_calls(self, kind, inverse):
+        # a vector call into the model kernels can differ from scalar ones in
+        # the last bits, so f(t) is evaluated one float at a time
+        ndims = []
+
+        def f(z):
+            ndims.append(np.ndim(z))
+            return np.full_like(np.asarray(z, float), 0.5)
+
+        inverse(ComponentFunction(kind, f, mean_hint=0.5), np.linspace(0.1, 0.9, 5))
+        assert ndims.count(0) == 5
+
+    def test_grid_validation(self):
+        f = _const("hazard1", 1.0)
+        with pytest.raises(DomainError, match=r"t must lie in \(0,1\), got 1.0"):
+            quantile_from_hazard(f, [0.2, 1.0, 0.5])
+        with pytest.raises(DomainError, match="1-D grid"):
+            quantile_from_hazard(f, np.full((2, 2), 0.5))
+        assert quantile_from_hazard(f, []).shape == (0,)
+
+    def test_divergence_probe_runs_once_per_call(self, monkeypatch):
+        calls = []
+        original = reconstruction.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruction, "integrate", counting)
+        f = ComponentFunction("rev_hazard1", lambda z: 1.0 / z)
+        quantile_from_reversed_hazard(f, np.linspace(0.1, 0.9, 5))
+        assert len(calls) == 2 + 5  # the probe's two pieces, then one integral per t
+        calls.clear()
+        # no t reaches past 64*clip, so the probe has nothing to look at
+        quantile_from_reversed_hazard(f, [10 * RECON_CONFIG.sing_clip])
+        assert len(calls) == 1
+
+
+class TestRoundTrip:
+    def test_reference_offset_per_quantity(self):
+        # Pareto support starts at its scale: only the MRL map carries it
+        model = BivariateModel(Pareto(1.5, 3.0), Exponential(1.0), FGMCopula(0.3))
+        ts = np.linspace(0.05, 0.95, 7)
+        quantile = np.array([marginal_quantile(model, "x", t) for t in ts])
+        for quantity in QUANTITIES:
+            rec, ref = round_trip(model, quantity, "first", 0.5, ts)
+            offset = 0.0 if quantity == "mrl" else 1.5
+            assert np.array_equal(ref, quantile - offset)
+            assert np.max(np.abs(rec - ref)) <= 1e-4, quantity
+
+    def test_second_component_matches_maps(self, fgm_uniform):
+        ts = np.linspace(0.05, 0.95, 5)
+        rec, ref = round_trip(fgm_uniform, "rev-mrl", "second", 0.5, ts)
+        comp = component_from_model(fgm_uniform, "rev_mrl2", 0.5)
+        assert np.array_equal(rec, quantile_from_reversed_mrl(comp, ts))
+        assert np.array_equal(ref, [conditional_quantile(fgm_uniform, "le", 0.5, t) for t in ts])
+
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_conditioning_u_checked_for_every_component(self, indep_exp, component):
+        with pytest.raises(DomainError, match="conditioning_u"):
+            round_trip(indep_exp, "hazard", component, 1.5, [0.5])
+
+    def test_unknown_component(self, indep_exp):
+        with pytest.raises(DomainError, match="third"):
+            round_trip(indep_exp, "hazard", "third", 0.5, [0.5])
 
 
 class TestIdentity:
