@@ -190,14 +190,14 @@ def cmd_field(args) -> int:
     if args.grid < 1:
         raise DomainError(f"grid must be >= 1, got {args.grid}")
     probs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
-    rows = []
-    for u in probs:
-        first = float(first_fn(model, u, cfg))
-        seconds = np.atleast_1d(second_fn(model, u, probs, cfg))
-        rows.extend(
-            f"{_fmt(u)},{_fmt(p)},{_fmt(first)},{_fmt(s)},{args.kind}"
-            for p, s in zip(probs, seconds)
-        )
+    firsts = first_fn(model, probs, cfg)
+    # one row of seconds per conditioning level u
+    seconds = second_fn(model, probs[:, None], probs[None, :], cfg)
+    rows = (
+        f"{_fmt(u)},{_fmt(p)},{_fmt(first)},{_fmt(s)},{args.kind}"
+        for u, first, row in zip(probs, firsts, seconds)
+        for p, s in zip(probs, row)
+    )
     _write_text(args.out, _csv("u,p_cond,first,second,kind", rows))
     return 0
 

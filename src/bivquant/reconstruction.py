@@ -32,7 +32,7 @@ import numpy as np
 
 from . import models, reliability
 from .errors import DivergenceError, DomainError, MissingMeanError, SignError
-from .numerics import NumericConfig, integrate
+from .numerics import NumericConfig, cumulative_integral, integrate, t_grid
 
 COMPONENTS = ("first", "second")
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
@@ -71,27 +71,8 @@ class ComponentFunction:
             raise DomainError(f"kind must be one of {COMPONENT_KINDS}, got {self.kind!r}")
 
 
-def _t_grid(t) -> tuple[np.ndarray, bool]:
-    """``t`` as a 1-D float grid on (0,1), and whether it was a scalar."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.ndim > 1:
-        raise DomainError(f"t must be a scalar or a 1-D grid, got shape {ts.shape}")
-    outside = ts[~((ts > 0.0) & (ts < 1.0))]
-    if outside.size:
-        raise DomainError(f"t must lie in (0,1), got {outside[0]}")
-    return ts, np.ndim(t) == 0
-
-
-def _each(fn: Callable, ts: np.ndarray, scalar: bool = False):
-    """``fn`` at each t, called with a float; a float for a scalar ``t``, else an array."""
-    # one call per t: a vector call into the model kernels can differ in the last bits
-    values = np.array([float(fn(float(t))) for t in ts])
+def _shaped(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
-
-
-def _from_zero(integrand: Callable, cfg: NumericConfig) -> Callable:
-    """t -> int_0^t integrand, on the graded mesh of [0, t]."""
-    return lambda t: integrate(integrand, 0.0, t, cfg, singular_lower=True, singular_upper=True)
 
 
 def _require_kind(f: ComponentFunction, quantity: str):
@@ -152,19 +133,19 @@ def quantile_from_hazard(f: ComponentFunction, t, cfg: NumericConfig | None = No
     the same holds for every inverse map below.
     """
     _require_kind(f, "hazard")
-    ts, scalar = _t_grid(t)
+    ts, scalar = t_grid(t)
     cfg = _cfg(cfg)
 
     def integrand(z):
         return 1.0 / ((1.0 - z) * _positive_samples(f, z))
 
-    return _each(_from_zero(integrand, cfg), ts, scalar)
+    return _shaped(cumulative_integral(integrand, ts, 0.0, cfg), scalar)
 
 
 def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
     """Q(t) = mu - f(t) + int_0^t f(z)/(1-z) dz, with mu from the hint or f(0+)."""
     _require_kind(f, "mrl")
-    ts, scalar = _t_grid(t)
+    ts, scalar = t_grid(t)
     cfg = _cfg(cfg)
     if f.mean_hint is not None:
         mu = float(f.mean_hint)
@@ -186,9 +167,9 @@ def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None)
         return np.asarray(f.eval(z), dtype=float) / (1.0 - z)
 
     # the integrand is finite at 0 but model components reject z = 0 exactly;
-    # the upper end is graded as well because heavy-tailed components steepen there
-    integral = _from_zero(integrand, cfg)
-    return _each(lambda t: mu - float(f.eval(t)) + integral(t), ts, scalar)
+    # the mesh is graded toward 1 as well because heavy-tailed components steepen there
+    point = np.asarray(f.eval(ts), dtype=float)
+    return _shaped(mu - point + cumulative_integral(integrand, ts, 0.0, cfg), scalar)
 
 
 def reversed_hazard_clip_bias(f: ComponentFunction, cfg: NumericConfig | None = None) -> float:
@@ -212,7 +193,7 @@ def quantile_from_reversed_hazard(f: ComponentFunction, t, cfg: NumericConfig | 
     per call, and only if some t lies beyond it.
     """
     _require_kind(f, "rev-hazard")
-    ts, scalar = _t_grid(t)
+    ts, scalar = t_grid(t)
     cfg = _cfg(cfg)
 
     def integrand(z):
@@ -228,20 +209,19 @@ def quantile_from_reversed_hazard(f: ComponentFunction, t, cfg: NumericConfig | 
                 f"(mass {inner:.3e} on [clip, 8*clip] vs {outer:.3e} on [8*clip, 64*clip]); "
                 "the underlying support appears unbounded below"
             )
-    return _each(_from_zero(integrand, cfg), ts, scalar)
+    return _shaped(cumulative_integral(integrand, ts, 0.0, cfg), scalar)
 
 
 def quantile_from_reversed_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
     """Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean."""
     _require_kind(f, "rev-mrl")
-    ts, scalar = _t_grid(t)
+    ts, scalar = t_grid(t)
     cfg = _cfg(cfg)
 
     def integrand(z):
         return np.asarray(f.eval(z), dtype=float) / z
 
-    integral = _from_zero(integrand, cfg)
-    return _each(lambda t: float(f.eval(t)) + integral(t), ts, scalar)
+    return _shaped(np.asarray(f.eval(ts), dtype=float) + cumulative_integral(integrand, ts, 0.0, cfg), scalar)
 
 
 #: Each quantity's inverse map and the t-range its round trips are checked
@@ -279,12 +259,11 @@ def round_trip(
     comp = component_from_model(model, KIND_OF[quantity, component], conditioning_u, cfg)
     reconstructed = inverse_map(comp, ts, cfg)
     if component == "first":
-        quantile = lambda t: models.marginal_quantile(model, "x", t, cfg)
+        reference = models.marginal_quantile(model, "x", ts, cfg)
         origin = model.marginal_x.support[0]
     else:
-        quantile = lambda t: models.conditional_quantile(model, "le", conditioning_u, t, cfg)
+        reference = models.conditional_quantile(model, "le", conditioning_u, ts, cfg)
         origin = model.marginal_y.support[0]
-    reference = _each(quantile, ts)
     return reconstructed, reference if quantity == "mrl" else reference - origin
 
 
@@ -301,7 +280,7 @@ def hazard_mrl_identity_residual(
     """
     if component not in COMPONENTS:
         raise DomainError(f"component must be 'first' or 'second', got {component!r}")
-    ts, scalar = _t_grid(t)
+    ts, scalar = t_grid(t)
     cfg = _cfg(cfg)
     u0 = float(conditioning_u)
     mrl = _of_probability(model, "mrl", component, u0, cfg)
@@ -310,7 +289,5 @@ def hazard_mrl_identity_residual(
     def reciprocal_hazard(z):
         return 1.0 / np.asarray(hazard(z), dtype=float)
 
-    def residual(t):
-        return (1.0 - t) * float(mrl(t)) - integrate(reciprocal_hazard, t, 1.0, cfg, singular_upper=True)
-
-    return _each(residual, ts, scalar)
+    lhs = (1.0 - ts) * np.asarray(mrl(ts), dtype=float)
+    return _shaped(lhs - cumulative_integral(reciprocal_hazard, ts, 1.0, cfg), scalar)

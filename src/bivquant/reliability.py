@@ -52,9 +52,10 @@ def _require_interior(name: str, value, cfg: NumericConfig):
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError(f"{name} must lie in (0,1), got {value!r}")
     eps = cfg.eps_boundary
-    if np.any(arr < eps) or np.any(arr > 1.0 - eps):
-        raise BoundaryError(
-            f"{name} = {value!r} lies outside the clipped interval "
+    outside = arr[(arr < eps) | (arr > 1.0 - eps)]
+    if outside.size:
+        raise BoundaryError(  # the first offending value: a grid keeps the message on one line
+            f"{name} = {float(outside[0])!r} lies outside the clipped interval "
             f"[eps_boundary, 1 - eps_boundary] with eps_boundary = {eps}"
         )
     return arr

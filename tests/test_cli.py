@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from bivquant import cli, models, reconstruction, reliability
 from bivquant.cli import load_sample_csv, main
 from bivquant.errors import ModelSpecError
 
@@ -156,6 +157,37 @@ class TestFieldCommand:
         rows = [r for r in read_rows(out) if r["u"] == "0.5" and r["p_cond"] == "0.5"]
         assert len(rows) == 1
         assert float(rows[0]["second"]) == pytest.approx(2.23607, abs=1e-5)
+
+    @pytest.mark.parametrize("kind", ["hazard", "mrl", "rev-hazard", "rev-mrl"])
+    def test_broadcast_equals_per_u_loop(self, tmp_path, model_file, monkeypatch, kind):
+        spec = {"marginal_x": {"kind": "Weibull", "scale": 1.2, "shape": 0.8},
+                "marginal_y": {"kind": "Pareto", "scale": 1.0, "shape": 2.5},
+                "copula": {"kind": "FGM", "theta": -0.7}}
+        monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))  # every bit in the CSV
+        out = tmp_path / "field.csv"
+        assert main(["field", "--model", model_file(spec), "--kind", kind, "--grid", "7",
+                     "--out", str(out)]) == 0
+        rows = read_rows(out)
+        # the per-u loop: one first_fn call and one row of seconds per u
+        model = models.model_from_dict(spec)
+        first_fn, second_fn = reliability.QUANTITIES[kind]
+        probs = np.arange(1, 8) / 8.0
+        assert [(float(r["u"]), float(r["p_cond"])) for r in rows] == [(u, p) for u in probs for p in probs]
+        seconds = np.concatenate([second_fn(model, u, probs) for u in probs])
+        assert np.array_equal([float(r["second"]) for r in rows], seconds)
+        # a vector call may differ from scalar calls in the last bit
+        firsts = [float(first_fn(model, u)) for u in probs for _ in probs]
+        assert np.allclose([float(r["first"]) for r in rows], firsts, rtol=1e-12, atol=0.0)
+
+    def test_boundary_error_is_one_line(self, tmp_path, model_file, capsys):
+        # every u of the grid lies inside eps_boundary; the message names the first
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"numerics": {"eps_boundary": 0.2, "sing_clip": 0.2}}))
+        rc = main(["field", "--model", model_file(EXP_MODEL), "--kind", "hazard", "--grid", "12",
+                   "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: u = {1 / 13!r} lies outside")
 
     def test_infinite_mean_usage_error(self, tmp_path, model_file):
         rc = main(["field", "--model", model_file(HEAVY_MODEL), "--kind", "mrl",
@@ -350,6 +382,19 @@ class TestConfigFile:
             rc = main(["curve", "--model", model_file(EXP_MODEL), "-p", "0.5", "--dir", "++",
                        "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
             assert rc == 3, overrides
+
+    def test_quad_points_above_bound_exit_3(self, tmp_path, model_file, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("no integral may run on a rejected config")
+
+        for name in ("integrate", "cumulative_integral"):
+            monkeypatch.setattr(reconstruction, name, never)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"numerics": {"quad_points": 65538}}))
+        rc = main(["reconstruct", "--model", model_file(EXP_MODEL), "--kind", "hazard",
+                   "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "must be at most 65536" in capsys.readouterr().err
 
     def test_unknown_top_key_exit_3(self, tmp_path, model_file):
         cfgfile = tmp_path / "cfg.json"

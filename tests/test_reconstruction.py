@@ -272,18 +272,22 @@ class TestGrids:
         grid = hazard_mrl_identity_residual(fgm_uniform, component, 0.5, IDENTITY_GRID)
         assert np.array_equal(grid, scalars)
 
-    @pytest.mark.parametrize("kind, inverse", [("mrl1", quantile_from_mrl), ("rev_mrl1", quantile_from_reversed_mrl)])
-    def test_point_terms_are_scalar_calls(self, kind, inverse):
-        # a vector call into the model kernels can differ from scalar ones in
-        # the last bits, so f(t) is evaluated one float at a time
+    @pytest.mark.parametrize("quantity", list(QUANTITIES))
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_one_vector_call_per_grid(self, quantity, n):
+        # the integral takes one call whatever the grid length; the MRL maps
+        # add one for their point terms f(t), the reversed-hazard map two for
+        # its divergence probe
         ndims = []
 
         def f(z):
             ndims.append(np.ndim(z))
             return np.full_like(np.asarray(z, float), 0.5)
 
-        inverse(ComponentFunction(kind, f, mean_hint=0.5), np.linspace(0.1, 0.9, 5))
-        assert ndims.count(0) == 5
+        inverse, (lo, hi) = INVERSE_MAPS[quantity]
+        inverse(ComponentFunction(KIND_OF[quantity, "first"], f, mean_hint=0.5), np.linspace(lo, hi, n))
+        expected = {"hazard": 1, "mrl": 2, "rev-hazard": 3, "rev-mrl": 2}[quantity]
+        assert ndims == [1] * expected
 
     def test_grid_validation(self):
         f = _const("hazard1", 1.0)
@@ -304,11 +308,11 @@ class TestGrids:
         monkeypatch.setattr(reconstruction, "integrate", counting)
         f = ComponentFunction("rev_hazard1", lambda z: 1.0 / z)
         quantile_from_reversed_hazard(f, np.linspace(0.1, 0.9, 5))
-        assert len(calls) == 2 + 5  # the probe's two pieces, then one integral per t
+        assert len(calls) == 2  # the probe's two pieces; the grid itself needs none
         calls.clear()
         # no t reaches past 64*clip, so the probe has nothing to look at
         quantile_from_reversed_hazard(f, [10 * RECON_CONFIG.sing_clip])
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 class TestRoundTrip:
@@ -316,7 +320,7 @@ class TestRoundTrip:
         # Pareto support starts at its scale: only the MRL map carries it
         model = BivariateModel(Pareto(1.5, 3.0), Exponential(1.0), FGMCopula(0.3))
         ts = np.linspace(0.05, 0.95, 7)
-        quantile = np.array([marginal_quantile(model, "x", t) for t in ts])
+        quantile = marginal_quantile(model, "x", ts)
         for quantity in QUANTITIES:
             rec, ref = round_trip(model, quantity, "first", 0.5, ts)
             offset = 0.0 if quantity == "mrl" else 1.5
