@@ -162,6 +162,9 @@ def cmd_curve(args) -> int:
     model = load_model(args.model)
     cfg = load_numeric_config(args.config)
     direction = models.Direction.from_string(args.dir)
+    # the rule of curves.curve_points, applied to the --sample path too
+    if args.points < 2:
+        raise DomainError(f"n_points must be an integer >= 2, got {args.points!r}")
     if args.sample:
         draws = load_sample_csv(args.sample, model.describe())
         lo, hi = curves.admissible_interval(args.level, direction)

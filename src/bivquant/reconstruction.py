@@ -32,7 +32,7 @@ import numpy as np
 
 from . import models, reliability
 from .errors import DivergenceError, DomainError, MissingMeanError, SignError
-from .numerics import NumericConfig, cumulative_integral, integrate, t_grid
+from .numerics import NumericConfig, integrate, t_grid
 
 COMPONENTS = ("first", "second")
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
@@ -139,7 +139,7 @@ def quantile_from_hazard(f: ComponentFunction, t, cfg: NumericConfig | None = No
     def integrand(z):
         return 1.0 / ((1.0 - z) * _positive_samples(f, z))
 
-    return _shaped(cumulative_integral(integrand, ts, 0.0, cfg), scalar)
+    return _shaped(integrate(integrand, ts, 0.0, cfg), scalar)
 
 
 def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
@@ -169,7 +169,7 @@ def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None)
     # the integrand is finite at 0 but model components reject z = 0 exactly;
     # the mesh is graded toward 1 as well because heavy-tailed components steepen there
     point = np.asarray(f.eval(ts), dtype=float)
-    return _shaped(mu - point + cumulative_integral(integrand, ts, 0.0, cfg), scalar)
+    return _shaped(mu - point + integrate(integrand, ts, 0.0, cfg), scalar)
 
 
 def reversed_hazard_clip_bias(f: ComponentFunction, cfg: NumericConfig | None = None) -> float:
@@ -189,8 +189,9 @@ def quantile_from_reversed_hazard(f: ComponentFunction, t, cfg: NumericConfig | 
 
     Raises :class:`DivergenceError` when the integrand mass keeps growing
     toward 0 faster than the integrable rate (support unbounded below).
-    The probe for that looks at ``[clip, 64*clip]`` only, so it runs once
-    per call, and only if some t lies beyond it.
+    The probe for that compares the masses on ``[clip, 8*clip]`` and
+    ``[8*clip, 64*clip]``, read off the same integral at two extra grid
+    points, and runs only if some t lies beyond ``64*clip``.
     """
     _require_kind(f, "rev-hazard")
     ts, scalar = t_grid(t)
@@ -200,16 +201,17 @@ def quantile_from_reversed_hazard(f: ComponentFunction, t, cfg: NumericConfig | 
         return 1.0 / (z * _positive_samples(f, z))
 
     clip = cfg.sing_clip
-    if (64.0 * clip < ts).any():
-        inner = integrate(integrand, clip, 8.0 * clip, cfg)
-        outer = integrate(integrand, 8.0 * clip, 64.0 * clip, cfg)
+    probe = [8.0 * clip, 64.0 * clip] if (64.0 * clip < ts).any() else []
+    values = integrate(integrand, np.append(ts, probe), 0.0, cfg)
+    if probe:
+        inner, outer = values[-2], values[-1] - values[-2]
         if inner > 1.02 * outer and inner > 1e-12:
             raise DivergenceError(
                 f"clipped reversed-hazard integral keeps growing toward 0 "
                 f"(mass {inner:.3e} on [clip, 8*clip] vs {outer:.3e} on [8*clip, 64*clip]); "
                 "the underlying support appears unbounded below"
             )
-    return _shaped(cumulative_integral(integrand, ts, 0.0, cfg), scalar)
+    return _shaped(values[: ts.size], scalar)
 
 
 def quantile_from_reversed_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
@@ -221,7 +223,7 @@ def quantile_from_reversed_mrl(f: ComponentFunction, t, cfg: NumericConfig | Non
     def integrand(z):
         return np.asarray(f.eval(z), dtype=float) / z
 
-    return _shaped(np.asarray(f.eval(ts), dtype=float) + cumulative_integral(integrand, ts, 0.0, cfg), scalar)
+    return _shaped(np.asarray(f.eval(ts), dtype=float) + integrate(integrand, ts, 0.0, cfg), scalar)
 
 
 #: Each quantity's inverse map and the t-range its round trips are checked
@@ -290,4 +292,4 @@ def hazard_mrl_identity_residual(
         return 1.0 / np.asarray(hazard(z), dtype=float)
 
     lhs = (1.0 - ts) * np.asarray(mrl(ts), dtype=float)
-    return _shaped(lhs - cumulative_integral(reciprocal_hazard, ts, 1.0, cfg), scalar)
+    return _shaped(lhs - integrate(reciprocal_hazard, ts, 1.0, cfg), scalar)

@@ -51,7 +51,6 @@ FGM_M2_HALF = 0.2696723314583159  # 2 * int_{1/2}^1 phi - phi(1/2), phi(z) = (3 
 FGM_ETA2_HALF = 0.2002710206251927  # phi(1/2) - 2 * int_0^{1/2} phi
 EXP_ETA1_HALF = 0.3862943611198906  # ln 2 - 2 * ((1/2) ln(1/2) + 1/2)
 LN2 = 0.6931471805599453
-CLIPPED_LOG_INTEGRAL = 13.815510557964274  # -ln(1e-6)
 
 
 def fgm_phi_closed(z):

@@ -345,6 +345,19 @@ class TestSampleDrivenCurve:
         assert len(err.splitlines()) == 1
         assert "has no rows" in err
 
+    @pytest.mark.parametrize("points", [-5, 0, 1])
+    @pytest.mark.parametrize("with_sample", [False, True], ids=["model", "sample"])
+    def test_too_few_points_exit_2(self, tmp_path, model_file, capsys, points, with_sample):
+        sample = tmp_path / "s.csv"
+        sample.write_text("x,y\n0.1,0.2\n0.3,0.4\n")
+        extra = ["--sample", str(sample)] if with_sample else []
+        out = tmp_path / "o.csv"
+        rc = main(["curve", "--model", model_file(FGM_MODEL), "-p", "0.25", "--dir", "mm",
+                   "-n", str(points), *extra, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: n_points must be an integer >= 2, got {points}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_load_sample_csv_rejects_non_finite(self, tmp_path, value):
         path = tmp_path / "s.csv"
@@ -387,8 +400,7 @@ class TestConfigFile:
         def never(*args, **kwargs):
             raise AssertionError("no integral may run on a rejected config")
 
-        for name in ("integrate", "cumulative_integral"):
-            monkeypatch.setattr(reconstruction, name, never)
+        monkeypatch.setattr(reconstruction, "integrate", never)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"numerics": {"quad_points": 65538}}))
         rc = main(["reconstruct", "--model", model_file(EXP_MODEL), "--kind", "hazard",

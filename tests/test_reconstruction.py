@@ -145,6 +145,17 @@ class TestReversedMaps:
         with pytest.raises(DivergenceError):
             quantile_from_reversed_hazard(f, 0.5)
 
+    @pytest.mark.parametrize("s", [1.0, 1.005, 1.02, 1.5])
+    def test_divergence_verdict_on_power_integrand(self, s):
+        # 1/(z f(z)) = z**-s puts 8**(s-1) times as much mass on [clip, 8*clip]
+        # as on [8*clip, 64*clip]; the probe flags a ratio above 1.02
+        f = ComponentFunction("rev_hazard1", lambda z: z ** (s - 1.0))
+        if 8.0 ** (s - 1.0) > 1.02:
+            with pytest.raises(DivergenceError, match="keeps growing toward 0"):
+                quantile_from_reversed_hazard(f, [0.3, 0.6])
+        else:
+            assert np.all(np.isfinite(quantile_from_reversed_hazard(f, [0.3, 0.6])))
+
     def test_clip_bias_estimate(self, indep_uniform):
         comp = component_from_model(indep_uniform, "rev_hazard1")
         bias = reversed_hazard_clip_bias(comp)
@@ -275,9 +286,9 @@ class TestGrids:
     @pytest.mark.parametrize("quantity", list(QUANTITIES))
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_one_vector_call_per_grid(self, quantity, n):
-        # the integral takes one call whatever the grid length; the MRL maps
-        # add one for their point terms f(t), the reversed-hazard map two for
-        # its divergence probe
+        # the integral takes one call whatever the grid length, the
+        # reversed-hazard probe included; the MRL maps add one for their
+        # point terms f(t)
         ndims = []
 
         def f(z):
@@ -286,7 +297,7 @@ class TestGrids:
 
         inverse, (lo, hi) = INVERSE_MAPS[quantity]
         inverse(ComponentFunction(KIND_OF[quantity, "first"], f, mean_hint=0.5), np.linspace(lo, hi, n))
-        expected = {"hazard": 1, "mrl": 2, "rev-hazard": 3, "rev-mrl": 2}[quantity]
+        expected = {"hazard": 1, "mrl": 2, "rev-hazard": 1, "rev-mrl": 2}[quantity]
         assert ndims == [1] * expected
 
     def test_grid_validation(self):
@@ -298,21 +309,21 @@ class TestGrids:
         assert quantile_from_hazard(f, []).shape == (0,)
 
     def test_divergence_probe_runs_once_per_call(self, monkeypatch):
-        calls = []
+        sizes = []
         original = reconstruction.integrate
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return original(*args, **kwargs)
+        def counting(f, ts, *args, **kwargs):
+            sizes.append(np.size(ts))
+            return original(f, ts, *args, **kwargs)
 
         monkeypatch.setattr(reconstruction, "integrate", counting)
         f = ComponentFunction("rev_hazard1", lambda z: 1.0 / z)
-        quantile_from_reversed_hazard(f, np.linspace(0.1, 0.9, 5))
-        assert len(calls) == 2  # the probe's two pieces; the grid itself needs none
-        calls.clear()
+        got = quantile_from_reversed_hazard(f, np.linspace(0.1, 0.9, 5))
+        assert sizes == [5 + 2] and got.shape == (5,)  # the probe's two points ride on the grid
+        sizes.clear()
         # no t reaches past 64*clip, so the probe has nothing to look at
         quantile_from_reversed_hazard(f, [10 * RECON_CONFIG.sing_clip])
-        assert len(calls) == 0
+        assert sizes == [1]
 
 
 class TestRoundTrip:
