@@ -19,7 +19,6 @@ from .errors import (
     InfiniteMeanError,
     InsufficientMassError,
     IntegrandError,
-    MissingMeanError,
     ModelSpecError,
     MonotonicityError,
     SignError,
@@ -48,7 +47,6 @@ from .models import (
 )
 from .numerics import DEFAULT_CONFIG, NumericConfig, integrate
 from .reconstruction import (
-    RECON_CONFIG,
     ComponentFunction,
     component_from_model,
     hazard_mrl_identity_residual,

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -44,10 +44,8 @@ def load_model(path: str) -> models.BivariateModel:
     return models.model_from_dict(payload)
 
 
-def load_numeric_config(
-    path: str | None, base: NumericConfig | None = None
-) -> NumericConfig | None:
-    """Apply a strict {"numerics": {...}} override file onto ``base`` defaults."""
+def load_numeric_config(path: str | None) -> NumericConfig | None:
+    """Apply a strict {"numerics": {...}} override file onto the package defaults."""
     if path is None:
         return None
     try:
@@ -67,7 +65,7 @@ def load_numeric_config(
     bad = set(overrides) - allowed
     if bad:
         raise ConfigError(f"unknown numerics keys: {sorted(bad)}")
-    return replace(base if base is not None else NumericConfig(), **overrides)
+    return NumericConfig(**overrides)
 
 
 def load_sample_csv(path: str, model_tag: str = "") -> estimation.SampleSet:
@@ -207,20 +205,13 @@ def cmd_field(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     model = load_model(args.model)
-    # overrides land on the tight-clip reconstruction defaults, not the
-    # package-wide ones, so bumping quad_points does not loosen the clip
-    cfg = load_numeric_config(args.config, reconstruction.RECON_CONFIG)
+    cfg = load_numeric_config(args.config)
     if args.grid < 1:
         raise DomainError(f"grid must be >= 1, got {args.grid}")
     ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind][1], args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
     rows = (f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{_fmt(abs(a - b))}" for t, a, b in zip(ts, rec, ref))
     _write_text(args.out, _csv("t,reconstructed,reference,abs_error", rows))
-    if args.kind == "rev-hazard":
-        kind = reconstruction.KIND_OF[args.kind, args.component]
-        comp = reconstruction.component_from_model(model, kind, args.conditioning_u, cfg)
-        bias = reconstruction.reversed_hazard_clip_bias(comp, cfg)
-        sys.stdout.write(f"reversed-hazard lower-clip bias estimate: {_fmt(bias)}\n")
     return 0
 
 
@@ -251,7 +242,7 @@ def _verification_checks(model, cfg):
 
 def cmd_verify(args) -> int:
     model = load_model(args.model)
-    cfg = load_numeric_config(args.config, reconstruction.RECON_CONFIG)
+    cfg = load_numeric_config(args.config)
     results = _verification_checks(model, cfg)
     for name, max_res, tol, passed, note, _ in results:
         if max_res is None:

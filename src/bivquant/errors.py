@@ -38,10 +38,6 @@ class InfiniteMeanError(BivquantError, ValueError):
     """Mean residual life requested for a marginal with infinite mean."""
 
 
-class MissingMeanError(BivquantError, ValueError):
-    """Mean-based reconstruction has no mean hint and cannot recover one."""
-
-
 class InsufficientMassError(BivquantError, ValueError):
     """Conditioning subsample is too small for a stable empirical estimate."""
 

@@ -43,13 +43,15 @@ class NumericConfig:
         half of [0, 1] has ``2 * quad_points`` Simpson panels.
     sing_clip:
         Distance from 0 and from 1 at which the quadrature mesh stops.
-        The reported value approximates the integral over the clipped
-        interval, not the (possibly divergent) full one.
+        :func:`integrate` reports the integral over the clipped interval,
+        not the (possibly divergent) full one; the inverse maps and the
+        hazard/MRL identity add back the mass dropped at their singular
+        endpoint (see :mod:`bivquant.reconstruction`).
     """
 
     eps_boundary: float = 1e-9
     quad_points: int = 2048
-    sing_clip: float = 1e-6
+    sing_clip: float = 1e-7
 
     def __post_init__(self):
         for f in fields(self):
@@ -108,6 +110,8 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     one-point grid bit for bit.  A non-finite value of ``f`` raises
     :class:`IntegrandError` naming its z.
     """
+    if end not in (0.0, 1.0):
+        raise DomainError(f"end must be 0 or 1, got {end!r}")
     cfg = config_or_default(cfg)
     ts, _ = t_grid(ts)
     if not ts.size:

@@ -17,10 +17,13 @@ all cases.  The identity check verifies (1-t) m(t) = int_t^1 dz/h(z).
 Inputs are callables, not models: the maps are statements about
 functions, so they accept model-derived components and standalone
 analytic ones alike.  Reconstruction integrands are singular at one
-endpoint for heavy-tailed or steep-origin quantiles, so this module
-defaults to a dedicated tight-clip configuration; with the package-wide
-default clip of 1e-6 the truncated singular mass alone would exceed the
-1e-4 round-trip budget (e.g. sqrt-clip ~ 1e-3 for a square-root tail).
+endpoint for heavy-tailed or steep-origin quantiles, where the
+quadrature mesh stops ``sing_clip`` short.  Each map and the identity
+add back the mass dropped there: with ``inner`` and ``outer`` the masses
+on [c, 8c] and [8c, 64c] from that endpoint (c = ``sing_clip``), the
+dropped mass is the geometric tail inner**2 / (outer - inner) (Aitken's
+delta-squared), exact for a power law d**(-s) and equal to c*g(end) at a
+smooth end.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import models, reliability
-from .errors import DivergenceError, DomainError, MissingMeanError, SignError
-from .numerics import NumericConfig, integrate, t_grid
+from .errors import DivergenceError, DomainError, SignError
+from .numerics import NumericConfig, config_or_default, integrate, t_grid
 
 COMPONENTS = ("first", "second")
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
@@ -45,13 +48,6 @@ KIND_OF = {
 }
 COMPONENT_KINDS = tuple(KIND_OF.values())
 
-#: Tight-clip quadrature defaults for the reconstruction integrals.
-RECON_CONFIG = NumericConfig(eps_boundary=1e-14, sing_clip=1e-14)
-
-
-def _cfg(cfg: NumericConfig | None) -> NumericConfig:
-    return RECON_CONFIG if cfg is None else cfg
-
 
 @dataclass(frozen=True)
 class ComponentFunction:
@@ -59,7 +55,8 @@ class ComponentFunction:
 
     ``eval`` must accept ndarray arguments on (0, 1).  ``mean_hint``
     carries the matching mean (of X for ``mrl1``, of the conditional
-    variable for ``mrl2``); only the MRL maps consume it.
+    variable for ``mrl2``); the MRL kinds require it and only the MRL
+    maps consume it.
     """
 
     kind: str
@@ -69,6 +66,8 @@ class ComponentFunction:
     def __post_init__(self):
         if self.kind not in COMPONENT_KINDS:
             raise DomainError(f"kind must be one of {COMPONENT_KINDS}, got {self.kind!r}")
+        if self.kind.startswith("mrl") and self.mean_hint is None:
+            raise DomainError(f"a component of kind {self.kind!r} needs a mean_hint")
 
 
 def _shaped(values: np.ndarray, scalar: bool):
@@ -99,6 +98,22 @@ def _of_probability(model, quantity: str, component: str, u0: float, cfg: Numeri
     return lambda z: second_fn(model, u0, z, cfg)
 
 
+def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: NumericConfig | None):
+    """``integrate`` on ``ts`` plus the mass the clip drops at ``end``, and the two probe masses.
+
+    The masses ``inner`` on [c, 8c] and ``outer`` on [8c, 64c] from
+    ``end`` (c = ``sing_clip``) ride on the same call as two extra grid
+    points.  The mass dropped within c of ``end`` is their geometric tail
+    ``inner**2 / (outer - inner)`` when ``outer > inner``, and 0 otherwise.
+    """
+    c = config_or_default(cfg).sing_clip
+    probe = np.array([8.0 * c, 64.0 * c])
+    values = integrate(integrand, np.append(ts, probe if end == 0.0 else 1.0 - probe), end, cfg)
+    inner, outer = values[-2], values[-1] - values[-2]
+    tail = inner * inner / (outer - inner) if outer > inner else 0.0
+    return values[:-2] + tail, inner, outer
+
+
 def component_from_model(
     model: models.BivariateModel,
     kind: str,
@@ -114,7 +129,6 @@ def component_from_model(
     """
     if kind not in COMPONENT_KINDS:
         raise DomainError(f"kind must be one of {COMPONENT_KINDS}, got {kind!r}")
-    cfg = _cfg(cfg)
     u0 = float(conditioning_u)
     quantity, component = next(key for key, k in KIND_OF.items() if k == kind)
     mean_hint = None
@@ -134,34 +148,17 @@ def quantile_from_hazard(f: ComponentFunction, t, cfg: NumericConfig | None = No
     """
     _require_kind(f, "hazard")
     ts, scalar = t_grid(t)
-    cfg = _cfg(cfg)
 
     def integrand(z):
         return 1.0 / ((1.0 - z) * _positive_samples(f, z))
 
-    return _shaped(integrate(integrand, ts, 0.0, cfg), scalar)
+    return _shaped(_integrate_with_tail(integrand, ts, 0.0, cfg)[0], scalar)
 
 
 def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
-    """Q(t) = mu - f(t) + int_0^t f(z)/(1-z) dz, with mu from the hint or f(0+)."""
+    """Q(t) = mu - f(t) + int_0^t f(z)/(1-z) dz, with mu the component's ``mean_hint``."""
     _require_kind(f, "mrl")
     ts, scalar = t_grid(t)
-    cfg = _cfg(cfg)
-    if f.mean_hint is not None:
-        mu = float(f.mean_hint)
-    else:
-        # the MRL at probability 0 equals the mean; O(clip) bias documented
-        try:
-            mu = float(f.eval(cfg.sing_clip))
-        except Exception as exc:
-            raise MissingMeanError(
-                f"no mean_hint and {f.kind} is not evaluable at the lower clip "
-                f"{cfg.sing_clip}: {exc}"
-            ) from exc
-        if not np.isfinite(mu):
-            raise MissingMeanError(
-                f"no mean_hint and {f.kind} evaluates non-finite at the lower clip"
-            )
 
     def integrand(z):
         return np.asarray(f.eval(z), dtype=float) / (1.0 - z)
@@ -169,61 +166,44 @@ def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None)
     # the integrand is finite at 0 but model components reject z = 0 exactly;
     # the mesh is graded toward 1 as well because heavy-tailed components steepen there
     point = np.asarray(f.eval(ts), dtype=float)
-    return _shaped(mu - point + integrate(integrand, ts, 0.0, cfg), scalar)
-
-
-def reversed_hazard_clip_bias(f: ComponentFunction, cfg: NumericConfig | None = None) -> float:
-    """First-order estimate of the mass lost below the lower clip.
-
-    The reversed-hazard map only sees ``[clip, t]``; this bounds the
-    truncated piece by ``clip * g(clip)`` with ``g(z) = 1/(z f(z))``.
-    """
-    _require_kind(f, "rev-hazard")
-    cfg = _cfg(cfg)
-    clip = cfg.sing_clip
-    return float(clip / (clip * _positive_samples(f, np.asarray([clip]))[0]))
+    integral = _integrate_with_tail(integrand, ts, 0.0, cfg)[0]
+    return _shaped(float(f.mean_hint) - point + integral, scalar)
 
 
 def quantile_from_reversed_hazard(f: ComponentFunction, t, cfg: NumericConfig | None = None):
     """Q(t) = int_0^t dz / (z f(z)); recovers Q relative to Q(0).
 
     Raises :class:`DivergenceError` when the integrand mass keeps growing
-    toward 0 faster than the integrable rate (support unbounded below).
-    The probe for that compares the masses on ``[clip, 8*clip]`` and
-    ``[8*clip, 64*clip]``, read off the same integral at two extra grid
-    points, and runs only if some t lies beyond ``64*clip``.
+    toward 0 faster than the integrable rate (support unbounded below):
+    when the mass on ``[clip, 8*clip]`` exceeds 1.02 times that on
+    ``[8*clip, 64*clip]``.
     """
     _require_kind(f, "rev-hazard")
     ts, scalar = t_grid(t)
-    cfg = _cfg(cfg)
 
     def integrand(z):
         return 1.0 / (z * _positive_samples(f, z))
 
-    clip = cfg.sing_clip
-    probe = [8.0 * clip, 64.0 * clip] if (64.0 * clip < ts).any() else []
-    values = integrate(integrand, np.append(ts, probe), 0.0, cfg)
-    if probe:
-        inner, outer = values[-2], values[-1] - values[-2]
-        if inner > 1.02 * outer and inner > 1e-12:
-            raise DivergenceError(
-                f"clipped reversed-hazard integral keeps growing toward 0 "
-                f"(mass {inner:.3e} on [clip, 8*clip] vs {outer:.3e} on [8*clip, 64*clip]); "
-                "the underlying support appears unbounded below"
-            )
-    return _shaped(values[: ts.size], scalar)
+    values, inner, outer = _integrate_with_tail(integrand, ts, 0.0, cfg)
+    if inner > 1.02 * outer and inner > 1e-12:
+        raise DivergenceError(
+            f"clipped reversed-hazard integral keeps growing toward 0 "
+            f"(mass {inner:.3e} on [clip, 8*clip] vs {outer:.3e} on [8*clip, 64*clip]); "
+            "the underlying support appears unbounded below"
+        )
+    return _shaped(values, scalar)
 
 
 def quantile_from_reversed_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
     """Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean."""
     _require_kind(f, "rev-mrl")
     ts, scalar = t_grid(t)
-    cfg = _cfg(cfg)
 
     def integrand(z):
         return np.asarray(f.eval(z), dtype=float) / z
 
-    return _shaped(np.asarray(f.eval(ts), dtype=float) + integrate(integrand, ts, 0.0, cfg), scalar)
+    integral = _integrate_with_tail(integrand, ts, 0.0, cfg)[0]
+    return _shaped(np.asarray(f.eval(ts), dtype=float) + integral, scalar)
 
 
 #: Each quantity's inverse map and the t-range its round trips are checked
@@ -255,7 +235,7 @@ def round_trip(
     if (quantity, component) not in KIND_OF:
         raise DomainError(f"no component {component!r} of quantity {quantity!r}")
     # checked for both components, though only the second one reads it
-    reliability._require_interior("conditioning_u", float(conditioning_u), _cfg(cfg))
+    reliability._require_interior("conditioning_u", float(conditioning_u), config_or_default(cfg))
     ts = np.atleast_1d(ts)
     inverse_map, _ = INVERSE_MAPS[quantity]
     comp = component_from_model(model, KIND_OF[quantity, component], conditioning_u, cfg)
@@ -283,7 +263,6 @@ def hazard_mrl_identity_residual(
     if component not in COMPONENTS:
         raise DomainError(f"component must be 'first' or 'second', got {component!r}")
     ts, scalar = t_grid(t)
-    cfg = _cfg(cfg)
     u0 = float(conditioning_u)
     mrl = _of_probability(model, "mrl", component, u0, cfg)
     hazard = _of_probability(model, "hazard", component, u0, cfg)
@@ -292,4 +271,4 @@ def hazard_mrl_identity_residual(
         return 1.0 / np.asarray(hazard(z), dtype=float)
 
     lhs = (1.0 - ts) * np.asarray(mrl(ts), dtype=float)
-    return _shaped(lhs - integrate(reciprocal_hazard, ts, 1.0, cfg), scalar)
+    return _shaped(lhs - _integrate_with_tail(reciprocal_hazard, ts, 1.0, cfg)[0], scalar)

@@ -231,6 +231,22 @@ class TestReconstructCommand:
         assert capsys.readouterr().err == "error: conditioning_u must lie in (0,1), got 1.5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["hazard", "mrl", "rev-hazard", "rev-mrl"])
+    def test_stdout_is_clean_csv(self, model_file, capsys, kind):
+        rc = main(["reconstruct", "--model", model_file(EXP_MODEL), "--kind", kind, "--grid", "5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0] == "t,reconstructed,reference,abs_error"
+        assert len(lines) == 1 + 5 and all(len(line.split(",")) == 4 for line in lines)
+
+    def test_conditioning_u_inside_eps_boundary(self, model_file, capsys):
+        rc = main(["reconstruct", "--model", model_file(FGM_MODEL), "--kind", "hazard",
+                   "--component", "second", "--conditioning-u", "1e-12"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: conditioning_u = 1e-12 lies outside the clipped interval")
+        assert err.count("\n") == 1
+
     def test_second_component(self, tmp_path, model_file):
         out = tmp_path / "recon.csv"
         rc = main(["reconstruct", "--model", model_file(FGM_MODEL), "--kind", "hazard",
@@ -376,7 +392,8 @@ class TestConfigFile:
         assert rc == 0
 
     def test_override_keeps_reconstruction_clip(self, tmp_path, model_file):
-        # bumping quad_points must not loosen the reconstruction clip
+        # overrides land on the one package default, so bumping quad_points
+        # keeps its clip and the endpoint tail
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"numerics": {"quad_points": 4096}}))
         out = tmp_path / "recon.csv"
@@ -407,6 +424,13 @@ class TestConfigFile:
                    "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert "must be at most 65536" in capsys.readouterr().err
+
+    def test_clip_below_eps_boundary_exit_3(self, tmp_path, model_file, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"numerics": {"sing_clip": 1e-12}}))
+        rc = main(["verify", "--model", model_file(EXP_MODEL), "--config", str(cfgfile)])
+        assert rc == 3
+        assert "must be >= eps_boundary" in capsys.readouterr().err
 
     def test_unknown_top_key_exit_3(self, tmp_path, model_file):
         cfgfile = tmp_path / "cfg.json"

@@ -6,22 +6,24 @@ from bivquant.errors import ConfigError
 
 GRID = np.array([0.01, 0.2, 0.5, 0.73, 0.95])
 TIGHT = NumericConfig(eps_boundary=1e-14, sing_clip=1e-14)
+#: The closed forms below subtract the mass that a clip of 1e-6 drops.
+CLIP_1E6 = NumericConfig(sing_clip=1e-6)
 
 
 class TestCumulativeIntegral:
     def test_log_kernel_from_zero(self):
         # int_clip^t dz/(1-z) = -ln(1-t) + ln(1-clip)
-        got = integrate(lambda z: 1.0 / (1.0 - z), GRID, 0.0)
+        got = integrate(lambda z: 1.0 / (1.0 - z), GRID, 0.0, CLIP_1E6)
         assert np.allclose(got, np.log1p(-1e-6) - np.log1p(-GRID), rtol=0.0, atol=1e-12)
 
     def test_square_root_singularity_clipped_at_zero(self):
         # int_clip^t z**-1/2 dz = 2 sqrt(t) - 2 sqrt(clip)
-        got = integrate(lambda z: z**-0.5, GRID, 0.0)
+        got = integrate(lambda z: z**-0.5, GRID, 0.0, CLIP_1E6)
         assert np.allclose(got, 2.0 * np.sqrt(GRID) - 2.0e-3, rtol=0.0, atol=1e-12)
 
     def test_log_kernel_clipped_at_one(self):
         # int_t^(1-clip) dz/(1-z) = ln(1-t) - ln(clip)
-        got = integrate(lambda z: 1.0 / (1.0 - z), GRID, 1.0)
+        got = integrate(lambda z: 1.0 / (1.0 - z), GRID, 1.0, CLIP_1E6)
         assert np.allclose(got, np.log1p(-GRID) - np.log(1e-6), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -61,6 +63,14 @@ class TestCumulativeIntegral:
         with pytest.raises(IntegrandError, match="not finite at z = ") as info:
             integrate(lambda z: np.where(np.abs(z - 0.6) < 0.01, np.inf, 1.0), [0.25, 0.75], end)
         assert abs(float(str(info.value).rsplit("= ", 1)[1]) - 0.6) < 0.01
+
+    @pytest.mark.parametrize("end", [0.5, -1.0, 2.0])
+    def test_end_must_be_zero_or_one(self, end):
+        def never(z):
+            raise AssertionError("a rejected end needs no integrand value")
+
+        with pytest.raises(DomainError, match=f"end must be 0 or 1, got {end!r}"):
+            integrate(never, [0.3], end)
 
     def test_t_outside_unit_interval(self):
         with pytest.raises(DomainError, match=r"t must lie in \(0,1\)"):

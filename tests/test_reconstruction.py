@@ -10,7 +10,6 @@ from bivquant import (
     FGMCopula,
     IndependenceCopula,
     InfiniteMeanError,
-    MissingMeanError,
     Pareto,
     SignError,
     Uniform01,
@@ -29,8 +28,6 @@ from bivquant.reconstruction import (
     COMPONENT_KINDS,
     INVERSE_MAPS,
     KIND_OF,
-    RECON_CONFIG,
-    reversed_hazard_clip_bias,
     round_trip,
 )
 from bivquant.reliability import QUANTITIES
@@ -66,8 +63,9 @@ class TestHazardMap:
             quantile_from_hazard(_const("hazard1", -1.0), 0.5)
 
     def test_kind_check(self):
+        f = _const("mrl1", 1.0, mean=1.0)
         with pytest.raises(DomainError):
-            quantile_from_hazard(_const("mrl1", 1.0), 0.5)
+            quantile_from_hazard(f, 0.5)
 
     def test_t_domain(self):
         with pytest.raises(DomainError):
@@ -89,19 +87,10 @@ class TestMrlMap:
         assert comp.mean_hint == pytest.approx(mu, abs=1e-9)
         assert quantile_from_mrl(comp, 0.5) == pytest.approx(PHI_HALF, abs=1e-6)
 
-    def test_mean_recovered_from_lower_clip(self):
-        with_hint = ComponentFunction("mrl1", lambda z: (1.0 - z) / 2.0, mean_hint=0.5)
-        without = ComponentFunction("mrl1", lambda z: (1.0 - z) / 2.0)
-        a = quantile_from_mrl(with_hint, 0.4)
-        b = quantile_from_mrl(without, 0.4)
-        assert b == pytest.approx(a, abs=1e-9)  # O(clip) bias only
-
-    def test_missing_mean(self):
-        def explode(z):
-            raise ValueError("not evaluable near zero")
-
-        with pytest.raises(MissingMeanError):
-            quantile_from_mrl(ComponentFunction("mrl1", explode), 0.5)
+    @pytest.mark.parametrize("kind", ["mrl1", "mrl2"])
+    def test_mean_hint_required(self, kind):
+        with pytest.raises(DomainError, match=f"kind '{kind}' needs a mean_hint"):
+            ComponentFunction(kind, lambda z: (1.0 - z) / 2.0)
 
     def test_infinite_mean_at_construction(self, heavy_pareto):
         with pytest.raises(InfiniteMeanError, match="infinite mean"):
@@ -155,11 +144,6 @@ class TestReversedMaps:
                 quantile_from_reversed_hazard(f, [0.3, 0.6])
         else:
             assert np.all(np.isfinite(quantile_from_reversed_hazard(f, [0.3, 0.6])))
-
-    def test_clip_bias_estimate(self, indep_uniform):
-        comp = component_from_model(indep_uniform, "rev_hazard1")
-        bias = reversed_hazard_clip_bias(comp)
-        assert 0.0 < bias < 1e-10
 
 
 class TestRoundTrips:
@@ -287,7 +271,7 @@ class TestGrids:
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_one_vector_call_per_grid(self, quantity, n):
         # the integral takes one call whatever the grid length, the
-        # reversed-hazard probe included; the MRL maps add one for their
+        # endpoint probe included; the MRL maps add one for their
         # point terms f(t)
         ndims = []
 
@@ -309,6 +293,8 @@ class TestGrids:
         assert quantile_from_hazard(f, []).shape == (0,)
 
     def test_divergence_probe_runs_once_per_call(self, monkeypatch):
+        # every map makes one integrate call: its grid plus the two probe
+        # points at 8*clip and 64*clip
         sizes = []
         original = reconstruction.integrate
 
@@ -317,13 +303,34 @@ class TestGrids:
             return original(f, ts, *args, **kwargs)
 
         monkeypatch.setattr(reconstruction, "integrate", counting)
-        f = ComponentFunction("rev_hazard1", lambda z: 1.0 / z)
-        got = quantile_from_reversed_hazard(f, np.linspace(0.1, 0.9, 5))
-        assert sizes == [5 + 2] and got.shape == (5,)  # the probe's two points ride on the grid
-        sizes.clear()
-        # no t reaches past 64*clip, so the probe has nothing to look at
-        quantile_from_reversed_hazard(f, [10 * RECON_CONFIG.sing_clip])
-        assert sizes == [1]
+        for quantity, (inverse, (lo, hi)) in INVERSE_MAPS.items():
+            f = ComponentFunction(KIND_OF[quantity, "first"], lambda z: np.full_like(z, 0.5), mean_hint=0.5)
+            for n in (1, 5):
+                sizes.clear()
+                got = inverse(f, np.linspace(lo, hi, n))
+                assert sizes == [n + 2] and got.shape == (n,), quantity
+
+
+class TestEndpointTail:
+    """The maps add the mass the clip drops at their singular endpoint."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.8])
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_power_law_matches_unclipped_integral(self, s, end):
+        # d**-s, d the distance from ``end``, integrates to d(t)**(1-s)/(1-s)
+        # over the whole interval between ``end`` and t
+        ts = np.array([0.05, 0.3, 0.99])
+        dist = ts if end == 0.0 else 1.0 - ts
+        got, _, _ = reconstruction._integrate_with_tail(lambda z: np.abs(z - end) ** -s, ts, end, None)
+        assert np.allclose(got, dist ** (1.0 - s) / (1.0 - s), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.8])
+    def test_reversed_hazard_map_recovers_power_quantile(self, s):
+        # 1/(z f(z)) = z**-s: Q(t) = t**(1-s)/(1-s), with no mass lost below the clip
+        f = ComponentFunction("rev_hazard1", lambda z: z ** (s - 1.0))
+        ts = np.array([0.05, 0.3, 0.99])
+        exact = ts ** (1.0 - s) / (1.0 - s)
+        assert np.allclose(quantile_from_reversed_hazard(f, ts), exact, rtol=1e-9, atol=0.0)
 
 
 class TestRoundTrip:
