@@ -6,7 +6,13 @@ the marginal quantiles.  The stream is fully determined by the seed, so
 regenerating a :class:`SampleSet` is byte-identical.
 
 Empirical quantiles are the inf-type (lower) sample quantiles, matching
-the definition the analytic quantile function uses.
+the definition the analytic quantile function uses: of m values, the order
+statistic at index clamp(ceil(q m) - 1, 0, m - 1), read by selection.
+
+:func:`empirical_curve` sorts x once and carries y along: {X <= x̂} is a
+prefix and {X > x̂} the suffix of that order, split at
+``searchsorted(x_sorted, x̂, "right")`` so tied x fall on the side ``<=``
+and ``>`` put them.  G grid points on n pairs cost O(n log n + G·n).
 """
 
 from __future__ import annotations
@@ -62,11 +68,9 @@ def sample(
     )
 
 
-def empirical_quantile(sorted_values: np.ndarray, q: float) -> float:
-    """Inf-type sample quantile: smallest value with empirical CDF >= q."""
-    n = len(sorted_values)
-    idx = int(np.ceil(q * n)) - 1
-    return float(sorted_values[min(max(idx, 0), n - 1)])
+def _inf_index(q: float, m: int) -> int:
+    """Sorted index of the inf-type q-quantile of m values: smallest with empirical CDF >= q."""
+    return min(max(int(np.ceil(q * m)) - 1, 0), m - 1)
 
 
 def empirical_curve(
@@ -83,29 +87,32 @@ def empirical_curve(
     us = np.asarray(u_grid, dtype=float)
     if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
         raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")
+    if not (0.0 < us[0] and us[-1] < 1.0):  # increasing, so a NaN or inf shows at an end
+        raise DomainError(f"u_grid must lie in (0,1), got values from {us[0]} to {us[-1]}")
     if direction.eps1 < 0 and us[0] <= p:
         raise DomainError(f"direction {direction} requires u > p, got u = {us[0]}, p = {p}")
     if direction.eps1 > 0 and us[-1] >= 1.0 - p:
         raise DomainError(f"direction {direction} requires u < 1 - p, got u = {us[-1]}, p = {p}")
 
-    xs = sample_set.x
-    ys = sample_set.y
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
+    order = np.argsort(sample_set.x, kind="stable")
+    xs_sorted = sample_set.x[order]
+    ys_by_x = sample_set.y[order]
+    if np.isnan(xs_sorted[-1]):  # sorted last; a NaN x lies on neither side of any x-hat
+        raise DomainError("sample x values must not be NaN")
 
     points = np.empty((len(us), 3))
     for i, u in enumerate(us):
-        x_hat = empirical_quantile(xs_sorted, u)
-        mask = xs <= x_hat if direction.eps1 < 0 else xs > x_hat
-        sub = ys[mask]
+        x_hat = float(xs_sorted[_inf_index(u, len(xs_sorted))])
+        k = int(np.searchsorted(xs_sorted, x_hat, "right"))
+        sub = ys_by_x[:k] if direction.eps1 < 0 else ys_by_x[k:]
         if len(sub) < min_cond_n:
             raise InsufficientMassError(
                 f"conditioning subsample at u = {u} has {len(sub)} points "
                 f"(< min_cond_n = {min_cond_n})"
             )
         _, q = conditional_args(p, direction, u)
-        y_hat = empirical_quantile(np.sort(sub), float(q))
-        points[i] = (u, x_hat, y_hat)
+        j = _inf_index(float(q), len(sub))
+        points[i] = (u, x_hat, np.partition(sub, j)[j])
     return QuantileCurve(p=p, direction=direction, points=points)
 
 
@@ -114,9 +121,9 @@ def empirical_mrl_first(sample_set: SampleSet, u: float, min_cond_n: int = MIN_C
     u = float(u)
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must lie in (0,1), got {u}")
-    xs_sorted = np.sort(sample_set.x)
-    x_hat = empirical_quantile(xs_sorted, u)
-    exceed = sample_set.x[sample_set.x > x_hat]
+    j = _inf_index(u, len(sample_set.x))
+    x_hat = float(np.partition(sample_set.x, j)[j])
+    exceed = sample_set.x[sample_set.x > x_hat]  # sample order: np.mean's sum depends on it
     if len(exceed) < min_cond_n:
         raise InsufficientMassError(
             f"only {len(exceed)} exceedances above the u = {u} quantile "

@@ -49,11 +49,13 @@ class ReliabilityVector:
 
 def _require_interior(name: str, value, cfg: NumericConfig):
     arr = np.asarray(value, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    # one reduction each way; NaN propagates through both, and 0.5 lets an empty grid pass
+    lo, hi = arr.min(initial=0.5), arr.max(initial=0.5)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo >= 0.0 and hi <= 1.0):
         raise DomainError(f"{name} must lie in (0,1), got {value!r}")
     eps = cfg.eps_boundary
-    outside = arr[(arr < eps) | (arr > 1.0 - eps)]
-    if outside.size:
+    if lo < eps or hi > 1.0 - eps:
+        outside = arr[(arr < eps) | (arr > 1.0 - eps)]
         raise BoundaryError(  # the first offending value: a grid keeps the message on one line
             f"{name} = {float(outside[0])!r} lies outside the clipped interval "
             f"[eps_boundary, 1 - eps_boundary] with eps_boundary = {eps}"

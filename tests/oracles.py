@@ -56,3 +56,31 @@ LN2 = 0.6931471805599453
 def fgm_phi_closed(z):
     """phi for theta=1, uniforms, conditioning u=1/2: root of 1.5v - .5v^2 = z."""
     return (3.0 - np.sqrt(9.0 - 8.0 * z)) / 2.0
+
+
+def empirical_curve_by_mask(xs, ys, p, eps1, eps2, us, min_cond_n=30):
+    """The mask-and-sort empirical curve: per grid point, mask x, copy, fully sort.
+
+    Returns the (u, x, y) rows, or raises ValueError with the library's
+    insufficient-mass message text.
+    """
+    xs_sorted = np.sort(xs)
+
+    def inf_quantile(sorted_values, q):
+        n = len(sorted_values)
+        idx = int(np.ceil(q * n)) - 1
+        return float(sorted_values[min(max(idx, 0), n - 1)])
+
+    points = np.empty((len(us), 3))
+    for i, u in enumerate(us):
+        x_hat = inf_quantile(xs_sorted, u)
+        sub = ys[xs <= x_hat] if eps1 < 0 else ys[xs > x_hat]
+        if len(sub) < min_cond_n:
+            raise ValueError(
+                f"conditioning subsample at u = {u} has {len(sub)} points "
+                f"(< min_cond_n = {min_cond_n})"
+            )
+        base = p / u if eps1 < 0 else p / (1.0 - u)
+        q = base if eps2 < 0 else 1.0 - base
+        points[i] = (u, x_hat, inf_quantile(np.sort(sub), float(q)))
+    return points

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bivquant import (
     BivariateModel,
@@ -9,7 +12,10 @@ from bivquant import (
     IndependenceCopula,
     InsufficientMassError,
     LOWER_LOWER,
+    LOWER_UPPER,
     Pareto,
+    SampleSet,
+    UPPER_LOWER,
     UPPER_UPPER,
     Uniform01,
     curve_from_conditional,
@@ -19,12 +25,23 @@ from bivquant import (
     sample,
 )
 from bivquant import reliability as rel
+from bivquant.curves import admissible_interval
 
-from oracles import trapezoid
+from oracles import empirical_curve_by_mask, trapezoid
 
 N_BIG = 100_000
 SEED = 1
 GRID9 = np.linspace(0.3, 0.9, 9)
+DIRECTIONS = [LOWER_LOWER, LOWER_UPPER, UPPER_LOWER, UPPER_UPPER]
+
+
+def _sample_set(xs, ys) -> SampleSet:
+    pairs = np.column_stack([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
+    return SampleSet(pairs=pairs, seed=0, n=len(pairs), model_tag="hand-built")
+
+
+def _oracle(s, p, direction, us, min_cond_n=30):
+    return empirical_curve_by_mask(s.x, s.y, p, direction.eps1, direction.eps2, us, min_cond_n)
 
 
 def _analytic_points(model, p, direction, grid):
@@ -98,6 +115,28 @@ class TestEmpiricalCurve:
         with pytest.raises(DomainError, match="u > p"):
             empirical_curve(s, 0.25, LOWER_LOWER, [0.2, 0.5])
 
+    @pytest.mark.parametrize(
+        "direction, grid",
+        [
+            (LOWER_LOWER, [0.5, 1.5]),
+            (UPPER_UPPER, [-0.5, 0.2]),
+            (LOWER_LOWER, [0.5, np.inf]),
+            (UPPER_UPPER, [-np.inf, 0.2]),
+            (LOWER_LOWER, [np.nan]),
+        ],
+        ids=["above-one", "below-zero", "inf", "minus-inf", "nan"],
+    )
+    def test_u_grid_outside_unit_interval(self, fgm_uniform, direction, grid):
+        s = sample(fgm_uniform, 1000, seed=SEED)
+        with pytest.raises(DomainError, match=r"u_grid must lie in \(0,1\)") as info:
+            empirical_curve(s, 0.25, direction, grid)
+        assert "\n" not in str(info.value)
+
+    def test_nan_x_rejected(self):
+        s = _sample_set([0.5, np.nan] + [1.0] * 40, np.arange(42))
+        with pytest.raises(DomainError, match="must not be NaN"):
+            empirical_curve(s, 0.1, UPPER_UPPER, [0.2])
+
     def test_insufficient_mass(self, fgm_uniform):
         s = sample(fgm_uniform, 50, seed=SEED)
         with pytest.raises(InsufficientMassError):
@@ -126,7 +165,87 @@ class TestEmpiricalCurve:
         assert 0.3 <= np.mean(ratios) <= 0.8
 
 
+class TestMatchesMaskAndSort:
+    """The prefix/suffix selection estimator equals the mask-and-sort one bit for bit."""
+
+    @pytest.mark.parametrize("direction", DIRECTIONS, ids=str)
+    def test_large_sample(self, direction):
+        model = BivariateModel(Exponential(2.0), Pareto(1.0, 3.0), FGMCopula(0.7))
+        s = sample(model, N_BIG, seed=SEED)
+        grid = np.linspace(*admissible_interval(0.25, direction), 40)
+        emp = empirical_curve(s, 0.25, direction, grid)
+        assert np.array_equal(emp.points, _oracle(s, 0.25, direction, grid))
+
+    @pytest.mark.parametrize("direction", DIRECTIONS, ids=str)
+    def test_heavy_ties_in_x(self, direction):
+        # integer-valued x: every x-hat is tied, so the split must follow "<=" and ">"
+        rng = np.random.default_rng(7)
+        s = _sample_set(rng.integers(0, 12, 3000), rng.integers(0, 6, 3000))
+        grid = np.linspace(*admissible_interval(0.2, direction), 80)
+        emp = empirical_curve(s, 0.2, direction, grid)
+        assert np.array_equal(emp.points, _oracle(s, 0.2, direction, grid))
+
+    @pytest.mark.parametrize(
+        "direction, u_pass, u_fail",
+        [(LOWER_LOWER, 0.295, 0.285), (UPPER_UPPER, 0.695, 0.705)],
+        ids=["prefix", "suffix"],
+    )
+    def test_min_cond_n_edge(self, direction, u_pass, u_fail):
+        # 100 distinct x: u_pass leaves exactly 30 conditioning points, u_fail 29
+        s = _sample_set(np.arange(100), np.arange(100)[::-1])
+        emp = empirical_curve(s, 0.1, direction, [u_pass])
+        assert np.array_equal(emp.points, _oracle(s, 0.1, direction, [u_pass]))
+        message = f"conditioning subsample at u = {u_fail} has 29 points (< min_cond_n = 30)"
+        with pytest.raises(ValueError) as expected:
+            _oracle(s, 0.1, direction, np.array([u_fail]))
+        assert str(expected.value) == message
+        with pytest.raises(InsufficientMassError) as raised:
+            empirical_curve(s, 0.1, direction, [u_fail])
+        assert str(raised.value) == message
+
+    def test_min_cond_n_edge_counts_ties(self):
+        # x-hat = 0 takes all tied zeros into the prefix: 30 zeros pass, 29 do not
+        s = _sample_set([0.0] * 30 + [1.0] * 70, np.arange(100))
+        assert empirical_curve(s, 0.005, LOWER_LOWER, [0.01]).x[0] == 0.0
+        s = _sample_set([0.0] * 29 + [1.0] * 71, np.arange(100))
+        with pytest.raises(InsufficientMassError, match="has 29 points"):
+            empirical_curve(s, 0.005, LOWER_LOWER, [0.01])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_tied_samples(self, data):
+        n = data.draw(st.integers(30, 400), label="n")
+        values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 7.0])
+        xs = data.draw(arrays(float, n, elements=values), label="x")
+        ys = data.draw(arrays(float, n, elements=values), label="y")
+        direction = data.draw(st.sampled_from(DIRECTIONS), label="direction")
+        p = data.draw(st.sampled_from([0.05, 0.1, 0.25, 0.4]), label="p")
+        lo, hi = admissible_interval(p, direction)
+        us = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12, unique=True), label="u")
+        min_cond_n = data.draw(st.integers(1, 30), label="min_cond_n")
+        s, grid = _sample_set(xs, ys), np.sort(us)
+        try:
+            expected = _oracle(s, p, direction, grid, min_cond_n)
+        except ValueError as err:
+            with pytest.raises(InsufficientMassError) as raised:
+                empirical_curve(s, p, direction, grid, min_cond_n)
+            assert str(raised.value) == str(err)
+        else:
+            emp = empirical_curve(s, p, direction, grid, min_cond_n)
+            assert np.array_equal(emp.points, expected)
+
+
 class TestEmpiricalMrl:
+    @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+    def test_equals_sorted_order_statistic(self, indep_exp, tied):
+        s = sample(indep_exp, 20_000, seed=SEED)
+        if tied:
+            s = _sample_set(np.floor(4.0 * s.x), s.y)
+        xs = np.sort(s.x)
+        for u in (0.25, 0.5, 0.75):
+            x_hat = float(xs[int(np.ceil(u * len(xs))) - 1])
+            assert empirical_mrl_first(s, u) == float(np.mean(s.x[s.x > x_hat]) - x_hat)
+
     def test_exponential_memoryless(self, indep_exp):
         s = sample(indep_exp, N_BIG, seed=SEED)
         assert empirical_mrl_first(s, 0.5) == pytest.approx(1.0, abs=0.03)

@@ -37,6 +37,24 @@ from oracles import (
 GRID = np.linspace(0.05, 0.95, 19)
 
 
+class TestProbabilityValidation:
+    @pytest.mark.parametrize("bad", [np.nan, [0.5, np.nan], [0.5, np.inf], [-0.1, 0.5], [0.5, 1.1]])
+    def test_non_probability_is_domain_error(self, indep_exp, bad):
+        with pytest.raises(DomainError, match=r"u must lie in \(0,1\)"):
+            rel.hazard_first(indep_exp, bad)
+        with pytest.raises(DomainError, match=r"p_cond must lie in \(0,1\)"):
+            rel.hazard_second(indep_exp, 0.5, bad)
+
+    def test_boundary_error_names_first_offending_value(self, indep_exp):
+        with pytest.raises(BoundaryError) as info:
+            rel.mrl_first(indep_exp, [0.5, 1.0 - 1e-12, 0.6, 1e-12])
+        assert str(info.value).startswith(f"u = {1.0 - 1e-12!r} lies outside the clipped interval")
+        assert "\n" not in str(info.value)
+
+    def test_empty_grid_passes(self, indep_exp):
+        assert rel.hazard_first(indep_exp, np.array([])).shape == (0,)
+
+
 class TestHazard:
     def test_exponential_constant(self, indep_exp):
         vec = hazard_vector(indep_exp, 0.5, 0.5)
