@@ -12,6 +12,7 @@ from .errors import (
     BivquantError,
     BoundaryError,
     ConfigError,
+    ConvergenceError,
     DegenerateConditioningError,
     DegenerateLevelError,
     DivergenceError,

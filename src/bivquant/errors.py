@@ -56,3 +56,7 @@ class ModelSpecError(BivquantError, ValueError):
 
 class ConfigError(BivquantError, ValueError):
     """Numerics configuration override is malformed or names unknown keys."""
+
+
+class ConvergenceError(BivquantError, RuntimeError):
+    """An iterative special-function kernel hit its iteration cap."""

@@ -68,6 +68,11 @@ def sample(
     )
 
 
+def _require_min_cond_n(min_cond_n) -> None:
+    if isinstance(min_cond_n, bool) or not isinstance(min_cond_n, (int, np.integer)) or min_cond_n < 1:
+        raise DomainError(f"min_cond_n must be an integer >= 1, got {min_cond_n!r}")
+
+
 def _inf_index(q: float, m: int) -> int:
     """Sorted index of the inf-type q-quantile of m values: smallest with empirical CDF >= q."""
     return min(max(int(np.ceil(q * m)) - 1, 0), m - 1)
@@ -81,6 +86,7 @@ def empirical_curve(
     min_cond_n: int = MIN_COND_N,
 ) -> QuantileCurve:
     """Empirical curve: sample quantiles replace Q_X and the conditional quantile."""
+    _require_min_cond_n(min_cond_n)
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0,1), got {p}")
@@ -118,6 +124,7 @@ def empirical_curve(
 
 def empirical_mrl_first(sample_set: SampleSet, u: float, min_cond_n: int = MIN_COND_N) -> float:
     """Mean exceedance over the empirical u-quantile of the first component."""
+    _require_min_cond_n(min_cond_n)
     u = float(u)
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must lie in (0,1), got {u}")

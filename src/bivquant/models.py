@@ -18,15 +18,15 @@ form ``v + c·v(1-v)``, so conditional quantiles invert in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
-from .errors import BoundaryError, DegenerateConditioningError, DomainError, ModelSpecError
+from .errors import BoundaryError, ConvergenceError, DegenerateConditioningError, DomainError, ModelSpecError
 from .numerics import NumericConfig, clip_prob
 
 Axis = str  #: "x" or "y"
@@ -323,6 +323,55 @@ class Pareto(Marginal):
         return np.where(small, series, closed)
 
 
+_EPS = float(np.finfo(float).eps)
+_MAX_TERMS = 1024  #: step cap of the P(a, x) loops; a = 171.6, the largest a Weibull admits, takes 539
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_p_lengths(a: float) -> tuple[int, int]:
+    """Series terms and fraction depth converged at the split x = 3(a+1), where both converge slowest."""
+    x = 3.0 * (a + 1.0)
+    term, total, terms = 1.0, 1.0, 0
+    while term > _EPS * total and terms < _MAX_TERMS:
+        terms += 1
+        term *= x / (a + terms)
+        total += term
+    b, c, d, delta, depth = x + 1.0 - a, math.inf, 1.0 / (x + 1.0 - a), 0.0, 0
+    while abs(delta - 1.0) > _EPS and depth < _MAX_TERMS:  # modified Lentz
+        depth, b = depth + 1, b + 2.0
+        d = 1.0 / (depth * (a - depth) * d + b)
+        c = b + depth * (a - depth) / c
+        delta = c * d
+    if term > _EPS * total or abs(delta - 1.0) > _EPS:
+        raise ConvergenceError(f"incomplete gamma P(a, x) did not converge in {_MAX_TERMS} steps at a = {a!r}")
+    return terms, depth
+
+
+def _regularized_gamma_p(a: float, x):
+    """P(a, x) = γ(a, x)/Γ(a) for a scalar a > 0 and x >= 0 (inf allowed), any shape.
+
+    The series ``sum_n x^n / ((a+1)...(a+n))`` in Horner form below x = 3(a+1), the continued
+    fraction for Q = 1 - P from its tail above (Numerical Recipes §6.2), each to a length set by a
+    alone.  Both scale by ``x^a e^-x / Γ(a) = K w^a``, ``K = a^a e^-a / Γ(a)``, ``w = (x/a) e^(1-x/a) <= 1``.
+    """
+    x = np.asarray(x, dtype=float)
+    split, (terms, depth) = 3.0 * (a + 1.0), _gamma_p_lengths(a)
+    k = (math.pow(a, a / 2) * math.exp(-a / 2) / math.sqrt(math.gamma(a))) ** 2
+    p = np.where(x == math.inf, 1.0, math.nan)
+    below, above = x < split, (x >= split) & (x < math.inf)
+    xs, xc = x[below], x[above]
+    y, total = xs / split, np.zeros_like(xs)
+    for coeff in np.cumprod(split / (a + np.arange(1.0, terms + 1.0)))[::-1] if xs.size else ():
+        total += coeff
+        total *= y
+    p[below] = k / a * (xs / a * np.exp(1.0 - xs / a)) ** a * (total + 1.0)
+    f = xc + (2.0 * depth + 1.0 - a)
+    for m in range(depth if xc.size else 0, 0, -1):
+        f = xc + (2.0 * m - 1.0 - a + m * (a - m) / f)
+    p[above] = 1.0 - k * (xc / a * np.exp(1.0 - xc / a)) ** a / f
+    return p
+
+
 @dataclass(frozen=True)
 class Weibull(Marginal):
     """Weibull with scale/shape; Q(u) = scale * (-ln(1-u))**(1/shape)."""
@@ -333,7 +382,8 @@ class Weibull(Marginal):
 
     def __post_init__(self):
         _require_positive("scale", self.scale)
-        _require_positive("shape", self.shape)
+        if 1.0 / _require_positive("shape", self.shape) > 170.62:  # Γ(1 + 1/shape) overflows
+            raise ModelSpecError(f"Weibull shape {self.shape!r} is below 0.00586: gamma(1 + 1/shape) overflows")
 
     @property
     def support(self):
@@ -341,7 +391,7 @@ class Weibull(Marginal):
 
     @property
     def mean(self):
-        return self.scale * special.gamma(1.0 + 1.0 / self.shape)
+        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -360,19 +410,17 @@ class Weibull(Marginal):
 
     def quantile_integral(self, u):
         # substitute t = -ln(1-z): int_0^T t**(1/shape) e**-t dt; u = 1 maps to T = inf
-        u = np.asarray(u, dtype=float)
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
-            t = -np.log1p(-u)
-        return self.scale * special.gamma(a) * special.gammainc(a, t)
+            t = -np.log1p(-np.asarray(u, dtype=float))
+        return self.scale * math.gamma(a) * _regularized_gamma_p(a, t)
 
     def weighted_quantile_integral(self, u):
-        u = np.asarray(u, dtype=float)
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
-            t = -np.log1p(-u)
-        ga = special.gamma(a)
-        return self.scale * ga * (special.gammainc(a, t) - 2.0**-a * special.gammainc(a, 2.0 * t))
+            t = -np.log1p(-np.asarray(u, dtype=float))
+        at_t, at_2t = _regularized_gamma_p(a, np.stack([t, 2.0 * t]))
+        return self.scale * math.gamma(a) * (at_t - 2.0**-a * at_2t)
 
 
 _MARGINAL_REGISTRY: dict[str, type] = {

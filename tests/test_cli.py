@@ -125,6 +125,14 @@ class TestCurveCommand:
             assert rc == 3, component
             assert "must be a real number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["verify"], ["sample", "--n", "10", "--seed", "1"]])
+    def test_weibull_shape_whose_gamma_overflows_exit_3(self, tmp_path, model_file, capsys, command):
+        spec = dict(EXP_MODEL, marginal_x={"kind": "Weibull", "scale": 1.0, "shape": 0.005})
+        rc = main([*command, "--model", model_file(spec), "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Weibull shape 0.005 is below 0.00586" in err
+
     def test_usage_error_exit_2(self, tmp_path, model_file):
         rc = main(["curve", "--model", model_file(EXP_MODEL), "--dir", "++",
                    "--out", str(tmp_path / "x.csv")])  # missing -p

@@ -273,3 +273,29 @@ class TestEmpiricalMrl:
         s = sample(indep_exp, 1000, seed=SEED)
         with pytest.raises(InsufficientMassError):
             empirical_mrl_first(s, 0.999)
+
+
+class TestMinCondN:
+    """min_cond_n must be an integer >= 1; below it an empty exceedance set gave NaN and a warning."""
+
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, True, None])
+    def test_mrl_rejects(self, bad):
+        x = np.arange(100.0)
+        with pytest.raises(DomainError, match=f"min_cond_n must be an integer >= 1, got {bad!r}$"):
+            empirical_mrl_first(_sample_set(x, x), 0.9999, min_cond_n=bad)
+
+    @pytest.mark.parametrize("bad", [0, -5, 2.5])
+    def test_curve_rejects(self, bad):
+        x = np.arange(100.0)
+        with pytest.raises(DomainError, match="min_cond_n must be an integer >= 1"):
+            empirical_curve(_sample_set(x, x), 0.2, LOWER_LOWER, [0.5], min_cond_n=bad)
+
+    def test_one_and_numpy_integers_accepted(self):
+        x = np.arange(100.0)
+        s = _sample_set(x, x)
+        assert empirical_mrl_first(s, 0.98, min_cond_n=1) == 1.5  # mean of 98, 99 over 97
+        assert empirical_mrl_first(s, 0.98, min_cond_n=np.int64(2)) == 1.5
+        with pytest.raises(InsufficientMassError, match="only 0 exceedances"):
+            empirical_mrl_first(s, 0.9999, min_cond_n=1)
+        curve = empirical_curve(s, 0.2, LOWER_LOWER, [0.5], min_cond_n=np.int32(1))
+        assert curve.points.shape == (1, 3)

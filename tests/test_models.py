@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestPartialIntegrals:
             Weibull(1.0, 0.0)
         with pytest.raises(DomainError):
             FGMCopula(1.5)
+
+    @pytest.mark.parametrize("shape", [0.005, 0.0058, 1e-300, 5e-324])
+    def test_weibull_shape_whose_gamma_overflows(self, shape):
+        # Γ(1 + 1/shape) overflows a double for shape below about 0.00586
+        with pytest.raises(ModelSpecError, match=f"^Weibull shape {shape!r} is below 0.00586") as info:
+            Weibull(1.0, shape)
+        assert "\n" not in str(info.value)
+
+    def test_weibull_smallest_shape_has_finite_integrals(self):
+        fam = Weibull(1.0, 0.00587)
+        assert math.isfinite(fam.mean)
+        values = fam.quantile_integral([0.5, 0.999, 1.0])
+        assert np.all(np.isfinite(values)) and values[-1] == fam.mean
 
 
 class TestOrthantProb:
