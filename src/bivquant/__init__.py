@@ -56,14 +56,6 @@ from .reconstruction import (
     quantile_from_reversed_hazard,
     quantile_from_reversed_mrl,
 )
-from .reliability import (
-    ReliabilityVector,
-    conditional_mean,
-    hazard_vector,
-    interchanged,
-    mrl_vector,
-    reversed_hazard_vector,
-    reversed_mrl_vector,
-)
+from .reliability import conditional_mean
 
 __version__ = "0.1.0"

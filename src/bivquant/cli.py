@@ -103,7 +103,8 @@ def _csv(header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def render_curve_svg(curve: curves.QuantileCurve, width: int = 800, height: int = 600) -> str:
+def render_curve_svg(curve: curves.QuantileCurve) -> str:
+    width, height = 800, 600
     xs, ys = curve.x, curve.y
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())

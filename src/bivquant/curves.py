@@ -28,7 +28,7 @@ from .numerics import NumericConfig
 #: check is meaningful instead of tautological.
 CURVE_TOL = 1e-6
 
-#: Default distance kept from the open ends of the admissible u-interval.
+#: Distance kept from the open ends of the admissible u-interval.
 EDGE_MARGIN = 1e-4
 
 
@@ -75,17 +75,17 @@ def _require_level(p) -> float:
     return p
 
 
-def admissible_interval(p: float, direction: models.Direction, margin: float = EDGE_MARGIN):
+def admissible_interval(p: float, direction: models.Direction):
     """Clipped u-interval on which the direction's parametrization is defined."""
     p = _require_level(p)
     if direction.eps1 < 0:
-        lo, hi = p + margin, 1.0 - margin
+        lo, hi = p + EDGE_MARGIN, 1.0 - EDGE_MARGIN
     else:
-        lo, hi = margin, 1.0 - p - margin
+        lo, hi = EDGE_MARGIN, 1.0 - p - EDGE_MARGIN
     if lo >= hi:
         raise DegenerateLevelError(
             f"admissible u-interval for p = {p}, direction {direction} is empty after "
-            f"clipping by {margin}"
+            f"clipping by {EDGE_MARGIN}"
         )
     return lo, hi
 
@@ -127,13 +127,12 @@ def curve_points(
     direction: models.Direction,
     n_points: int,
     cfg: NumericConfig | None = None,
-    margin: float = EDGE_MARGIN,
 ) -> QuantileCurve:
     """Materialize the curve on a uniform u-grid over the admissible interval."""
     p = _require_level(p)
     if int(n_points) != n_points or n_points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
-    lo, hi = admissible_interval(p, direction, margin)
+    lo, hi = admissible_interval(p, direction)
     us = np.linspace(lo, hi, int(n_points))
     xs = models.marginal_quantile(model, "x", us, cfg)
     sense, qs = conditional_args(p, direction, us)

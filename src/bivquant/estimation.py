@@ -68,11 +68,6 @@ def sample(
     )
 
 
-def _require_min_cond_n(min_cond_n) -> None:
-    if isinstance(min_cond_n, bool) or not isinstance(min_cond_n, (int, np.integer)) or min_cond_n < 1:
-        raise DomainError(f"min_cond_n must be an integer >= 1, got {min_cond_n!r}")
-
-
 def _inf_index(q: float, m: int) -> int:
     """Sorted index of the inf-type q-quantile of m values: smallest with empirical CDF >= q."""
     return min(max(int(np.ceil(q * m)) - 1, 0), m - 1)
@@ -83,10 +78,8 @@ def empirical_curve(
     p: float,
     direction: models.Direction,
     u_grid,
-    min_cond_n: int = MIN_COND_N,
 ) -> QuantileCurve:
     """Empirical curve: sample quantiles replace Q_X and the conditional quantile."""
-    _require_min_cond_n(min_cond_n)
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0,1), got {p}")
@@ -111,10 +104,10 @@ def empirical_curve(
         x_hat = float(xs_sorted[_inf_index(u, len(xs_sorted))])
         k = int(np.searchsorted(xs_sorted, x_hat, "right"))
         sub = ys_by_x[:k] if direction.eps1 < 0 else ys_by_x[k:]
-        if len(sub) < min_cond_n:
+        if len(sub) < MIN_COND_N:
             raise InsufficientMassError(
                 f"conditioning subsample at u = {u} has {len(sub)} points "
-                f"(< min_cond_n = {min_cond_n})"
+                f"(< min_cond_n = {MIN_COND_N})"
             )
         _, q = conditional_args(p, direction, u)
         j = _inf_index(float(q), len(sub))
@@ -122,18 +115,17 @@ def empirical_curve(
     return QuantileCurve(p=p, direction=direction, points=points)
 
 
-def empirical_mrl_first(sample_set: SampleSet, u: float, min_cond_n: int = MIN_COND_N) -> float:
+def empirical_mrl_first(sample_set: SampleSet, u: float) -> float:
     """Mean exceedance over the empirical u-quantile of the first component."""
-    _require_min_cond_n(min_cond_n)
     u = float(u)
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must lie in (0,1), got {u}")
     j = _inf_index(u, len(sample_set.x))
     x_hat = float(np.partition(sample_set.x, j)[j])
     exceed = sample_set.x[sample_set.x > x_hat]  # sample order: np.mean's sum depends on it
-    if len(exceed) < min_cond_n:
+    if len(exceed) < MIN_COND_N:
         raise InsufficientMassError(
             f"only {len(exceed)} exceedances above the u = {u} quantile "
-            f"(< min_cond_n = {min_cond_n})"
+            f"(< min_cond_n = {MIN_COND_N})"
         )
     return float(np.mean(exceed) - x_hat)

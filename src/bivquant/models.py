@@ -324,6 +324,7 @@ class Pareto(Marginal):
 
 
 _EPS = float(np.finfo(float).eps)
+_WEIGHTED_SERIES_SPLIT = 1.0  #: t = -ln(1-u) below which the Weibull weighted integral sums its series
 _MAX_TERMS = 1024  #: step cap of the P(a, x) loops; a = 171.6, the largest a Weibull admits, takes 539
 
 
@@ -364,7 +365,8 @@ def _regularized_gamma_p(a: float, x):
     for coeff in np.cumprod(split / (a + np.arange(1.0, terms + 1.0)))[::-1] if xs.size else ():
         total += coeff
         total *= y
-    p[below] = k / a * (xs / a * np.exp(1.0 - xs / a)) ** a * (total + 1.0)
+    # rounding over hundreds of terms can lift the series a few ulps above 1 at large a
+    p[below] = np.minimum(k / a * (xs / a * np.exp(1.0 - xs / a)) ** a * (total + 1.0), 1.0)
     f = xc + (2.0 * depth + 1.0 - a)
     for m in range(depth if xc.size else 0, 0, -1):
         f = xc + (2.0 * m - 1.0 - a + m * (a - m) / f)
@@ -416,11 +418,20 @@ class Weibull(Marginal):
         return self.scale * math.gamma(a) * _regularized_gamma_p(a, t)
 
     def weighted_quantile_integral(self, u):
+        # int_0^T t**(a-1) (e**-t - e**-2t) dt: P(a, t) - 2**-a P(a, 2t) cancels like t as u -> 0, so below
+        # the split sum t**a sum_{k>=1} (-t)**k (1 - 2**k) / (k! (a+k)), whose terms round off before k = 40
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
             t = -np.log1p(-np.asarray(u, dtype=float))
-        at_t, at_2t = _regularized_gamma_p(a, np.stack([t, 2.0 * t]))
-        return self.scale * math.gamma(a) * (at_t - 2.0**-a * at_2t)
+        small = t < _WEIGHTED_SERIES_SPLIT
+        out = np.empty_like(t)
+        at_t, at_2t = _regularized_gamma_p(a, np.stack([t[~small], 2.0 * t[~small]]))
+        out[~small] = self.scale * math.gamma(a) * (at_t - 2.0**-a * at_2t)
+        ts, total = t[small], 0.0
+        for k in range(40, 0, -1):
+            total = (total + (1.0 - 2.0**k) / (math.factorial(k) * (a + k))) * -ts
+        out[small] = self.scale * ts**a * total
+        return out
 
 
 _MARGINAL_REGISTRY: dict[str, type] = {

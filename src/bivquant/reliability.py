@@ -2,16 +2,21 @@
 
 The curve point for direction (-,-) pairs the u-quantile of X with the
 conditional quantile function phi of Y given {X <= Q_X(u)}.  Hazard,
-mean residual life and their reversed-time analogues are formed from
-those two quantile functions:
+mean residual life and their reversed-time analogues are one univariate
+concept applied to each of those two quantile functions:
 
     first components  (argument u):    1 / ((1-u) Q_X'(u)),
                                        (1/(1-u)) int_u^1 Q_X - Q_X(u), ...
     second components (argument p):    1 / ((1-p) phi'(p)),
                                        (1/(1-p)) int_p^1 phi - phi(p), ...
 
-phi genuinely depends on the conditioning level u, so every second
-component takes ``conditioning_u`` explicitly; nothing is left implicit.
+:data:`QUANTITIES` maps each quantity's CLI spelling to its pair of
+component functions, ``first(model, u)`` and
+``second(model, conditioning_u, p)``, both vectorized over their
+probability argument.  phi genuinely depends on the conditioning level,
+so every second component takes ``conditioning_u`` explicitly.  The
+X/Y-interchanged pair is the same functions applied to
+``models.swap_axes(model)``.
 
 All integrals of phi reduce to closed-form partial moments of the Y
 marginal through the substitution v = phi-probability, because the
@@ -22,29 +27,11 @@ invariance checks require at the 1e-9 level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import models
 from .errors import BoundaryError, DomainError, InfiniteMeanError, MonotonicityError
 from .numerics import NumericConfig, clip_prob, config_or_default
-
-
-@dataclass(frozen=True)
-class ReliabilityVector:
-    """Two-component reliability value.
-
-    ``first`` is indexed by the marginal probability ``u`` of X,
-    ``second`` by the conditional probability ``p_cond`` of Y given
-    {X <= Q_X(conditioning_u)}.
-    """
-
-    first: float
-    second: float
-    u: float
-    p_cond: float
-    conditioning_u: float
 
 
 def _require_interior(name: str, value, cfg: NumericConfig):
@@ -134,7 +121,7 @@ def mrl_second(model, conditioning_u, p, cfg: NumericConfig | None = None):
     p = _require_interior("p_cond", p, cfg)
     _require_finite_mean(model.marginal_y, "Y")
     c, v = _phi_state(model, cu, p, cfg)
-    tail = _phi_partial_integral(model, c, v, np.ones_like(v))
+    tail = _phi_partial_integral(model, c, v, 1.0)
     return tail / (1.0 - p) - model.marginal_y.quantile(v)
 
 
@@ -193,40 +180,3 @@ QUANTITIES = {
     "rev-mrl": (reversed_mrl_first, reversed_mrl_second),
 }
 
-
-def _vector(quantity: str, model, u, p_x, cfg: NumericConfig | None) -> ReliabilityVector:
-    first_fn, second_fn = QUANTITIES[quantity]
-    return ReliabilityVector(
-        first=float(first_fn(model, u, cfg)),
-        second=float(second_fn(model, u, p_x, cfg)),
-        u=float(u),
-        p_cond=float(p_x),
-        conditioning_u=float(u),
-    )
-
-
-def hazard_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
-    """Hazard pair (1/((1-u)Q_X'(u)), 1/((1-p_x)phi'(p_x))) with phi anchored at u."""
-    return _vector("hazard", model, u, p_x, cfg)
-
-
-def mrl_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
-    """Mean residual life pair; raises :class:`InfiniteMeanError` for heavy tails."""
-    return _vector("mrl", model, u, p_x, cfg)
-
-
-def reversed_hazard_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
-    """Reversed-time hazard pair (1/(u Q_X'(u)), 1/(p_x phi'(p_x)))."""
-    return _vector("rev-hazard", model, u, p_x, cfg)
-
-
-def reversed_mrl_vector(model, u, p_x, cfg: NumericConfig | None = None) -> ReliabilityVector:
-    """Reversed-time mean residual pair; needs no finite mean."""
-    return _vector("rev-mrl", model, u, p_x, cfg)
-
-
-def interchanged(model, kind: str, v, p_y, cfg: NumericConfig | None = None) -> ReliabilityVector:
-    """The X/Y-interchanged vector: the quantity ``kind`` on the swapped model."""
-    if kind not in QUANTITIES:
-        raise DomainError(f"kind must be one of {tuple(QUANTITIES)}, got {kind!r}")
-    return _vector(kind, models.swap_axes(model), v, p_y, cfg)

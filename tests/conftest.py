@@ -1,4 +1,9 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import settings
 
 from bivquant import (
     BivariateModel,
@@ -9,6 +14,21 @@ from bivquant import (
     Uniform01,
     Weibull,
 )
+
+# every property test replays the same examples on every run; each keeps its own max_examples
+settings.register_profile("bivquant", derandomize=True, deadline=None)
+settings.load_profile("bivquant")
+
+INPUTS = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
+
+
+@functools.cache
+def bench_inputs():
+    """``benchmarks/inputs.py``, loaded read-only: the model pools and parameter ranges."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

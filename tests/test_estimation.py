@@ -40,8 +40,8 @@ def _sample_set(xs, ys) -> SampleSet:
     return SampleSet(pairs=pairs, seed=0, n=len(pairs), model_tag="hand-built")
 
 
-def _oracle(s, p, direction, us, min_cond_n=30):
-    return empirical_curve_by_mask(s.x, s.y, p, direction.eps1, direction.eps2, us, min_cond_n)
+def _oracle(s, p, direction, us):
+    return empirical_curve_by_mask(s.x, s.y, p, direction.eps1, direction.eps2, us)
 
 
 def _analytic_points(model, p, direction, grid):
@@ -211,7 +211,7 @@ class TestMatchesMaskAndSort:
         with pytest.raises(InsufficientMassError, match="has 29 points"):
             empirical_curve(s, 0.005, LOWER_LOWER, [0.01])
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_property_tied_samples(self, data):
         n = data.draw(st.integers(30, 400), label="n")
@@ -222,16 +222,15 @@ class TestMatchesMaskAndSort:
         p = data.draw(st.sampled_from([0.05, 0.1, 0.25, 0.4]), label="p")
         lo, hi = admissible_interval(p, direction)
         us = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12, unique=True), label="u")
-        min_cond_n = data.draw(st.integers(1, 30), label="min_cond_n")
         s, grid = _sample_set(xs, ys), np.sort(us)
         try:
-            expected = _oracle(s, p, direction, grid, min_cond_n)
+            expected = _oracle(s, p, direction, grid)
         except ValueError as err:
             with pytest.raises(InsufficientMassError) as raised:
-                empirical_curve(s, p, direction, grid, min_cond_n)
+                empirical_curve(s, p, direction, grid)
             assert str(raised.value) == str(err)
         else:
-            emp = empirical_curve(s, p, direction, grid, min_cond_n)
+            emp = empirical_curve(s, p, direction, grid)
             assert np.array_equal(emp.points, expected)
 
 
@@ -274,28 +273,13 @@ class TestEmpiricalMrl:
         with pytest.raises(InsufficientMassError):
             empirical_mrl_first(s, 0.999)
 
-
-class TestMinCondN:
-    """min_cond_n must be an integer >= 1; below it an empty exceedance set gave NaN and a warning."""
-
-    @pytest.mark.parametrize("bad", [0, -5, 2.5, True, None])
-    def test_mrl_rejects(self, bad):
-        x = np.arange(100.0)
-        with pytest.raises(DomainError, match=f"min_cond_n must be an integer >= 1, got {bad!r}$"):
-            empirical_mrl_first(_sample_set(x, x), 0.9999, min_cond_n=bad)
-
-    @pytest.mark.parametrize("bad", [0, -5, 2.5])
-    def test_curve_rejects(self, bad):
-        x = np.arange(100.0)
-        with pytest.raises(DomainError, match="min_cond_n must be an integer >= 1"):
-            empirical_curve(_sample_set(x, x), 0.2, LOWER_LOWER, [0.5], min_cond_n=bad)
-
-    def test_one_and_numpy_integers_accepted(self):
+    def test_hand_built_sample(self):
         x = np.arange(100.0)
         s = _sample_set(x, x)
-        assert empirical_mrl_first(s, 0.98, min_cond_n=1) == 1.5  # mean of 98, 99 over 97
-        assert empirical_mrl_first(s, 0.98, min_cond_n=np.int64(2)) == 1.5
+        assert empirical_mrl_first(s, 0.7) == 15.5  # 30 exceedances 70..99 over 69
+        with pytest.raises(InsufficientMassError, match="only 29 exceedances"):
+            empirical_mrl_first(s, 0.71)
         with pytest.raises(InsufficientMassError, match="only 0 exceedances"):
-            empirical_mrl_first(s, 0.9999, min_cond_n=1)
-        curve = empirical_curve(s, 0.2, LOWER_LOWER, [0.5], min_cond_n=np.int32(1))
-        assert curve.points.shape == (1, 3)
+            empirical_mrl_first(s, 0.9999)
+        curve = empirical_curve(s, 0.2, LOWER_LOWER, [0.5])
+        assert curve.points.tolist() == [[0.5, 49.0, 19.0]]  # the 0.4-quantile of y = 0..49

@@ -71,7 +71,7 @@ class TestKernelAgainstOracle:
         assert np.array_equal(got[1], P(a, xs[1]))
         assert np.allclose(got, _oracle(a, xs), rtol=TOL, atol=0.0)
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(
         shape=st.floats(0.0059, 10.0, allow_nan=False),
         x=st.one_of(st.floats(0.0, 80.0), st.floats(0.0, 1500.0)),
@@ -82,6 +82,11 @@ class TestKernelAgainstOracle:
         got = float(P(a, x))
         assert 0.0 <= got <= 1.0
         assert abs(got - ref) <= TOL * ref + 1e-290
+
+    def test_series_at_large_a_stays_a_probability(self):
+        # 500-odd series terms can round a few ulps above 1 here
+        a = 1.0 + 1.0 / 0.0059
+        assert P(a, 367.0) == regularized_gamma_p(a, 367.0) == 1.0
 
     def test_iteration_cap_is_a_named_error(self, monkeypatch):
         monkeypatch.setattr(models, "_MAX_TERMS", 5)
@@ -105,11 +110,9 @@ class TestWeibullAgainstOracle:
         normal = oracle[:, 1] > 1e-280 * mean  # P(a, t) itself a normal double
         integral = fam.quantile_integral(U_GRID[normal])
         assert np.max(np.abs(integral / oracle[normal, 1] - 1.0)) <= TOL
-        # the weighted closed form P(a, t) - 2^-a P(a, 2t) cancels like t as u -> 0,
-        # so it is held to the tolerance where that loses less than two digits
-        conditioned = U_GRID >= 0.1
-        weighted = fam.weighted_quantile_integral(U_GRID[conditioned])
-        assert np.max(np.abs(weighted / oracle[conditioned, 2] - 1.0)) <= TOL
+        normal = oracle[:, 2] > 1e-280 * mean
+        weighted = fam.weighted_quantile_integral(U_GRID[normal])
+        assert np.max(np.abs(weighted / oracle[normal, 2] - 1.0)) <= TOL
 
     def test_u_one_is_the_mean(self):
         fam = Weibull(0.9, 1.4)

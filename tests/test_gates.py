@@ -7,25 +7,15 @@ and they must fail by name, so a gate miss shows up here before it moves
 the benchmark's ``pass_rate``.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from bivquant import cli, models
 
-INPUTS = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
-
-
-def _load_inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import bench_inputs
 
 
 def _pool():
-    inputs = _load_inputs()
+    inputs = bench_inputs()
     verify = inputs.draw_pool(inputs.VERIFY_LAYOUT, 1, "verify-sweep")
     (batch,) = inputs.draw_pool(inputs.CLI_LAYOUT, 1, "cli-batch", inputs.CLI_RANGES)
     return {**{f"verify-sweep-{i:02d}": spec for i, spec in enumerate(verify)}, "cli-batch": batch}

@@ -157,14 +157,14 @@ class TestOrthantProb:
         )
         assert fgm_cdf(0.5, 0.5, 1.0) == 0.3125
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(x=probs, y=probs, theta=thetas)
     def test_orthant_decomposition(self, x, y, theta):
         model = BivariateModel(Uniform01(), Uniform01(), FGMCopula(theta))
         total = sum(orthant_prob(model, d, x, y) for d in ALL_DIRECTIONS)
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(u1=probs, u2=probs, v1=probs, v2=probs, theta=thetas)
     def test_fgm_rectangle_volumes_nonnegative(self, u1, u2, v1, v2, theta):
         cop = FGMCopula(theta)
@@ -175,7 +175,7 @@ class TestOrthantProb:
         )
         assert volume >= -1e-12
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(u=probs, v=probs, theta=thetas)
     def test_fgm_uniform_margins(self, u, v, theta):
         cop = FGMCopula(theta)
@@ -258,7 +258,7 @@ class TestSwapAxes:
     def test_fgm_exchangeable(self, fgm_uniform):
         assert swap_axes(fgm_uniform).copula == fgm_uniform.copula
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(x=probs, y=probs, theta=thetas)
     def test_orthant_relabeling(self, x, y, theta):
         model = BivariateModel(Uniform01(), Uniform01(), FGMCopula(theta))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bivquant import (
     BivariateModel,
@@ -13,16 +15,12 @@ from bivquant import (
     Uniform01,
     Weibull,
     conditional_mean,
-    hazard_vector,
-    interchanged,
-    mrl_vector,
-    reversed_hazard_vector,
-    reversed_mrl_vector,
     swap_axes,
 )
+from bivquant import models
 from bivquant import reliability as rel
 
-from conftest import mixed_models
+from conftest import bench_inputs, mixed_models
 from oracles import (
     EXP_ETA1_HALF,
     FGM_ETA2_HALF,
@@ -35,6 +33,7 @@ from oracles import (
 )
 
 GRID = np.linspace(0.05, 0.95, 19)
+FULL_RANGES, PARAMS = bench_inputs().FULL_RANGES, bench_inputs().PARAMS
 
 
 class TestProbabilityValidation:
@@ -57,50 +56,44 @@ class TestProbabilityValidation:
 
 class TestHazard:
     def test_exponential_constant(self, indep_exp):
-        vec = hazard_vector(indep_exp, 0.5, 0.5)
-        assert vec.first == pytest.approx(1.0, abs=1e-12)
-        assert vec.second == pytest.approx(1.0, abs=1e-12)
+        assert float(rel.hazard_first(indep_exp, 0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert float(rel.hazard_second(indep_exp, 0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform(self, indep_uniform):
-        vec = hazard_vector(indep_uniform, 0.5, 0.25)
-        assert vec.first == pytest.approx(2.0, abs=1e-12)
-        assert vec.second == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert float(rel.hazard_first(indep_uniform, 0.5)) == pytest.approx(2.0, abs=1e-12)
+        assert float(rel.hazard_second(indep_uniform, 0.5, 0.25)) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_fgm_second_component_against_derivative_oracle(self, fgm_uniform):
         # oracle: differentiate the np.roots-based conditional inverse
         phi_deriv = central_diff(lambda p: fgm_cond_le_quantile_roots(p, 0.5, 1.0), 0.5)
         oracle = 1.0 / (0.5 * phi_deriv)
-        vec = hazard_vector(fgm_uniform, 0.5, 0.5)
-        assert vec.second == pytest.approx(oracle, abs=1e-5)
-        assert vec.second == pytest.approx(SQRT5, abs=1e-12)
-
-    def test_vector_metadata(self, fgm_uniform):
-        vec = hazard_vector(fgm_uniform, 0.4, 0.7)
-        assert (vec.u, vec.p_cond, vec.conditioning_u) == (0.4, 0.7, 0.4)
+        second = float(rel.hazard_second(fgm_uniform, 0.5, 0.5))
+        assert second == pytest.approx(oracle, abs=1e-5)
+        assert second == pytest.approx(SQRT5, abs=1e-12)
 
     def test_boundary_error(self, indep_uniform):
         with pytest.raises(BoundaryError):
-            hazard_vector(indep_uniform, 1e-12, 0.5)
+            rel.hazard_first(indep_uniform, 1e-12)
         with pytest.raises(BoundaryError):
-            hazard_vector(indep_uniform, 0.5, 1.0 - 1e-12)
+            rel.hazard_second(indep_uniform, 1e-12, 0.5)
+        with pytest.raises(BoundaryError):
+            rel.hazard_second(indep_uniform, 0.5, 1.0 - 1e-12)
 
 
 class TestMrl:
     def test_exponential_memoryless(self, indep_exp):
-        vec = mrl_vector(indep_exp, 0.3, 0.7)
-        assert vec.first == pytest.approx(1.0, abs=1e-12)
-        assert vec.second == pytest.approx(1.0, abs=1e-12)
+        assert float(rel.mrl_first(indep_exp, 0.3)) == pytest.approx(1.0, abs=1e-12)
+        assert float(rel.mrl_second(indep_exp, 0.3, 0.7)) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform(self, indep_uniform):
-        vec = mrl_vector(indep_uniform, 0.5, 0.5)
-        assert vec.first == pytest.approx(0.25, abs=1e-12)
-        assert vec.second == pytest.approx(0.25, abs=1e-12)
+        assert float(rel.mrl_first(indep_uniform, 0.5)) == pytest.approx(0.25, abs=1e-12)
+        assert float(rel.mrl_second(indep_uniform, 0.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
 
     def test_fgm_second_against_trapezoid_oracle(self, fgm_uniform):
         oracle = trapezoid(fgm_phi_closed, 0.5, 1.0) / 0.5 - fgm_phi_closed(0.5)
-        vec = mrl_vector(fgm_uniform, 0.5, 0.5)
-        assert vec.second == pytest.approx(oracle, abs=1e-9)
-        assert vec.second == pytest.approx(FGM_M2_HALF, abs=1e-12)
+        second = float(rel.mrl_second(fgm_uniform, 0.5, 0.5))
+        assert second == pytest.approx(oracle, abs=1e-9)
+        assert second == pytest.approx(FGM_M2_HALF, abs=1e-12)
 
     def test_pareto_closed_form(self):
         # m1(u) = Q(u)/(shape - 1) for the unit-scale power tail
@@ -110,96 +103,122 @@ class TestMrl:
 
     def test_infinite_mean_named_error(self, heavy_pareto):
         with pytest.raises(InfiniteMeanError, match="infinite mean"):
-            mrl_vector(heavy_pareto, 0.5, 0.5)
+            rel.mrl_first(heavy_pareto, 0.5)
 
     def test_infinite_mean_second_component(self):
         model = BivariateModel(Exponential(1.0), Pareto(1.0, 1.0), IndependenceCopula())
         with pytest.raises(InfiniteMeanError, match="marginal Y"):
-            mrl_vector(model, 0.5, 0.5)
+            rel.mrl_second(model, 0.5, 0.5)
+
+    @pytest.mark.parametrize("fam", [Weibull(1.3, 1.7), Pareto(1.0, 3.0)], ids=lambda f: f.kind)
+    def test_second_reads_the_mean_end_once(self, monkeypatch, fam):
+        # int_v^1 phi takes the u = 1 end as one scalar, not one copy per grid point
+        points = {}
+
+        def counting(name):
+            method = getattr(type(fam), name)
+
+            def counted(self, u):
+                points[name] = points.get(name, 0) + np.size(u)
+                return method(self, u)
+
+            return counted
+
+        for name in ("quantile_integral", "weighted_quantile_integral"):
+            monkeypatch.setattr(type(fam), name, counting(name))
+        rel.mrl_second(BivariateModel(Exponential(1.0), fam, FGMCopula(0.5)), 0.5, GRID)
+        assert points == {"quantile_integral": len(GRID) + 1, "weighted_quantile_integral": len(GRID) + 1}
 
 
 class TestReversedHazard:
     def test_uniform(self, indep_uniform):
-        vec = reversed_hazard_vector(indep_uniform, 0.5, 0.25)
-        assert vec.first == pytest.approx(2.0, abs=1e-12)
-        assert vec.second == pytest.approx(4.0, abs=1e-12)
+        assert float(rel.reversed_hazard_first(indep_uniform, 0.5)) == pytest.approx(2.0, abs=1e-12)
+        assert float(rel.reversed_hazard_second(indep_uniform, 0.5, 0.25)) == pytest.approx(4.0, abs=1e-12)
 
     def test_exponential(self, indep_exp):
-        vec = reversed_hazard_vector(indep_exp, 0.5, 0.5)
-        assert vec.first == pytest.approx(1.0, abs=1e-12)
-        assert vec.second == pytest.approx(1.0, abs=1e-12)
+        assert float(rel.reversed_hazard_first(indep_exp, 0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert float(rel.reversed_hazard_second(indep_exp, 0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_fgm_second(self, fgm_uniform):
-        vec = reversed_hazard_vector(fgm_uniform, 0.5, 0.5)
-        assert vec.second == pytest.approx(SQRT5, abs=1e-12)
+        assert float(rel.reversed_hazard_second(fgm_uniform, 0.5, 0.5)) == pytest.approx(SQRT5, abs=1e-12)
 
     def test_ratio_law_with_hazard(self):
         # hazard/reversed-hazard = u/(1-u) exactly; both share the derivative
         for model in mixed_models():
             for u in (0.2, 0.5, 0.8):
-                h = hazard_vector(model, u, 0.6)
-                r = reversed_hazard_vector(model, u, 0.6)
-                assert h.first / r.first == pytest.approx(u / (1 - u), abs=1e-12)
-                assert h.second / r.second == pytest.approx(0.6 / 0.4, abs=1e-12)
+                first = rel.hazard_first(model, u) / rel.reversed_hazard_first(model, u)
+                second = rel.hazard_second(model, u, 0.6) / rel.reversed_hazard_second(model, u, 0.6)
+                assert float(first) == pytest.approx(u / (1 - u), abs=1e-12)
+                assert float(second) == pytest.approx(0.6 / 0.4, abs=1e-12)
 
 
 class TestReversedMrl:
     def test_uniform(self, indep_uniform):
-        vec = reversed_mrl_vector(indep_uniform, 0.5, 0.5)
-        assert vec.first == pytest.approx(0.25, abs=1e-12)
-        assert vec.second == pytest.approx(0.25, abs=1e-12)
+        assert float(rel.reversed_mrl_first(indep_uniform, 0.5)) == pytest.approx(0.25, abs=1e-12)
+        assert float(rel.reversed_mrl_second(indep_uniform, 0.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
 
     def test_exponential_against_antiderivative_oracle(self, indep_exp):
         # oracle: int_0^u -ln(1-z) dz = (1-z)ln(1-z) + z at the endpoints
         u = 0.5
         j0 = (1 - u) * np.log(1 - u) + u
         oracle = -np.log(1 - u) - j0 / u
-        vec = reversed_mrl_vector(indep_exp, u, 0.3)
-        assert vec.first == pytest.approx(oracle, abs=1e-12)
-        assert vec.first == pytest.approx(EXP_ETA1_HALF, abs=1e-12)
+        first = float(rel.reversed_mrl_first(indep_exp, u))
+        assert first == pytest.approx(oracle, abs=1e-12)
+        assert first == pytest.approx(EXP_ETA1_HALF, abs=1e-12)
 
     def test_fgm_second_against_trapezoid_oracle(self, fgm_uniform):
         oracle = fgm_phi_closed(0.5) - trapezoid(fgm_phi_closed, 0.0, 0.5) / 0.5
-        vec = reversed_mrl_vector(fgm_uniform, 0.5, 0.5)
-        assert vec.second == pytest.approx(oracle, abs=1e-9)
-        assert vec.second == pytest.approx(FGM_ETA2_HALF, abs=1e-12)
+        second = float(rel.reversed_mrl_second(fgm_uniform, 0.5, 0.5))
+        assert second == pytest.approx(oracle, abs=1e-9)
+        assert second == pytest.approx(FGM_ETA2_HALF, abs=1e-12)
 
     def test_no_mean_needed(self, heavy_pareto):
         # reversed-time quantities are defined even for infinite-mean tails
-        vec = reversed_mrl_vector(heavy_pareto, 0.5, 0.5)
-        assert np.isfinite(vec.first) and vec.first > 0
+        first = float(rel.reversed_mrl_first(heavy_pareto, 0.5))
+        assert np.isfinite(first) and first > 0
+
+
+@st.composite
+def marginals(draw):
+    """One marginal of any family, its parameters drawn over the benchmark's FULL_RANGES."""
+    kind = draw(st.sampled_from(sorted(models._MARGINAL_REGISTRY)))
+    params = {p: draw(st.floats(*FULL_RANGES[f"{kind}.{p}"])) for p in PARAMS[kind]}
+    return models._MARGINAL_REGISTRY[kind](**params)
 
 
 class TestInterchanged:
+    """The X/Y-interchanged pair is the component functions applied to swap_axes(model)."""
+
     def test_example(self):
         model = BivariateModel(Exponential(1.0), Uniform01(), IndependenceCopula())
-        vec = interchanged(model, "hazard", 0.5, 0.5)
-        assert vec.first == pytest.approx(2.0, abs=1e-12)  # uniform is the first axis now
+        # uniform is the first axis now
+        assert float(rel.hazard_first(swap_axes(model), 0.5)) == pytest.approx(2.0, abs=1e-12)
 
-    def test_involution(self):
-        for model in mixed_models()[:4]:
-            for u, p in [(0.3, 0.6), (0.7, 0.2)]:
-                direct = hazard_vector(model, u, p)
-                twice = interchanged(swap_axes(model), "hazard", u, p)
-                assert twice.first == pytest.approx(direct.first, abs=1e-12)
-                assert twice.second == pytest.approx(direct.second, abs=1e-12)
+    @settings(max_examples=80)
+    @given(x=marginals(), y=marginals(), u0=st.floats(0.01, 0.99), p=st.floats(0.01, 0.99))
+    def test_involution(self, x, y, u0, p):
+        # under independence phi is Q_Y, so each second component is the first one of (Y, X)
+        model = BivariateModel(x, y, IndependenceCopula())
+        swapped = swap_axes(model)
+        assert swap_axes(swapped) == model
+        for name, (first, second) in rel.QUANTITIES.items():
+            try:
+                expected = float(first(swapped, p))
+            except InfiniteMeanError:
+                with pytest.raises(InfiniteMeanError):
+                    second(model, u0, p)
+                continue
+            assert float(second(model, u0, p)) == pytest.approx(expected, rel=1e-9, abs=0.0), name
 
     def test_fgm_identical_marginals_symmetric(self, fgm_uniform):
+        swapped = swap_axes(fgm_uniform)
         for u in np.linspace(0.1, 0.9, 10):
-            direct = hazard_vector(fgm_uniform, u, 0.5)
-            inter = interchanged(fgm_uniform, "hazard", u, 0.5)
-            assert inter.first == pytest.approx(direct.first, abs=1e-12)
-            assert inter.second == pytest.approx(direct.second, abs=1e-12)
-
-    def test_cli_spelling(self, fgm_uniform):
-        model = BivariateModel(Exponential(1.0), Uniform01(), fgm_uniform.copula)
-        inter = interchanged(model, "rev-mrl", 0.3, 0.6)
-        direct = reversed_mrl_vector(swap_axes(model), 0.3, 0.6)
-        assert (inter.first, inter.second) == (direct.first, direct.second)
-
-    def test_unknown_kind(self, indep_uniform):
-        with pytest.raises(DomainError):
-            interchanged(indep_uniform, "median", 0.5, 0.5)
+            assert float(rel.hazard_first(swapped, u)) == pytest.approx(
+                float(rel.hazard_first(fgm_uniform, u)), abs=1e-12
+            )
+            assert float(rel.hazard_second(swapped, u, 0.5)) == pytest.approx(
+                float(rel.hazard_second(fgm_uniform, u, 0.5)), abs=1e-12
+            )
 
 
 class TestIndependenceReduction:
