@@ -26,8 +26,31 @@ IDENTITY_TOL = 1e-6
 VERIFY_CONDITIONING_U = 0.5
 
 
+#: Every serialized number: 9 significant digits ("%.9g" % v == format(v, ".9g")).
+_NUMBER = "%.9g"
+
+
 def _fmt(x) -> str:
-    return format(float(x), ".9g")
+    return _NUMBER % float(x)
+
+
+def _row(n_numbers: int) -> str:
+    """%-template of n comma-separated numbers.
+
+    Filled once per row from ``tolist()`` floats, it prints what _fmt prints
+    per value at about half the cost.
+    """
+    return ",".join([_NUMBER] * n_numbers)
+
+
+def _float_rows(table: np.ndarray):
+    """Rows of a 2-d array as lists of floats, converted 1,024 rows at a time.
+
+    A whole-table ``tolist()`` of a 1e5-row sample would hold about 12 MB of
+    float objects at once.
+    """
+    for start in range(0, len(table), 1024):
+        yield from table[start : start + 1024].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +196,9 @@ def cmd_curve(args) -> int:
         curve = curves.curve_points(model, args.level, direction, args.points, cfg)
     residuals = curves.level_residuals(model, curve)
     if args.format == "csv":
-        rows = (
-            f"{_fmt(u)},{_fmt(x)},{_fmt(y)},{_fmt(r)}"
-            for (u, x, y), r in zip(curve.points, residuals)
-        )
+        template = _row(4)
+        table = np.column_stack([curve.points, residuals])
+        rows = (template % (u, x, y, r) for u, x, y, r in _float_rows(table))
         _write_text(args.out, _csv("u,x,y,orthant_prob_residual", rows))
     else:
         _write_text(args.out, json.dumps(curve.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -195,10 +217,11 @@ def cmd_field(args) -> int:
     firsts = first_fn(model, probs, cfg)
     # one row of seconds per conditioning level u
     seconds = second_fn(model, probs[:, None], probs[None, :], cfg)
+    template, ps = _row(4) + ",%s", probs.tolist()
     rows = (
-        f"{_fmt(u)},{_fmt(p)},{_fmt(first)},{_fmt(s)},{args.kind}"
-        for u, first, row in zip(probs, firsts, seconds)
-        for p, s in zip(probs, row)
+        template % (u, p, first, s, args.kind)
+        for u, first, row in zip(ps, firsts.tolist(), seconds)
+        for p, s in zip(ps, row.tolist())
     )
     _write_text(args.out, _csv("u,p_cond,first,second,kind", rows))
     return 0
@@ -211,7 +234,11 @@ def cmd_reconstruct(args) -> int:
         raise DomainError(f"grid must be >= 1, got {args.grid}")
     ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind][1], args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
-    rows = (f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{_fmt(abs(a - b))}" for t, a, b in zip(ts, rec, ref))
+    template = _row(4)
+    rows = (
+        template % (t, a, b, abs(a - b))
+        for t, a, b in zip(ts.tolist(), rec.tolist(), ref.tolist())
+    )
     _write_text(args.out, _csv("t,reconstructed,reference,abs_error", rows))
     return 0
 
@@ -256,10 +283,10 @@ def cmd_verify(args) -> int:
     sys.stdout.write(f"max residual over all checks: {_fmt(worst)}\n")
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
     if args.out:
-        rows = []
+        rows, template = [], "%s," + _row(2)
         for name, _, _, _, _, residuals in results:
             if residuals is not None:
-                rows.extend(f"{name},{_fmt(t)},{_fmt(r)}" for t, r in residuals)
+                rows.extend(template % (name, t, r) for t, r in residuals)
         _write_text(args.out, _csv("check,t,residual", rows))
     return 0 if all_pass else 1
 
@@ -268,7 +295,8 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     cfg = load_numeric_config(args.config)
     sample_set = estimation.sample(model, args.n, args.seed, cfg)
-    rows = (f"{_fmt(x)},{_fmt(y)}" for x, y in sample_set.pairs)
+    template = _row(2)
+    rows = (template % (x, y) for x, y in _float_rows(sample_set.pairs))
     _write_text(args.out, _csv("x,y", rows))
     return 0
 

@@ -12,12 +12,17 @@ statistic at index clamp(ceil(q m) - 1, 0, m - 1), read by selection.
 :func:`empirical_curve` sorts x once and carries y along: {X <= x̂} is a
 prefix and {X > x̂} the suffix of that order, split at
 ``searchsorted(x_sorted, x̂, "right")`` so tied x fall on the side ``<=``
-and ``>`` put them.  G grid points on n pairs cost O(n log n + G·n).
+and ``>`` put them.  The y values are ranked once and the ranks cut into
+chunks of ⌈√n⌉; walking the grid in the order the conditioning set grows,
+each step adds the new positions to per-chunk counts, finds the chunk that
+holds the wanted order statistic and scans only that chunk.  G grid points
+on n pairs cost O(n log n + G·√n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -68,9 +73,40 @@ def sample(
     )
 
 
-def _inf_index(q: float, m: int) -> int:
-    """Sorted index of the inf-type q-quantile of m values: smallest with empirical CDF >= q."""
-    return min(max(int(np.ceil(q * m)) - 1, 0), m - 1)
+def _inf_index(q, m):
+    """Sorted index of the inf-type q-quantile of m values: smallest with empirical CDF >= q.
+
+    Elementwise over arrays of q and m.
+    """
+    return np.clip(np.ceil(np.multiply(q, m)).astype(np.intp) - 1, 0, np.subtract(m, 1))
+
+
+def _select_in_prefixes(values: np.ndarray, sizes: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """out[i] = the js[i]-th smallest of values[:sizes[i]], for nondecreasing sizes.
+
+    The prefixes are nested, so each position is counted once, when its
+    prefix first takes it in, into the chunk of its rank.
+    """
+    n = len(values)
+    by_rank = np.argsort(values)  # position of the r-th smallest value
+    values_sorted = values[by_rank]
+    width = isqrt(n - 1) + 1  # ceil(sqrt(n))
+    n_chunks = (n - 1) // width + 1
+    chunk_of = np.empty(n, dtype=np.intp)
+    chunk_of[by_rank] = np.arange(n) // width
+    counts = np.zeros(n_chunks, dtype=np.intp)
+    out = np.empty(len(sizes))
+    counted = 0
+    for i, (size, j) in enumerate(zip(sizes.tolist(), js.tolist())):
+        counts += np.bincount(chunk_of[counted:size], minlength=n_chunks)
+        counted = size
+        below = np.cumsum(counts)
+        c = int(np.searchsorted(below, j, "right"))  # first chunk whose running count exceeds j
+        r = j - int(below[c - 1]) if c else j  # rank of the wanted value among the chunk's members
+        lo = c * width
+        members = by_rank[lo : lo + width]
+        out[i] = values_sorted[lo + np.flatnonzero(members < size)[r]]
+    return out
 
 
 def empirical_curve(
@@ -93,26 +129,31 @@ def empirical_curve(
     if direction.eps1 > 0 and us[-1] >= 1.0 - p:
         raise DomainError(f"direction {direction} requires u < 1 - p, got u = {us[-1]}, p = {p}")
 
-    order = np.argsort(sample_set.x, kind="stable")
+    order = np.argsort(sample_set.x)
     xs_sorted = sample_set.x[order]
-    ys_by_x = sample_set.y[order]
     if np.isnan(xs_sorted[-1]):  # sorted last; a NaN x lies on neither side of any x-hat
         raise DomainError("sample x values must not be NaN")
 
-    points = np.empty((len(us), 3))
-    for i, u in enumerate(us):
-        x_hat = float(xs_sorted[_inf_index(u, len(xs_sorted))])
-        k = int(np.searchsorted(xs_sorted, x_hat, "right"))
-        sub = ys_by_x[:k] if direction.eps1 < 0 else ys_by_x[k:]
-        if len(sub) < MIN_COND_N:
-            raise InsufficientMassError(
-                f"conditioning subsample at u = {u} has {len(sub)} points "
-                f"(< min_cond_n = {MIN_COND_N})"
-            )
-        _, q = conditional_args(p, direction, u)
-        j = _inf_index(float(q), len(sub))
-        points[i] = (u, x_hat, np.partition(sub, j)[j])
-    return QuantileCurve(p=p, direction=direction, points=points)
+    n = len(xs_sorted)
+    x_hat = xs_sorted[_inf_index(us, n)]
+    k = np.searchsorted(xs_sorted, x_hat, "right")
+    prefix = direction.eps1 < 0
+    sizes = k if prefix else n - k
+    short = np.flatnonzero(sizes < MIN_COND_N)
+    if len(short):
+        i = short[0]
+        raise InsufficientMassError(
+            f"conditioning subsample at u = {us[i]} has {sizes[i]} points "
+            f"(< min_cond_n = {MIN_COND_N})"
+        )
+    _, q = conditional_args(p, direction, us)
+    js = _inf_index(q, sizes)
+    ys_by_x = sample_set.y[order]
+    if prefix:
+        ys = _select_in_prefixes(ys_by_x, sizes, js)
+    else:  # a suffix of the x order is a prefix of the reversed order, growing as u falls
+        ys = _select_in_prefixes(ys_by_x[::-1], sizes[::-1], js[::-1])[::-1]
+    return QuantileCurve(p=p, direction=direction, points=np.column_stack([us, x_hat, ys]))
 
 
 def empirical_mrl_first(sample_set: SampleSet, u: float) -> float:

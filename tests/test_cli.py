@@ -1,11 +1,14 @@
 import csv
 import json
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bivquant import cli, models, reconstruction, reliability
+from bivquant import cli, estimation, models, reconstruction, reliability
 from bivquant.cli import load_sample_csv, main
 from bivquant.errors import ModelSpecError
 
@@ -171,7 +174,7 @@ class TestFieldCommand:
         spec = {"marginal_x": {"kind": "Weibull", "scale": 1.2, "shape": 0.8},
                 "marginal_y": {"kind": "Pareto", "scale": 1.0, "shape": 2.5},
                 "copula": {"kind": "FGM", "theta": -0.7}}
-        monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))  # every bit in the CSV
+        monkeypatch.setattr(cli, "_NUMBER", "%r")  # every bit in the CSV
         out = tmp_path / "field.csv"
         assert main(["field", "--model", model_file(spec), "--kind", kind, "--grid", "7",
                      "--out", str(out)]) == 0
@@ -309,6 +312,31 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
 
 
+class TestRowFormat:
+    """The writers' "%.9g" templates print each value as format(v, ".9g") does."""
+
+    @settings(max_examples=2000)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+        )
+    )
+    @example(0.0)
+    @example(-0.0)
+    @example(float("nan"))
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(5e-324)
+    @example(-2.2250738585072009e-308)
+    @example(1.7976931348623157e308)
+    @example(123456789.5)
+    def test_percent_g_matches_fmt(self, v):
+        assert "%.9g" % v == format(v, ".9g")
+        assert "%.9g" % np.float64(v) == format(v, ".9g")
+        assert cli._row(2) % (v, v) == f"{cli._fmt(v)},{cli._fmt(v)}"
+
+
 class TestSampleCommand:
     def test_deterministic_bytes(self, tmp_path, model_file):
         spec = model_file(FGM_MODEL)
@@ -318,6 +346,15 @@ class TestSampleCommand:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "x,y"
+
+    def test_rows_are_the_sample_set(self, tmp_path, model_file):
+        # 2,500 rows span three conversion blocks; each row is the pair printed value by value
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--model", model_file(FGM_MODEL), "--n", "2500", "--seed", "9",
+                     "--out", str(out)]) == 0
+        pairs = estimation.sample(models.model_from_dict(FGM_MODEL), 2500, 9).pairs
+        expected = ["x,y", *(f"{cli._fmt(x)},{cli._fmt(y)}" for x, y in pairs)]
+        assert out.read_text().splitlines() == expected
 
     def test_zero_n_exit_2(self, tmp_path, model_file):
         rc = main(["sample", "--model", model_file(FGM_MODEL), "--n", "0", "--seed", "1",

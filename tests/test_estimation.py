@@ -1,3 +1,6 @@
+from collections import Counter
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from bivquant import (
     orthant_prob,
     sample,
 )
+from bivquant import estimation
 from bivquant import reliability as rel
 from bivquant.curves import admissible_interval
 
@@ -42,6 +46,18 @@ def _sample_set(xs, ys) -> SampleSet:
 
 def _oracle(s, p, direction, us):
     return empirical_curve_by_mask(s.x, s.y, p, direction.eps1, direction.eps2, us)
+
+
+def _assert_matches_oracle(s, p, direction, grid):
+    """Equal points, or the same InsufficientMassError text at the same grid point."""
+    try:
+        expected = _oracle(s, p, direction, grid)
+    except ValueError as err:
+        with pytest.raises(InsufficientMassError) as raised:
+            empirical_curve(s, p, direction, grid)
+        assert str(raised.value) == str(err)
+    else:
+        assert np.array_equal(empirical_curve(s, p, direction, grid).points, expected)
 
 
 def _analytic_points(model, p, direction, grid):
@@ -211,6 +227,42 @@ class TestMatchesMaskAndSort:
         with pytest.raises(InsufficientMassError, match="has 29 points"):
             empirical_curve(s, 0.005, LOWER_LOWER, [0.01])
 
+    @pytest.mark.parametrize(
+        "direction, grid, short_u",
+        [(LOWER_LOWER, [0.285, 0.295, 0.5], 0.285), (UPPER_UPPER, [0.2, 0.695, 0.705], 0.705)],
+        ids=["prefix", "suffix"],
+    )
+    def test_min_cond_n_edge_reports_first_short_point(self, direction, grid, short_u):
+        # the suffix walk visits u downwards; the error still names the first short u of the grid
+        s = _sample_set(np.arange(100), np.arange(100)[::-1])
+        with pytest.raises(InsufficientMassError, match=f"at u = {short_u} has 29 points"):
+            empirical_curve(s, 0.1, direction, grid)
+        _assert_matches_oracle(s, 0.1, direction, grid)
+
+    @pytest.mark.parametrize("n", [31, 111, 900, 1000])
+    @pytest.mark.parametrize("size", ["1", "2", "sqrt-1", "sqrt+1", "2000"])
+    def test_chunk_edges(self, n, size):
+        # 31 = 5·6 + 1 and 111 = 10·11 + 1 leave a last chunk of one rank; 900 is a square
+        width = isqrt(n - 1) + 1
+        g = {"1": 1, "2": 2, "sqrt-1": width - 1, "sqrt+1": width + 1, "2000": 2000}[size]
+        rng = np.random.default_rng(n * 7 + g)
+        samples = {
+            "continuous": (rng.random(n), rng.random(n)),
+            "tied-x": (rng.integers(0, 5, n), rng.random(n)),
+            "tied-y": (rng.random(n), rng.integers(0, 3, n)),
+            "tied-both": (rng.integers(0, 4, n), rng.integers(0, 4, n)),
+        }
+        for xs, ys in samples.values():
+            s = _sample_set(xs, ys)
+            for direction in DIRECTIONS:
+                lo, hi = admissible_interval(0.2, direction)
+                # keep at least MIN_COND_N distinct x on the conditioning side
+                if direction.eps1 < 0:
+                    lo = max(lo, 29.5 / n)
+                else:
+                    hi = min(hi, (n - 30.5) / n)
+                _assert_matches_oracle(s, 0.2, direction, np.linspace(lo, hi, g))
+
     @settings(max_examples=150)
     @given(data=st.data())
     def test_property_tied_samples(self, data):
@@ -221,17 +273,41 @@ class TestMatchesMaskAndSort:
         direction = data.draw(st.sampled_from(DIRECTIONS), label="direction")
         p = data.draw(st.sampled_from([0.05, 0.1, 0.25, 0.4]), label="p")
         lo, hi = admissible_interval(p, direction)
-        us = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12, unique=True), label="u")
-        s, grid = _sample_set(xs, ys), np.sort(us)
-        try:
-            expected = _oracle(s, p, direction, grid)
-        except ValueError as err:
-            with pytest.raises(InsufficientMassError) as raised:
-                empirical_curve(s, p, direction, grid)
-            assert str(raised.value) == str(err)
-        else:
-            emp = empirical_curve(s, p, direction, grid)
-            assert np.array_equal(emp.points, expected)
+        g = data.draw(st.integers(1, 300), label="grid length")
+        us = data.draw(arrays(float, g, elements=st.floats(lo, hi), unique=True), label="u")
+        _assert_matches_oracle(_sample_set(xs, ys), p, direction, np.sort(us))
+
+
+class _CountingNumpy:
+    """Stands in for ``np`` inside the estimation module; counts the sorting calls."""
+
+    COUNTED = ("argsort", "partition", "sort", "argpartition")
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.COUNTED:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestSortsOnce:
+    @pytest.mark.parametrize("g", [1, 200, 2000])
+    @pytest.mark.parametrize("direction", [LOWER_LOWER, UPPER_UPPER], ids=str)
+    def test_two_argsorts_and_no_partition(self, monkeypatch, fgm_uniform, direction, g):
+        s = sample(fgm_uniform, 20_000, seed=SEED)
+        grid = np.linspace(*admissible_interval(0.25, direction), g)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(estimation, "np", counting)
+        empirical_curve(s, 0.25, direction, grid)
+        assert counting.calls == Counter(argsort=2)
 
 
 class TestEmpiricalMrl:
