@@ -10,6 +10,7 @@ serialized with 9 significant digits in CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -306,7 +307,9 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every :func:`main` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bivquant",
         description="Bivariate quantile curves and quantile-curve reliability analysis",

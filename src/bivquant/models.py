@@ -329,8 +329,8 @@ _MAX_TERMS = 1024  #: step cap of the P(a, x) loops; a = 171.6, the largest a We
 
 
 @functools.lru_cache(maxsize=64)
-def _gamma_p_lengths(a: float) -> tuple[int, int]:
-    """Series terms and fraction depth converged at the split x = 3(a+1), where both converge slowest."""
+def _gamma_p_constants(a: float) -> tuple[int, float, tuple[float, ...]]:
+    """P(a, x)'s fraction depth, scale K and series coefficients; lengths as converged at x = 3(a+1)."""
     x = 3.0 * (a + 1.0)
     term, total, terms = 1.0, 1.0, 0
     while term > _EPS * total and terms < _MAX_TERMS:
@@ -345,7 +345,8 @@ def _gamma_p_lengths(a: float) -> tuple[int, int]:
         delta = c * d
     if term > _EPS * total or abs(delta - 1.0) > _EPS:
         raise ConvergenceError(f"incomplete gamma P(a, x) did not converge in {_MAX_TERMS} steps at a = {a!r}")
-    return terms, depth
+    k = (math.pow(a, a / 2) * math.exp(-a / 2) / math.sqrt(math.gamma(a))) ** 2
+    return depth, k, tuple(np.cumprod(x / (a + np.arange(1.0, terms + 1.0)))[::-1].tolist())
 
 
 def _regularized_gamma_p(a: float, x):
@@ -356,13 +357,12 @@ def _regularized_gamma_p(a: float, x):
     alone.  Both scale by ``x^a e^-x / Γ(a) = K w^a``, ``K = a^a e^-a / Γ(a)``, ``w = (x/a) e^(1-x/a) <= 1``.
     """
     x = np.asarray(x, dtype=float)
-    split, (terms, depth) = 3.0 * (a + 1.0), _gamma_p_lengths(a)
-    k = (math.pow(a, a / 2) * math.exp(-a / 2) / math.sqrt(math.gamma(a))) ** 2
+    split, (depth, k, coeffs) = 3.0 * (a + 1.0), _gamma_p_constants(a)
     p = np.where(x == math.inf, 1.0, math.nan)
     below, above = x < split, (x >= split) & (x < math.inf)
     xs, xc = x[below], x[above]
     y, total = xs / split, np.zeros_like(xs)
-    for coeff in np.cumprod(split / (a + np.arange(1.0, terms + 1.0)))[::-1] if xs.size else ():
+    for coeff in coeffs if xs.size else ():
         total += coeff
         total *= y
     # rounding over hundreds of terms can lift the series a few ulps above 1 at large a
@@ -372,6 +372,12 @@ def _regularized_gamma_p(a: float, x):
         f = xc + (2.0 * m - 1.0 - a + m * (a - m) / f)
     p[above] = 1.0 - k * (xc / a * np.exp(1.0 - xc / a)) ** a / f
     return p
+
+
+@functools.lru_cache(maxsize=64)
+def _weighted_series(a: float) -> tuple[float, ...]:
+    """``(1 - 2^k) / (k! (a+k))`` for k = 40 down to 1: the Weibull weighted integral's Horner coefficients."""
+    return tuple((1.0 - 2.0**k) / (math.factorial(k) * (a + k)) for k in range(40, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -428,8 +434,8 @@ class Weibull(Marginal):
         at_t, at_2t = _regularized_gamma_p(a, np.stack([t[~small], 2.0 * t[~small]]))
         out[~small] = self.scale * math.gamma(a) * (at_t - 2.0**-a * at_2t)
         ts, total = t[small], 0.0
-        for k in range(40, 0, -1):
-            total = (total + (1.0 - 2.0**k) / (math.factorial(k) * (a + k))) * -ts
+        for coeff in _weighted_series(a) if ts.size else ():
+            total = (total + coeff) * -ts
         out[small] = self.scale * ts**a * total
         return out
 
@@ -608,8 +614,9 @@ class BivariateModel:
 
 def _as_prob_array(name: str, value):
     arr = np.asarray(value, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    outside = arr[~((arr >= 0.0) & (arr <= 1.0))]  # NaN fails both comparisons
+    if outside.size:  # the first offending value: a grid keeps the message on one line
+        raise DomainError(f"{name} must lie in [0, 1], got {float(outside[0])!r}")
     return arr
 
 

@@ -39,7 +39,8 @@ def _require_interior(name: str, value, cfg: NumericConfig):
     # one reduction each way; NaN propagates through both, and 0.5 lets an empty grid pass
     lo, hi = arr.min(initial=0.5), arr.max(initial=0.5)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo >= 0.0 and hi <= 1.0):
-        raise DomainError(f"{name} must lie in (0,1), got {value!r}")
+        outside = arr[~((arr >= 0.0) & (arr <= 1.0))]  # NaN fails both comparisons
+        raise DomainError(f"{name} must lie in (0,1), got {float(outside[0])!r}")
     eps = cfg.eps_boundary
     if lo < eps or hi > 1.0 - eps:
         outside = arr[(arr < eps) | (arr > 1.0 - eps)]

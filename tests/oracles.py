@@ -4,8 +4,13 @@ Everything here deliberately avoids the production code paths: plain
 bisection instead of the closed-form conditional inverse, dense trapezoid
 sums instead of Simpson, np.roots instead of the stabilized quadratic
 formula, 40-digit mpmath instead of the numpy incomplete-gamma kernel.  Tests compare the library against values these oracles produce
-(frozen as literals where the spec states them).
+(frozen as literals where the spec states them).  The ``*_per_call``
+functions are the exception: they repeat the library's arithmetic with every
+mesh and constant rebuilt on each call, so the cached ones must match them
+bit for bit.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -101,3 +106,84 @@ def weibull_integrals(scale, shape, u, digits=40):
         lower = lambda x: mpmath.gammainc(a, 0, x)  # noqa: E731
         g = mpmath.mpf(scale) * mpmath.gamma(a)
         return float(g), float(scale * lower(t)), float(scale * (lower(t) - 2**-a * lower(2 * t)))
+
+
+def integrate_per_call_mesh(f, ts, end, cfg, grade=6.0):
+    """The cumulative Simpson sums of ``numerics.integrate``, with the graded mesh rebuilt on every call.
+
+    The same arithmetic, node order and summation order as the library, but no cached mesh: a
+    linspace in rho, then the distance ``rho**grade`` and the weight of every node, mesh and t
+    nodes alike, in one array.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    m = 2 * int(cfg.quad_points)
+    rho = np.linspace(cfg.sing_clip ** (1.0 / grade), 0.5 ** (1.0 / grade), m + 1)
+    near_dist, far_dist = (ts, 1.0 - ts) if end == 0.0 else (1.0 - ts, ts)
+    far = near_dist > 0.5
+    rho_t = np.clip(np.where(far, far_dist, near_dist) ** (1.0 / grade), rho[0], rho[-1])
+    below, above = np.searchsorted(rho, rho_t, "right") - 1, np.searchsorted(rho, rho_t, "left")
+    k = np.where(far, above + above % 2, below - below % 2)
+    k_near, k_far = (m, int(k[far].min())) if far.any() else (int(k.max()), m + 1)
+    nodes = np.concatenate([rho[: k_near + 1], rho[k_far:], 0.5 * (rho[k] + rho_t), rho_t])
+    on_far = np.concatenate([np.zeros(k_near + 1, bool), np.ones(m + 1 - k_far, bool), far, far])
+    dist, weight = nodes**grade, grade * nodes ** (grade - 1.0)
+    sign = 1.0 - 2.0 * end
+    z = np.where(on_far, (1.0 - end) - sign * dist, end + sign * dist)
+    g = np.asarray(f(z), dtype=float) * weight
+    n = ts.size
+    g_near, g_far, g_mid, g_t = g[: k_near + 1], g[k_near + 1 : -2 * n], g[-2 * n : -n], g[-n:]
+
+    def pairs(y):
+        return (rho[1] - rho[0]) / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
+
+    cumulative = np.cumsum(np.concatenate([[0.0], pairs(g_near), pairs(g_far)[::-1]]))
+    g_k = g[np.where(far, k_near + 1 + k - k_far, k)]
+    last = np.abs(rho_t - rho[k]) / 6.0 * (g_k + 4.0 * g_mid + g_t)
+    return cumulative[np.where(far, m - k // 2, k // 2)] + last
+
+
+def gamma_p_per_call(a, x, eps=float(np.finfo(float).eps)):
+    """The library's P(a, x) kernel with its lengths, scale and series coefficients recomputed per call."""
+    x = np.asarray(x, dtype=float)
+    split = 3.0 * (a + 1.0)
+    term, total, terms = 1.0, 1.0, 0
+    while term > eps * total:
+        terms += 1
+        term *= split / (a + terms)
+        total += term
+    b, c, d, delta, depth = split + 1.0 - a, math.inf, 1.0 / (split + 1.0 - a), 0.0, 0
+    while abs(delta - 1.0) > eps:
+        depth, b = depth + 1, b + 2.0
+        d = 1.0 / (depth * (a - depth) * d + b)
+        c = b + depth * (a - depth) / c
+        delta = c * d
+    k = (math.pow(a, a / 2) * math.exp(-a / 2) / math.sqrt(math.gamma(a))) ** 2
+    p = np.where(x == math.inf, 1.0, math.nan)
+    below, above = x < split, (x >= split) & (x < math.inf)
+    xs, xc = x[below], x[above]
+    y, total = xs / split, np.zeros_like(xs)
+    for coeff in np.cumprod(split / (a + np.arange(1.0, terms + 1.0)))[::-1] if xs.size else ():
+        total += coeff
+        total *= y
+    p[below] = np.minimum(k / a * (xs / a * np.exp(1.0 - xs / a)) ** a * (total + 1.0), 1.0)
+    f = xc + (2.0 * depth + 1.0 - a)
+    for m in range(depth if xc.size else 0, 0, -1):
+        f = xc + (2.0 * m - 1.0 - a + m * (a - m) / f)
+    p[above] = 1.0 - k * (xc / a * np.exp(1.0 - xc / a)) ** a / f
+    return p
+
+
+def weibull_weighted_per_call(scale, shape, u):
+    """The library's Weibull ``int_0^u z Q``, its 40 series coefficients built per call from ``math.factorial``."""
+    a = 1.0 + 1.0 / shape
+    with np.errstate(divide="ignore"):
+        t = -np.log1p(-np.asarray(u, dtype=float))
+    small = t < 1.0
+    out = np.empty_like(t)
+    at_t, at_2t = gamma_p_per_call(a, np.stack([t[~small], 2.0 * t[~small]]))
+    out[~small] = scale * math.gamma(a) * (at_t - 2.0**-a * at_2t)
+    ts, total = t[small], 0.0
+    for k in range(40, 0, -1):
+        total = (total + (1.0 - 2.0**k) / (math.factorial(k) * (a + k))) * -ts
+    out[small] = scale * ts**a * total
+    return out

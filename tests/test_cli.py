@@ -427,6 +427,22 @@ class TestSampleDrivenCurve:
             load_sample_csv(str(path))
 
 
+class TestOneParserPerProcess:
+    def test_output_survives_usage_error_and_help(self, model_file, capsys):
+        model = model_file(FGM_MODEL)
+        field = ["field", "--model", model, "--kind", "mrl", "--grid", "5"]
+        assert main(field) == 0
+        first = capsys.readouterr()
+        assert main(["field", "--model", model, "--kind", "nope"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: bivquant")
+        assert main(field) == 0
+        assert capsys.readouterr() == first  # stdout and stderr, byte for byte
+        assert first.out.count("\n") == 26 and first.err == ""
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestConfigFile:
     def test_numerics_override(self, tmp_path, model_file):
         cfgfile = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bivquant import Weibull, models
 from bivquant.errors import BivquantError, ConvergenceError
 
-from oracles import regularized_gamma_p, weibull_integrals
+from oracles import gamma_p_per_call, regularized_gamma_p, weibull_integrals, weibull_weighted_per_call
 
 P = models._regularized_gamma_p
 REPO = Path(__file__).resolve().parent.parent
@@ -90,12 +90,12 @@ class TestKernelAgainstOracle:
 
     def test_iteration_cap_is_a_named_error(self, monkeypatch):
         monkeypatch.setattr(models, "_MAX_TERMS", 5)
-        models._gamma_p_lengths.cache_clear()
+        models._gamma_p_constants.cache_clear()
         try:
             with pytest.raises(ConvergenceError, match="did not converge in 5 steps at a = 1.5") as info:
                 Weibull(1.0, 2.0).quantile_integral(0.5)
         finally:
-            models._gamma_p_lengths.cache_clear()
+            models._gamma_p_constants.cache_clear()
         assert isinstance(info.value, BivquantError)
         assert "\n" not in str(info.value)
 
@@ -119,6 +119,28 @@ class TestWeibullAgainstOracle:
         assert fam.quantile_integral(1.0) == fam.mean
         a = 1.0 + 1.0 / 1.4
         assert fam.weighted_quantile_integral(1.0) == pytest.approx(fam.mean * (1.0 - 2.0**-a), rel=1e-15)
+
+
+class TestCachedConstants:
+    """The per-shape constants are cached; every value equals the per-call kernel bit for bit."""
+
+    GRIDS = {
+        "mixed": U_GRID,
+        "series-only": np.geomspace(1e-14, 0.6, 25),  # t < 1: the P(a, x) branch gets no points
+        "no-series": np.concatenate([1.0 - np.geomspace(0.3, 1e-14, 25), [1.0]]),  # t >= 1, and u = 1
+        "u-one": np.array(1.0),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("shape", [0.05, 0.5, 1.0, 3.0, 0.0059])
+    def test_integrals_equal_per_call_kernel(self, shape, grid):
+        u, a = self.GRIDS[grid], 1.0 + 1.0 / shape
+        fam = Weibull(1.3, shape)
+        weighted = fam.weighted_quantile_integral(u)
+        assert weighted.tobytes() == weibull_weighted_per_call(1.3, shape, u).tobytes()
+        with np.errstate(divide="ignore"):  # u = 1 is t = inf
+            t = _gamma_args(u)
+        assert P(a, np.stack([t, 2.0 * t])).tobytes() == gamma_p_per_call(a, np.stack([t, 2.0 * t])).tobytes()
 
 
 class TestRuntimeDependencies:

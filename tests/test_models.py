@@ -74,6 +74,22 @@ class TestMarginalQuantile:
         with pytest.raises(DomainError):
             marginal_quantile(indep_exp, "x", 1.2)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda m: marginal_quantile(m, "x", np.linspace(-0.5, 0.5, 40)), "u must lie in [0, 1], got -0.5"),
+            (lambda m: conditional_quantile(m, "le", np.linspace(0.5, 1.5, 40), 0.5),
+             f"conditioning_u must lie in [0, 1], got {0.5 + 20 / 39!r}"),
+            (lambda m: conditional_quantile(m, "ge", 0.5, [0.5, np.inf, np.nan]),
+             "p must lie in [0, 1], got inf"),
+        ],
+        ids=["u", "conditioning_u", "p"],
+    )
+    def test_domain_error_names_first_offending_value(self, indep_exp, call, message):
+        with pytest.raises(DomainError) as info:
+            call(indep_exp)
+        assert str(info.value) == message  # one line, however long the grid
+
     def test_boundary_error_names_endpoint(self, indep_exp):
         with pytest.raises(BoundaryError, match="upper"):
             marginal_quantile(indep_exp, "x", 1.0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bivquant import DomainError, IntegrandError, NumericConfig, integrate
+from bivquant import DomainError, IntegrandError, NumericConfig, integrate, numerics
 from bivquant.errors import ConfigError
+
+from oracles import integrate_per_call_mesh
 
 GRID = np.array([0.01, 0.2, 0.5, 0.73, 0.95])
 TIGHT = NumericConfig(eps_boundary=1e-14, sing_clip=1e-14)
@@ -110,3 +112,43 @@ class TestNumericConfig:
         with pytest.raises(ConfigError, match="integer"):
             NumericConfig(quad_points=100.5)
         assert NumericConfig(quad_points=100.0).quad_points == 100.0
+
+
+class TestMeshCache:
+    CONFIGS = [NumericConfig(), NumericConfig(quad_points=64), CLIP_1E6]
+    GRIDS = {
+        "one-point": [0.3],
+        "mixed": [0.7, 0.01, 0.5, 0.7, 0.3, 0.999, 0.5, 0.25],  # both halves, unsorted, repeated
+        "near-0": [1e-15, 1e-9, 3e-7, 1e-6, 2e-6, 1e-3],  # below, at and beyond each clip
+        "near-1": [1.0 - 1e-3, 1.0 - 2e-6, 1.0 - 1e-6, 1.0 - 3e-7, 1.0 - 1e-9, 1.0 - 1e-15],
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "quad64", "clip1e-6"])
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_equals_per_call_mesh(self, cfg, end, grid):
+        seen = {}
+
+        def f(z):
+            seen.setdefault("z", []).append(z.copy())
+            return np.exp(-z) / np.sqrt(z * (1.0 - z))
+
+        got = integrate(f, self.GRIDS[grid], end, cfg)
+        want = integrate_per_call_mesh(f, self.GRIDS[grid], end, cfg)
+        cached_z, oracle_z = seen["z"]
+        assert cached_z.tobytes() == oracle_z.tobytes()  # the same nodes, in the same order
+        assert got.tobytes() == want.tobytes()  # bit for bit
+
+    def test_mesh_is_read_only(self):
+        for array in numerics._mesh(NumericConfig(), 1.0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_one_mesh_per_config(self):
+        coarse = numerics._mesh(NumericConfig(quad_points=64), 0.0)
+        assert numerics._mesh(NumericConfig(quad_points=64), 0.0) is coarse  # an equal config hits
+        default = numerics._mesh(NumericConfig(), 0.0)
+        assert default is not coarse
+        assert (coarse[0].size, default[0].size) == (2 * 64 + 1, 2 * 2048 + 1)
+        assert numerics._mesh(NumericConfig(), 1.0) is not default  # each end has its own z

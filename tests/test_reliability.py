@@ -50,6 +50,13 @@ class TestProbabilityValidation:
         assert str(info.value).startswith(f"u = {1.0 - 1e-12!r} lies outside the clipped interval")
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("grid, first", [(np.linspace(0.5, 1.5, 40), 0.5 + 20 / 39), ([0.5, np.nan, 2.0], np.nan)],
+                             ids=["above-1", "nan"])
+    def test_domain_error_names_first_offending_value(self, indep_exp, grid, first):
+        with pytest.raises(DomainError) as info:
+            rel.hazard_first(indep_exp, grid)
+        assert str(info.value) == f"u must lie in (0,1), got {float(first)!r}"  # one line
+
     def test_empty_grid_passes(self, indep_exp):
         assert rel.hazard_first(indep_exp, np.array([])).shape == (0,)
 
