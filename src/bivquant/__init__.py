@@ -39,7 +39,6 @@ from .models import (
     Pareto,
     Uniform01,
     Weibull,
-    conditional_cdf,
     conditional_quantile,
     marginal_quantile,
     model_from_dict,

@@ -59,24 +59,23 @@ def _float_rows(table: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def load_model(path: str) -> models.BivariateModel:
+def _load_json(path: str, what: str, error: type[BivquantError]):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelSpecError(f"model file {path!r} is not valid JSON: {exc}") from exc
-    return models.model_from_dict(payload)
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, and UnicodeDecodeError for a non-UTF-8 file
+        raise error(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+
+
+def load_model(path: str) -> models.BivariateModel:
+    return models.model_from_dict(_load_json(path, "model", ModelSpecError))
 
 
 def load_numeric_config(path: str | None) -> NumericConfig | None:
     """Apply a strict {"numerics": {...}} override file onto the package defaults."""
     if path is None:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    payload = _load_json(path, "config", ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(payload) - {"numerics"}
@@ -92,8 +91,8 @@ def load_numeric_config(path: str | None) -> NumericConfig | None:
     return NumericConfig(**overrides)
 
 
-def load_sample_csv(path: str, model_tag: str = "") -> estimation.SampleSet:
-    """Read an 'x,y' sample CSV back into a SampleSet (seed unknown: -1)."""
+def load_sample_csv(path: str) -> estimation.SampleSet:
+    """Read an 'x,y' sample CSV back into a SampleSet."""
     try:
         with warnings.catch_warnings():
             # a header-only file is reported below, as one error
@@ -107,7 +106,7 @@ def load_sample_csv(path: str, model_tag: str = "") -> estimation.SampleSet:
         raise ModelSpecError(f"sample file {path!r} must have exactly two columns (x,y)")
     if not np.isfinite(data).all():
         raise ModelSpecError(f"sample file {path!r} holds a non-finite value")
-    return estimation.SampleSet(pairs=data, seed=-1, n=data.shape[0], model_tag=model_tag)
+    return estimation.SampleSet(data)
 
 
 def _write_text(path: str | None, text: str):
@@ -189,7 +188,7 @@ def cmd_curve(args) -> int:
     if args.points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {args.points!r}")
     if args.sample:
-        draws = load_sample_csv(args.sample, model.describe())
+        draws = load_sample_csv(args.sample)
         lo, hi = curves.admissible_interval(args.level, direction)
         grid = np.linspace(lo, hi, args.points)
         curve = estimation.empirical_curve(draws, args.level, direction, grid)

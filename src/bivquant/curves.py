@@ -49,10 +49,6 @@ class QuantileCurve:
         object.__setattr__(self, "points", pts)
 
     @property
-    def u(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
     def x(self) -> np.ndarray:
         return self.points[:, 1]
 

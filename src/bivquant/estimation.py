@@ -3,7 +3,7 @@
 Sampling draws (U, W) uniforms, inverts the conditional-on-U copula
 distribution (quadratic, closed form) to get V, and pushes both through
 the marginal quantiles.  The stream is fully determined by the seed, so
-regenerating a :class:`SampleSet` is byte-identical.
+the same (model, n, seed) gives a byte-identical :class:`SampleSet`.
 
 Empirical quantiles are the inf-type (lower) sample quantiles, matching
 the definition the analytic quantile function uses: of m values, the order
@@ -37,12 +37,13 @@ MIN_COND_N = 30
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n pairs drawn from a model, with the provenance needed to regenerate them."""
+    """n (x, y) pairs, drawn by :func:`sample` or read from a sample file."""
 
     pairs: np.ndarray  # shape (n, 2)
-    seed: int
-    n: int
-    model_tag: str
+
+    @property
+    def n(self) -> int:
+        return len(self.pairs)
 
     @property
     def x(self) -> np.ndarray:
@@ -57,20 +58,16 @@ def sample(
     model: models.BivariateModel, n: int, seed: int, cfg: NumericConfig | None = None
 ) -> SampleSet:
     """Draw n pairs; identical (model, n, seed) yields bit-identical output."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    for name, value, least in (("n", n, 1), ("seed", seed, 0)):
+        if int(value) != value or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(int(seed))
     u = rng.random(int(n))
     w = rng.random(int(n))
     v = model.copula.cond_quantile("eq", u, w)
     xs = model.marginal_x.quantile(clip_prob(u, cfg))
     ys = model.marginal_y.quantile(clip_prob(v, cfg))
-    return SampleSet(
-        pairs=np.column_stack([xs, ys]),
-        seed=int(seed),
-        n=int(n),
-        model_tag=model.describe(),
-    )
+    return SampleSet(np.column_stack([xs, ys]))
 
 
 def _inf_index(q, m):

@@ -8,7 +8,7 @@ reconstructions) only needs four ingredients from the model:
 * partial integrals of the quantile function (``int_0^u Q`` and
   ``int_0^u z Q(z) dz``), used for mean-residual-life quantities,
 * orthant probabilities in the four quadrant directions,
-* conditional CDFs/quantiles of one component given the other lies below
+* conditional quantiles of one component given the other lies below
   (or above) a threshold.
 
 Both built-in copulas (independence and the one-parameter θ family
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import BoundaryError, ConvergenceError, DegenerateConditioningError, DomainError, ModelSpecError
-from .numerics import NumericConfig, clip_prob
+from .numerics import NumericConfig, clip_prob, require_real
 
 Axis = str  #: "x" or "y"
 Sense = str  #: "le" (conditioning on U <= u), "ge" (U >= u), "eq" (U = u, sampling only)
@@ -47,14 +46,8 @@ def _require_sense(sense) -> str:
     return sense
 
 
-def _require_real(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
 def _require_positive(name: str, value) -> float:
-    value = _require_real(name, value)
+    value = require_real(name, value, DomainError)
     if not math.isfinite(value) or value <= 0:
         raise DomainError(f"{name} must be a strictly positive real, got {value!r}")
     return value
@@ -64,12 +57,6 @@ class _Family:
     """A named parametric family; subclasses are frozen dataclasses."""
 
     kind: str
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for f in fields(self):  # type: ignore[arg-type]
-            d[f.name] = getattr(self, f.name)
-        return d
 
     def describe(self) -> str:
         params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))  # type: ignore[arg-type]
@@ -453,11 +440,6 @@ _MARGINAL_REGISTRY: dict[str, type] = {
 # ---------------------------------------------------------------------------
 
 
-def _quad_cdf(v, c):
-    """Conditional CDF of the quadratic family: v + c*v*(1-v)."""
-    return v * (1.0 + c * (1.0 - v))
-
-
 def _quad_inv(p, c):
     """Root in [0, 1] of v + c*v*(1-v) = p, stable for c of either sign."""
     p = np.asarray(p, dtype=float)
@@ -488,9 +470,6 @@ class Copula(_Family, ABC):
     def cond_linear_coeff(self, sense: Sense, u):
         ...
 
-    def cond_cdf(self, sense: Sense, u, v):
-        return _quad_cdf(np.asarray(v, dtype=float), self.cond_linear_coeff(sense, u))
-
     def cond_quantile(self, sense: Sense, u, p):
         return _quad_inv(p, self.cond_linear_coeff(sense, u))
 
@@ -519,7 +498,7 @@ class FGMCopula(Copula):
     kind = "FGM"
 
     def __post_init__(self):
-        theta = _require_real("theta", self.theta)
+        theta = require_real("theta", self.theta, DomainError)
         if not math.isfinite(theta) or not -1.0 <= theta <= 1.0:
             raise DomainError(f"theta must lie in [-1, 1], got {self.theta!r}")
 
@@ -574,9 +553,6 @@ class Direction:
     def __str__(self) -> str:
         return ("-" if self.eps1 < 0 else "+") + ("-" if self.eps2 < 0 else "+")
 
-    def swapped(self) -> "Direction":
-        return Direction(self.eps2, self.eps1)
-
 
 LOWER_LOWER = Direction(-1, -1)
 UPPER_LOWER = Direction(1, -1)
@@ -595,16 +571,6 @@ class BivariateModel:
 
     def marginal(self, axis: Axis) -> Marginal:
         return self.marginal_x if _require_axis(axis) == "x" else self.marginal_y
-
-    def describe(self) -> str:
-        return f"{self.copula.describe()}|{self.marginal_x.describe()}|{self.marginal_y.describe()}"
-
-    def to_dict(self) -> dict:
-        return {
-            "marginal_x": self.marginal_x.to_dict(),
-            "marginal_y": self.marginal_y.to_dict(),
-            "copula": self.copula.to_dict(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -667,20 +633,10 @@ def _validated_conditioning(sense: Sense, conditioning_u, cfg: NumericConfig | N
     return sense, clip_prob(arr, cfg)
 
 
-def conditional_cdf(
-    model: BivariateModel, sense: Sense, conditioning_u, y, cfg: NumericConfig | None = None
-):
-    """CDF of Y given {X <= Q_X(u)} (``le``) or {X >= Q_X(u)} (``ge``)."""
-    sense, uc = _validated_conditioning(sense, conditioning_u, cfg)
-    v = model.marginal_y.cdf(y)
-    out = model.copula.cond_cdf(sense, uc, v)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def conditional_quantile(
     model: BivariateModel, sense: Sense, conditioning_u, p, cfg: NumericConfig | None = None
 ):
-    """Unique y with ``conditional_cdf(model, sense, u, y) = p``.
+    """Unique y whose CDF given {X <= Q_X(u)} (``le``) or {X >= Q_X(u)} (``ge``) equals p.
 
     Uses the closed-form inverse of the copula's quadratic conditional.
     """
@@ -709,7 +665,7 @@ def _component_from_dict(section: str, d, registry: dict[str, type]):
     if "kind" not in d:
         raise ModelSpecError(f"{section} is missing the 'kind' key")
     kind = d["kind"]
-    cls = registry.get(kind)
+    cls = registry.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ModelSpecError(f"unknown {section} kind {kind!r}; expected one of {sorted(registry)}")
     params = {k: v for k, v in d.items() if k != "kind"}

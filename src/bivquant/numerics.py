@@ -7,11 +7,14 @@ graded mesh of [0, 1].  Both are pure and deterministic for a fixed
 :class:`NumericConfig`.  The mesh is built once per (config, end), read-only,
 and at most 4 are kept: 4 arrays of ``2 * quad_points + 1`` doubles each, so
 131 KB at the default 2048 and 4.2 MB (16.8 MB for 4) at ``MAX_QUAD_POINTS``.
+:func:`require_real` is the one real-number check of model parameters and
+config fields.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -29,6 +32,16 @@ GRADE = 6.0
 #: Largest accepted ``quad_points``: :func:`integrate` evaluates up to
 #: ``4 * quad_points + 2`` mesh nodes, plus two points per t, per call.
 MAX_QUAD_POINTS = 2**16
+
+
+def require_real(name: str, value, error: type[Exception]) -> float:
+    """``value`` as a float; ``error`` if it is a bool, not a real number, or too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise error(f"{name} is too large for a float") from exc
 
 
 @dataclass(frozen=True)
@@ -59,9 +72,7 @@ class NumericConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{f.name} must be a real number, got {value!r}")
-            if not np.isfinite(value) or value <= 0:
+            if not math.isfinite(require_real(f.name, value, ConfigError)) or value <= 0:
                 raise ConfigError(f"{f.name} must be strictly positive, got {value!r}")
         if self.sing_clip < self.eps_boundary:
             raise ConfigError(

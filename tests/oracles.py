@@ -40,6 +40,13 @@ def fgm_cdf(u, v, theta):
     return u * v * (1.0 + theta * (1.0 - u) * (1.0 - v))
 
 
+def fgm_cond_cdf(sense, u, v, theta):
+    """CDF of V given U <= u (``le``) or U >= u (``ge``), from the joint CDF; C(1, v) = v."""
+    if sense == "le":
+        return fgm_cdf(u, v, theta) / u
+    return (v - fgm_cdf(u, v, theta)) / (1.0 - u)
+
+
 def fgm_cond_le_quantile_roots(p, u, theta):
     """Invert the conditional CDF with np.roots (independent branch selection)."""
     a = theta * (1.0 - u)

@@ -1,0 +1,24 @@
+import inspect
+
+import bivquant
+
+#: Every public name of the package; a name added or dropped is a deliberate edit here.
+PUBLIC = {
+    "ALL_DIRECTIONS", "LOWER_LOWER", "LOWER_UPPER", "UPPER_LOWER", "UPPER_UPPER", "Direction",
+    "BivariateModel", "Exponential", "Pareto", "Uniform01", "Weibull", "FGMCopula", "IndependenceCopula",
+    "marginal_quantile", "conditional_quantile", "orthant_prob", "swap_axes", "model_from_dict",
+    "CURVE_TOL", "QuantileCurve", "curve_from_conditional", "curve_points", "level_residuals",
+    "conditional_mean", "ComponentFunction", "component_from_model", "hazard_mrl_identity_residual",
+    "quantile_from_hazard", "quantile_from_mrl", "quantile_from_reversed_hazard", "quantile_from_reversed_mrl",
+    "SampleSet", "sample", "empirical_curve", "empirical_mrl_first",
+    "DEFAULT_CONFIG", "NumericConfig", "integrate",
+    "BivquantError", "BoundaryError", "ConfigError", "ConvergenceError", "DegenerateConditioningError",
+    "DegenerateLevelError", "DivergenceError", "DomainError", "InfiniteMeanError", "InsufficientMassError",
+    "IntegrandError", "ModelSpecError", "MonotonicityError", "SignError",
+}
+
+
+def test_public_names_are_pinned():
+    # submodules become attributes once imported, so only non-module names count
+    names = {n for n, v in vars(bivquant).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert names == PUBLIC

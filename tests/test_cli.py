@@ -1,16 +1,21 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bivquant import cli, estimation, models, reconstruction, reliability
 from bivquant.cli import load_sample_csv, main
 from bivquant.errors import ModelSpecError
+
+from conftest import bench_inputs
 
 EXP_MODEL = {
     "marginal_x": {"kind": "Exponential", "rate": 1.0},
@@ -499,3 +504,94 @@ class TestConfigFile:
         rc = main(["curve", "--model", model_file(EXP_MODEL), "-p", "0.5", "--dir", "++",
                    "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+EXP_BYTES = json.dumps(EXP_MODEL).encode()
+BIG = b"1" + b"0" * 400  # a JSON integer no float can hold
+
+
+class TestMalformedInputs:
+    """Each ends in one named error line and exit 2 or 3, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "model, config, extra, expected",
+        [
+            (EXP_BYTES.replace(b"Independence", "Indépendance".encode("latin-1")), None, [], 3),
+            (EXP_BYTES, '{"numerics": {}, "note": "é"}'.encode("latin-1"), [], 3),
+            (EXP_BYTES.replace(b'"kind": "Exponential"', b'"kind": ["Exponential"]', 1), None, [], 3),
+            (EXP_BYTES.replace(b'"rate": 1.0', b'"rate": ' + BIG, 1), None, [], 3),
+            (EXP_BYTES, b'{"numerics": {"quad_points": ' + BIG + b"}}", [], 3),
+            (EXP_BYTES, None, ["--seed", "-1"], 2),
+        ],
+        ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
+             "huge-numerics-field", "negative-seed"],
+    )
+    def test_one_error_line(self, tmp_path, model, config, extra, expected):
+        (tmp_path / "model.json").write_bytes(model)
+        argv = ["sample", "--model", str(tmp_path / "model.json"), "--n", "1", *extra]
+        if config is not None:
+            (tmp_path / "cfg.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        rc, out, err = _run(argv)
+        assert (rc, out) == (expected, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+#: Values no spec or config field takes as they stand, or takes only at its edge.
+JUNK = st.sampled_from(
+    [None, True, "Exponential", [1.0], {}, {"kind": "FGM"}, 0, -1.0, float("nan"), 10**400, -(10**400)]
+).map(copy.deepcopy)
+
+#: Valid specs to break: the benchmark's seed-1 ``verify-sweep`` pool, every parameter inside FULL_RANGES.
+SPECS = st.sampled_from(bench_inputs().draw_pool(bench_inputs().VERIFY_LAYOUT, 1, "verify-sweep"))
+
+
+@st.composite
+def _json_file(draw, payload, faults):
+    """``payload`` after ``faults`` structural faults, as JSON text, maybe cut short or with a non-UTF-8 byte.
+
+    A fault sets a key to junk, drops it, adds an unknown one, or replaces the whole payload.
+    """
+    payload = copy.deepcopy(payload)
+    for _ in range(faults):
+        if not isinstance(payload, dict) or draw(st.integers(0, 9)) == 0:
+            payload = draw(JUNK)
+            continue
+        node = draw(st.sampled_from([payload, *(v for v in payload.values() if isinstance(v, dict))]))
+        fault = draw(st.sampled_from(["junk", "junk", "drop", "add"]))
+        if fault == "add" or not node:
+            node["extra"] = draw(JUNK)
+        elif fault == "drop":
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            node[draw(st.sampled_from(sorted(node)))] = draw(JUNK)
+    text = json.dumps(payload).encode()
+    ending = draw(st.sampled_from(["whole", "whole", "whole", "cut", "latin-1"]))
+    if ending == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    return text + b" \xe9" if ending == "latin-1" else text
+
+
+class TestMalformedFuzz:
+    @settings(max_examples=90, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_0_or_one_error_line(self, tmp_path, data):
+        spec = data.draw(SPECS)
+        config = {"numerics": {"eps_boundary": 1e-10, "quad_points": 64, "sing_clip": 1e-7}}
+        model_faults, config_faults = data.draw(st.sampled_from([(1, 0), (2, 0), (0, 1), (0, 2), (1, 1)]))
+        (tmp_path / "model.json").write_bytes(data.draw(_json_file(spec, model_faults)))
+        (tmp_path / "cfg.json").write_bytes(data.draw(_json_file(config, config_faults)))
+        rc, _, err = _run(["sample", "--model", str(tmp_path / "model.json"), "--n", "1",
+                           "--config", str(tmp_path / "cfg.json")])
+        if rc == 0:
+            assert err == ""
+        else:
+            assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1, (rc, err)

@@ -41,7 +41,7 @@ DIRECTIONS = [LOWER_LOWER, LOWER_UPPER, UPPER_LOWER, UPPER_UPPER]
 
 def _sample_set(xs, ys) -> SampleSet:
     pairs = np.column_stack([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
-    return SampleSet(pairs=pairs, seed=0, n=len(pairs), model_tag="hand-built")
+    return SampleSet(pairs)
 
 
 def _oracle(s, p, direction, us):
@@ -70,7 +70,7 @@ class TestSample:
         b = sample(fgm_uniform, 5, seed=42)
         assert np.array_equal(a.pairs, b.pairs)
         assert a.pairs.tobytes() == b.pairs.tobytes()
-        assert a.model_tag == b.model_tag
+        assert a.n == 5
 
     def test_different_seeds_differ(self, fgm_uniform):
         a = sample(fgm_uniform, 100, seed=1)
@@ -102,6 +102,11 @@ class TestSample:
     def test_invalid_n(self, indep_uniform):
         with pytest.raises(DomainError):
             sample(indep_uniform, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_invalid_seed(self, indep_uniform, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            sample(indep_uniform, 5, seed=seed)
 
 
 class TestEmpiricalCurve:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bivquant import (
     ALL_DIRECTIONS,
+    DEFAULT_CONFIG,
     BivariateModel,
     BoundaryError,
     DegenerateConditioningError,
@@ -21,7 +22,6 @@ from bivquant import (
     Pareto,
     Uniform01,
     Weibull,
-    conditional_cdf,
     conditional_quantile,
     marginal_quantile,
     model_from_dict,
@@ -30,7 +30,7 @@ from bivquant import (
 )
 from bivquant.models import Copula
 
-from oracles import PHI_HALF, bisect, fgm_cdf, trapezoid
+from oracles import PHI_HALF, bisect, fgm_cdf, fgm_cond_cdf, trapezoid
 
 ALL_MARGINALS = [Uniform01(), Exponential(0.7), Pareto(1.3, 2.2), Weibull(1.5, 0.8), Weibull(2.0, 3.0)]
 
@@ -201,33 +201,23 @@ class TestOrthantProb:
         assert cop.cdf(0.0, v) == 0.0
 
 
+def _cond_cdf(model, sense, u, v):
+    """Conditional CDF of V given the sense event at u: v + c v (1-v) from the copula."""
+    c = float(model.copula.cond_linear_coeff(sense, u))
+    return v + c * v * (1.0 - v)
+
+
 class TestConditionalCdf:
     def test_independence_drops_conditioning(self, indep_uniform):
-        assert conditional_cdf(indep_uniform, "le", 0.3, 0.6) == pytest.approx(0.6, abs=1e-12)
+        assert _cond_cdf(indep_uniform, "le", 0.3, 0.6) == pytest.approx(0.6, abs=1e-12)
+        assert conditional_quantile(indep_uniform, "le", 0.3, 0.6) == pytest.approx(0.6, abs=1e-12)
 
     def test_fgm_example(self, fgm_uniform):
-        got = conditional_cdf(fgm_uniform, "le", 0.5, 0.5)
+        got = _cond_cdf(fgm_uniform, "le", 0.5, 0.5)
         assert got == pytest.approx(0.625, abs=1e-12)
         # oracle: C(u, v)/u evaluated independently
         assert got == pytest.approx(fgm_cdf(0.5, 0.5, 1.0) / 0.5, abs=1e-15)
-
-    def test_upper_limit_is_one(self, indep_exp):
-        assert conditional_cdf(indep_exp, "ge", 0.4, 60.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_monotone_in_y(self, fgm_uniform):
-        ys = np.linspace(0.01, 0.99, 50)
-        vals = conditional_cdf(fgm_uniform, "le", 0.37, ys)
-        assert np.all(np.diff(vals) >= -1e-12)
-
-    def test_degenerate_conditioning(self, indep_uniform):
-        with pytest.raises(DegenerateConditioningError):
-            conditional_cdf(indep_uniform, "le", 0.0, 0.5)
-        with pytest.raises(DegenerateConditioningError):
-            conditional_cdf(indep_uniform, "ge", 1.0, 0.5)
-
-    def test_bad_sense(self, indep_uniform):
-        with pytest.raises(DomainError):
-            conditional_cdf(indep_uniform, "eq", 0.5, 0.5)
+        assert conditional_quantile(fgm_uniform, "le", 0.5, got) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestConditionalQuantile:
@@ -242,23 +232,45 @@ class TestConditionalQuantile:
     def test_small_p_approaches_support_infimum(self, fgm_uniform):
         assert conditional_quantile(fgm_uniform, "le", 0.5, 1e-12) <= 1e-8
 
+    def test_p_near_one_reaches_the_clipped_upper_tail(self, indep_exp):
+        # p is clipped to 1 - eps_boundary, so the unbounded tail ends at -ln(eps_boundary)
+        got = conditional_quantile(indep_exp, "ge", 0.4, 1.0 - 1e-12)
+        assert got == pytest.approx(-math.log(DEFAULT_CONFIG.eps_boundary), rel=1e-6)
+
+    def test_monotone_in_p(self, fgm_uniform):
+        ys = conditional_quantile(fgm_uniform, "le", 0.37, np.linspace(0.01, 0.99, 50))
+        assert np.all(np.diff(ys) > 0.0)
+
+    def test_degenerate_conditioning(self, indep_uniform):
+        with pytest.raises(DegenerateConditioningError):
+            conditional_quantile(indep_uniform, "le", 0.0, 0.5)
+        with pytest.raises(DegenerateConditioningError):
+            conditional_quantile(indep_uniform, "ge", 1.0, 0.5)
+
+    def test_bad_sense(self, indep_uniform):
+        # "eq" conditions on U = u, which only sampling uses
+        with pytest.raises(DomainError):
+            conditional_quantile(indep_uniform, "eq", 0.5, 0.5)
+
     @pytest.mark.parametrize("sense", ["le", "ge"])
     def test_round_trip_with_conditional_cdf(self, fgm_uniform, sense):
         # identity holds at the root tolerance on interior grids
         ps = np.linspace(0.05, 0.95, 19)
         ys = conditional_quantile(fgm_uniform, sense, 0.4, ps)
-        back = conditional_cdf(fgm_uniform, sense, 0.4, ys)
+        back = fgm_cond_cdf(sense, 0.4, ys, 1.0)  # uniform margins: v = y
         assert np.max(np.abs(back - ps)) <= 1e-12
 
     def test_base_class_cond_cdf_consistency(self, fgm_uniform):
-        # generic cond_cdf built from the copula CDF agrees with the quadratic form
+        # the quadratic form v + c v (1-v) of cond_linear_coeff is the conditional CDF built
+        # from the joint CDF, and conditional_quantile inverts it
         cop = fgm_uniform.copula
-        for u in (0.2, 0.5, 0.8):
-            for v in (0.1, 0.6, 0.9):
-                le_generic = cop.cdf(u, v) / u
-                ge_generic = (cop.cdf(1.0, v) - cop.cdf(u, v)) / (1.0 - u)
-                assert float(cop.cond_cdf("le", u, v)) == pytest.approx(le_generic, abs=1e-13)
-                assert float(cop.cond_cdf("ge", u, v)) == pytest.approx(ge_generic, abs=1e-13)
+        for sense in ("le", "ge"):
+            for u in (0.2, 0.5, 0.8):
+                c = float(cop.cond_linear_coeff(sense, u))
+                for v in (0.1, 0.6, 0.9):
+                    p = fgm_cond_cdf(sense, u, v, 1.0)
+                    assert v + c * v * (1.0 - v) == pytest.approx(p, abs=1e-13)
+                    assert conditional_quantile(fgm_uniform, sense, u, p) == pytest.approx(v, abs=1e-12)
 
 
 class TestSwapAxes:
@@ -280,7 +292,7 @@ class TestSwapAxes:
         model = BivariateModel(Uniform01(), Uniform01(), FGMCopula(theta))
         swapped = swap_axes(model)
         for d in ALL_DIRECTIONS:
-            assert orthant_prob(swapped, d.swapped(), y, x) == pytest.approx(
+            assert orthant_prob(swapped, Direction(d.eps2, d.eps1), y, x) == pytest.approx(
                 orthant_prob(model, d, x, y), abs=1e-14
             )
 
@@ -309,9 +321,8 @@ class TestModelSpec:
         }
 
     def test_round_trip(self):
-        model = model_from_dict(self.spec())
-        assert model.to_dict() == self.spec()
-        assert model_from_dict(json.loads(json.dumps(model.to_dict()))) == model
+        model = model_from_dict(json.loads(json.dumps(self.spec())))
+        assert model == BivariateModel(Pareto(1.0, 2.0), Exponential(0.5), FGMCopula(-0.25))
 
     def test_unknown_top_key(self):
         bad = self.spec() | {"extra": 1}
@@ -364,4 +375,25 @@ class TestModelSpec:
         # ... and a spec file names it as a specification error
         bad = self.spec() | {section: component}
         with pytest.raises(ModelSpecError, match="must be a real number"):
+            model_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "section, component",
+        [
+            ("marginal_y", {"kind": "Exponential", "rate": 10**400}),
+            ("marginal_x", {"kind": "Pareto", "scale": 1.0, "shape": -(10**400)}),
+            ("copula", {"kind": "FGM", "theta": 10**400}),
+        ],
+        ids=["rate", "negative-shape", "theta"],
+    )
+    def test_integer_too_large_for_a_float(self, section, component):
+        bad = self.spec() | {section: component}
+        with pytest.raises(ModelSpecError, match="too large for a float"):
+            model_from_dict(bad)
+
+    @pytest.mark.parametrize("kind", [["Exponential"], {"kind": "FGM"}, 1, None], ids=["list", "object", "int", "null"])
+    def test_kind_not_a_string(self, kind):
+        bad = self.spec()
+        bad["copula"] = {"kind": kind}
+        with pytest.raises(ModelSpecError, match="unknown copula kind"):
             model_from_dict(bad)

@@ -97,6 +97,11 @@ class TestNumericConfig:
         with pytest.raises(ConfigError, match="must be a real number"):
             NumericConfig(**overrides)
 
+    @pytest.mark.parametrize("field", ["quad_points", "eps_boundary", "sing_clip"])
+    def test_rejects_integer_too_large_for_a_float(self, field):
+        with pytest.raises(ConfigError, match=f"{field} is too large for a float"):
+            NumericConfig(**{field: 10**400})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_rejects_non_finite(self, value):
         with pytest.raises(ConfigError, match="strictly positive"):

@@ -166,7 +166,7 @@ class TestRoundTrips:
                 )
                 for t in MAIN_GRID
             )
-            assert max(e1, e2) <= 1e-4, model.describe()
+            assert max(e1, e2) <= 1e-4, repr(model)
 
     def test_hazard_round_trip_pareto_recovers_shifted_quantile(self):
         # hazard input is invariant to the support offset, so the map returns
@@ -191,7 +191,7 @@ class TestRoundTrips:
                 abs(quantile_from_mrl(comp2, t) - conditional_quantile(model, "le", 0.5, t))
                 for t in MAIN_GRID
             )
-            assert max(e1, e2) <= 1e-4, model.describe()
+            assert max(e1, e2) <= 1e-4, repr(model)
 
     def test_reversed_round_trips(self):
         for model in mixed_models():
@@ -206,7 +206,7 @@ class TestRoundTrips:
                     abs(inverse(comp, t) - (marginal_quantile(model, "x", t) - offset))
                     for t in REV_GRID
                 )
-                assert e <= 1e-4, (model.describe(), kind)
+                assert e <= 1e-4, (repr(model), kind)
             for kind, inverse in [
                 ("rev_hazard2", quantile_from_reversed_hazard),
                 ("rev_mrl2", quantile_from_reversed_mrl),
@@ -216,7 +216,7 @@ class TestRoundTrips:
                     abs(inverse(comp, t) - (conditional_quantile(model, "le", 0.5, t) - y0))
                     for t in REV_GRID
                 )
-                assert e <= 1e-4, (model.describe(), kind)
+                assert e <= 1e-4, (repr(model), kind)
 
 
 class TestRegistry:
@@ -389,7 +389,7 @@ class TestIdentity:
                     abs(hazard_mrl_identity_residual(model, component, 0.5, t))
                     for t in IDENTITY_GRID
                 )
-                assert worst <= 1e-6, (model.describe(), component)
+                assert worst <= 1e-6, (repr(model), component)
 
     def test_infinite_mean_propagates(self, heavy_pareto):
         with pytest.raises(InfiniteMeanError):
