@@ -12,6 +12,11 @@ second:
 
 Every emitted point is checked against the defining level-set property
 |orthant_prob(eps, x, y) - p| <= CURVE_TOL by the test-suite and the CLI.
+
+:func:`curve_points` and :func:`level_residuals` evaluate their elementwise
+kernels :data:`~bivquant.numerics.BLOCK` rows at a time into one
+preallocated output; a curve's points are column-major, so x and y are
+contiguous.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import models
 from .errors import DegenerateLevelError, DomainError
-from .numerics import NumericConfig
+from .numerics import NumericConfig, blocks
 
 #: Tolerance of the level-set invariant; far above the root tolerance so the
 #: check is meaningful instead of tautological.
@@ -41,7 +46,7 @@ class QuantileCurve:
     points: np.ndarray  # shape (n, 3), u strictly increasing
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.asfortranarray(self.points, dtype=float)  # x and y contiguous
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DomainError(f"points must have shape (n, 3), got {pts.shape}")
         if pts.shape[0] >= 2 and not np.all(np.diff(pts[:, 0]) > 0):
@@ -129,14 +134,20 @@ def curve_points(
     if int(n_points) != n_points or n_points < 2:
         raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
     lo, hi = admissible_interval(p, direction)
-    us = np.linspace(lo, hi, int(n_points))
-    xs = models.marginal_quantile(model, "x", us, cfg)
-    sense, qs = conditional_args(p, direction, us)
-    ys = models.conditional_quantile(model, sense, us, qs, cfg)
-    return QuantileCurve(p=p, direction=direction, points=np.column_stack([us, xs, ys]))
+    points = np.empty((int(n_points), 3), order="F")
+    points[:, 0] = np.linspace(lo, hi, int(n_points))
+    for part in blocks(int(n_points)):
+        us = points[part, 0]
+        points[part, 1] = models.marginal_quantile(model, "x", us, cfg)
+        sense, qs = conditional_args(p, direction, us)
+        points[part, 2] = models.conditional_quantile(model, sense, us, qs, cfg)
+    return QuantileCurve(p=p, direction=direction, points=points)
 
 
 def level_residuals(model: models.BivariateModel, curve: QuantileCurve) -> np.ndarray:
     """|orthant_prob(direction, x, y) - p| per curve point (the defining check)."""
-    probs = models.orthant_prob(model, curve.direction, curve.x, curve.y)
-    return np.abs(np.asarray(probs, dtype=float) - curve.p)
+    out = np.empty(len(curve.points))
+    for part in blocks(len(out)):
+        probs = models.orthant_prob(model, curve.direction, curve.x[part], curve.y[part])
+        out[part] = np.abs(probs - curve.p)
+    return out

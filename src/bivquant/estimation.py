@@ -4,6 +4,10 @@ Sampling draws (U, W) uniforms, inverts the conditional-on-U copula
 distribution (quadratic, closed form) to get V, and pushes both through
 the marginal quantiles.  The stream is fully determined by the seed, so
 the same (model, n, seed) gives a byte-identical :class:`SampleSet`.
+Both uniforms are drawn whole, so the stream does not depend on blocking;
+the inverse and the quantiles then fill a column-major (n, 2) array
+:data:`~bivquant.numerics.BLOCK` rows at a time, so their temporaries stay
+cache-sized, and a quantile that overflows is reported per block.
 
 Empirical quantiles are the inf-type (lower) sample quantiles, matching
 the definition the analytic quantile function uses: of m values, the order
@@ -16,7 +20,8 @@ and ``>`` put them.  The y values are ranked once and the ranks cut into
 chunks of ⌈√n⌉; walking the grid in the order the conditioning set grows,
 each step adds the new positions to per-chunk counts, finds the chunk that
 holds the wanted order statistic and scans only that chunk.  G grid points
-on n pairs cost O(n log n + G·√n).
+on n pairs cost O(n log n + G·√n).  The x order and sorted x are dropped
+once y is carried and the split taken, before the y ranking allocates.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from . import models
 from .curves import QuantileCurve, conditional_args
 from .errors import DomainError, InsufficientMassError
-from .numerics import NumericConfig, clip_prob
+from .numerics import NumericConfig, blocks, clip_prob
 
 #: Smallest conditioning subsample accepted by the empirical estimators.
 MIN_COND_N = 30
@@ -37,9 +42,18 @@ MIN_COND_N = 30
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n (x, y) pairs, drawn by :func:`sample` or read from a sample file."""
+    """n >= 1 (x, y) pairs, drawn by :func:`sample` or read from a sample file.
+
+    The pairs are kept column-major, so ``x`` and ``y`` are contiguous.
+    """
 
     pairs: np.ndarray  # shape (n, 2)
+
+    def __post_init__(self):
+        pairs = np.asfortranarray(self.pairs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
+            raise DomainError(f"sample pairs must have shape (n, 2) with n >= 1, got {pairs.shape}")
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def n(self) -> int:
@@ -54,20 +68,35 @@ class SampleSet:
         return self.pairs[:, 1]
 
 
+def _fill_quantiles(out: np.ndarray, model: models.BivariateModel, axis: models.Axis, probs) -> None:
+    """out[:] = the axis marginal's quantiles at probs; DomainError if one overflows."""
+    fam = model.marginal(axis)
+    with np.errstate(over="ignore"):  # reported below, as one error
+        out[:] = fam.quantile(probs)
+    if not np.isfinite(out).all():
+        raise DomainError(f"sampled {axis} is not finite: the quantile of {fam.describe()} overflows")
+
+
 def sample(
     model: models.BivariateModel, n: int, seed: int, cfg: NumericConfig | None = None
 ) -> SampleSet:
     """Draw n pairs; identical (model, n, seed) yields bit-identical output."""
     for name, value, least in (("n", n, 1), ("seed", seed, 0)):
-        if int(value) != value or value < least:
+        try:
+            valid = int(value) == value and value >= least
+        except (ValueError, OverflowError):  # NaN and the infinities have no integer value
+            valid = False
+        if not valid:
             raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(int(seed))
     u = rng.random(int(n))
     w = rng.random(int(n))
-    v = model.copula.cond_quantile("eq", u, w)
-    xs = model.marginal_x.quantile(clip_prob(u, cfg))
-    ys = model.marginal_y.quantile(clip_prob(v, cfg))
-    return SampleSet(np.column_stack([xs, ys]))
+    pairs = np.empty((int(n), 2), order="F")
+    for part in blocks(int(n)):
+        v = model.copula.cond_quantile("eq", u[part], w[part])
+        _fill_quantiles(pairs[part, 0], model, "x", clip_prob(u[part], cfg))
+        _fill_quantiles(pairs[part, 1], model, "y", clip_prob(v, cfg))
+    return SampleSet(pairs)
 
 
 def _inf_index(q, m):
@@ -90,7 +119,9 @@ def _select_in_prefixes(values: np.ndarray, sizes: np.ndarray, js: np.ndarray) -
     width = isqrt(n - 1) + 1  # ceil(sqrt(n))
     n_chunks = (n - 1) // width + 1
     chunk_of = np.empty(n, dtype=np.intp)
-    chunk_of[by_rank] = np.arange(n) // width
+    whole = n // width * width  # ranks in full chunks: a (chunks, width) view, filled by broadcasting
+    chunk_of[by_rank[:whole].reshape(-1, width)] = np.arange(n // width)[:, None]
+    chunk_of[by_rank[whole:]] = n // width
     counts = np.zeros(n_chunks, dtype=np.intp)
     out = np.empty(len(sizes))
     counted = 0
@@ -134,6 +165,8 @@ def empirical_curve(
     n = len(xs_sorted)
     x_hat = xs_sorted[_inf_index(us, n)]
     k = np.searchsorted(xs_sorted, x_hat, "right")
+    ys_by_x = sample_set.y[order]
+    del order, xs_sorted  # the selection below needs neither
     prefix = direction.eps1 < 0
     sizes = k if prefix else n - k
     short = np.flatnonzero(sizes < MIN_COND_N)
@@ -145,7 +178,6 @@ def empirical_curve(
         )
     _, q = conditional_args(p, direction, us)
     js = _inf_index(q, sizes)
-    ys_by_x = sample_set.y[order]
     if prefix:
         ys = _select_in_prefixes(ys_by_x, sizes, js)
     else:  # a suffix of the x order is a prefix of the reversed order, growing as u falls

@@ -489,6 +489,13 @@ class IndependenceCopula(Copula):
             raise DomainError(f"unknown conditioning sense {sense!r}")
         return np.zeros_like(np.asarray(u, dtype=float))
 
+    def cond_quantile(self, sense, u, p):
+        # _quad_inv at c = 0 computes 2p / (1 + 1), which is p exactly
+        if sense not in ("le", "ge", "eq"):
+            raise DomainError(f"unknown conditioning sense {sense!r}")
+        p = np.asarray(p, dtype=float)
+        return np.broadcast_to(p, np.broadcast_shapes(np.shape(u), p.shape))
+
 
 @dataclass(frozen=True)
 class FGMCopula(Copula):

@@ -8,7 +8,8 @@ graded mesh of [0, 1].  Both are pure and deterministic for a fixed
 and at most 4 are kept: 4 arrays of ``2 * quad_points + 1`` doubles each, so
 131 KB at the default 2048 and 4.2 MB (16.8 MB for 4) at ``MAX_QUAD_POINTS``.
 :func:`require_real` is the one real-number check of model parameters and
-config fields.
+config fields.  :func:`blocks` cuts a long elementwise fill into cache-sized
+row blocks.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .errors import ConfigError, DomainError, IntegrandError
 #: an integrable power singularity z**(-s), s < 5/6, is smoother than cubic,
 #: so composite Simpson converges at full rate.
 GRADE = 6.0
+
+#: Rows per block of the elementwise kernels that fill a large output: each
+#: float temporary of a block is 64 KB, so it stays in cache and the
+#: allocator reuses it instead of mapping fresh pages for every call.
+BLOCK = 8192
 
 #: Largest accepted ``quad_points``: :func:`integrate` evaluates up to
 #: ``4 * quad_points + 2`` mesh nodes, plus two points per t, per call.
@@ -95,6 +101,11 @@ def clip_prob(p, cfg: NumericConfig | None = None):
     """Clip probability value(s) into ``[eps_boundary, 1 - eps_boundary]``."""
     cfg = config_or_default(cfg)
     return np.clip(p, cfg.eps_boundary, 1.0 - cfg.eps_boundary)
+
+
+def blocks(n: int):
+    """Consecutive slices of at most :data:`BLOCK` rows that cover ``range(n)``."""
+    return (slice(start, start + BLOCK) for start in range(0, n, BLOCK))
 
 
 def t_grid(t) -> tuple[np.ndarray, bool]:

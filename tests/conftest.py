@@ -2,6 +2,7 @@ import functools
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -14,6 +15,7 @@ from bivquant import (
     Uniform01,
     Weibull,
 )
+from bivquant.numerics import BLOCK
 
 # every property test replays the same examples on every run; each keeps its own max_examples
 settings.register_profile("bivquant", derandomize=True, deadline=None)
@@ -66,3 +68,19 @@ def mixed_models():
         BivariateModel(Exponential(1.0), Uniform01(), FGMCopula(-1.0)),
         BivariateModel(Weibull(1.0, 1.5), Pareto(1.0, 3.0), FGMCopula(0.5)),
     ]
+
+
+#: One model per marginal family on x, the next family on y, for each built-in copula.
+_FAMILIES = [Uniform01(), Exponential(0.7), Pareto(1.3, 2.2), Weibull(1.5, 0.8)]
+BLOCK_MODELS = [
+    BivariateModel(fam, _FAMILIES[(i + 1) % 4], copula)
+    for copula in (IndependenceCopula(), FGMCopula(-0.6))
+    for i, fam in enumerate(_FAMILIES)
+]
+#: Sizes around the edges of the block-by-block fills.
+BLOCK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def bits(a):
+    """The float64 array as its raw 64-bit patterns, for bit-for-bit comparison."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)

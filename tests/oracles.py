@@ -7,6 +7,9 @@ formula, 40-digit mpmath instead of the numpy incomplete-gamma kernel.  Tests co
 (frozen as literals where the spec states them).  The ``*_per_call``
 functions are the exception: they repeat the library's arithmetic with every
 mesh and constant rebuilt on each call, so the cached ones must match them
+bit for bit.  So are the ``*_unblocked`` functions: the library's sampling and
+curve kernels evaluated on whole arrays at once, with the quadratic
+conditional inverse written out, which the block-by-block fills must match
 bit for bit.
 """
 
@@ -14,6 +17,9 @@ import math
 
 import mpmath
 import numpy as np
+
+from bivquant import curves, models
+from bivquant.numerics import clip_prob
 
 
 def bisect(fn, lo, hi, iters=200):
@@ -194,3 +200,38 @@ def weibull_weighted_per_call(scale, shape, u):
         total = (total + (1.0 - 2.0**k) / (math.factorial(k) * (a + k))) * -ts
     out[small] = scale * ts**a * total
     return out
+
+
+def _cond_quantile_unblocked(copula, sense, u, p):
+    """The root of v + c v (1 - v) = p by the stabilized formula, for every copula alike."""
+    c = np.asarray(copula.cond_linear_coeff(sense, u), dtype=float)
+    p = np.asarray(p, dtype=float)
+    disc = (1.0 + c) ** 2 - 4.0 * c * p
+    return 2.0 * p / (1.0 + c + np.sqrt(np.maximum(disc, 0.0)))
+
+
+def sample_unblocked(model, n, seed, cfg=None):
+    """``estimation.sample``'s pairs from whole-array draws, inverse and quantiles, column-stacked."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    w = rng.random(n)
+    v = _cond_quantile_unblocked(model.copula, "eq", u, w)
+    xs = model.marginal_x.quantile(clip_prob(u, cfg))
+    ys = model.marginal_y.quantile(clip_prob(v, cfg))
+    return np.column_stack([xs, ys])
+
+
+def curve_points_unblocked(model, p, direction, n_points, cfg=None):
+    """``curves.curve_points``'s (u, x, y) rows, every column computed over the whole u-grid."""
+    lo, hi = curves.admissible_interval(p, direction)
+    us = np.linspace(lo, hi, n_points)
+    xs = model.marginal_x.quantile(clip_prob(us, cfg))
+    sense, qs = curves.conditional_args(p, direction, us)
+    v = _cond_quantile_unblocked(model.copula, sense, clip_prob(us, cfg), clip_prob(qs, cfg))
+    return np.column_stack([us, xs, model.marginal_y.quantile(clip_prob(v, cfg))])
+
+
+def level_residuals_unblocked(model, curve):
+    """``curves.level_residuals`` from one orthant-probability call over the whole curve."""
+    probs = models.orthant_prob(model, curve.direction, curve.x, curve.y)
+    return np.abs(np.asarray(probs, dtype=float) - curve.p)

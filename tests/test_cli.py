@@ -530,9 +530,10 @@ class TestMalformedInputs:
             (EXP_BYTES.replace(b'"rate": 1.0', b'"rate": ' + BIG, 1), None, [], 3),
             (EXP_BYTES, b'{"numerics": {"quad_points": ' + BIG + b"}}", [], 3),
             (EXP_BYTES, None, ["--seed", "-1"], 2),
+            (EXP_BYTES.replace(b'"rate": 1.0', b'"rate": 1e-310', 1), None, ["--n", "3"], 2),
         ],
         ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
-             "huge-numerics-field", "negative-seed"],
+             "huge-numerics-field", "negative-seed", "overflowing-draws"],
     )
     def test_one_error_line(self, tmp_path, model, config, extra, expected):
         (tmp_path / "model.json").write_bytes(model)

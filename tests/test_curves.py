@@ -21,7 +21,8 @@ from bivquant import (
     swap_axes,
 )
 
-from oracles import PHI_HALF, bisect, fgm_cdf
+from conftest import BLOCK_MODELS, BLOCK_SIZES, bits
+from oracles import PHI_HALF, bisect, curve_points_unblocked, fgm_cdf, level_residuals_unblocked
 
 
 class TestCurvePoints:
@@ -64,6 +65,22 @@ class TestCurvePoints:
     def test_degenerate_level(self, indep_uniform):
         with pytest.raises(DegenerateLevelError):
             curve_points(indep_uniform, 0.9999, LOWER_LOWER, 10)
+
+
+class TestBlockedCurves:
+    @pytest.mark.parametrize("n", [max(n, 2) for n in BLOCK_SIZES])
+    @pytest.mark.parametrize("direction", ALL_DIRECTIONS, ids=str)
+    @pytest.mark.parametrize("model", BLOCK_MODELS, ids=repr)
+    def test_match_unblocked_bit_for_bit(self, model, direction, n):
+        curve = curve_points(model, 0.25, direction, n)
+        assert curve.points.shape == (n, 3)
+        assert np.array_equal(bits(curve.points), bits(curve_points_unblocked(model, 0.25, direction, n)))
+        assert np.array_equal(bits(level_residuals(model, curve)), bits(level_residuals_unblocked(model, curve)))
+
+    def test_x_and_y_contiguous(self, fgm_uniform):
+        for curve in (curve_points(fgm_uniform, 0.25, LOWER_LOWER, 50),
+                      QuantileCurve(0.25, LOWER_LOWER, np.array([[0.5, 0.5, 0.5], [0.6, 0.4, 0.4]]))):
+            assert curve.x.flags.c_contiguous and curve.y.flags.c_contiguous
 
 
 class TestCurveFromConditional:

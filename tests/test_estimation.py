@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from math import isqrt
 
@@ -21,17 +22,23 @@ from bivquant import (
     UPPER_LOWER,
     UPPER_UPPER,
     Uniform01,
+    Weibull,
     curve_from_conditional,
+    curve_points,
     empirical_curve,
     empirical_mrl_first,
+    level_residuals,
     orthant_prob,
     sample,
 )
 from bivquant import estimation
 from bivquant import reliability as rel
+from bivquant.cli import load_sample_csv
 from bivquant.curves import admissible_interval
+from bivquant.numerics import BLOCK
 
-from oracles import empirical_curve_by_mask, trapezoid
+from conftest import BLOCK_MODELS, BLOCK_SIZES, bits
+from oracles import empirical_curve_by_mask, sample_unblocked, trapezoid
 
 N_BIG = 100_000
 SEED = 1
@@ -103,10 +110,104 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(indep_uniform, 0, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("n", [float("nan"), float("inf")])
+    def test_non_finite_n(self, indep_uniform, n):
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
+            sample(indep_uniform, n, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, float("inf"), float("nan")])
     def test_invalid_seed(self, indep_uniform, seed):
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             sample(indep_uniform, 5, seed=seed)
+
+    @pytest.mark.parametrize("axis, model", [
+        ("x", BivariateModel(Exponential(1e-310), Exponential(1.0), IndependenceCopula())),
+        ("y", BivariateModel(Exponential(1.0), Pareto(1.0, 1e-3), FGMCopula(0.5))),
+    ])
+    def test_overflowing_quantile_is_one_error(self, axis, model):
+        # numpy's overflow warning is an error under the test settings, so a leaked one fails here too
+        with pytest.raises(DomainError, match=f"sampled {axis} is not finite: the quantile of .* overflows"):
+            sample(model, BLOCK + 3, seed=1)
+
+
+class TestBlockedSample:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("model", BLOCK_MODELS, ids=repr)
+    def test_matches_unblocked_bit_for_bit(self, model, n):
+        pairs = sample(model, n, seed=SEED).pairs
+        assert pairs.shape == (n, 2)
+        assert np.array_equal(bits(pairs), bits(sample_unblocked(model, n, SEED)))
+
+
+class TestColumnMajor:
+    def _assert_contiguous(self, s):
+        assert s.x.flags.c_contiguous and s.y.flags.c_contiguous
+
+    def test_drawn(self, fgm_uniform):
+        self._assert_contiguous(sample(fgm_uniform, 100, seed=SEED))
+
+    def test_built_from_row_major(self):
+        pairs = np.arange(20.0).reshape(10, 2)
+        s = SampleSet(pairs)
+        self._assert_contiguous(s)
+        assert np.array_equal(s.pairs, pairs)
+
+    def test_read_from_csv(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        path.write_text("x,y\n1,2\n3,4\n5,6\n")
+        self._assert_contiguous(load_sample_csv(str(path)))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (5,), (0, 2), (2, 2, 2)], ids=str)
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(DomainError, match=r"sample pairs must have shape \(n, 2\)"):
+            SampleSet(np.zeros(shape))
+
+
+def _traced_peak_mib(fn, *args):
+    """Peak traced memory of one call above what was allocated before it, in MiB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Per-call traced peaks at n = 1e5, in MiB; whole-array evaluation exceeds every bound.
+
+    Whole-array peaks on this model: sample 6.1, curve_points 8.4,
+    level_residuals 3.8, empirical_curve 5.4.  Block by block: 3.5, 3.2, 1.1
+    and 3.1, so sample holds its n-sized u, w and pairs plus cache-sized
+    blocks.  empirical_curve reads 4.7 if it keeps the x order and sorted x
+    through the selection, and 3.8 if the chunk index takes n-sized temporaries.
+    """
+
+    MODEL = BivariateModel(Weibull(1.5, 0.8), Pareto(1.3, 2.2), FGMCopula(-0.6))
+
+    @pytest.fixture(autouse=True)
+    def _warm(self):
+        # first calls build per-family constants; keep them out of the peaks
+        curve = curve_points(self.MODEL, 0.25, UPPER_UPPER, 10)
+        level_residuals(self.MODEL, curve)
+        empirical_curve(sample(self.MODEL, 100, SEED), 0.25, UPPER_UPPER, [0.3])
+
+    def test_sample(self):
+        assert _traced_peak_mib(sample, self.MODEL, N_BIG, SEED) < 4.0
+
+    def test_curve_points(self):
+        assert _traced_peak_mib(curve_points, self.MODEL, 0.25, UPPER_UPPER, N_BIG) < 4.0
+
+    def test_level_residuals(self):
+        curve = curve_points(self.MODEL, 0.25, UPPER_UPPER, N_BIG)
+        assert _traced_peak_mib(level_residuals, self.MODEL, curve) < 1.6
+
+    @pytest.mark.parametrize("direction", [LOWER_LOWER, UPPER_UPPER], ids=str)
+    def test_empirical_curve(self, direction):
+        s = sample(self.MODEL, N_BIG, SEED)
+        grid = np.linspace(*admissible_interval(0.25, direction), 200)
+        assert _traced_peak_mib(empirical_curve, s, 0.25, direction, grid) < 3.5
 
 
 class TestEmpiricalCurve:

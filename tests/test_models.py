@@ -28,7 +28,7 @@ from bivquant import (
     orthant_prob,
     swap_axes,
 )
-from bivquant.models import Copula
+from bivquant.models import Copula, _quad_inv
 
 from oracles import PHI_HALF, bisect, fgm_cdf, fgm_cond_cdf, trapezoid
 
@@ -271,6 +271,38 @@ class TestConditionalQuantile:
                     p = fgm_cond_cdf(sense, u, v, 1.0)
                     assert v + c * v * (1.0 - v) == pytest.approx(p, abs=1e-13)
                     assert conditional_quantile(fgm_uniform, sense, u, p) == pytest.approx(v, abs=1e-12)
+
+
+class TestIndependenceInverse:
+    """``IndependenceCopula.cond_quantile`` returns p; the quadratic inverse at c = 0 is p bit for bit."""
+
+    EDGES = [0.0, DEFAULT_CONFIG.eps_boundary, 0.5, 1.0 - DEFAULT_CONFIG.eps_boundary, 1.0]
+
+    @pytest.mark.parametrize("sense", ["le", "ge", "eq"])
+    def test_equals_quadratic_inverse(self, sense):
+        rng = np.random.default_rng(5)
+        for p in [np.array(self.EDGES), rng.random(1000), np.linspace(0.0, 1.0, 1001)]:
+            u = rng.random(p.shape)
+            got = IndependenceCopula().cond_quantile(sense, u, p)
+            assert got.shape == p.shape
+            assert np.array_equal(got.view(np.uint64), _quad_inv(p, 0.0).view(np.uint64))
+
+    @pytest.mark.parametrize("sense", ["le", "ge", "eq"])
+    def test_scalar_arguments(self, sense):
+        for p in self.EDGES:
+            assert float(IndependenceCopula().cond_quantile(sense, 0.3, p)) == float(_quad_inv(p, 0.0))
+
+    def test_field_broadcast(self):
+        # field evaluates conditioning levels (k, 1) against probabilities (1, m)
+        us, ps = np.linspace(0.1, 0.9, 7)[:, None], np.array(self.EDGES + [0.25, 0.75])[None, :]
+        got = np.asarray(IndependenceCopula().cond_quantile("le", us, ps), dtype=float)
+        expected = _quad_inv(ps, np.zeros_like(us))
+        assert got.shape == expected.shape == (7, 7)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_unknown_sense(self):
+        with pytest.raises(DomainError, match="unknown conditioning sense"):
+            IndependenceCopula().cond_quantile("lt", 0.5, 0.5)
 
 
 class TestSwapAxes:
