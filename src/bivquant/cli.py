@@ -5,12 +5,17 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 model-specification error.  All outputs (CSV, JSON, SVG, reports) are
 byte-identical across re-runs for identical inputs; numbers are
 serialized with 9 significant digits in CSV.
+
+:func:`main` loads the model and numerics config and hands both to the
+subcommand.  Every table of numbers goes through one CSV writer,
+:func:`_write_csv`, which streams the rows of a float array 1,024 at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import warnings
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import curves, estimation, models, reconstruction, reliability
 from .errors import BivquantError, ConfigError, DomainError, InfiniteMeanError, ModelSpecError
-from .numerics import NumericConfig
+from .numerics import NumericConfig, require_integer
 
 ROUND_TRIP_TOL = 1e-4
 IDENTITY_TOL = 1e-6
@@ -42,16 +47,6 @@ def _row(n_numbers: int) -> str:
     per value at about half the cost.
     """
     return ",".join([_NUMBER] * n_numbers)
-
-
-def _float_rows(table: np.ndarray):
-    """Rows of a 2-d array as lists of floats, converted 1,024 rows at a time.
-
-    A whole-table ``tolist()`` of a 1e5-row sample would hold about 12 MB of
-    float objects at once.
-    """
-    for start in range(0, len(table), 1024):
-        yield from table[start : start + 1024].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +104,27 @@ def load_sample_csv(path: str) -> estimation.SampleSet:
     return estimation.SampleSet(data)
 
 
-def _write_text(path: str | None, text: str):
+def _write(path: str | None, chunks):
+    """Write the strings of ``chunks`` in turn to the file at ``path``, or to stdout when it is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _csv(header: str, rows) -> str:
-    return "\n".join([header, *rows]) + "\n"
+def _write_csv(path: str | None, header: str, table: np.ndarray, suffix: str = ""):
+    """The header, then one line per row of the 2-d float ``table``, each ending in ``suffix``.
+
+    Rows are converted and written 1,024 at a time: a whole 1e5-row sample
+    would hold about 12 MB as floats and 10 MB as joined text.
+    """
+    template = _row(table.shape[1]) + suffix + "\n"
+    rows = (
+        "".join([template % tuple(row) for row in table[start : start + 1024].tolist()])
+        for start in range(0, len(table), 1024)
+    )
+    _write(path, itertools.chain([header + "\n"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +186,9 @@ def render_curve_svg(curve: curves.QuantileCurve) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_curve(args) -> int:
-    model = load_model(args.model)
-    cfg = load_numeric_config(args.config)
+def cmd_curve(args, model, cfg) -> int:
     direction = models.Direction.from_string(args.dir)
-    # the rule of curves.curve_points, applied to the --sample path too
-    if args.points < 2:
-        raise DomainError(f"n_points must be an integer >= 2, got {args.points!r}")
+    require_integer("n_points", args.points, 2)  # the rule of curves.curve_points, for --sample too
     if args.sample:
         draws = load_sample_csv(args.sample)
         lo, hi = curves.admissible_interval(args.level, direction)
@@ -196,20 +198,15 @@ def cmd_curve(args) -> int:
         curve = curves.curve_points(model, args.level, direction, args.points, cfg)
     residuals = curves.level_residuals(model, curve)
     if args.format == "csv":
-        template = _row(4)
-        table = np.column_stack([curve.points, residuals])
-        rows = (template % (u, x, y, r) for u, x, y, r in _float_rows(table))
-        _write_text(args.out, _csv("u,x,y,orthant_prob_residual", rows))
+        _write_csv(args.out, "u,x,y,orthant_prob_residual", np.column_stack([curve.points, residuals]))
     else:
-        _write_text(args.out, json.dumps(curve.to_dict(), sort_keys=True, indent=2) + "\n")
+        _write(args.out, [json.dumps(curve.to_dict(), sort_keys=True, indent=2) + "\n"])
     if args.svg:
-        _write_text(args.svg, render_curve_svg(curve))
+        _write(args.svg, [render_curve_svg(curve)])
     return 0
 
 
-def cmd_field(args) -> int:
-    model = load_model(args.model)
-    cfg = load_numeric_config(args.config)
+def cmd_field(args, model, cfg) -> int:
     first_fn, second_fn = reliability.QUANTITIES[args.kind]
     if args.grid < 1:
         raise DomainError(f"grid must be >= 1, got {args.grid}")
@@ -217,29 +214,19 @@ def cmd_field(args) -> int:
     firsts = first_fn(model, probs, cfg)
     # one row of seconds per conditioning level u
     seconds = second_fn(model, probs[:, None], probs[None, :], cfg)
-    template, ps = _row(4) + ",%s", probs.tolist()
-    rows = (
-        template % (u, p, first, s, args.kind)
-        for u, first, row in zip(ps, firsts.tolist(), seconds)
-        for p, s in zip(ps, row.tolist())
-    )
-    _write_text(args.out, _csv("u,p_cond,first,second,kind", rows))
+    g = args.grid  # row-major over (u, p_cond)
+    table = np.column_stack([np.repeat(probs, g), np.tile(probs, g), np.repeat(firsts, g), seconds.ravel()])
+    _write_csv(args.out, "u,p_cond,first,second,kind", table, f",{args.kind}")
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    model = load_model(args.model)
-    cfg = load_numeric_config(args.config)
+def cmd_reconstruct(args, model, cfg) -> int:
     if args.grid < 1:
         raise DomainError(f"grid must be >= 1, got {args.grid}")
     ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind][1], args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
-    template = _row(4)
-    rows = (
-        template % (t, a, b, abs(a - b))
-        for t, a, b in zip(ts.tolist(), rec.tolist(), ref.tolist())
-    )
-    _write_text(args.out, _csv("t,reconstructed,reference,abs_error", rows))
+    table = np.column_stack([ts, rec, ref, np.abs(rec - ref)])
+    _write_csv(args.out, "t,reconstructed,reference,abs_error", table)
     return 0
 
 
@@ -268,9 +255,7 @@ def _verification_checks(model, cfg):
     return results
 
 
-def cmd_verify(args) -> int:
-    model = load_model(args.model)
-    cfg = load_numeric_config(args.config)
+def cmd_verify(args, model, cfg) -> int:
     results = _verification_checks(model, cfg)
     for name, max_res, tol, passed, note, _ in results:
         if max_res is None:
@@ -283,21 +268,16 @@ def cmd_verify(args) -> int:
     sys.stdout.write(f"max residual over all checks: {_fmt(worst)}\n")
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
     if args.out:
-        rows, template = [], "%s," + _row(2)
+        rows, template = ["check,t,residual\n"], "%s," + _row(2) + "\n"
         for name, _, _, _, _, residuals in results:
             if residuals is not None:
                 rows.extend(template % (name, t, r) for t, r in residuals)
-        _write_text(args.out, _csv("check,t,residual", rows))
+        _write(args.out, rows)
     return 0 if all_pass else 1
 
 
-def cmd_sample(args) -> int:
-    model = load_model(args.model)
-    cfg = load_numeric_config(args.config)
-    sample_set = estimation.sample(model, args.n, args.seed, cfg)
-    template = _row(2)
-    rows = (template % (x, y) for x, y in _float_rows(sample_set.pairs))
-    _write_text(args.out, _csv("x,y", rows))
+def cmd_sample(args, model, cfg) -> int:
+    _write_csv(args.out, "x,y", estimation.sample(model, args.n, args.seed, cfg).pairs)
     return 0
 
 
@@ -369,7 +349,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        model, cfg = load_model(args.model), load_numeric_config(args.config)
+        return _COMMANDS[args.command](args, model, cfg)
     except (ModelSpecError, ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -16,7 +16,8 @@ Every emitted point is checked against the defining level-set property
 :func:`curve_points` and :func:`level_residuals` evaluate their elementwise
 kernels :data:`~bivquant.numerics.BLOCK` rows at a time into one
 preallocated output; a curve's points are column-major, so x and y are
-contiguous.
+contiguous.  A quantile that overflows is reported per block, naming the
+axis and its family.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import models
 from .errors import DegenerateLevelError, DomainError
-from .numerics import NumericConfig, blocks
+from .numerics import NumericConfig, blocks, require_finite, require_integer
 
 #: Tolerance of the level-set invariant; far above the root tolerance so the
 #: check is meaningful instead of tautological.
@@ -131,16 +132,18 @@ def curve_points(
 ) -> QuantileCurve:
     """Materialize the curve on a uniform u-grid over the admissible interval."""
     p = _require_level(p)
-    if int(n_points) != n_points or n_points < 2:
-        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
+    n = require_integer("n_points", n_points, 2)
     lo, hi = admissible_interval(p, direction)
-    points = np.empty((int(n_points), 3), order="F")
-    points[:, 0] = np.linspace(lo, hi, int(n_points))
-    for part in blocks(int(n_points)):
+    points = np.empty((n, 3), order="F")
+    points[:, 0] = np.linspace(lo, hi, n)
+    for part in blocks(n):
         us = points[part, 0]
-        points[part, 1] = models.marginal_quantile(model, "x", us, cfg)
         sense, qs = conditional_args(p, direction, us)
-        points[part, 2] = models.conditional_quantile(model, sense, us, qs, cfg)
+        with np.errstate(over="ignore"):  # reported below, as one error
+            points[part, 1] = models.marginal_quantile(model, "x", us, cfg)
+            points[part, 2] = models.conditional_quantile(model, sense, us, qs, cfg)
+        require_finite(points[part, 1], "curve x", model.marginal_x)
+        require_finite(points[part, 2], "curve y", model.marginal_y)
     return QuantileCurve(p=p, direction=direction, points=points)
 
 

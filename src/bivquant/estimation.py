@@ -32,9 +32,9 @@ from math import isqrt
 import numpy as np
 
 from . import models
-from .curves import QuantileCurve, conditional_args
+from .curves import QuantileCurve, _require_level, conditional_args
 from .errors import DomainError, InsufficientMassError
-from .numerics import NumericConfig, blocks, clip_prob
+from .numerics import NumericConfig, blocks, clip_prob, require_finite, require_integer
 
 #: Smallest conditioning subsample accepted by the empirical estimators.
 MIN_COND_N = 30
@@ -73,26 +73,19 @@ def _fill_quantiles(out: np.ndarray, model: models.BivariateModel, axis: models.
     fam = model.marginal(axis)
     with np.errstate(over="ignore"):  # reported below, as one error
         out[:] = fam.quantile(probs)
-    if not np.isfinite(out).all():
-        raise DomainError(f"sampled {axis} is not finite: the quantile of {fam.describe()} overflows")
+    require_finite(out, f"sampled {axis}", fam)
 
 
 def sample(
     model: models.BivariateModel, n: int, seed: int, cfg: NumericConfig | None = None
 ) -> SampleSet:
     """Draw n pairs; identical (model, n, seed) yields bit-identical output."""
-    for name, value, least in (("n", n, 1), ("seed", seed, 0)):
-        try:
-            valid = int(value) == value and value >= least
-        except (ValueError, OverflowError):  # NaN and the infinities have no integer value
-            valid = False
-        if not valid:
-            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    rng = np.random.default_rng(int(seed))
-    u = rng.random(int(n))
-    w = rng.random(int(n))
-    pairs = np.empty((int(n), 2), order="F")
-    for part in blocks(int(n)):
+    n, seed = require_integer("n", n, 1), require_integer("seed", seed, 0)
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    w = rng.random(n)
+    pairs = np.empty((n, 2), order="F")
+    for part in blocks(n):
         v = model.copula.cond_quantile("eq", u[part], w[part])
         _fill_quantiles(pairs[part, 0], model, "x", clip_prob(u[part], cfg))
         _fill_quantiles(pairs[part, 1], model, "y", clip_prob(v, cfg))
@@ -144,9 +137,7 @@ def empirical_curve(
     u_grid,
 ) -> QuantileCurve:
     """Empirical curve: sample quantiles replace Q_X and the conditional quantile."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0,1), got {p}")
+    p = _require_level(p)
     us = np.asarray(u_grid, dtype=float)
     if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
         raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")

@@ -8,8 +8,9 @@ graded mesh of [0, 1].  Both are pure and deterministic for a fixed
 and at most 4 are kept: 4 arrays of ``2 * quad_points + 1`` doubles each, so
 131 KB at the default 2048 and 4.2 MB (16.8 MB for 4) at ``MAX_QUAD_POINTS``.
 :func:`require_real` is the one real-number check of model parameters and
-config fields.  :func:`blocks` cuts a long elementwise fill into cache-sized
-row blocks.
+config fields, :func:`require_integer` the one integer check of counts and
+seeds, and :func:`require_finite` the one overflow check of quantiles.
+:func:`blocks` cuts a long elementwise fill into cache-sized row blocks.
 """
 
 from __future__ import annotations
@@ -48,6 +49,23 @@ def require_real(name: str, value, error: type[Exception]) -> float:
         return float(value)
     except OverflowError as exc:
         raise error(f"{name} is too large for a float") from exc
+
+
+def require_integer(name: str, value, least: int) -> int:
+    """``value`` as an int; :class:`DomainError` unless it is an integer >= ``least``."""
+    try:
+        valid = int(value) == value and value >= least
+    except (ValueError, OverflowError):  # NaN and the infinities have no integer value
+        valid = False
+    if not valid:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def require_finite(values, what: str, family) -> None:
+    """:class:`DomainError` naming ``what`` unless ``values``, quantiles of ``family``, are all finite."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} is not finite: the quantile of {family.describe()} overflows")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,17 @@ settings.register_profile("bivquant", derandomize=True, deadline=None)
 settings.load_profile("bivquant")
 
 INPUTS = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
+
+
+def traced_peak_mib(fn, *args):
+    """Peak traced memory of one call above what was allocated before it, in MiB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from bivquant import cli, estimation, models, reconstruction, reliability
 from bivquant.cli import load_sample_csv, main
 from bivquant.errors import ModelSpecError
 
-from conftest import bench_inputs
+from conftest import bench_inputs, traced_peak_mib
 
 EXP_MODEL = {
     "marginal_x": {"kind": "Exponential", "rate": 1.0},
@@ -352,12 +352,13 @@ class TestSampleCommand:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "x,y"
 
-    def test_rows_are_the_sample_set(self, tmp_path, model_file):
-        # 2,500 rows span three conversion blocks; each row is the pair printed value by value
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 2500])
+    def test_rows_are_the_sample_set(self, tmp_path, model_file, n):
+        # the writer converts 1,024 rows at a time; each row is the pair printed value by value
         out = tmp_path / "s.csv"
-        assert main(["sample", "--model", model_file(FGM_MODEL), "--n", "2500", "--seed", "9",
+        assert main(["sample", "--model", model_file(FGM_MODEL), "--n", str(n), "--seed", "9",
                      "--out", str(out)]) == 0
-        pairs = estimation.sample(models.model_from_dict(FGM_MODEL), 2500, 9).pairs
+        pairs = estimation.sample(models.model_from_dict(FGM_MODEL), n, 9).pairs
         expected = ["x,y", *(f"{cli._fmt(x)},{cli._fmt(y)}" for x, y in pairs)]
         assert out.read_text().splitlines() == expected
 
@@ -372,6 +373,34 @@ class TestSampleCommand:
                      "--seed", "1", "--out", str(out)]) == 0
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.corrcoef(data[:, 0], data[:, 1])[0, 1] == pytest.approx(1 / 3, abs=0.01)
+
+
+class TestCsvWriter:
+    """Every CSV table goes through one writer, which streams its rows 1,024 at a time."""
+
+    @pytest.mark.parametrize("command", [
+        ["curve", "-p", "0.25", "--dir", "mm", "-n", "1500"],
+        ["field", "--kind", "mrl", "--grid", "5"],
+        ["reconstruct", "--kind", "rev-hazard", "--component", "second", "--grid", "9"],
+        ["sample", "--n", "2049", "--seed", "4"],
+    ], ids=lambda command: command[0])
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, model_file, command):
+        argv = [command[0], "--model", model_file(FGM_MODEL), *command[1:]]
+        rc, text, err = _run(argv)
+        assert (rc, err) == (0, "")
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("command, bound_mib", [
+        (["sample", "--n", "100000", "--seed", "1"], 5.0),
+        (["curve", "-p", "0.25", "--dir", "mm", "-n", "20000"], 2.5),
+    ], ids=["sample", "curve"])
+    def test_traced_peak(self, tmp_path, model_file, command, bound_mib):
+        # streamed: 3.5 (sample) and 1.5 (curve) MiB; the whole table as joined text: 11.5 and 4.0
+        argv = [command[0], "--model", model_file(FGM_MODEL), *command[1:], "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0  # the first call builds per-family constants; keep them out of the peak
+        assert traced_peak_mib(main, argv) < bound_mib
 
 
 class TestSampleDrivenCurve:
@@ -518,32 +547,39 @@ EXP_BYTES = json.dumps(EXP_MODEL).encode()
 BIG = b"1" + b"0" * 400  # a JSON integer no float can hold
 
 
+TINY_X = EXP_BYTES.replace(b'"rate": 1.0', b'"rate": 1e-310', 1)  # its X quantiles overflow
+SAMPLE_ONE = ["sample", "--n", "1"]
+
+
 class TestMalformedInputs:
-    """Each ends in one named error line and exit 2 or 3, never a traceback."""
+    """Each ends in one named error line and exit 2 or 3, never a traceback, and writes no file."""
 
     @pytest.mark.parametrize(
-        "model, config, extra, expected",
+        "model, config, command, expected",
         [
-            (EXP_BYTES.replace(b"Independence", "Indépendance".encode("latin-1")), None, [], 3),
-            (EXP_BYTES, '{"numerics": {}, "note": "é"}'.encode("latin-1"), [], 3),
-            (EXP_BYTES.replace(b'"kind": "Exponential"', b'"kind": ["Exponential"]', 1), None, [], 3),
-            (EXP_BYTES.replace(b'"rate": 1.0', b'"rate": ' + BIG, 1), None, [], 3),
-            (EXP_BYTES, b'{"numerics": {"quad_points": ' + BIG + b"}}", [], 3),
-            (EXP_BYTES, None, ["--seed", "-1"], 2),
-            (EXP_BYTES.replace(b'"rate": 1.0', b'"rate": 1e-310', 1), None, ["--n", "3"], 2),
+            (EXP_BYTES.replace(b"Independence", "Indépendance".encode("latin-1")), None, SAMPLE_ONE, 3),
+            (EXP_BYTES, '{"numerics": {}, "note": "é"}'.encode("latin-1"), SAMPLE_ONE, 3),
+            (EXP_BYTES.replace(b'"kind": "Exponential"', b'"kind": ["Exponential"]', 1), None, SAMPLE_ONE, 3),
+            (EXP_BYTES.replace(b'"rate": 1.0', b'"rate": ' + BIG, 1), None, SAMPLE_ONE, 3),
+            (EXP_BYTES, b'{"numerics": {"quad_points": ' + BIG + b"}}", SAMPLE_ONE, 3),
+            (EXP_BYTES, None, [*SAMPLE_ONE, "--seed", "-1"], 2),
+            (TINY_X, None, [*SAMPLE_ONE, "--n", "3"], 2),
+            (TINY_X, None, ["curve", "-p", "0.25", "--dir", "pm", "-n", "3"], 2),
         ],
         ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
-             "huge-numerics-field", "negative-seed", "overflowing-draws"],
+             "huge-numerics-field", "negative-seed", "overflowing-draws", "overflowing-curve"],
     )
-    def test_one_error_line(self, tmp_path, model, config, extra, expected):
+    def test_one_error_line(self, tmp_path, model, config, command, expected):
         (tmp_path / "model.json").write_bytes(model)
-        argv = ["sample", "--model", str(tmp_path / "model.json"), "--n", "1", *extra]
+        out_file = tmp_path / "out.csv"
+        argv = [command[0], "--model", str(tmp_path / "model.json"), *command[1:], "--out", str(out_file)]
         if config is not None:
             (tmp_path / "cfg.json").write_bytes(config)
             argv += ["--config", str(tmp_path / "cfg.json")]
         rc, out, err = _run(argv)
         assert (rc, out) == (expected, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out_file.exists()
 
 
 #: Values no spec or config field takes as they stand, or takes only at its edge.

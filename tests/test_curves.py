@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bivquant import (
     FGMCopula,
     IndependenceCopula,
     LOWER_LOWER,
+    Pareto,
     QuantileCurve,
     UPPER_UPPER,
     Uniform01,
@@ -20,6 +23,8 @@ from bivquant import (
     orthant_prob,
     swap_axes,
 )
+
+from bivquant.numerics import BLOCK
 
 from conftest import BLOCK_MODELS, BLOCK_SIZES, bits
 from oracles import PHI_HALF, bisect, curve_points_unblocked, fgm_cdf, level_residuals_unblocked
@@ -65,6 +70,21 @@ class TestCurvePoints:
     def test_degenerate_level(self, indep_uniform):
         with pytest.raises(DegenerateLevelError):
             curve_points(indep_uniform, 0.9999, LOWER_LOWER, 10)
+
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf"), 2.5])
+    def test_non_integer_point_count(self, indep_uniform, n):
+        with pytest.raises(DomainError, match=f"n_points must be an integer >= 2, got {n!r}"):
+            curve_points(indep_uniform, 0.25, LOWER_LOWER, n)
+
+    @pytest.mark.parametrize("axis, model", [
+        ("x", BivariateModel(Exponential(1e-310), Exponential(1.0), IndependenceCopula())),
+        ("y", BivariateModel(Exponential(1.0), Pareto(1.0, 1e-3), FGMCopula(0.5))),
+    ])
+    def test_overflowing_quantile_is_one_error(self, axis, model):
+        # numpy's overflow warning is an error under the test settings, so a leaked one fails here too
+        family = re.escape(model.marginal(axis).describe())
+        with pytest.raises(DomainError, match=f"curve {axis} is not finite: the quantile of {family} overflows"):
+            curve_points(model, 0.25, LOWER_LOWER, BLOCK + 3)
 
 
 class TestBlockedCurves:

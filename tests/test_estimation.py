@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from math import isqrt
 
@@ -37,7 +36,7 @@ from bivquant.cli import load_sample_csv
 from bivquant.curves import admissible_interval
 from bivquant.numerics import BLOCK
 
-from conftest import BLOCK_MODELS, BLOCK_SIZES, bits
+from conftest import BLOCK_MODELS, BLOCK_SIZES, bits, traced_peak_mib
 from oracles import empirical_curve_by_mask, sample_unblocked, trapezoid
 
 N_BIG = 100_000
@@ -163,17 +162,6 @@ class TestColumnMajor:
             SampleSet(np.zeros(shape))
 
 
-def _traced_peak_mib(fn, *args):
-    """Peak traced memory of one call above what was allocated before it, in MiB."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 class TestWorkingSet:
     """Per-call traced peaks at n = 1e5, in MiB; whole-array evaluation exceeds every bound.
 
@@ -194,20 +182,20 @@ class TestWorkingSet:
         empirical_curve(sample(self.MODEL, 100, SEED), 0.25, UPPER_UPPER, [0.3])
 
     def test_sample(self):
-        assert _traced_peak_mib(sample, self.MODEL, N_BIG, SEED) < 4.0
+        assert traced_peak_mib(sample, self.MODEL, N_BIG, SEED) < 4.0
 
     def test_curve_points(self):
-        assert _traced_peak_mib(curve_points, self.MODEL, 0.25, UPPER_UPPER, N_BIG) < 4.0
+        assert traced_peak_mib(curve_points, self.MODEL, 0.25, UPPER_UPPER, N_BIG) < 4.0
 
     def test_level_residuals(self):
         curve = curve_points(self.MODEL, 0.25, UPPER_UPPER, N_BIG)
-        assert _traced_peak_mib(level_residuals, self.MODEL, curve) < 1.6
+        assert traced_peak_mib(level_residuals, self.MODEL, curve) < 1.6
 
     @pytest.mark.parametrize("direction", [LOWER_LOWER, UPPER_UPPER], ids=str)
     def test_empirical_curve(self, direction):
         s = sample(self.MODEL, N_BIG, SEED)
         grid = np.linspace(*admissible_interval(0.25, direction), 200)
-        assert _traced_peak_mib(empirical_curve, s, 0.25, direction, grid) < 3.5
+        assert traced_peak_mib(empirical_curve, s, 0.25, direction, grid) < 3.5
 
 
 class TestEmpiricalCurve:
@@ -253,6 +241,12 @@ class TestEmpiricalCurve:
         with pytest.raises(DomainError, match=r"u_grid must lie in \(0,1\)") as info:
             empirical_curve(s, 0.25, direction, grid)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("p", [0.0, 1.5, float("nan"), float("inf")])
+    def test_invalid_level(self, fgm_uniform, p):
+        s = sample(fgm_uniform, 1000, seed=SEED)
+        with pytest.raises(DomainError, match=rf"p must lie in \(0,1\), got {p}"):
+            empirical_curve(s, p, UPPER_UPPER, [0.2])
 
     def test_nan_x_rejected(self):
         s = _sample_set([0.5, np.nan] + [1.0] * 40, np.arange(42))

@@ -6,12 +6,13 @@ failing ``--trace 1`` benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 import bivquant
-from bivquant import BivariateModel, Exponential, FGMCopula, Weibull, numerics, reconstruction, reliability
+from bivquant import BivariateModel, Exponential, FGMCopula, Weibull, cli, numerics, reconstruction, reliability
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
@@ -47,3 +48,25 @@ def test_traced_round_trip_counts_one_quadrature_and_is_undone():
     assert rec.integrand_points > 0
     assert rec.integrand_points == rec.points["reliability"]
     assert _traced_names() == originals
+
+
+def test_traced_cli_loads_count_each_input_file_once(tmp_path):
+    # cli.load_ms and cli.bytes_in of the benchmark come from these spans; main loads model and config
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"marginal_x": {"kind": "Uniform01"},
+                                 "marginal_y": {"kind": "Exponential", "rate": 2.0},
+                                 "copula": {"kind": "FGM", "theta": 0.5}}))
+    draws = tmp_path / "draws.csv"
+    runs = [
+        (["sample", "--model", str(model), "--n", "200", "--seed", "3", "--out", str(draws)], 2, [model]),
+        (["curve", "--model", str(model), "-p", "0.25", "--dir", "mm", "-n", "5", "--sample", str(draws),
+          "--out", str(tmp_path / "curve.csv")], 3, [model, draws]),
+    ]
+    for argv, loads, read in runs:
+        rec, undo = _load_spans().install()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            undo()
+        assert (rec.calls["cli"], rec.calls["cli.load"], rec.errors["cli.load"]) == (1, loads, 0)
+        assert rec.bytes_in == sum(path.stat().st_size for path in read)
