@@ -9,6 +9,9 @@ serialized with 9 significant digits in CSV.
 :func:`main` loads the model and numerics config and hands both to the
 subcommand.  Every table of numbers goes through one CSV writer,
 :func:`_write_csv`, which streams the rows of a float array 1,024 at a time.
+``verify`` formats the records of :func:`bivquant.reconstruction.verify`;
+the check names, grids and tolerances live in
+:data:`bivquant.reconstruction.CHECKS` alone.
 """
 
 from __future__ import annotations
@@ -24,12 +27,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import curves, estimation, models, reconstruction, reliability
-from .errors import BivquantError, ConfigError, DomainError, InfiniteMeanError, ModelSpecError
+from .errors import BivquantError, ConfigError, DomainError, ModelSpecError
 from .numerics import NumericConfig, require_integer
-
-ROUND_TRIP_TOL = 1e-4
-IDENTITY_TOL = 1e-6
-VERIFY_CONDITIONING_U = 0.5
 
 
 #: Every serialized number: 9 significant digits ("%.9g" % v == format(v, ".9g")).
@@ -230,48 +229,23 @@ def cmd_reconstruct(args, model, cfg) -> int:
     return 0
 
 
-def _verification_checks(model, cfg):
-    """Round trips plus the hazard/MRL identity; one result row per check."""
-    u0 = VERIFY_CONDITIONING_U
-    results = []
-    for quantity, component in reconstruction.KIND_OF:
-        name = f"{quantity}-roundtrip-{component}"
-        ts = np.linspace(*reconstruction.INVERSE_MAPS[quantity][1], 17)
-        try:
-            rec, ref = reconstruction.round_trip(model, quantity, component, u0, ts, cfg)
-            max_res = float(max(np.abs(rec - ref)))
-            results.append((name, max_res, ROUND_TRIP_TOL, max_res <= ROUND_TRIP_TOL, "", None))
-        except InfiniteMeanError as exc:
-            results.append((name, None, ROUND_TRIP_TOL, False, str(exc), None))
-    ts = np.arange(1, 34) / 34.0
-    for component in reconstruction.COMPONENTS:
-        name = f"identity-{component}"
-        try:
-            residuals = reconstruction.hazard_mrl_identity_residual(model, component, u0, ts, cfg)
-            max_res = float(max(np.abs(residuals)))
-            results.append((name, max_res, IDENTITY_TOL, max_res <= IDENTITY_TOL, "", list(zip(ts, residuals))))
-        except InfiniteMeanError as exc:
-            results.append((name, None, IDENTITY_TOL, False, str(exc), None))
-    return results
-
-
 def cmd_verify(args, model, cfg) -> int:
-    results = _verification_checks(model, cfg)
-    for name, max_res, tol, passed, note, _ in results:
-        if max_res is None:
-            sys.stdout.write(f"{name}: FAIL ({note})\n")
+    records = reconstruction.verify(model, cfg)
+    for r in records:
+        if r.residuals is None:
+            sys.stdout.write(f"{r.name}: FAIL ({r.note})\n")
         else:
-            status = "PASS" if passed else "FAIL"
-            sys.stdout.write(f"{name}: max_residual={_fmt(max_res)} tol={_fmt(tol)} {status}\n")
-    all_pass = all(passed for _, _, _, passed, _, _ in results)
-    worst = max((r for _, r, _, _, _, _ in results if r is not None), default=float("nan"))
+            status = "PASS" if r.passed else "FAIL"
+            sys.stdout.write(f"{r.name}: max_residual={_fmt(r.max_residual)} tol={_fmt(r.tol)} {status}\n")
+    all_pass = all(r.passed for r in records)
+    worst = max((r.max_residual for r in records if r.residuals is not None), default=float("nan"))
     sys.stdout.write(f"max residual over all checks: {_fmt(worst)}\n")
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
-    if args.out:
+    if args.out:  # the identity residuals, one row per t
         rows, template = ["check,t,residual\n"], "%s," + _row(2) + "\n"
-        for name, _, _, _, _, residuals in results:
-            if residuals is not None:
-                rows.extend(template % (name, t, r) for t, r in residuals)
+        for r in records:
+            if r.name.startswith("identity-") and r.residuals is not None:
+                rows.extend(template % (r.name, t, x) for t, x in zip(r.ts, r.residuals))
         _write(args.out, rows)
     return 0 if all_pass else 1
 

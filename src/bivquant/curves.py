@@ -139,11 +139,12 @@ def curve_points(
     for part in blocks(n):
         us = points[part, 0]
         sense, qs = conditional_args(p, direction, us)
-        with np.errstate(over="ignore"):  # reported below, as one error
-            points[part, 1] = models.marginal_quantile(model, "x", us, cfg)
-            points[part, 2] = models.conditional_quantile(model, sense, us, qs, cfg)
-        require_finite(points[part, 1], "curve x", model.marginal_x)
-        require_finite(points[part, 2], "curve y", model.marginal_y)
+        points[part, 1] = require_finite(
+            models.marginal_quantile, model, "x", us, cfg, what="curve x", family=model.marginal_x
+        )
+        points[part, 2] = require_finite(
+            models.conditional_quantile, model, sense, us, qs, cfg, what="curve y", family=model.marginal_y
+        )
     return QuantileCurve(p=p, direction=direction, points=points)
 
 

@@ -68,14 +68,6 @@ class SampleSet:
         return self.pairs[:, 1]
 
 
-def _fill_quantiles(out: np.ndarray, model: models.BivariateModel, axis: models.Axis, probs) -> None:
-    """out[:] = the axis marginal's quantiles at probs; DomainError if one overflows."""
-    fam = model.marginal(axis)
-    with np.errstate(over="ignore"):  # reported below, as one error
-        out[:] = fam.quantile(probs)
-    require_finite(out, f"sampled {axis}", fam)
-
-
 def sample(
     model: models.BivariateModel, n: int, seed: int, cfg: NumericConfig | None = None
 ) -> SampleSet:
@@ -85,10 +77,11 @@ def sample(
     u = rng.random(n)
     w = rng.random(n)
     pairs = np.empty((n, 2), order="F")
+    fx, fy = model.marginal_x, model.marginal_y
     for part in blocks(n):
         v = model.copula.cond_quantile("eq", u[part], w[part])
-        _fill_quantiles(pairs[part, 0], model, "x", clip_prob(u[part], cfg))
-        _fill_quantiles(pairs[part, 1], model, "y", clip_prob(v, cfg))
+        pairs[part, 0] = require_finite(fx.quantile, clip_prob(u[part], cfg), what="sampled x", family=fx)
+        pairs[part, 1] = require_finite(fy.quantile, clip_prob(v, cfg), what="sampled y", family=fy)
     return SampleSet(pairs)
 
 

@@ -62,10 +62,18 @@ def require_integer(name: str, value, least: int) -> int:
     return int(value)
 
 
-def require_finite(values, what: str, family) -> None:
-    """:class:`DomainError` naming ``what`` unless ``values``, quantiles of ``family``, are all finite."""
+def require_finite(fn: Callable, *args, what: str, family):
+    """``fn(*args)``, or :class:`DomainError` naming ``what`` if a value is not finite.
+
+    ``fn`` computes quantiles of ``family``, or values built on them, with
+    numpy's floating-point warnings off: an overflow is this one error, not
+    a warning followed by an ``inf`` in the output.
+    """
+    with np.errstate(all="ignore"):  # a non-finite value is reported below, as one error
+        values = fn(*args)
     if not np.isfinite(values).all():
         raise DomainError(f"{what} is not finite: the quantile of {family.describe()} overflows")
+    return values
 
 
 @dataclass(frozen=True)

@@ -14,27 +14,27 @@ quantile 0 (all built-ins except the Pareto family, whose offset is its
 scale).  The MRL map carries the offset through the mean and is exact in
 all cases.  The identity check verifies (1-t) m(t) = int_t^1 dz/h(z).
 
+:data:`CHECKS` lists every ``verify`` check with its name, grid and
+tolerance; :func:`verify` runs them and returns one record per check.
+
 Inputs are callables, not models: the maps are statements about
 functions, so they accept model-derived components and standalone
 analytic ones alike.  Reconstruction integrands are singular at one
 endpoint for heavy-tailed or steep-origin quantiles, where the
-quadrature mesh stops ``sing_clip`` short.  Each map and the identity
-add back the mass dropped there: with ``inner`` and ``outer`` the masses
-on [c, 8c] and [8c, 64c] from that endpoint (c = ``sing_clip``), the
-dropped mass is the geometric tail inner**2 / (outer - inner) (Aitken's
-delta-squared), exact for a power law d**(-s) and equal to c*g(end) at a
-smooth end.
+quadrature mesh stops ``sing_clip`` short; each map and the identity add
+back the mass dropped there (:func:`_integrate_with_tail`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import models, reliability
-from .errors import DivergenceError, DomainError, SignError
+from .errors import DivergenceError, DomainError, InfiniteMeanError, SignError
 from .numerics import NumericConfig, config_or_default, integrate, t_grid
 
 COMPONENTS = ("first", "second")
@@ -104,7 +104,9 @@ def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: N
     The masses ``inner`` on [c, 8c] and ``outer`` on [8c, 64c] from
     ``end`` (c = ``sing_clip``) ride on the same call as two extra grid
     points.  The mass dropped within c of ``end`` is their geometric tail
-    ``inner**2 / (outer - inner)`` when ``outer > inner``, and 0 otherwise.
+    ``inner**2 / (outer - inner)`` (Aitken's delta-squared) when
+    ``outer > inner``, and 0 otherwise: exact for a power law d**(-s), and
+    c*g(end) at a smooth end.
     """
     c = config_or_default(cfg).sing_clip
     probe = np.array([8.0 * c, 64.0 * c])
@@ -264,6 +266,7 @@ def hazard_mrl_identity_residual(
         raise DomainError(f"component must be 'first' or 'second', got {component!r}")
     ts, scalar = t_grid(t)
     u0 = float(conditioning_u)
+    reliability._require_interior("conditioning_u", u0, config_or_default(cfg))  # the check of round_trip
     mrl = _of_probability(model, "mrl", component, u0, cfg)
     hazard = _of_probability(model, "hazard", component, u0, cfg)
 
@@ -272,3 +275,76 @@ def hazard_mrl_identity_residual(
 
     lhs = (1.0 - ts) * np.asarray(mrl(ts), dtype=float)
     return _shaped(lhs - _integrate_with_tail(reciprocal_hazard, ts, 1.0, cfg)[0], scalar)
+
+
+# --- the verify check table ------------------------------------------------
+
+ROUND_TRIP_TOL = 1e-4
+IDENTITY_TOL = 1e-6
+VERIFY_CONDITIONING_U = 0.5  #: the level u0 every second component is anchored at
+
+
+@dataclass(frozen=True)
+class Check:
+    """One ``verify`` check: ``residual(model, component, u0, ts, cfg)`` stays within ``tol`` on ``ts``."""
+
+    name: str
+    residual: Callable
+    component: str
+    ts: np.ndarray
+    tol: float
+
+    def __post_init__(self):
+        self.ts.flags.writeable = False  # shared by every verify call and every record
+
+
+def _round_trip_error(quantity, model, component, conditioning_u, ts, cfg):
+    reconstructed, reference = round_trip(model, quantity, component, conditioning_u, ts, cfg)
+    return reconstructed - reference
+
+
+#: Every check in output order: each round trip on 17 points of its t-range, each identity on t = k/34.
+CHECKS = tuple(
+    Check(f"{q}-roundtrip-{c}", functools.partial(_round_trip_error, q), c,
+          np.linspace(*t_range, 17), ROUND_TRIP_TOL)
+    for q, (_, t_range) in INVERSE_MAPS.items()
+    for c in COMPONENTS
+) + tuple(
+    Check(f"identity-{c}", hazard_mrl_identity_residual, c, np.arange(1, 34) / 34.0, IDENTITY_TOL)
+    for c in COMPONENTS
+)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One check on one model: its residuals on ``ts``, or None and the reason in ``note``."""
+
+    name: str
+    tol: float
+    ts: np.ndarray
+    residuals: np.ndarray | None
+    note: str = ""
+
+    @property
+    def max_residual(self) -> float | None:
+        return None if self.residuals is None else float(max(np.abs(self.residuals)))
+
+    @property
+    def passed(self) -> bool:
+        return self.residuals is not None and self.max_residual <= self.tol
+
+
+def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> list[CheckResult]:
+    """Every row of :data:`CHECKS` on ``model``, one record each.
+
+    A check whose component has an infinite mean fails with the error as
+    its note; any other :class:`BivquantError` propagates.
+    """
+    records = []
+    for check in CHECKS:
+        try:
+            residuals, note = check.residual(model, check.component, VERIFY_CONDITIONING_U, check.ts, cfg), ""
+        except InfiniteMeanError as exc:
+            residuals, note = None, str(exc)
+        records.append(CheckResult(check.name, check.tol, check.ts, residuals, note))
+    return records

@@ -16,7 +16,10 @@ component functions, ``first(model, u)`` and
 probability argument.  phi genuinely depends on the conditioning level,
 so every second component takes ``conditioning_u`` explicitly.  The
 X/Y-interchanged pair is the same functions applied to
-``models.swap_axes(model)``.
+``models.swap_axes(model)``.  Each component function checks its
+probability arguments at its public boundary, and reports a value that is
+not finite (a marginal quantile that overflows) as one :class:`DomainError`
+through :func:`~bivquant.numerics.require_finite`.
 
 All integrals of phi reduce to closed-form partial moments of the Y
 marginal through the substitution v = phi-probability, because the
@@ -27,11 +30,13 @@ invariance checks require at the 1e-9 level.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import models
 from .errors import BoundaryError, DomainError, InfiniteMeanError, MonotonicityError
-from .numerics import NumericConfig, clip_prob, config_or_default
+from .numerics import NumericConfig, clip_prob, config_or_default, require_finite
 
 
 def _require_interior(name: str, value, cfg: NumericConfig):
@@ -61,9 +66,15 @@ def _require_finite_mean(fam: models.Marginal, role: str):
 
 def _checked_deriv(vals, what: str):
     arr = np.asarray(vals, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # NaN fails too
         raise MonotonicityError(f"{what} produced a nonpositive derivative")
     return arr
+
+
+def _quantile_deriv(fam: models.Marginal, role: str, u):
+    """Q'(u) of the ``role`` marginal: DomainError if it overflows, MonotonicityError unless positive."""
+    qd = require_finite(fam.quantile_deriv, u, what=f"marginal {role} quantile derivative", family=fam)
+    return _checked_deriv(qd, f"marginal {role} quantile")
 
 
 def _phi_state(model: models.BivariateModel, conditioning_u, p, cfg: NumericConfig):
@@ -75,10 +86,8 @@ def _phi_state(model: models.BivariateModel, conditioning_u, p, cfg: NumericConf
 
 def _phi_deriv(model, conditioning_u, p, cfg):
     _, v = _phi_state(model, conditioning_u, p, cfg)
-    qd = _checked_deriv(model.marginal_y.quantile_deriv(v), "marginal Y quantile")
-    kd = _checked_deriv(
-        model.copula.cond_cdf_deriv("le", conditioning_u, v), "conditional CDF of Y"
-    )
+    qd = _quantile_deriv(model.marginal_y, "Y", v)
+    kd = _checked_deriv(model.copula.cond_cdf_deriv("le", conditioning_u, v), "conditional CDF of Y")
     return qd / kd
 
 
@@ -90,69 +99,86 @@ def _phi_partial_integral(model, c, v_lo, v_hi):
     return (1.0 + c) * j0 - 2.0 * c * j1
 
 
+def _first(fn):
+    """The first component ``fn(model, u, cfg)`` at its public boundary.
+
+    ``u`` is checked here, and a value that is not finite, because a
+    quantile of X overflows, is one :class:`DomainError`.
+    """
+    what = fn.__name__.replace("_", " ")
+
+    @functools.wraps(fn)
+    def first(model, u, cfg: NumericConfig | None = None):
+        cfg = config_or_default(cfg)
+        u = _require_interior("u", u, cfg)
+        return require_finite(fn, model, u, cfg, what=what, family=model.marginal_x)
+
+    return first
+
+
+def _second(fn):
+    """The second component ``fn(model, conditioning_u, p, cfg)`` at its public boundary, as :func:`_first`."""
+    what = fn.__name__.replace("_", " ")
+
+    @functools.wraps(fn)
+    def second(model, conditioning_u, p, cfg: NumericConfig | None = None):
+        cfg = config_or_default(cfg)
+        cu = _require_interior("conditioning_u", conditioning_u, cfg)
+        p = _require_interior("p_cond", p, cfg)
+        return require_finite(fn, model, cu, p, cfg, what=what, family=model.marginal_y)
+
+    return second
+
+
 # --- component functions (vectorized over their probability argument) -----
 
 
-def hazard_first(model, u, cfg: NumericConfig | None = None):
-    cfg = config_or_default(cfg)
-    u = _require_interior("u", u, cfg)
-    qd = _checked_deriv(model.marginal_x.quantile_deriv(u), "marginal X quantile")
-    return 1.0 / ((1.0 - u) * qd)
+@_first
+def hazard_first(model, u, cfg):
+    return 1.0 / ((1.0 - u) * _quantile_deriv(model.marginal_x, "X", u))
 
 
-def hazard_second(model, conditioning_u, p, cfg: NumericConfig | None = None):
-    cfg = config_or_default(cfg)
-    cu = _require_interior("conditioning_u", conditioning_u, cfg)
-    p = _require_interior("p_cond", p, cfg)
-    return 1.0 / ((1.0 - p) * _phi_deriv(model, cu, p, cfg))
+@_second
+def hazard_second(model, conditioning_u, p, cfg):
+    return 1.0 / ((1.0 - p) * _phi_deriv(model, conditioning_u, p, cfg))
 
 
-def mrl_first(model, u, cfg: NumericConfig | None = None):
-    cfg = config_or_default(cfg)
-    u = _require_interior("u", u, cfg)
+@_first
+def mrl_first(model, u, cfg):
     fam = model.marginal_x
     _require_finite_mean(fam, "X")
     tail = fam.mean - fam.quantile_integral(u)
     return tail / (1.0 - u) - fam.quantile(u)
 
 
-def mrl_second(model, conditioning_u, p, cfg: NumericConfig | None = None):
-    cfg = config_or_default(cfg)
-    cu = _require_interior("conditioning_u", conditioning_u, cfg)
-    p = _require_interior("p_cond", p, cfg)
+@_second
+def mrl_second(model, conditioning_u, p, cfg):
     _require_finite_mean(model.marginal_y, "Y")
-    c, v = _phi_state(model, cu, p, cfg)
+    c, v = _phi_state(model, conditioning_u, p, cfg)
     tail = _phi_partial_integral(model, c, v, 1.0)
     return tail / (1.0 - p) - model.marginal_y.quantile(v)
 
 
-def reversed_hazard_first(model, u, cfg: NumericConfig | None = None):
-    cfg = config_or_default(cfg)
-    u = _require_interior("u", u, cfg)
-    qd = _checked_deriv(model.marginal_x.quantile_deriv(u), "marginal X quantile")
-    return 1.0 / (u * qd)
+@_first
+def reversed_hazard_first(model, u, cfg):
+    return 1.0 / (u * _quantile_deriv(model.marginal_x, "X", u))
 
 
-def reversed_hazard_second(model, conditioning_u, p, cfg: NumericConfig | None = None):
-    cfg = config_or_default(cfg)
-    cu = _require_interior("conditioning_u", conditioning_u, cfg)
-    p = _require_interior("p_cond", p, cfg)
-    return 1.0 / (p * _phi_deriv(model, cu, p, cfg))
+@_second
+def reversed_hazard_second(model, conditioning_u, p, cfg):
+    return 1.0 / (p * _phi_deriv(model, conditioning_u, p, cfg))
 
 
-def reversed_mrl_first(model, u, cfg: NumericConfig | None = None):
-    cfg = config_or_default(cfg)
-    u = _require_interior("u", u, cfg)
+@_first
+def reversed_mrl_first(model, u, cfg):
     return model.marginal_x.quantile_gap_integral(u) / u
 
 
-def reversed_mrl_second(model, conditioning_u, p, cfg: NumericConfig | None = None):
+@_second
+def reversed_mrl_second(model, conditioning_u, p, cfg):
     # p * eta2(p) = (1+c) int_0^v (Q_Y(v)-Q_Y) dz - c int_0^v 2z (Q_Y(v)-Q_Y) dz
     # via the v-substitution; the gap integrals are the cancellation-safe forms
-    cfg = config_or_default(cfg)
-    cu = _require_interior("conditioning_u", conditioning_u, cfg)
-    p = _require_interior("p_cond", p, cfg)
-    c, v = _phi_state(model, cu, p, cfg)
+    c, v = _phi_state(model, conditioning_u, p, cfg)
     fam = model.marginal_y
     gap = fam.quantile_gap_integral(v)
     weighted_gap = fam.weighted_quantile_gap_integral(v)

@@ -22,7 +22,7 @@ from bivquant.numerics import BLOCK
 settings.register_profile("bivquant", derandomize=True, deadline=None)
 settings.load_profile("bivquant")
 
-INPUTS = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def traced_peak_mib(fn, *args):
@@ -37,12 +37,17 @@ def traced_peak_mib(fn, *args):
 
 
 @functools.cache
-def bench_inputs():
-    """``benchmarks/inputs.py``, loaded read-only: the model pools and parameter ranges."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
+def bench_module(name: str):
+    """``benchmarks/<name>.py``, loaded read-only."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_inputs():
+    """``benchmarks/inputs.py``: the model pools and parameter ranges."""
+    return bench_module("inputs")
 
 
 @pytest.fixture

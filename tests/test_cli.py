@@ -565,9 +565,17 @@ class TestMalformedInputs:
             (EXP_BYTES, None, [*SAMPLE_ONE, "--seed", "-1"], 2),
             (TINY_X, None, [*SAMPLE_ONE, "--n", "3"], 2),
             (TINY_X, None, ["curve", "-p", "0.25", "--dir", "pm", "-n", "3"], 2),
+            (TINY_X, None, ["verify"], 2),
+            (TINY_X, None, ["field", "--kind", "hazard"], 2),
+            (TINY_X, None, ["field", "--kind", "rev-hazard"], 2),
+            (TINY_X, None, ["field", "--kind", "rev-mrl"], 2),
+            (TINY_X, None, ["reconstruct", "--kind", "hazard"], 2),
+            (TINY_X, None, ["reconstruct", "--kind", "rev-mrl"], 2),
         ],
         ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
-             "huge-numerics-field", "negative-seed", "overflowing-draws", "overflowing-curve"],
+             "huge-numerics-field", "negative-seed", "overflowing-draws", "overflowing-curve",
+             "overflowing-verify", "overflowing-hazard-field", "overflowing-rev-hazard-field",
+             "overflowing-rev-mrl-field", "overflowing-hazard-reconstruct", "overflowing-rev-mrl-reconstruct"],
     )
     def test_one_error_line(self, tmp_path, model, config, command, expected):
         (tmp_path / "model.json").write_bytes(model)

@@ -4,14 +4,32 @@ The models come from ``benchmarks/inputs.py``, loaded read-only: the 32
 ``verify-sweep`` models at seed 1 and the ``cli-batch`` model, plus one
 near-miss model written out.  Only the MRL round trip and the identity of
 an infinite-mean component may fail, and they must fail by name, so a gate
-miss shows up here before it moves the benchmark's ``pass_rate``.
+miss shows up here before it moves the benchmark's ``pass_rate``.  The
+``verify`` transcript of each model must pass the benchmark's own
+classifier (``benchmarks/classify.py``, loaded read-only), so a format it
+cannot parse shows up here too.
 """
 
+import contextlib
+import io
+import json
+
+import numpy as np
 import pytest
 
-from bivquant import cli, models
+from bivquant import (
+    BivariateModel,
+    DomainError,
+    Exponential,
+    FGMCopula,
+    InfiniteMeanError,
+    Pareto,
+    cli,
+    models,
+    reconstruction,
+)
 
-from conftest import bench_inputs
+from conftest import bench_inputs, bench_module, bits
 
 
 def _pool():
@@ -39,9 +57,79 @@ def test_every_gate_holds(name):
         "first": not model.marginal_x.has_finite_mean,
         "second": not model.marginal_y.has_finite_mean,
     }
-    for check, max_res, tol, passed, note, _ in cli._verification_checks(model, None):
-        component = check.rsplit("-", 1)[1]
-        if infinite[component] and check.startswith(("mrl-roundtrip", "identity")):
-            assert not passed and max_res is None and "infinite mean" in note, check
+    for record in reconstruction.verify(model):
+        component = record.name.rsplit("-", 1)[1]
+        if infinite[component] and record.name.startswith(("mrl-roundtrip", "identity")):
+            assert not record.passed and record.residuals is None and "infinite mean" in record.note, record.name
         else:
-            assert passed, (check, max_res, tol)
+            assert record.passed, (record.name, record.max_residual, record.tol)
+
+
+@pytest.mark.parametrize("name", list(POOL))
+def test_classifier_accepts_the_transcript(tmp_path, name):
+    (tmp_path / "model.json").write_text(json.dumps(POOL[name]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify", "--model", str(tmp_path / "model.json")])
+    assert err.getvalue() == ""
+    assert bench_module("classify").classify_verify(POOL[name], rc, out.getvalue()) == ("pass", "")
+
+
+class TestCheckTable:
+    NAMES = [
+        f"{quantity}-roundtrip-{component}"
+        for quantity in ("hazard", "mrl", "rev-hazard", "rev-mrl")
+        for component in ("first", "second")
+    ] + ["identity-first", "identity-second"]
+
+    def test_rows_in_output_order(self):
+        assert [check.name for check in reconstruction.CHECKS] == self.NAMES
+        assert {check.tol for check in reconstruction.CHECKS[:8]} == {reconstruction.ROUND_TRIP_TOL}
+        assert {check.tol for check in reconstruction.CHECKS[8:]} == {reconstruction.IDENTITY_TOL}
+
+    def test_grids_are_read_only(self):
+        for check in reconstruction.CHECKS:
+            with pytest.raises(ValueError):
+                check.ts[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            models.model_from_dict(POOL["cli-batch"]),
+            BivariateModel(Pareto(1.2, 0.9), Exponential(0.7), FGMCopula(-0.6)),  # X without a mean
+        ],
+        ids=["cli-batch", "fgm-pareto-exponential"],
+    )
+    def test_records_equal_the_direct_calls(self, model):
+        u0 = 0.5
+        records = reconstruction.verify(model)
+        assert [r.name for r in records] == self.NAMES
+        for record in records:
+            quantity, _, component = record.name.rpartition("-")
+            if quantity == "identity":
+                ts = np.arange(1, 34) / 34.0
+
+                def direct():
+                    return reconstruction.hazard_mrl_identity_residual(model, component, u0, ts)
+            else:
+                quantity = quantity.removesuffix("-roundtrip")
+                ts = np.linspace(*reconstruction.INVERSE_MAPS[quantity][1], 17)
+
+                def direct():
+                    rec, ref = reconstruction.round_trip(model, quantity, component, u0, ts)
+                    return rec - ref
+
+            assert np.array_equal(bits(record.ts), bits(ts)), record.name
+            if record.residuals is None:
+                with pytest.raises(InfiniteMeanError) as exc:
+                    direct()
+                assert record.note == str(exc.value) and not record.passed
+            else:
+                assert np.array_equal(bits(record.residuals), bits(direct())), record.name
+                assert record.note == ""
+        assert sum(r.residuals is None for r in records) == (2 if not model.marginal_x.has_finite_mean else 0)
+
+    def test_other_errors_propagate(self):
+        overflowing = BivariateModel(Exponential(1e-310), Exponential(1.0), FGMCopula(0.5))
+        with pytest.raises(DomainError, match="overflows"):
+            reconstruction.verify(overflowing)

@@ -398,3 +398,11 @@ class TestIdentity:
     def test_component_validation(self, indep_uniform):
         with pytest.raises(DomainError):
             hazard_mrl_identity_residual(indep_uniform, "third", 0.5, 0.5)
+
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_conditioning_u_checked_for_every_component(self, indep_exp, component):
+        # the check and message of round_trip, though the first component never reads the level
+        with pytest.raises(DomainError, match=r"^conditioning_u must lie in \(0,1\), got 1\.5$"):
+            hazard_mrl_identity_residual(indep_exp, component, 1.5, 0.3)
+        with pytest.raises(DomainError, match=r"^conditioning_u must lie in \(0,1\), got 1\.5$"):
+            round_trip(indep_exp, "mrl", component, 1.5, [0.3])

@@ -11,6 +11,7 @@ from bivquant import (
     FGMCopula,
     IndependenceCopula,
     InfiniteMeanError,
+    MonotonicityError,
     Pareto,
     Uniform01,
     Weibull,
@@ -300,3 +301,35 @@ class TestExponentialInvariance:
         m = np.array([float(rel.mrl_first(model, u)) for u in GRID])
         assert np.max(np.abs(h - rate)) <= 1e-9
         assert np.max(np.abs(m - 1.0 / rate)) <= 1e-9
+
+
+class _Falling(Exponential):
+    """An Exponential whose quantile derivative has the wrong sign."""
+
+    def quantile_deriv(self, u):
+        return -super().quantile_deriv(u)
+
+
+class TestComponentBoundary:
+    """A quantile that overflows is one DomainError with no numpy warning; a wrong sign is a MonotonicityError."""
+
+    # rate 1e-307 keeps the mean finite, so the MRL components evaluate and overflow too
+    TINY_X = BivariateModel(Exponential(1e-307), Exponential(1.0), FGMCopula(0.5))
+
+    @pytest.mark.parametrize("quantity", list(rel.QUANTITIES))
+    def test_overflow_is_one_domain_error(self, quantity):
+        first, second = rel.QUANTITIES[quantity]
+        probs = np.array([0.5, 1.0 - 1e-9])
+        with pytest.raises(DomainError, match=r"is not finite: the quantile of Exponential\(rate=1e-307\) overflows"):
+            first(self.TINY_X, probs)
+        with pytest.raises(DomainError, match=r"is not finite: the quantile of Exponential\(rate=1e-307\) overflows"):
+            second(swap_axes(self.TINY_X), 0.5, probs)
+
+    @pytest.mark.parametrize("quantity", ["hazard", "rev-hazard"])
+    def test_sign_fault_is_monotonicity_error(self, quantity):
+        first, second = rel.QUANTITIES[quantity]
+        model = BivariateModel(_Falling(1.0), _Falling(1.0), IndependenceCopula())
+        with pytest.raises(MonotonicityError, match="marginal X quantile produced a nonpositive derivative"):
+            first(model, GRID)
+        with pytest.raises(MonotonicityError, match="marginal Y quantile produced a nonpositive derivative"):
+            second(model, 0.5, GRID)
