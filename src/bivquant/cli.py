@@ -238,7 +238,8 @@ def cmd_verify(args, model, cfg) -> int:
             status = "PASS" if r.passed else "FAIL"
             sys.stdout.write(f"{r.name}: max_residual={_fmt(r.max_residual)} tol={_fmt(r.tol)} {status}\n")
     all_pass = all(r.passed for r in records)
-    worst = max((r.max_residual for r in records if r.residuals is not None), default=float("nan"))
+    checked = [r.max_residual for r in records if r.residuals is not None]
+    worst = float(np.max(checked)) if checked else float("nan")  # NaN if any residual is NaN
     sys.stdout.write(f"max residual over all checks: {_fmt(worst)}\n")
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
     if args.out:  # the identity residuals, one row per t

@@ -27,7 +27,7 @@ class DegenerateLevelError(BivquantError, ValueError):
 
 
 class IntegrandError(BivquantError, ValueError):
-    """Integrand returned a non-finite value inside the integration interval."""
+    """Integrand, or the integral built on it, is not finite inside the integration interval."""
 
 
 class MonotonicityError(BivquantError, RuntimeError):

@@ -7,6 +7,11 @@ graded mesh of [0, 1].  Both are pure and deterministic for a fixed
 :class:`NumericConfig`.  The mesh is built once per (config, end), read-only,
 and at most 4 are kept: 4 arrays of ``2 * quad_points + 1`` doubles each, so
 131 KB at the default 2048 and 4.2 MB (16.8 MB for 4) at ``MAX_QUAD_POINTS``.
+The plan of a grid (its nodes, weights and gather indices, see
+:func:`_plan`) is built once per (config, end, t-grid), read-only, and at
+most 4 are kept: two arrays of up to ``4 * quad_points + 2`` nodes plus two
+per t, so about 130 KB per plan at the default and 4.2 MB at
+``MAX_QUAD_POINTS``.
 :func:`require_real` is the one real-number check of model parameters and
 config fields, :func:`require_integer` the one integer check of counts and
 seeds, and :func:`require_finite` the one overflow check of quantiles.
@@ -161,6 +166,41 @@ def _mesh(cfg: NumericConfig, end: float) -> tuple[np.ndarray, ...]:
     return rho, z_near, z_far, weight
 
 
+@functools.lru_cache(maxsize=4)  # the three t-grids of ``verify``, and one more
+def _plan(cfg: NumericConfig, end: float, shape: tuple, data: bytes):
+    """What :func:`integrate` needs besides ``f`` on the grid ``data``, read-only; None if it is empty.
+
+    That is the grid size ``n``, the last near-half node ``k_near``, the
+    nodes ``z`` and their ``weight``, the index of each t's even node in
+    ``z`` and of its cumulative sum, each t's last half pair width, and the
+    Simpson factor of the whole pairs.
+    """
+    ts, _ = t_grid(np.frombuffer(data).reshape(shape))
+    if not ts.size:
+        return None
+    rho, z_near, z_far, w = _mesh(cfg, end)
+    m = rho.size - 1
+    # each half of [0, 1] is graded toward its own endpoint; the half at
+    # ``end`` is the near one, and rho_t places t in its half
+    near_dist, far_dist = (ts, 1.0 - ts) if end == 0.0 else (1.0 - ts, ts)
+    far = near_dist > 0.5
+    rho_t = np.clip(np.where(far, far_dist, near_dist) ** (1.0 / GRADE), rho[0], rho[-1])
+    # the even node next to t on the ``end`` side: below rho_t in the near half, above it in the far one
+    below, above = np.searchsorted(rho, rho_t, "right") - 1, np.searchsorted(rho, rho_t, "left")
+    k = np.where(far, above + above % 2, below - below % 2)
+    k_near, k_far = (m, int(k[far].min())) if far.any() else (int(k.max()), m + 1)
+    # only each t's midpoint and t node are new, on the far half where t is
+    z_t, w_t = _graded(np.concatenate([0.5 * (rho[k] + rho_t), rho_t]), np.concatenate([far, far]), end)
+    z = np.concatenate([z_near[: k_near + 1], z_far[k_far:], z_t])
+    weight = np.concatenate([w[: k_near + 1], w[k_far:], w_t])
+    idx_k = np.where(far, k_near + 1 + k - k_far, k)
+    idx_c = np.where(far, m - k // 2, k // 2)
+    span = np.abs(rho_t - rho[k]) / 6.0
+    for a in (z, weight, idx_k, idx_c, span):
+        a.flags.writeable = False
+    return ts.size, k_near, z, weight, idx_k, idx_c, span, (rho[1] - rho[0]) / 3.0
+
+
 def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> np.ndarray:
     """``int_0^t f`` (``end = 0``) or ``int_t^1 f`` (``end = 1``) for each t of ``ts`` in (0, 1).
 
@@ -174,43 +214,28 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     ``end``, in a fixed sequential order, up to the last even node before
     t; one more pair with its own midpoint covers the rest.  So every t of
     a grid comes from one call of ``f``, and each equals the value of a
-    one-point grid bit for bit.  A non-finite value of ``f`` raises
-    :class:`IntegrandError` naming its z.
+    one-point grid bit for bit.  The nodes, weights and indices of a grid
+    are built once per (config, end, grid) and kept (:func:`_plan`).  A
+    non-finite value of ``f`` raises :class:`IntegrandError` naming its z.
     """
     if end not in (0.0, 1.0):
         raise DomainError(f"end must be 0 or 1, got {end!r}")
-    cfg = config_or_default(cfg)
-    ts, _ = t_grid(ts)
-    if not ts.size:
+    grid = np.atleast_1d(np.asarray(ts, dtype=float))
+    plan = _plan(config_or_default(cfg), end, grid.shape, grid.tobytes())
+    if plan is None:
         return np.zeros(0)
-    rho, z_near, z_far, w = _mesh(cfg, end)
-    m = rho.size - 1
-    # each half of [0, 1] is graded toward its own endpoint; the half at
-    # ``end`` is the near one, and rho_t places t in its half
-    near_dist, far_dist = (ts, 1.0 - ts) if end == 0.0 else (1.0 - ts, ts)
-    far = near_dist > 0.5
-    rho_t = np.clip(np.where(far, far_dist, near_dist) ** (1.0 / GRADE), rho[0], rho[-1])
-    # the even node next to t on the ``end`` side: below rho_t in the near half, above it in the far one
-    below, above = np.searchsorted(rho, rho_t, "right") - 1, np.searchsorted(rho, rho_t, "left")
-    k = np.where(far, above + above % 2, below - below % 2)
-    k_near, k_far = (m, int(k[far].min())) if far.any() else (int(k.max()), m + 1)
-    # per call, only each t's midpoint and t node are new, on the far half where t is
-    z_t, w_t = _graded(np.concatenate([0.5 * (rho[k] + rho_t), rho_t]), np.concatenate([far, far]), end)
-    z = np.concatenate([z_near[: k_near + 1], z_far[k_far:], z_t])
-    weight = np.concatenate([w[: k_near + 1], w[k_far:], w_t])
-    g = np.asarray(f(z), dtype=float)
+    n, k_near, z, weight, idx_k, idx_c, span, h = plan
+    with np.errstate(all="ignore"):  # a non-finite value is reported below, as one error
+        g = np.asarray(f(z), dtype=float)
     bad = ~np.isfinite(g)
     if bad.any():
         raise IntegrandError(f"integrand is not finite at z = {float(z[bad][0])!r}")
     g = g * weight
-    n = ts.size
     g_near, g_far, g_mid, g_t = g[: k_near + 1], g[k_near + 1 : -2 * n], g[-2 * n : -n], g[-n:]
 
     def pairs(y):
-        return (rho[1] - rho[0]) / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
+        return h * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
 
     # away from ``end``: the near half outward, then the far half toward its endpoint
     cumulative = np.cumsum(np.concatenate([[0.0], pairs(g_near), pairs(g_far)[::-1]]))
-    g_k = g[np.where(far, k_near + 1 + k - k_far, k)]
-    last = np.abs(rho_t - rho[k]) / 6.0 * (g_k + 4.0 * g_mid + g_t)
-    return cumulative[np.where(far, m - k // 2, k // 2)] + last
+    return cumulative[idx_c] + span * (g[idx_k] + 4.0 * g_mid + g_t)

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import models, reliability
-from .errors import DivergenceError, DomainError, InfiniteMeanError, SignError
+from .errors import DivergenceError, DomainError, InfiniteMeanError, IntegrandError, SignError
 from .numerics import NumericConfig, config_or_default, integrate, t_grid
 
 COMPONENTS = ("first", "second")
@@ -106,14 +106,22 @@ def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: N
     points.  The mass dropped within c of ``end`` is their geometric tail
     ``inner**2 / (outer - inner)`` (Aitken's delta-squared) when
     ``outer > inner``, and 0 otherwise: exact for a power law d**(-s), and
-    c*g(end) at a smooth end.
+    c*g(end) at a smooth end.  A tail or a result that overflows raises
+    :class:`IntegrandError`.
     """
     c = config_or_default(cfg).sing_clip
     probe = np.array([8.0 * c, 64.0 * c])
     values = integrate(integrand, np.append(ts, probe if end == 0.0 else 1.0 - probe), end, cfg)
     inner, outer = values[-2], values[-1] - values[-2]
-    tail = inner * inner / (outer - inner) if outer > inner else 0.0
-    return values[:-2] + tail, inner, outer
+    with np.errstate(all="ignore"):  # an overflow is reported below, as one error
+        tail = inner * inner / (outer - inner) if outer > inner else 0.0
+        result = values[:-2] + tail
+    if not (np.isfinite(tail) and np.isfinite(result).all()):
+        raise IntegrandError(
+            f"integral plus the mass dropped at the clipped endpoint is not finite "
+            f"(mass {inner:.3e} on [clip, 8*clip] and {outer:.3e} on [8*clip, 64*clip])"
+        )
+    return result, inner, outer
 
 
 def component_from_model(
@@ -325,9 +333,10 @@ class CheckResult:
     residuals: np.ndarray | None
     note: str = ""
 
-    @property
+    @functools.cached_property
     def max_residual(self) -> float | None:
-        return None if self.residuals is None else float(max(np.abs(self.residuals)))
+        """The largest absolute residual, NaN if any residual is NaN."""
+        return None if self.residuals is None else float(np.max(np.abs(self.residuals)))
 
     @property
     def passed(self) -> bool:

@@ -309,6 +309,16 @@ class TestVerifyCommand:
             if "hazard" in line and "roundtrip" in line:
                 assert line.endswith("PASS")
 
+    @pytest.mark.parametrize("order", [(1e-9, np.nan), (np.nan, 1e-9)], ids=["nan-last", "nan-first"])
+    def test_nan_residual_fails_the_run(self, model_file, monkeypatch, capsys, order):
+        ts = np.array([0.5])
+        records = [reconstruction.CheckResult(f"check-{i}", 1e-6, ts, np.array([x])) for i, x in enumerate(order)]
+        monkeypatch.setattr(reconstruction, "verify", lambda model, cfg: records)
+        rc = main(["verify", "--model", model_file(EXP_MODEL)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert lines[-2:] == ["max residual over all checks: nan", "verify: FAIL"]
+
     def test_verify_deterministic(self, tmp_path, model_file, capsys):
         spec = model_file(EXP_MODEL)
         main(["verify", "--model", spec])
@@ -548,6 +558,8 @@ BIG = b"1" + b"0" * 400  # a JSON integer no float can hold
 
 
 TINY_X = EXP_BYTES.replace(b'"rate": 1.0', b'"rate": 1e-310', 1)  # its X quantiles overflow
+#: Its X quantiles stay finite (about 1e307), but the MRL and reversed-MRL maps' own arithmetic overflows.
+SMALL_X = EXP_BYTES.replace(b'"rate": 1.0', b'"rate": 1e-307', 1)
 SAMPLE_ONE = ["sample", "--n", "1"]
 
 
@@ -571,11 +583,14 @@ class TestMalformedInputs:
             (TINY_X, None, ["field", "--kind", "rev-mrl"], 2),
             (TINY_X, None, ["reconstruct", "--kind", "hazard"], 2),
             (TINY_X, None, ["reconstruct", "--kind", "rev-mrl"], 2),
+            (SMALL_X, None, ["reconstruct", "--kind", "mrl", "--component", "first"], 2),
+            (SMALL_X, None, ["reconstruct", "--kind", "rev-mrl", "--component", "first"], 2),
         ],
         ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
              "huge-numerics-field", "negative-seed", "overflowing-draws", "overflowing-curve",
              "overflowing-verify", "overflowing-hazard-field", "overflowing-rev-hazard-field",
-             "overflowing-rev-mrl-field", "overflowing-hazard-reconstruct", "overflowing-rev-mrl-reconstruct"],
+             "overflowing-rev-mrl-field", "overflowing-hazard-reconstruct", "overflowing-rev-mrl-reconstruct",
+             "overflowing-mrl-integrand", "overflowing-rev-mrl-tail"],
     )
     def test_one_error_line(self, tmp_path, model, config, command, expected):
         (tmp_path / "model.json").write_bytes(model)

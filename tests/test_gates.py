@@ -129,6 +129,12 @@ class TestCheckTable:
                 assert record.note == ""
         assert sum(r.residuals is None for r in records) == (2 if not model.marginal_x.has_finite_mean else 0)
 
+    @pytest.mark.parametrize("residuals", [[1e-9, np.nan], [np.nan, 1e-9]], ids=["nan-last", "nan-first"])
+    def test_nan_residual_fails(self, residuals):
+        record = reconstruction.CheckResult("check", 1e-6, np.array([0.2, 0.4]), np.array(residuals))
+        assert np.isnan(record.max_residual)
+        assert not record.passed
+
     def test_other_errors_propagate(self):
         overflowing = BivariateModel(Exponential(1e-310), Exponential(1.0), FGMCopula(0.5))
         with pytest.raises(DomainError, match="overflows"):

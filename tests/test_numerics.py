@@ -157,3 +157,58 @@ class TestMeshCache:
         assert default is not coarse
         assert (coarse[0].size, default[0].size) == (2 * 64 + 1, 2 * 2048 + 1)
         assert numerics._mesh(NumericConfig(), 1.0) is not default  # each end has its own z
+
+
+class TestPlanCache:
+    """The nodes, weights and indices of a grid are built once per (config, end, grid) and reused."""
+
+    GRIDS = {
+        "scalar": 0.3,
+        "one-point": [0.7],
+        "near-0-half": [0.01, 0.2, 0.45, 0.2],
+        "near-1-half": [0.999, 0.55, 0.8],
+        "both-halves": [0.7, 0.01, 0.5, 0.7, 0.3, 0.999, 0.5, 0.25],
+    }
+
+    @staticmethod
+    def f(z):
+        return np.exp(-z) / np.sqrt(z * (1.0 - z))
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_warm_equals_cold(self, end, grid):
+        numerics._plan.cache_clear()
+        cold = integrate(self.f, self.GRIDS[grid], end)
+        warm = integrate(self.f, self.GRIDS[grid], end)
+        assert numerics._plan.cache_info().hits == 1
+        assert warm.tobytes() == cold.tobytes()  # bit for bit
+        assert cold.tobytes() == integrate_per_call_mesh(self.f, self.GRIDS[grid], end, NumericConfig()).tobytes()
+
+    def test_plan_is_read_only(self):
+        grid = np.array([0.2, 0.9])
+        integrate(self.f, grid, 0.0)
+        plan = numerics._plan(NumericConfig(), 0.0, grid.shape, grid.tobytes())
+        arrays = [a for a in plan if isinstance(a, np.ndarray)]
+        assert arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_caller_grid_is_not_kept(self, end):
+        ts = np.array([0.2, 0.7])
+        integrate(self.f, ts, end)
+        ts[0] = 0.9  # the plan holds a copy of the grid's bytes, not the caller's array
+        assert integrate(self.f, ts, end).tobytes() == integrate_per_call_mesh(self.f, ts, end, NumericConfig()).tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, np.nan, [[0.2, 0.3]]], ids=["zero", "one", "nan", "2-d"])
+    def test_invalid_grid_raises_every_time(self, t):
+        for _ in range(3):
+            with pytest.raises(DomainError, match="t must"):
+                integrate(np.exp, t, 0.0)
+
+    def test_bounded(self):
+        for i in range(20):
+            integrate(np.exp, [0.01 * (i + 1)], 1.0)
+        info = numerics._plan.cache_info()
+        assert info.maxsize == 4 and info.currsize <= 4
