@@ -28,7 +28,7 @@ import numpy as np
 
 from . import models
 from .errors import DegenerateLevelError, DomainError
-from .numerics import NumericConfig, blocks, require_finite, require_integer
+from .numerics import NumericConfig, blocks, require_finite, require_integer, require_probs
 
 #: Tolerance of the level-set invariant; far above the root tolerance so the
 #: check is meaningful instead of tautological.
@@ -70,16 +70,9 @@ class QuantileCurve:
         }
 
 
-def _require_level(p) -> float:
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0,1), got {p}")
-    return p
-
-
 def admissible_interval(p: float, direction: models.Direction):
     """Clipped u-interval on which the direction's parametrization is defined."""
-    p = _require_level(p)
+    p = float(require_probs("p", p))
     if direction.eps1 < 0:
         lo, hi = p + EDGE_MARGIN, 1.0 - EDGE_MARGIN
     else:
@@ -111,7 +104,7 @@ def curve_from_conditional(
     cfg: NumericConfig | None = None,
 ) -> tuple[float, float]:
     """Single curve point at parameter u; consistent with :func:`curve_points`."""
-    p = _require_level(p)
+    p = float(require_probs("p", p))
     u = float(u)
     if direction.eps1 < 0 and not (p < u < 1.0):
         raise DomainError(f"direction {direction} requires u > p (and u < 1), got u = {u}, p = {p}")
@@ -131,7 +124,7 @@ def curve_points(
     cfg: NumericConfig | None = None,
 ) -> QuantileCurve:
     """Materialize the curve on a uniform u-grid over the admissible interval."""
-    p = _require_level(p)
+    p = float(require_probs("p", p))
     n = require_integer("n_points", n_points, 2)
     lo, hi = admissible_interval(p, direction)
     points = np.empty((n, 3), order="F")

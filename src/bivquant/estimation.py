@@ -32,9 +32,9 @@ from math import isqrt
 import numpy as np
 
 from . import models
-from .curves import QuantileCurve, _require_level, conditional_args
+from .curves import QuantileCurve, conditional_args
 from .errors import DomainError, InsufficientMassError
-from .numerics import NumericConfig, blocks, clip_prob, require_finite, require_integer
+from .numerics import NumericConfig, blocks, clip_prob, require_finite, require_integer, require_probs
 
 #: Smallest conditioning subsample accepted by the empirical estimators.
 MIN_COND_N = 30
@@ -130,12 +130,11 @@ def empirical_curve(
     u_grid,
 ) -> QuantileCurve:
     """Empirical curve: sample quantiles replace Q_X and the conditional quantile."""
-    p = _require_level(p)
+    p = float(require_probs("p", p))
     us = np.asarray(u_grid, dtype=float)
     if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
         raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")
-    if not (0.0 < us[0] and us[-1] < 1.0):  # increasing, so a NaN or inf shows at an end
-        raise DomainError(f"u_grid must lie in (0,1), got values from {us[0]} to {us[-1]}")
+    require_probs("u_grid", us)
     if direction.eps1 < 0 and us[0] <= p:
         raise DomainError(f"direction {direction} requires u > p, got u = {us[0]}, p = {p}")
     if direction.eps1 > 0 and us[-1] >= 1.0 - p:
@@ -171,9 +170,7 @@ def empirical_curve(
 
 def empirical_mrl_first(sample_set: SampleSet, u: float) -> float:
     """Mean exceedance over the empirical u-quantile of the first component."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"u must lie in (0,1), got {u}")
+    u = float(require_probs("u", u))
     j = _inf_index(u, len(sample_set.x))
     x_hat = float(np.partition(sample_set.x, j)[j])
     exceed = sample_set.x[sample_set.x > x_hat]  # sample order: np.mean's sum depends on it

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BoundaryError, ConvergenceError, DegenerateConditioningError, DomainError, ModelSpecError
-from .numerics import NumericConfig, clip_prob, require_real
+from .numerics import NumericConfig, clip_prob, require_probs, require_real
 
 Axis = str  #: "x" or "y"
 Sense = str  #: "le" (conditioning on U <= u), "ge" (U >= u), "eq" (U = u, sampling only)
@@ -585,29 +585,19 @@ class BivariateModel:
 # ---------------------------------------------------------------------------
 
 
-def _as_prob_array(name: str, value):
-    arr = np.asarray(value, dtype=float)
-    outside = arr[~((arr >= 0.0) & (arr <= 1.0))]  # NaN fails both comparisons
-    if outside.size:  # the first offending value: a grid keeps the message on one line
-        raise DomainError(f"{name} must lie in [0, 1], got {float(outside[0])!r}")
-    return arr
-
-
 def marginal_quantile(model: BivariateModel, axis: Axis, u, cfg: NumericConfig | None = None):
     """Marginal quantile Q(u); strictly increasing in u.
 
-    Exact endpoints are honoured when the corresponding support endpoint is
-    finite and raise :class:`BoundaryError` otherwise; interior arguments
-    are clipped to ``[eps_boundary, 1 - eps_boundary]``.
+    Exact endpoints are honoured (every built-in support starts at a finite
+    point), except that u = 1 raises :class:`BoundaryError` when the support
+    is unbounded above; interior arguments are clipped to
+    ``[eps_boundary, 1 - eps_boundary]``.
     """
     fam = model.marginal(axis)
-    arr = _as_prob_array("u", u)
+    arr = require_probs("u", u, closed=True)
     scalar = arr.ndim == 0
-    lo, hi = fam.support
-    if math.isinf(hi) and np.any(arr == 1.0):
+    if math.isinf(fam.support[1]) and np.any(arr == 1.0):
         raise BoundaryError(f"u = 1 requests the upper endpoint of an unbounded support ({fam.kind})")
-    if math.isinf(lo) and np.any(arr == 0.0):
-        raise BoundaryError(f"u = 0 requests the lower endpoint of an unbounded support ({fam.kind})")
     interior = (arr > 0.0) & (arr < 1.0)
     clipped = np.where(interior, clip_prob(arr, cfg), arr)
     out = fam.quantile(clipped)
@@ -632,7 +622,7 @@ def orthant_prob(model: BivariateModel, direction: Direction, x, y):
 
 def _validated_conditioning(sense: Sense, conditioning_u, cfg: NumericConfig | None):
     sense = _require_sense(sense)
-    arr = _as_prob_array("conditioning_u", conditioning_u)
+    arr = require_probs("conditioning_u", conditioning_u, closed=True)
     if sense == "le" and np.any(arr == 0.0):
         raise DegenerateConditioningError("conditioning event {X <= Q_X(0)} has probability zero")
     if sense == "ge" and np.any(arr == 1.0):
@@ -648,7 +638,7 @@ def conditional_quantile(
     Uses the closed-form inverse of the copula's quadratic conditional.
     """
     sense, uc = _validated_conditioning(sense, conditioning_u, cfg)
-    parr = _as_prob_array("p", p)
+    parr = require_probs("p", p, closed=True)
     scalar = parr.ndim == 0 and np.ndim(conditioning_u) == 0
     pc = clip_prob(parr, cfg)
     v = clip_prob(model.copula.cond_quantile(sense, uc, pc), cfg)

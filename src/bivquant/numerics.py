@@ -4,17 +4,16 @@ Two primitives back everything else in the package: probability clipping,
 and one quadrature, :func:`integrate`, which gives ``int_0^t`` or
 ``int_t^1`` for a whole t-grid as cumulative Simpson sums on one fixed
 graded mesh of [0, 1].  Both are pure and deterministic for a fixed
-:class:`NumericConfig`.  The mesh is built once per (config, end), read-only,
-and at most 4 are kept: 4 arrays of ``2 * quad_points + 1`` doubles each, so
-131 KB at the default 2048 and 4.2 MB (16.8 MB for 4) at ``MAX_QUAD_POINTS``.
-The plan of a grid (its nodes, weights and gather indices, see
-:func:`_plan`) is built once per (config, end, t-grid), read-only, and at
-most 4 are kept: two arrays of up to ``4 * quad_points + 2`` nodes plus two
-per t, so about 130 KB per plan at the default and 4.2 MB at
-``MAX_QUAD_POINTS``.
+:class:`NumericConfig`.  The plan of a grid (its mesh nodes, weights and
+gather indices, see :func:`_plan`) is built once per (config, end, t-grid),
+read-only, and at most 4 are kept: two arrays of up to
+``4 * quad_points + 2`` nodes plus two per t, so about 130 KB per plan at
+the default and 4.2 MB at ``MAX_QUAD_POINTS``.
 :func:`require_real` is the one real-number check of model parameters and
 config fields, :func:`require_integer` the one integer check of counts and
-seeds, and :func:`require_finite` the one overflow check of quantiles.
+seeds, :func:`require_probs` the one probability check of levels,
+conditioning levels and component arguments, and :func:`require_finite`
+the one overflow check of quantiles.
 :func:`blocks` cuts a long elementwise fill into cache-sized row blocks.
 """
 
@@ -23,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -65,6 +65,21 @@ def require_integer(name: str, value, least: int) -> int:
     if not valid:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
+    """``value`` as a float array; :class:`DomainError` naming its first value outside (0,1).
+
+    With ``closed``, the endpoints pass: the interval is [0, 1].
+    """
+    arr = np.asarray(value, dtype=float)
+    below = operator.le if closed else operator.lt
+    # one reduction each way; NaN propagates through both, and 0.5 lets an empty grid pass
+    if below(0.0, arr.min(initial=0.5)) and below(arr.max(initial=0.5), 1.0):
+        return arr
+    outside = arr[~(below(0.0, arr) & below(arr, 1.0))]  # NaN fails both comparisons
+    interval = "[0, 1]" if closed else "(0,1)"
+    raise DomainError(f"{name} must lie in {interval}, got {float(outside[0])!r}")
 
 
 def require_finite(fn: Callable, *args, what: str, family):
@@ -144,26 +159,13 @@ def t_grid(t) -> tuple[np.ndarray, bool]:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim > 1:
         raise DomainError(f"t must be a scalar or a 1-D grid, got shape {ts.shape}")
-    outside = ts[~((ts > 0.0) & (ts < 1.0))]
-    if outside.size:
-        raise DomainError(f"t must lie in (0,1), got {outside[0]}")
-    return ts, np.ndim(t) == 0
+    return require_probs("t", ts), np.ndim(t) == 0
 
 
 def _graded(rho, far, end: float) -> tuple[np.ndarray, np.ndarray]:
     """z at distance ``rho**GRADE`` from ``end``, or from the other endpoint where ``far``, and dz/drho."""
     dist, sign = rho**GRADE, 1.0 - 2.0 * end
     return np.where(far, (1.0 - end) - sign * dist, end + sign * dist), GRADE * rho ** (GRADE - 1.0)
-
-
-@functools.lru_cache(maxsize=4)  # both ends of two configs
-def _mesh(cfg: NumericConfig, end: float) -> tuple[np.ndarray, ...]:
-    """rho, z on the near and on the far half, and the grading weights of the mesh, read-only."""
-    rho = np.linspace(cfg.sing_clip ** (1.0 / GRADE), 0.5 ** (1.0 / GRADE), 2 * int(cfg.quad_points) + 1)
-    (z_near, weight), (z_far, _) = _graded(rho, False, end), _graded(rho, True, end)
-    for a in (rho, z_near, z_far, weight):
-        a.flags.writeable = False
-    return rho, z_near, z_far, weight
 
 
 @functools.lru_cache(maxsize=4)  # the three t-grids of ``verify``, and one more
@@ -178,7 +180,8 @@ def _plan(cfg: NumericConfig, end: float, shape: tuple, data: bytes):
     ts, _ = t_grid(np.frombuffer(data).reshape(shape))
     if not ts.size:
         return None
-    rho, z_near, z_far, w = _mesh(cfg, end)
+    rho = np.linspace(cfg.sing_clip ** (1.0 / GRADE), 0.5 ** (1.0 / GRADE), 2 * int(cfg.quad_points) + 1)
+    (z_near, w), (z_far, _) = _graded(rho, False, end), _graded(rho, True, end)
     m = rho.size - 1
     # each half of [0, 1] is graded toward its own endpoint; the half at
     # ``end`` is the near one, and rho_t places t in its half
@@ -216,7 +219,8 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     a grid comes from one call of ``f``, and each equals the value of a
     one-point grid bit for bit.  The nodes, weights and indices of a grid
     are built once per (config, end, grid) and kept (:func:`_plan`).  A
-    non-finite value of ``f`` raises :class:`IntegrandError` naming its z.
+    non-finite value of ``f`` raises :class:`IntegrandError` naming its z,
+    and so does a result that overflows, without a numpy warning.
     """
     if end not in (0.0, 1.0):
         raise DomainError(f"end must be 0 or 1, got {end!r}")
@@ -225,17 +229,20 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     if plan is None:
         return np.zeros(0)
     n, k_near, z, weight, idx_k, idx_c, span, h = plan
-    with np.errstate(all="ignore"):  # a non-finite value is reported below, as one error
-        g = np.asarray(f(z), dtype=float)
-    bad = ~np.isfinite(g)
-    if bad.any():
-        raise IntegrandError(f"integrand is not finite at z = {float(z[bad][0])!r}")
-    g = g * weight
-    g_near, g_far, g_mid, g_t = g[: k_near + 1], g[k_near + 1 : -2 * n], g[-2 * n : -n], g[-n:]
 
     def pairs(y):
         return h * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
 
-    # away from ``end``: the near half outward, then the far half toward its endpoint
-    cumulative = np.cumsum(np.concatenate([[0.0], pairs(g_near), pairs(g_far)[::-1]]))
-    return cumulative[idx_c] + span * (g[idx_k] + 4.0 * g_mid + g_t)
+    with np.errstate(all="ignore"):  # a non-finite value or result is reported as one error
+        g = np.asarray(f(z), dtype=float)
+        bad = ~np.isfinite(g)
+        if bad.any():
+            raise IntegrandError(f"integrand is not finite at z = {float(z[bad][0])!r}")
+        g = g * weight
+        g_near, g_far, g_mid, g_t = g[: k_near + 1], g[k_near + 1 : -2 * n], g[-2 * n : -n], g[-n:]
+        # away from ``end``: the near half outward, then the far half toward its endpoint
+        cumulative = np.cumsum(np.concatenate([[0.0], pairs(g_near), pairs(g_far)[::-1]]))
+        values = cumulative[idx_c] + span * (g[idx_k] + 4.0 * g_mid + g_t)
+    if not np.isfinite(values).all():
+        raise IntegrandError("integral is not finite: the weighted sum of the integrand overflows")
+    return values

@@ -35,19 +35,16 @@ import functools
 import numpy as np
 
 from . import models
-from .errors import BoundaryError, DomainError, InfiniteMeanError, MonotonicityError
-from .numerics import NumericConfig, clip_prob, config_or_default, require_finite
+from .errors import BoundaryError, InfiniteMeanError, MonotonicityError
+from .numerics import NumericConfig, clip_prob, config_or_default, require_finite, require_probs
 
 
 def _require_interior(name: str, value, cfg: NumericConfig):
     arr = np.asarray(value, dtype=float)
-    # one reduction each way; NaN propagates through both, and 0.5 lets an empty grid pass
-    lo, hi = arr.min(initial=0.5), arr.max(initial=0.5)
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo >= 0.0 and hi <= 1.0):
-        outside = arr[~((arr >= 0.0) & (arr <= 1.0))]  # NaN fails both comparisons
-        raise DomainError(f"{name} must lie in (0,1), got {float(outside[0])!r}")
     eps = cfg.eps_boundary
-    if lo < eps or hi > 1.0 - eps:
+    # one reduction each way, as require_probs: NaN fails both, and 0.5 lets an empty grid pass
+    if not (eps <= arr.min(initial=0.5) and arr.max(initial=0.5) <= 1.0 - eps):
+        require_probs(name, arr)  # outside (0,1) is a DomainError; inside, within eps of an end, a BoundaryError
         outside = arr[(arr < eps) | (arr > 1.0 - eps)]
         raise BoundaryError(  # the first offending value: a grid keeps the message on one line
             f"{name} = {float(outside[0])!r} lies outside the clipped interval "

@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import bivquant
 
@@ -22,3 +23,15 @@ def test_public_names_are_pinned():
     # submodules become attributes once imported, so only non-module names count
     names = {n for n, v in vars(bivquant).items() if not n.startswith("_") and not inspect.ismodule(v)}
     assert names == PUBLIC
+
+
+def test_one_probability_check():
+    # the range rule of probability arguments is spelled once, in numerics.require_probs
+    package = Path(bivquant.__file__).parent
+    spelled = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "numerics.py"
+        and ("must lie in (0,1)" in path.read_text() or "must lie in [0, 1]" in path.read_text())
+    ]
+    assert spelled == []

@@ -205,6 +205,13 @@ class TestFieldCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: u = {1 / 13!r} lies outside")
 
+    def test_empty_grid_exit_2(self, tmp_path, model_file, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["field", "--model", model_file(EXP_MODEL), "--kind", "hazard", "--grid", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: grid must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_infinite_mean_usage_error(self, tmp_path, model_file):
         rc = main(["field", "--model", model_file(HEAVY_MODEL), "--kind", "mrl",
                    "--grid", "3", "--out", str(tmp_path / "x.csv")])
@@ -245,6 +252,16 @@ class TestReconstructCommand:
                    "--component", "first", "--conditioning-u", "1.5", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == "error: conditioning_u must lie in (0,1), got 1.5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "1"])
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_conditioning_u_exact_endpoint(self, tmp_path, model_file, capsys, component, value):
+        out = tmp_path / "recon.csv"
+        rc = main(["reconstruct", "--model", model_file(FGM_MODEL), "--kind", "hazard",
+                   "--component", component, "--conditioning-u", value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: conditioning_u must lie in (0,1), got {float(value)!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["hazard", "mrl", "rev-hazard", "rev-mrl"])
@@ -439,6 +456,19 @@ class TestSampleDrivenCurve:
                    "--sample", str(bad), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0.3,abc", "0.3"], ids=["non-numeric", "one-column"])
+    def test_unparsable_sample_is_one_error(self, tmp_path, model_file, capsys, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"x,y\n0.1,0.2\n{row}\n")
+        out = tmp_path / "o.csv"
+        rc = main(["curve", "--model", model_file(FGM_MODEL), "-p", "0.25", "--dir", "mm",
+                   "--sample", str(path), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sample file {str(path)!r} is not a two-column CSV: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_header_only_sample_is_one_error(self, tmp_path, model_file, capsys):
         empty = tmp_path / "empty.csv"

@@ -224,23 +224,38 @@ class TestEmpiricalCurve:
         s = sample(fgm_uniform, 1000, seed=SEED)
         with pytest.raises(DomainError, match="u > p"):
             empirical_curve(s, 0.25, LOWER_LOWER, [0.2, 0.5])
+        with pytest.raises(DomainError) as info:
+            empirical_curve(s, 0.25, UPPER_UPPER, [0.5, 0.75])
+        assert str(info.value) == f"direction {UPPER_UPPER} requires u < 1 - p, got u = 0.75, p = 0.25"
 
     @pytest.mark.parametrize(
-        "direction, grid",
+        "grid",
+        [[0.5, 0.4], [0.5, 0.5], [1.5, 0.5], [0.4, np.nan, 0.6], [], [[0.4, 0.6]]],
+        ids=["decreasing", "repeated", "decreasing-outside", "nan-inside", "empty", "2-d"],
+    )
+    def test_u_grid_not_strictly_increasing(self, fgm_uniform, grid):
+        # checked before the range, so a grid that breaks both names its order
+        s = sample(fgm_uniform, 1000, seed=SEED)
+        with pytest.raises(DomainError) as info:
+            empirical_curve(s, 0.25, LOWER_LOWER, grid)
+        assert str(info.value) == "u_grid must be a nonempty strictly increasing 1-d sequence"
+
+    @pytest.mark.parametrize(
+        "direction, grid, first",
         [
-            (LOWER_LOWER, [0.5, 1.5]),
-            (UPPER_UPPER, [-0.5, 0.2]),
-            (LOWER_LOWER, [0.5, np.inf]),
-            (UPPER_UPPER, [-np.inf, 0.2]),
-            (LOWER_LOWER, [np.nan]),
+            (LOWER_LOWER, [0.5, 1.0, 1.5], 1.0),
+            (UPPER_UPPER, [-0.5, 0.0, 0.2], -0.5),
+            (LOWER_LOWER, [0.5, np.inf], np.inf),
+            (UPPER_UPPER, [-np.inf, 0.2], -np.inf),
+            (LOWER_LOWER, [np.nan], np.nan),
         ],
         ids=["above-one", "below-zero", "inf", "minus-inf", "nan"],
     )
-    def test_u_grid_outside_unit_interval(self, fgm_uniform, direction, grid):
+    def test_u_grid_outside_unit_interval(self, fgm_uniform, direction, grid, first):
         s = sample(fgm_uniform, 1000, seed=SEED)
-        with pytest.raises(DomainError, match=r"u_grid must lie in \(0,1\)") as info:
+        with pytest.raises(DomainError) as info:
             empirical_curve(s, 0.25, direction, grid)
-        assert "\n" not in str(info.value)
+        assert str(info.value) == f"u_grid must lie in (0,1), got {first!r}"  # the first bad u, on one line
 
     @pytest.mark.parametrize("p", [0.0, 1.5, float("nan"), float("inf")])
     def test_invalid_level(self, fgm_uniform, p):
@@ -443,6 +458,13 @@ class TestEmpiricalMrl:
         exceed = s.x[s.x > x_hat] - x_hat
         se = exceed.std(ddof=1) / np.sqrt(len(exceed))
         assert abs(empirical_mrl_first(s, 0.5) - analytic) <= 3.0 * se
+
+    @pytest.mark.parametrize("u", [-0.5, 1.5, float("nan"), float("inf")])
+    def test_u_outside_unit_interval(self, indep_exp, u):
+        s = sample(indep_exp, 1000, seed=SEED)
+        with pytest.raises(DomainError) as info:
+            empirical_mrl_first(s, u)
+        assert str(info.value) == f"u must lie in (0,1), got {u!r}"
 
     def test_insufficient_exceedances(self, indep_exp):
         s = sample(indep_exp, 1000, seed=SEED)

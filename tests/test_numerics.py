@@ -75,8 +75,41 @@ class TestCumulativeIntegral:
             integrate(never, [0.3], end)
 
     def test_t_outside_unit_interval(self):
-        with pytest.raises(DomainError, match=r"t must lie in \(0,1\)"):
+        with pytest.raises(DomainError, match=r"^t must lie in \(0,1\), got 1\.0$"):
             integrate(np.exp, [0.5, 1.0], 0.0)
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_overflowing_sum_is_one_error(self, end):
+        # every value is finite, but the weighted sums overflow; warnings are errors under pytest
+        with pytest.raises(IntegrandError, match="^integral is not finite"):
+            integrate(lambda z: np.full_like(z, 1e308), [0.5], end)
+
+
+class TestRequireProbs:
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_passes_a_float_array(self, closed):
+        assert numerics.require_probs("p", 0.5, closed).dtype == float
+        grid = np.array([0.1, 0.5, 0.9])
+        assert numerics.require_probs("p", grid, closed) is grid  # no copy
+        assert numerics.require_probs("p", [], closed).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "value, first",
+        [(0.0, 0.0), (-0.0, -0.0), (1, 1.0), ([0.5, 1.5, -1.0], 1.5), ([0.5, np.nan], np.nan),
+         (np.linspace(0.5, 1.5, 40), 0.5 + 20 / 39), ([[0.5], [-np.inf]], -np.inf)],
+        ids=["zero", "minus-zero", "one", "first-of-two", "nan", "long-grid", "2-d"],
+    )
+    def test_open_names_first_value_outside(self, value, first):
+        with pytest.raises(DomainError) as info:
+            numerics.require_probs("u", value)
+        assert str(info.value) == f"u must lie in (0,1), got {first!r}"  # one line, however long the grid
+
+    def test_closed_accepts_the_endpoints(self):
+        assert numerics.require_probs("u", [0.0, -0.0, 1.0], closed=True).tolist() == [0.0, -0.0, 1.0]
+        for value, first in [([1.0, 1.5], 1.5), (-1e-300, -1e-300), ([0.0, np.nan], np.nan)]:
+            with pytest.raises(DomainError) as info:
+                numerics.require_probs("u", value, closed=True)
+            assert str(info.value) == f"u must lie in [0, 1], got {first!r}"
 
 
 class TestNumericConfig:
@@ -120,6 +153,8 @@ class TestNumericConfig:
 
 
 class TestMeshCache:
+    """The nodes and values of :func:`integrate` equal those of a mesh built per call."""
+
     CONFIGS = [NumericConfig(), NumericConfig(quad_points=64), CLIP_1E6]
     GRIDS = {
         "one-point": [0.3],
@@ -143,20 +178,6 @@ class TestMeshCache:
         cached_z, oracle_z = seen["z"]
         assert cached_z.tobytes() == oracle_z.tobytes()  # the same nodes, in the same order
         assert got.tobytes() == want.tobytes()  # bit for bit
-
-    def test_mesh_is_read_only(self):
-        for array in numerics._mesh(NumericConfig(), 1.0):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.5
-
-    def test_one_mesh_per_config(self):
-        coarse = numerics._mesh(NumericConfig(quad_points=64), 0.0)
-        assert numerics._mesh(NumericConfig(quad_points=64), 0.0) is coarse  # an equal config hits
-        default = numerics._mesh(NumericConfig(), 0.0)
-        assert default is not coarse
-        assert (coarse[0].size, default[0].size) == (2 * 64 + 1, 2 * 2048 + 1)
-        assert numerics._mesh(NumericConfig(), 1.0) is not default  # each end has its own z
 
 
 class TestPlanCache:

@@ -232,6 +232,15 @@ class TestRegistry:
             "rev_hazard1", "rev_hazard2", "rev_mrl1", "rev_mrl2",
         )
 
+    def test_unknown_kind(self, indep_exp):
+        message = f"kind must be one of {COMPONENT_KINDS}, got 'hazard3'"
+        with pytest.raises(DomainError) as info:
+            ComponentFunction("hazard3", lambda z: z)
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            component_from_model(indep_exp, "hazard3")
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("quantity", list(QUANTITIES))
     def test_first_component_round_trip_through_registry(self, quantity, indep_exp):
         # support starts at 0, so every inverse map returns the quantile itself
@@ -398,6 +407,18 @@ class TestIdentity:
     def test_component_validation(self, indep_uniform):
         with pytest.raises(DomainError):
             hazard_mrl_identity_residual(indep_uniform, "third", 0.5, 0.5)
+
+    @pytest.mark.parametrize("u0", [0.0, -0.0, 1.0], ids=["zero", "minus-zero", "one"])
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_exact_conditioning_u_endpoint(self, indep_exp, component, u0):
+        # outside (0,1): a DomainError, not the BoundaryError of a value within eps_boundary of an end
+        message = f"conditioning_u must lie in (0,1), got {u0!r}"
+        with pytest.raises(DomainError) as info:
+            hazard_mrl_identity_residual(indep_exp, component, u0, 0.3)
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            round_trip(indep_exp, "hazard", component, u0, [0.3])
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("component", ["first", "second"])
     def test_conditioning_u_checked_for_every_component(self, indep_exp, component):

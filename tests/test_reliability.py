@@ -58,6 +58,22 @@ class TestProbabilityValidation:
             rel.hazard_first(indep_exp, grid)
         assert str(info.value) == f"u must lie in (0,1), got {float(first)!r}"  # one line
 
+    @pytest.mark.parametrize("end", [0.0, -0.0, 1.0], ids=["zero", "minus-zero", "one"])
+    def test_exact_endpoint_is_domain_error(self, indep_exp, end):
+        # outside (0,1), so a DomainError, not the BoundaryError of a value within eps_boundary of an end
+        for first_fn, second_fn in rel.QUANTITIES.values():
+            for name, call in [
+                ("u", lambda: first_fn(indep_exp, [0.5, end])),
+                ("conditioning_u", lambda: second_fn(indep_exp, end, 0.5)),
+                ("p_cond", lambda: second_fn(indep_exp, 0.5, [0.5, end])),
+            ]:
+                with pytest.raises(DomainError) as info:
+                    call()
+                assert str(info.value) == f"{name} must lie in (0,1), got {end!r}"
+        with pytest.raises(DomainError) as info:
+            conditional_mean(indep_exp, end)
+        assert str(info.value) == f"conditioning_u must lie in (0,1), got {end!r}"
+
     def test_empty_grid_passes(self, indep_exp):
         assert rel.hazard_first(indep_exp, np.array([])).shape == (0,)
 
