@@ -209,19 +209,19 @@ class Exponential(Marginal):
         return total
 
     def quantile_gap_integral(self, u):
-        # closed form (-ln(1-u) - u) loses all digits as u -> 0
+        # closed form (-ln(1-u) - u) loses all digits as u -> 0, so below 0.01 the series replaces it
         u = np.asarray(u, dtype=float)
-        w = -np.log1p(-u)
         small = u < 0.01
-        series = self._log_tail_series(np.where(small, u, 0.0), drop=1)
-        return np.where(small, series, w - u) / self.rate
+        gap = np.asarray(-np.log1p(-u) - u)
+        gap[small] = self._log_tail_series(u[small], drop=1)
+        return gap / self.rate
 
     def weighted_quantile_gap_integral(self, u):
         u = np.asarray(u, dtype=float)
-        w = -np.log1p(-u)
         small = u < 0.01
-        series = self._log_tail_series(np.where(small, u, 0.0), drop=2)
-        return np.where(small, series, w - u - 0.5 * u * u) / self.rate
+        gap = np.asarray(-np.log1p(-u) - u - 0.5 * u * u)
+        gap[small] = self._log_tail_series(u[small], drop=2)
+        return gap / self.rate
 
 
 @dataclass(frozen=True)
@@ -295,19 +295,19 @@ class Pareto(Marginal):
         return self.scale * (total * u if weighted else total)
 
     def quantile_gap_integral(self, u):
-        # u Q(u) - int_0^u Q cancels near 0 because Q(0) = scale > 0
+        # u Q(u) - int_0^u Q cancels near 0 because Q(0) = scale > 0, so below 0.05 the series replaces it
         u = np.asarray(u, dtype=float)
         small = u < 0.05
-        series = self._gap_series(np.where(small, u, 0.0), weighted=False)
-        closed = u * self.quantile(u) - self.quantile_integral(u)
-        return np.where(small, series, closed)
+        gap = np.asarray(u * self.quantile(u) - self.quantile_integral(u))
+        gap[small] = self._gap_series(u[small], weighted=False)
+        return gap
 
     def weighted_quantile_gap_integral(self, u):
         u = np.asarray(u, dtype=float)
         small = u < 0.05
-        series = self._gap_series(np.where(small, u, 0.0), weighted=True)
-        closed = u * u * self.quantile(u) - 2.0 * self.weighted_quantile_integral(u)
-        return np.where(small, series, closed)
+        gap = np.asarray(u * u * self.quantile(u) - 2.0 * self.weighted_quantile_integral(u))
+        gap[small] = self._gap_series(u[small], weighted=True)
+        return gap
 
 
 _EPS = float(np.finfo(float).eps)
@@ -420,9 +420,11 @@ class Weibull(Marginal):
         out = np.empty_like(t)
         at_t, at_2t = _regularized_gamma_p(a, np.stack([t[~small], 2.0 * t[~small]]))
         out[~small] = self.scale * math.gamma(a) * (at_t - 2.0**-a * at_2t)
-        ts, total = t[small], 0.0
+        ts = t[small]
+        neg_ts, total = -ts, np.zeros_like(ts)
         for coeff in _weighted_series(a) if ts.size else ():
-            total = (total + coeff) * -ts
+            total += coeff
+            total *= neg_ts
         out[small] = self.scale * ts**a * total
         return out
 

@@ -105,12 +105,13 @@ class NumericConfig:
     eps_boundary:
         Probability arguments are clipped to ``[eps_boundary, 1 - eps_boundary]``
         before quantile-type evaluation, so unbounded supports never produce
-        infinities.
+        infinities.  Below 0.5, so that interval is not empty.
     quad_points:
         Resolution of the quadrature mesh, at most ``MAX_QUAD_POINTS``: each
         half of [0, 1] has ``2 * quad_points`` Simpson panels.
     sing_clip:
-        Distance from 0 and from 1 at which the quadrature mesh stops.
+        Distance from 0 and from 1 at which the quadrature mesh stops; at
+        least ``eps_boundary`` and below 0.5.
         :func:`integrate` reports the integral over the clipped interval,
         not the (possibly divergent) full one; the inverse maps and the
         hazard/MRL identity add back the mass dropped at their singular
@@ -126,6 +127,9 @@ class NumericConfig:
             value = getattr(self, f.name)
             if not math.isfinite(require_real(f.name, value, ConfigError)) or value <= 0:
                 raise ConfigError(f"{f.name} must be strictly positive, got {value!r}")
+        for name in ("eps_boundary", "sing_clip"):  # from 0.5 up, [x, 1 - x] holds one point or none
+            if getattr(self, name) >= 0.5:
+                raise ConfigError(f"{name} must be below 0.5, got {getattr(self, name)!r}")
         if self.sing_clip < self.eps_boundary:
             raise ConfigError(
                 f"sing_clip ({self.sing_clip}) must be >= eps_boundary ({self.eps_boundary})"

@@ -25,7 +25,11 @@ All integrals of phi reduce to closed-form partial moments of the Y
 marginal through the substitution v = phi-probability, because the
 built-in copula conditionals are quadratic in v.  That keeps quantities
 exact to rounding, which the independence-reduction and exponential
-invariance checks require at the 1e-9 level.
+invariance checks require at the 1e-9 level.  A component evaluation calls
+each partial-moment kernel at most once: both ends of an integral go into
+one call, and the weighted moments, which enter with the copula's
+coefficient c, only when c is not zero at every point (it is under
+independence).
 """
 
 from __future__ import annotations
@@ -88,12 +92,27 @@ def _phi_deriv(model, conditioning_u, p, cfg):
     return qd / kd
 
 
-def _phi_partial_integral(model, c, v_lo, v_hi):
-    """int of phi over the p-interval mapping to [v_lo, v_hi] on the v scale."""
+def _phi_partial_integral(model, c, v):
+    """int of phi over the p-interval that maps to [v, 1] on the v scale.
+
+    That is ``(1+c) J0 - 2c J1``, with ``J0`` and ``J1`` the increments of
+    ``int_0^z Q_Y`` and ``int_0^z w Q_Y(w) dw`` from z = v to 1.  Each moment is
+    one call on ``v`` with the end 1 appended (a value does not depend on the
+    other points of its call), and ``J1`` is skipped where ``c`` is zero (or
+    -0.0) at every point: ``2c J1`` then takes nothing off.
+    """
     fam = model.marginal_y
-    j0 = fam.quantile_integral(v_hi) - fam.quantile_integral(v_lo)
-    j1 = fam.weighted_quantile_integral(v_hi) - fam.weighted_quantile_integral(v_lo)
-    return (1.0 + c) * j0 - 2.0 * c * j1
+    v = np.asarray(v, dtype=float)
+    ends = np.append(v, 1.0)
+
+    def increment(moment):
+        at = moment(ends)
+        return at[-1] - at[:-1].reshape(v.shape)
+
+    out = (1.0 + c) * increment(fam.quantile_integral)
+    if np.any(c):
+        out = out - 2.0 * c * increment(fam.weighted_quantile_integral)
+    return out
 
 
 def _first(fn):
@@ -152,7 +171,7 @@ def mrl_first(model, u, cfg):
 def mrl_second(model, conditioning_u, p, cfg):
     _require_finite_mean(model.marginal_y, "Y")
     c, v = _phi_state(model, conditioning_u, p, cfg)
-    tail = _phi_partial_integral(model, c, v, 1.0)
+    tail = _phi_partial_integral(model, c, v)
     return tail / (1.0 - p) - model.marginal_y.quantile(v)
 
 
@@ -177,9 +196,10 @@ def reversed_mrl_second(model, conditioning_u, p, cfg):
     # via the v-substitution; the gap integrals are the cancellation-safe forms
     c, v = _phi_state(model, conditioning_u, p, cfg)
     fam = model.marginal_y
-    gap = fam.quantile_gap_integral(v)
-    weighted_gap = fam.weighted_quantile_gap_integral(v)
-    return ((1.0 + c) * gap - c * weighted_gap) / p
+    out = (1.0 + c) * fam.quantile_gap_integral(v)
+    if np.any(c):  # as _phi_partial_integral: at c = 0 the weighted gap takes nothing off
+        out = out - c * fam.weighted_quantile_gap_integral(v)
+    return out / p
 
 
 def conditional_mean(model, conditioning_u, cfg: NumericConfig | None = None):
@@ -188,7 +208,7 @@ def conditional_mean(model, conditioning_u, cfg: NumericConfig | None = None):
     cu = _require_interior("conditioning_u", conditioning_u, cfg)
     _require_finite_mean(model.marginal_y, "Y")
     c = model.copula.cond_linear_coeff("le", cu)
-    return float(_phi_partial_integral(model, c, 0.0, 1.0))
+    return float(_phi_partial_integral(model, c, 0.0))
 
 
 # --- the component registry ----------------------------------------------

@@ -615,12 +615,14 @@ class TestMalformedInputs:
             (TINY_X, None, ["reconstruct", "--kind", "rev-mrl"], 2),
             (SMALL_X, None, ["reconstruct", "--kind", "mrl", "--component", "first"], 2),
             (SMALL_X, None, ["reconstruct", "--kind", "rev-mrl", "--component", "first"], 2),
+            (EXP_BYTES, b'{"numerics": {"eps_boundary": 0.7, "sing_clip": 0.7}}', [*SAMPLE_ONE, "--n", "3"], 3),
+            (EXP_BYTES, b'{"numerics": {"eps_boundary": 0.4, "sing_clip": 0.6}}', ["verify"], 3),
         ],
         ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
              "huge-numerics-field", "negative-seed", "overflowing-draws", "overflowing-curve",
              "overflowing-verify", "overflowing-hazard-field", "overflowing-rev-hazard-field",
              "overflowing-rev-mrl-field", "overflowing-hazard-reconstruct", "overflowing-rev-mrl-reconstruct",
-             "overflowing-mrl-integrand", "overflowing-rev-mrl-tail"],
+             "overflowing-mrl-integrand", "overflowing-rev-mrl-tail", "empty-clip-interval", "empty-mesh"],
     )
     def test_one_error_line(self, tmp_path, model, config, command, expected):
         (tmp_path / "model.json").write_bytes(model)

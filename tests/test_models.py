@@ -134,6 +134,30 @@ class TestPartialIntegrals:
                 qd0 / 3, rel=1e-5
             )
 
+    #: Each series split (u = 0.01 and 0.05, Weibull's t = 1), its two neighbours, the exact ends and a coarse grid.
+    SPLITS = [0.0, 1e-12, 0.005, 0.01, 0.03, 0.05, 0.3, -math.expm1(-1.0), 0.9, 1.0]
+    SPLIT_GRID = np.unique(np.clip(np.concatenate(
+        [SPLITS, np.nextafter(SPLITS, 0.0), np.nextafter(SPLITS, 1.0), np.linspace(0.0, 1.0, 21)]), 0.0, 1.0))
+    MOMENTS = ["quantile_integral", "weighted_quantile_integral", "quantile_gap_integral",
+               "weighted_quantile_gap_integral"]
+
+    @pytest.mark.parametrize("method", MOMENTS)
+    @pytest.mark.parametrize("fam", ALL_MARGINALS, ids=lambda f: f.describe())
+    def test_grid_equals_one_call_per_point(self, fam, method):
+        f = getattr(fam, method)
+        grid, inside = self.SPLIT_GRID, self.SPLIT_GRID[1:-1]
+        with np.errstate(all="ignore"):  # a gap of an unbounded support is inf at u = 1
+            values = f(grid)
+            one_at_a_time = np.concatenate([f(grid[i : i + 1]) for i in range(grid.size)])
+            ends_appended = f(np.concatenate([inside, [0.0, 1.0]]))
+            ends_apart = np.concatenate([f(inside), [f(0.0), f(1.0)]])
+            zero_d = [f(u) for u in grid]
+        assert np.array_equal(values.view(np.uint64), one_at_a_time.view(np.uint64))
+        assert np.array_equal(ends_appended.view(np.uint64), ends_apart.view(np.uint64))
+        assert all(np.ndim(z) == 0 for z in zero_d)
+        # numpy's power of a scalar may differ from its power in an array in the last bits
+        assert np.allclose(zero_d, values, rtol=1e-13, atol=0.0)
+
     def test_infinite_mean_flag(self):
         assert not Pareto(1.0, 0.5).has_finite_mean
         assert not Pareto(1.0, 1.0).has_finite_mean

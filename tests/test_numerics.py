@@ -122,6 +122,17 @@ class TestNumericConfig:
             NumericConfig(eps_boundary=1e-6, sing_clip=1e-9)
 
     @pytest.mark.parametrize(
+        "overrides, field",
+        [({"eps_boundary": 0.7, "sing_clip": 0.7}, "eps_boundary"), ({"eps_boundary": 0.4, "sing_clip": 0.6}, "sing_clip"),
+         ({"eps_boundary": 0.5, "sing_clip": 0.5}, "eps_boundary"), ({"sing_clip": 0.5}, "sing_clip")],
+    )
+    def test_rejects_half_and_above(self, overrides, field):
+        # [x, 1 - x] holds one point or none from x = 0.5 up
+        with pytest.raises(ConfigError, match=f"^{field} must be below 0.5, got {overrides[field]!r}$"):
+            NumericConfig(**overrides)
+        assert NumericConfig(eps_boundary=0.2, sing_clip=0.4999).sing_clip == 0.4999
+
+    @pytest.mark.parametrize(
         "overrides",
         [{"quad_points": "abc"}, {"quad_points": True}, {"eps_boundary": None}, {"sing_clip": "1e-6"}],
         ids=["string", "bool", "null", "numeric-string"],

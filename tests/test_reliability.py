@@ -20,6 +20,7 @@ from bivquant import (
 )
 from bivquant import models
 from bivquant import reliability as rel
+from bivquant.numerics import clip_prob
 
 from conftest import bench_inputs, mixed_models
 from oracles import (
@@ -152,6 +153,76 @@ class TestMrl:
             monkeypatch.setattr(type(fam), name, counting(name))
         rel.mrl_second(BivariateModel(Exponential(1.0), fam, FGMCopula(0.5)), 0.5, GRID)
         assert points == {"quantile_integral": len(GRID) + 1, "weighted_quantile_integral": len(GRID) + 1}
+
+
+WEIGHTED = ("weighted_quantile_integral", "weighted_quantile_gap_integral")
+ZERO_COEFF = [IndependenceCopula(), FGMCopula(0.0), FGMCopula(-0.0)]
+Y_FAMILIES = [Uniform01(), Exponential(1.3), Pareto(1.0, 3.0), Weibull(1.3, 1.7)]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestPartialMoments:
+    """The phi integrals against the full formula built from direct kernel calls."""
+
+    @staticmethod
+    def _full(model, cu, p):
+        """(mrl_second, reversed_mrl_second, conditional_mean) with every term, c·J1 included."""
+        fam, cop = model.marginal_y, model.copula
+        c = cop.cond_linear_coeff("le", np.asarray(cu))
+        v = clip_prob(cop.cond_quantile("le", np.asarray(cu), p))
+        ends = np.append(v, 1.0)  # int_v^1: the grid and its end in one call
+        j0, j1 = fam.quantile_integral(ends), fam.weighted_quantile_integral(ends)
+        tail = (1.0 + c) * (j0[-1] - j0[:-1]) - 2.0 * c * (j1[-1] - j1[:-1])
+        mrl = tail / (1.0 - p) - fam.quantile(v)
+        rev = ((1.0 + c) * fam.quantile_gap_integral(v) - c * fam.weighted_quantile_gap_integral(v)) / p
+        j0, j1 = fam.quantile_integral(np.array([0.0, 1.0])), fam.weighted_quantile_integral(np.array([0.0, 1.0]))
+        mean = float((1.0 + c) * (j0[1] - j0[0]) - 2.0 * c * (j1[1] - j1[0]))
+        return mrl, rev, mean
+
+    @pytest.mark.parametrize("copula", [*ZERO_COEFF, FGMCopula(0.5)], ids=lambda c: c.describe())
+    @pytest.mark.parametrize("fam", Y_FAMILIES, ids=lambda f: f.kind)
+    def test_equal_to_full_formula(self, fam, copula):
+        model = BivariateModel(Exponential(1.0), fam, copula)
+        mrl, rev, mean = self._full(model, 0.3, GRID)
+        assert np.array_equal(_bits(rel.mrl_second(model, 0.3, GRID)), _bits(mrl))
+        assert np.array_equal(_bits(rel.reversed_mrl_second(model, 0.3, GRID)), _bits(rev))
+        assert _bits(conditional_mean(model, 0.3)) == _bits(mean)
+
+    @pytest.mark.parametrize("copula", ZERO_COEFF, ids=lambda c: c.describe())
+    def test_zero_coefficient_is_signed_zero(self, copula):
+        c = copula.cond_linear_coeff("le", 0.3)
+        assert c == 0.0 and np.signbit(c) == np.signbit(getattr(copula, "theta", 0.0))
+
+    @pytest.mark.parametrize("copula", [*ZERO_COEFF, FGMCopula(0.5)], ids=lambda c: c.describe())
+    @pytest.mark.parametrize("fam", Y_FAMILIES, ids=lambda f: f.kind)
+    def test_one_call_per_moment(self, monkeypatch, fam, copula):
+        # the weighted moment and gap only where c != 0; both ends of an integral in one call
+        calls = {}
+
+        def counting(name):
+            method = getattr(type(fam), name)
+
+            def counted(self, u):
+                calls[name] = calls.get(name, 0) + 1
+                return method(self, u)
+
+            return counted
+
+        for name in ("quantile_integral", *WEIGHTED):
+            monkeypatch.setattr(type(fam), name, counting(name))
+        model = BivariateModel(Exponential(1.0), fam, copula)
+        weighted = int(copula not in ZERO_COEFF)
+        for evaluate in (lambda: rel.mrl_second(model, 0.3, GRID), lambda: conditional_mean(model, 0.3)):
+            calls.clear()
+            evaluate()
+            assert calls == {"quantile_integral": 1, **({"weighted_quantile_integral": 1} if weighted else {})}
+        calls.clear()
+        rel.reversed_mrl_second(model, 0.3, GRID)
+        assert calls.get("weighted_quantile_gap_integral", 0) == weighted
+        assert weighted or not calls.keys() & set(WEIGHTED)
 
 
 class TestReversedHazard:
