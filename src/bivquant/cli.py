@@ -1,10 +1,10 @@
 """Batch command-line surface.
 
 Subcommands: ``curve``, ``field``, ``reconstruct``, ``verify``, ``sample``.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-model-specification error.  All outputs (CSV, JSON, SVG, reports) are
-byte-identical across re-runs for identical inputs; numbers are
-serialized with 9 significant digits in CSV.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an output
+too large to allocate among them), 3 I/O or model-specification error.
+All outputs (CSV, JSON, SVG, reports) are byte-identical across re-runs
+for identical inputs; numbers are serialized with 9 significant digits in CSV.
 
 :func:`main` loads the model and numerics config and hands both to the
 subcommand.  Every table of numbers goes through one CSV writer,
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import curves, estimation, models, reconstruction, reliability
 from .errors import BivquantError, ConfigError, DomainError, ModelSpecError
-from .numerics import NumericConfig, require_integer
+from .numerics import NumericConfig
 
 
 #: Every serialized number: 9 significant digits ("%.9g" % v == format(v, ".9g")).
@@ -187,12 +187,9 @@ def render_curve_svg(curve: curves.QuantileCurve) -> str:
 
 def cmd_curve(args, model, cfg) -> int:
     direction = models.Direction.from_string(args.dir)
-    require_integer("n_points", args.points, 2)  # the rule of curves.curve_points, for --sample too
     if args.sample:
-        draws = load_sample_csv(args.sample)
-        lo, hi = curves.admissible_interval(args.level, direction)
-        grid = np.linspace(lo, hi, args.points)
-        curve = estimation.empirical_curve(draws, args.level, direction, grid)
+        grid = curves.uniform_grid(args.level, direction, args.points)  # the grid curve_points takes
+        curve = estimation.empirical_curve(load_sample_csv(args.sample), args.level, direction, grid)
     else:
         curve = curves.curve_points(model, args.level, direction, args.points, cfg)
     residuals = curves.level_residuals(model, curve)
@@ -331,6 +328,9 @@ def main(argv=None) -> int:
         return 3
     except BivquantError as exc:  # usage errors and numerical breakdowns
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # an output too large to allocate: a usage error, not a failed check
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

@@ -13,11 +13,14 @@ second:
 Every emitted point is checked against the defining level-set property
 |orthant_prob(eps, x, y) - p| <= CURVE_TOL by the test-suite and the CLI.
 
-:func:`curve_points` and :func:`level_residuals` evaluate their elementwise
-kernels :data:`~bivquant.numerics.BLOCK` rows at a time into one
-preallocated output; a curve's points are column-major, so x and y are
-contiguous.  A quantile that overflows is reported per block, naming the
-axis and its family.
+:func:`require_admissible` is the one check of a u-grid against the u
+constraints above, for analytic and empirical curves; :func:`uniform_grid`
+is the grid of :func:`curve_points` and of ``curve --sample``.  One
+evaluator fills the (u, x, y) rows :data:`~bivquant.numerics.BLOCK` at a
+time into a column-major output, so x and y are contiguous, and reports a
+quantile that overflows per block, naming the axis and its family.
+:func:`curve_from_conditional` is its one-row call: the :func:`curve_points`
+row at u, bit for bit.  :func:`level_residuals` is blocked the same way.
 """
 
 from __future__ import annotations
@@ -96,6 +99,43 @@ def conditional_args(p: float, direction: models.Direction, u):
     return sense, q
 
 
+def require_admissible(p, direction: models.Direction, u_grid) -> tuple[float, np.ndarray]:
+    """``p`` and ``u_grid`` as floats; :class:`DomainError` unless the direction admits the grid."""
+    p = float(require_probs("p", p))
+    us = np.asarray(u_grid, dtype=float)
+    if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
+        raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")
+    require_probs("u_grid", us)
+    if direction.eps1 < 0 and us[0] <= p:
+        raise DomainError(f"direction {direction} requires u > p, got u = {us[0]}, p = {p}")
+    if direction.eps1 > 0 and us[-1] >= 1.0 - p:
+        raise DomainError(f"direction {direction} requires u < 1 - p, got u = {us[-1]}, p = {p}")
+    return p, us
+
+
+def uniform_grid(p, direction: models.Direction, n_points: int) -> np.ndarray:
+    """``n_points`` >= 2 equally spaced u over :func:`admissible_interval`; ``p`` is checked first."""
+    p, n = float(require_probs("p", p)), require_integer("n_points", n_points, 2)
+    return np.linspace(*admissible_interval(p, direction), n)
+
+
+def _points_on_grid(model: models.BivariateModel, p: float, direction: models.Direction, us, cfg) -> np.ndarray:
+    """The (u, x, y) rows on an admissible u-grid, column-major, filled block by block."""
+    points = np.empty((len(us), 3), order="F")
+    points[:, 0] = us
+    del us  # a grid built for this call is freed here, before the quantiles allocate
+    for part in blocks(len(points)):
+        u = points[part, 0]
+        sense, qs = conditional_args(p, direction, u)
+        points[part, 1] = require_finite(
+            models.marginal_quantile, model, "x", u, cfg, what="curve x", family=model.marginal_x
+        )
+        points[part, 2] = require_finite(
+            models.conditional_quantile, model, sense, u, qs, cfg, what="curve y", family=model.marginal_y
+        )
+    return points
+
+
 def curve_from_conditional(
     model: models.BivariateModel,
     p,
@@ -103,17 +143,9 @@ def curve_from_conditional(
     u,
     cfg: NumericConfig | None = None,
 ) -> tuple[float, float]:
-    """Single curve point at parameter u; consistent with :func:`curve_points`."""
-    p = float(require_probs("p", p))
-    u = float(u)
-    if direction.eps1 < 0 and not (p < u < 1.0):
-        raise DomainError(f"direction {direction} requires u > p (and u < 1), got u = {u}, p = {p}")
-    if direction.eps1 > 0 and not (0.0 < u < 1.0 - p):
-        raise DomainError(f"direction {direction} requires u < 1 - p (and u > 0), got u = {u}, p = {p}")
-    x = models.marginal_quantile(model, "x", u, cfg)
-    sense, q = conditional_args(p, direction, u)
-    y = models.conditional_quantile(model, sense, u, float(q), cfg)
-    return x, y
+    """Single curve point at parameter u: the :func:`curve_points` row at u, bit for bit."""
+    p, us = require_admissible(p, direction, [float(u)])
+    return tuple(_points_on_grid(model, p, direction, us, cfg)[0, 1:].tolist())
 
 
 def curve_points(
@@ -125,19 +157,7 @@ def curve_points(
 ) -> QuantileCurve:
     """Materialize the curve on a uniform u-grid over the admissible interval."""
     p = float(require_probs("p", p))
-    n = require_integer("n_points", n_points, 2)
-    lo, hi = admissible_interval(p, direction)
-    points = np.empty((n, 3), order="F")
-    points[:, 0] = np.linspace(lo, hi, n)
-    for part in blocks(n):
-        us = points[part, 0]
-        sense, qs = conditional_args(p, direction, us)
-        points[part, 1] = require_finite(
-            models.marginal_quantile, model, "x", us, cfg, what="curve x", family=model.marginal_x
-        )
-        points[part, 2] = require_finite(
-            models.conditional_quantile, model, sense, us, qs, cfg, what="curve y", family=model.marginal_y
-        )
+    points = _points_on_grid(model, p, direction, uniform_grid(p, direction, n_points), cfg)
     return QuantileCurve(p=p, direction=direction, points=points)
 
 

@@ -22,6 +22,8 @@ each step adds the new positions to per-chunk counts, finds the chunk that
 holds the wanted order statistic and scans only that chunk.  G grid points
 on n pairs cost O(n log n + G·√n).  The x order and sorted x are dropped
 once y is carried and the split taken, before the y ranking allocates.
+The u-grid passes :func:`bivquant.curves.require_admissible`, as analytic
+curve points do.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import isqrt
 import numpy as np
 
 from . import models
-from .curves import QuantileCurve, conditional_args
+from .curves import QuantileCurve, conditional_args, require_admissible
 from .errors import DomainError, InsufficientMassError
 from .numerics import NumericConfig, blocks, clip_prob, require_finite, require_integer, require_probs
 
@@ -130,16 +132,7 @@ def empirical_curve(
     u_grid,
 ) -> QuantileCurve:
     """Empirical curve: sample quantiles replace Q_X and the conditional quantile."""
-    p = float(require_probs("p", p))
-    us = np.asarray(u_grid, dtype=float)
-    if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
-        raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")
-    require_probs("u_grid", us)
-    if direction.eps1 < 0 and us[0] <= p:
-        raise DomainError(f"direction {direction} requires u > p, got u = {us[0]}, p = {p}")
-    if direction.eps1 > 0 and us[-1] >= 1.0 - p:
-        raise DomainError(f"direction {direction} requires u < 1 - p, got u = {us[-1]}, p = {p}")
-
+    p, us = require_admissible(p, direction, u_grid)
     order = np.argsort(sample_set.x)
     xs_sorted = sample_set.x[order]
     if np.isnan(xs_sorted[-1]):  # sorted last; a NaN x lies on neither side of any x-hat

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import models, reliability
-from .errors import DivergenceError, DomainError, InfiniteMeanError, IntegrandError, SignError
+from .errors import ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError, SignError
 from .numerics import NumericConfig, config_or_default, integrate, t_grid
 
 COMPONENTS = ("first", "second")
@@ -107,10 +107,14 @@ def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: N
     ``inner**2 / (outer - inner)`` (Aitken's delta-squared) when
     ``outer > inner``, and 0 otherwise: exact for a power law d**(-s), and
     c*g(end) at a smooth end.  A tail or a result that overflows raises
-    :class:`IntegrandError`.
+    :class:`IntegrandError`.  An outer probe not below 1/2 would leave the
+    half of [0, 1] graded toward ``end``, or (0, 1) itself: that ``sing_clip``
+    is a :class:`ConfigError`, raised before the integrand runs.
     """
     c = config_or_default(cfg).sing_clip
     probe = np.array([8.0 * c, 64.0 * c])
+    if not probe[-1] < 0.5:
+        raise ConfigError(f"sing_clip = {c!r} puts the outer tail probe at {float(probe[-1])!r}, not below 0.5")
     values = integrate(integrand, np.append(ts, probe if end == 0.0 else 1.0 - probe), end, cfg)
     inner, outer = values[-2], values[-1] - values[-2]
     with np.errstate(all="ignore"):  # an overflow is reported below, as one error

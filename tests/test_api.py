@@ -35,3 +35,10 @@ def test_one_probability_check():
         and ("must lie in (0,1)" in path.read_text() or "must lie in [0, 1]" in path.read_text())
     ]
     assert spelled == []
+
+
+def test_one_admissible_u_rule():
+    # which u a direction admits is spelled once, in curves.require_admissible
+    package = Path(bivquant.__file__).parent
+    for rule in ("requires u > p", "requires u < 1 - p"):
+        assert [path.name for path in sorted(package.glob("*.py")) if rule in path.read_text()] == ["curves.py"]

@@ -617,12 +617,17 @@ class TestMalformedInputs:
             (SMALL_X, None, ["reconstruct", "--kind", "rev-mrl", "--component", "first"], 2),
             (EXP_BYTES, b'{"numerics": {"eps_boundary": 0.7, "sing_clip": 0.7}}', [*SAMPLE_ONE, "--n", "3"], 3),
             (EXP_BYTES, b'{"numerics": {"eps_boundary": 0.4, "sing_clip": 0.6}}', ["verify"], 3),
+            # the outer endpoint-tail probe, 64 * sing_clip, at 1/2, at 1 and past 1
+            (EXP_BYTES, b'{"numerics": {"sing_clip": 0.0078125}}', ["verify"], 3),
+            (EXP_BYTES, b'{"numerics": {"sing_clip": 0.015625}}', ["verify"], 3),
+            (EXP_BYTES, b'{"numerics": {"sing_clip": 0.02}}', ["reconstruct", "--kind", "hazard"], 3),
         ],
         ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
              "huge-numerics-field", "negative-seed", "overflowing-draws", "overflowing-curve",
              "overflowing-verify", "overflowing-hazard-field", "overflowing-rev-hazard-field",
              "overflowing-rev-mrl-field", "overflowing-hazard-reconstruct", "overflowing-rev-mrl-reconstruct",
-             "overflowing-mrl-integrand", "overflowing-rev-mrl-tail", "empty-clip-interval", "empty-mesh"],
+             "overflowing-mrl-integrand", "overflowing-rev-mrl-tail", "empty-clip-interval", "empty-mesh",
+             "tail-probe-at-half", "tail-probe-at-one", "tail-probe-past-one"],
     )
     def test_one_error_line(self, tmp_path, model, config, command, expected):
         (tmp_path / "model.json").write_bytes(model)
@@ -634,6 +639,35 @@ class TestMalformedInputs:
         rc, out, err = _run(argv)
         assert (rc, out) == (expected, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "command, owner, name",
+        [
+            (["curve", "-p", "0.25", "--dir", "mm", "-n", "1000000000000"], cli.curves, "curve_points"),
+            (["sample", "--n", "1000000000000"], cli.estimation, "sample"),
+            (["field", "--kind", "hazard", "--grid", "1000000"], reliability.QUANTITIES, "hazard"),
+        ],
+        ids=["curve", "sample", "field"],
+    )
+    @pytest.mark.parametrize(
+        "message, line",
+        [("", "out of memory"), ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array")],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_is_one_line(self, tmp_path, monkeypatch, command, owner, name, message, line):
+        # the callee raises as an allocation too large for the machine would; no test asks for one
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, name, (out_of_memory, out_of_memory))
+        else:
+            monkeypatch.setattr(owner, name, out_of_memory)
+        (tmp_path / "model.json").write_bytes(EXP_BYTES)
+        out_file = tmp_path / "out.csv"
+        rc, out, err = _run([command[0], "--model", str(tmp_path / "model.json"), *command[1:], "--out", str(out_file)])
+        assert (rc, out, err) == (2, "", f"error: {line}\n")
         assert not out_file.exists()
 
 

@@ -53,11 +53,13 @@ class TestCurvePoints:
         curve = curve_points(fgm_uniform, 0.25, LOWER_LOWER, 80)
         assert np.all(np.diff(curve.y) <= 1e-9)
 
-    def test_points_match_single_point_form(self, fgm_uniform):
-        curve = curve_points(fgm_uniform, 0.3, LOWER_LOWER, 11)
-        for u, x, y in curve.points:
-            xs, ys = curve_from_conditional(fgm_uniform, 0.3, LOWER_LOWER, u)
-            assert (xs, ys) == pytest.approx((x, y), abs=1e-12)
+    @pytest.mark.parametrize("direction", ALL_DIRECTIONS, ids=str)
+    @pytest.mark.parametrize("model", BLOCK_MODELS, ids=repr)
+    def test_points_match_single_point_form(self, model, direction):
+        # one evaluator: the single point at u is the curve_points row at u, bit for bit
+        curve = curve_points(model, 0.25, direction, 100)
+        single = [curve_from_conditional(model, 0.25, direction, u) for u in curve.points[:, 0]]
+        assert np.array_equal(bits(single), bits(curve.points[:, 1:]))
 
     def test_invalid_level(self, indep_uniform):
         with pytest.raises(DomainError, match=r"p must lie in \(0,1\)"):
@@ -85,6 +87,8 @@ class TestCurvePoints:
         family = re.escape(model.marginal(axis).describe())
         with pytest.raises(DomainError, match=f"curve {axis} is not finite: the quantile of {family} overflows"):
             curve_points(model, 0.25, LOWER_LOWER, BLOCK + 3)
+        with pytest.raises(DomainError, match=f"curve {axis} is not finite: the quantile of {family} overflows"):
+            curve_from_conditional(model, 0.25, LOWER_LOWER, 0.3)
 
 
 class TestBlockedCurves:
@@ -120,10 +124,17 @@ class TestCurveFromConditional:
         assert y == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_domain_error_names_constraint(self, indep_uniform):
-        with pytest.raises(DomainError, match="u > p"):
-            curve_from_conditional(indep_uniform, 0.25, LOWER_LOWER, 0.2)
-        with pytest.raises(DomainError, match="u < 1 - p"):
-            curve_from_conditional(indep_uniform, 0.25, UPPER_UPPER, 0.8)
+        for u in (0.2, 0.25):  # the bound itself is outside
+            with pytest.raises(DomainError, match="u > p"):
+                curve_from_conditional(indep_uniform, 0.25, LOWER_LOWER, u)
+        for u in (0.8, 0.75):
+            with pytest.raises(DomainError, match="u < 1 - p"):
+                curve_from_conditional(indep_uniform, 0.25, UPPER_UPPER, u)
+        # outside (0,1), u is named by the range rule of every u-grid, before the direction's
+        for u in (1.0, float("nan")):
+            with pytest.raises(DomainError) as info:
+                curve_from_conditional(indep_uniform, 0.25, LOWER_LOWER, u)
+            assert str(info.value) == f"u_grid must lie in (0,1), got {u!r}"
 
     def test_near_domain_edge_returns_clipped_quantile(self, indep_uniform):
         # u barely admissible: conditional argument approaches 1, y is clipped
