@@ -27,8 +27,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import curves, estimation, models, reconstruction, reliability
-from .errors import BivquantError, ConfigError, DomainError, ModelSpecError
-from .numerics import NumericConfig
+from .errors import BivquantError, ConfigError, ModelSpecError
+from .numerics import NumericConfig, require_integer
 
 
 #: Every serialized number: 9 significant digits ("%.9g" % v == format(v, ".9g")).
@@ -204,8 +204,7 @@ def cmd_curve(args, model, cfg) -> int:
 
 def cmd_field(args, model, cfg) -> int:
     first_fn, second_fn = reliability.QUANTITIES[args.kind]
-    if args.grid < 1:
-        raise DomainError(f"grid must be >= 1, got {args.grid}")
+    require_integer("grid", args.grid, 1)
     probs = np.arange(1, args.grid + 1) / (args.grid + 1.0)
     firsts = first_fn(model, probs, cfg)
     # one row of seconds per conditioning level u
@@ -217,8 +216,7 @@ def cmd_field(args, model, cfg) -> int:
 
 
 def cmd_reconstruct(args, model, cfg) -> int:
-    if args.grid < 1:
-        raise DomainError(f"grid must be >= 1, got {args.grid}")
+    require_integer("grid", args.grid, 1)
     ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind][1], args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
     table = np.column_stack([ts, rec, ref, np.abs(rec - ref)])

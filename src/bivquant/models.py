@@ -68,13 +68,38 @@ class _Family:
 # ---------------------------------------------------------------------------
 
 
+#: The marginal kernels; every family holds its own copy of each, wrapped by :func:`_on_1d`.
+KERNELS = ("quantile", "quantile_deriv", "cdf", "quantile_integral", "weighted_quantile_integral",
+           "quantile_gap_integral", "weighted_quantile_gap_integral")
+
+
+def _on_1d(body):
+    """``body`` run on its argument as a 1-d float array, its result reshaped to the argument's shape."""
+
+    @functools.wraps(body)
+    def kernel(self, u):
+        u = np.asarray(u, dtype=float)
+        return body(self, u.reshape(-1)).reshape(u.shape)[()]
+
+    return kernel
+
+
 class Marginal(_Family, ABC):
     """A univariate family with strictly increasing CDF on an interval.
 
     ``quantile``/``quantile_deriv`` assume arguments already clipped to the
     open interval; the model-level operations do the clipping and boundary
-    checks.  All methods broadcast over ndarray input.
+    checks.  Each kernel of :data:`KERNELS` computes on its argument as a
+    1-d float array and returns the argument's shape (a numpy scalar at 0-d),
+    so a 0-d call is a one-point grid: it equals the grid value bit for bit.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in KERNELS:
+            body = getattr(cls, name)  # inherited gap forms too: each family holds all seven in its __dict__
+            if not getattr(body, "__isabstractmethod__", False):
+                setattr(cls, name, _on_1d(body))
 
     @property
     @abstractmethod
@@ -112,12 +137,10 @@ class Marginal(_Family, ABC):
         Families whose quantile does not vanish at 0 override this: the
         plain ``u Q(u) - int_0^u Q`` form cancels catastrophically there.
         """
-        u = np.asarray(u, dtype=float)
         return u * self.quantile(u) - self.quantile_integral(u)
 
     def weighted_quantile_gap_integral(self, u):
         """``int_0^u 2 z (Q(u) - Q(z)) dz`` (equals ``u^2 Q(u) - 2 int_0^u z Q``)."""
-        u = np.asarray(u, dtype=float)
         return u * u * self.quantile(u) - 2.0 * self.weighted_quantile_integral(u)
 
     @property
@@ -140,20 +163,18 @@ class Uniform01(Marginal):
         return 0.5
 
     def quantile(self, u):
-        return np.asarray(u, dtype=float) + 0.0
+        return u + 0.0
 
     def cdf(self, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return np.clip(x, 0.0, 1.0)
 
     def quantile_deriv(self, u):
-        return np.ones_like(np.asarray(u, dtype=float))
+        return np.ones_like(u)
 
     def quantile_integral(self, u):
-        u = np.asarray(u, dtype=float)
         return 0.5 * u * u
 
     def weighted_quantile_integral(self, u):
-        u = np.asarray(u, dtype=float)
         return u**3 / 3.0
 
 
@@ -176,23 +197,20 @@ class Exponential(Marginal):
         return 1.0 / self.rate
 
     def quantile(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
+        return -np.log1p(-u) / self.rate
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
         return np.where(x > 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def quantile_deriv(self, u):
-        return 1.0 / (self.rate * (1.0 - np.asarray(u, dtype=float)))
+        return 1.0 / (self.rate * (1.0 - u))
 
     def quantile_integral(self, u):
         # antiderivative of -ln(1-z) is (1-z)ln(1-z) + z
-        u = np.asarray(u, dtype=float)
         om = 1.0 - u
         return (om * np.log(np.maximum(om, 1e-300)) + u) / self.rate
 
     def weighted_quantile_integral(self, u):
-        u = np.asarray(u, dtype=float)
         om = 1.0 - u
         log_om = np.log(np.maximum(om, 1e-300))
         return (0.5 * (1.0 - u * u) * log_om + 0.5 * u + 0.25 * u * u) / self.rate
@@ -200,7 +218,6 @@ class Exponential(Marginal):
     @staticmethod
     def _log_tail_series(u, drop: int):
         """sum_{n >= drop+1} u**n / n, i.e. -ln(1-u) minus its first ``drop`` terms."""
-        u = np.asarray(u, dtype=float)
         total = np.zeros_like(u)
         term = u ** (drop + 1)
         for n in range(drop + 1, drop + 12):
@@ -210,16 +227,14 @@ class Exponential(Marginal):
 
     def quantile_gap_integral(self, u):
         # closed form (-ln(1-u) - u) loses all digits as u -> 0, so below 0.01 the series replaces it
-        u = np.asarray(u, dtype=float)
         small = u < 0.01
-        gap = np.asarray(-np.log1p(-u) - u)
+        gap = -np.log1p(-u) - u
         gap[small] = self._log_tail_series(u[small], drop=1)
         return gap / self.rate
 
     def weighted_quantile_gap_integral(self, u):
-        u = np.asarray(u, dtype=float)
         small = u < 0.01
-        gap = np.asarray(-np.log1p(-u) - u - 0.5 * u * u)
+        gap = -np.log1p(-u) - u - 0.5 * u * u
         gap[small] = self._log_tail_series(u[small], drop=2)
         return gap / self.rate
 
@@ -247,17 +262,14 @@ class Pareto(Marginal):
         return self.scale * self.shape / (self.shape - 1.0)
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
         return self.scale * (1.0 - u) ** (-1.0 / self.shape)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
         inside = x > self.scale
         ratio = self.scale / np.maximum(x, self.scale)
         return np.where(inside, 1.0 - ratio**self.shape, 0.0)
 
     def quantile_deriv(self, u):
-        u = np.asarray(u, dtype=float)
         b = 1.0 / self.shape
         return self.scale * b * (1.0 - u) ** (-b - 1.0)
 
@@ -269,11 +281,9 @@ class Pareto(Marginal):
         return (1.0 - (1.0 - u) ** (expo + 1.0)) / (expo + 1.0)
 
     def quantile_integral(self, u):
-        u = np.asarray(u, dtype=float)
         return self.scale * self._one_minus_power_integral(u, -1.0 / self.shape)
 
     def weighted_quantile_integral(self, u):
-        u = np.asarray(u, dtype=float)
         b = 1.0 / self.shape
         # z(1-z)**-b = (1-z)**-b - (1-z)**(1-b)
         return self.scale * (
@@ -282,7 +292,6 @@ class Pareto(Marginal):
 
     def _gap_series(self, u, weighted: bool):
         """Binomial-series gaps: Q/scale = sum C_n u**n with C_n rising in b."""
-        u = np.asarray(u, dtype=float)
         b = 1.0 / self.shape
         total = np.zeros_like(u)
         coeff = 1.0
@@ -296,16 +305,14 @@ class Pareto(Marginal):
 
     def quantile_gap_integral(self, u):
         # u Q(u) - int_0^u Q cancels near 0 because Q(0) = scale > 0, so below 0.05 the series replaces it
-        u = np.asarray(u, dtype=float)
         small = u < 0.05
-        gap = np.asarray(u * self.quantile(u) - self.quantile_integral(u))
+        gap = u * self.quantile(u) - self.quantile_integral(u)
         gap[small] = self._gap_series(u[small], weighted=False)
         return gap
 
     def weighted_quantile_gap_integral(self, u):
-        u = np.asarray(u, dtype=float)
         small = u < 0.05
-        gap = np.asarray(u * u * self.quantile(u) - 2.0 * self.weighted_quantile_integral(u))
+        gap = u * u * self.quantile(u) - 2.0 * self.weighted_quantile_integral(u)
         gap[small] = self._gap_series(u[small], weighted=True)
         return gap
 
@@ -389,16 +396,13 @@ class Weibull(Marginal):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
         return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
         z = (np.maximum(x, 0.0) / self.scale) ** self.shape
         return np.where(x > 0.0, -np.expm1(-z), 0.0)
 
     def quantile_deriv(self, u):
-        u = np.asarray(u, dtype=float)
         t = -np.log1p(-u)
         c = 1.0 / self.shape
         return self.scale * c * t ** (c - 1.0) / (1.0 - u)
@@ -407,7 +411,7 @@ class Weibull(Marginal):
         # substitute t = -ln(1-z): int_0^T t**(1/shape) e**-t dt; u = 1 maps to T = inf
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
-            t = -np.log1p(-np.asarray(u, dtype=float))
+            t = -np.log1p(-u)
         return self.scale * math.gamma(a) * _regularized_gamma_p(a, t)
 
     def weighted_quantile_integral(self, u):
@@ -415,7 +419,7 @@ class Weibull(Marginal):
         # the split sum t**a sum_{k>=1} (-t)**k (1 - 2**k) / (k! (a+k)), whose terms round off before k = 40
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
-            t = -np.log1p(-np.asarray(u, dtype=float))
+            t = -np.log1p(-u)
         small = t < _WEIGHTED_SERIES_SPLIT
         out = np.empty_like(t)
         at_t, at_2t = _regularized_gamma_p(a, np.stack([t[~small], 2.0 * t[~small]]))

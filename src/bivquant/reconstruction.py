@@ -83,10 +83,8 @@ def _require_kind(f: ComponentFunction, quantity: str):
 def _positive_samples(f: ComponentFunction, z):
     vals = np.asarray(f.eval(z), dtype=float)
     bad = ~(np.isfinite(vals) & (vals > 0.0))
-    if bad.any():
-        where = np.asarray(z, dtype=float)[bad] if np.ndim(z) else z
-        first = where[0] if np.ndim(where) else where
-        raise SignError(f"{f.kind} sample is not strictly positive at z = {first!r}")
+    if bad.any():  # z is the 1-d node array of ``integrate``
+        raise SignError(f"{f.kind} sample is not strictly positive at z = {z[bad][0]!r}")
     return vals
 
 

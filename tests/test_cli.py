@@ -209,7 +209,7 @@ class TestFieldCommand:
         out = tmp_path / "x.csv"
         rc = main(["field", "--model", model_file(EXP_MODEL), "--kind", "hazard", "--grid", "0", "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == "error: grid must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: grid must be an integer >= 1, got 0\n"
         assert not out.exists()
 
     def test_infinite_mean_usage_error(self, tmp_path, model_file):
@@ -243,7 +243,7 @@ class TestReconstructCommand:
         rc = main(["reconstruct", "--model", model_file(EXP_MODEL), "--kind", "hazard",
                    "--grid", "0", "--out", str(out)])
         assert rc == 2
-        assert "grid must be >= 1" in capsys.readouterr().err
+        assert "grid must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_conditioning_u_checked_for_first_component(self, tmp_path, model_file, capsys):

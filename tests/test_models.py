@@ -28,8 +28,9 @@ from bivquant import (
     orthant_prob,
     swap_axes,
 )
-from bivquant.models import Copula, _quad_inv
+from bivquant.models import KERNELS, Copula, _quad_inv
 
+from conftest import bits
 from oracles import PHI_HALF, bisect, fgm_cdf, fgm_cond_cdf, trapezoid
 
 ALL_MARGINALS = [Uniform01(), Exponential(0.7), Pareto(1.3, 2.2), Weibull(1.5, 0.8), Weibull(2.0, 3.0)]
@@ -138,25 +139,26 @@ class TestPartialIntegrals:
     SPLITS = [0.0, 1e-12, 0.005, 0.01, 0.03, 0.05, 0.3, -math.expm1(-1.0), 0.9, 1.0]
     SPLIT_GRID = np.unique(np.clip(np.concatenate(
         [SPLITS, np.nextafter(SPLITS, 0.0), np.nextafter(SPLITS, 1.0), np.linspace(0.0, 1.0, 21)]), 0.0, 1.0))
-    MOMENTS = ["quantile_integral", "weighted_quantile_integral", "quantile_gap_integral",
-               "weighted_quantile_gap_integral"]
 
-    @pytest.mark.parametrize("method", MOMENTS)
-    @pytest.mark.parametrize("fam", ALL_MARGINALS, ids=lambda f: f.describe())
+    @pytest.mark.parametrize("method", KERNELS)
+    @pytest.mark.parametrize("fam", [*ALL_MARGINALS, Pareto(0.75, 1.006)], ids=lambda f: f.describe())
     def test_grid_equals_one_call_per_point(self, fam, method):
         f = getattr(fam, method)
-        grid, inside = self.SPLIT_GRID, self.SPLIT_GRID[1:-1]
-        with np.errstate(all="ignore"):  # a gap of an unbounded support is inf at u = 1
+        with np.errstate(all="ignore"):  # a quantile or gap of an unbounded support is inf at u = 1
+            grid = fam.quantile(self.SPLIT_GRID) if method == "cdf" else self.SPLIT_GRID  # cdf takes x
+            inside, half = grid[1:-1], grid.size // 2
             values = f(grid)
             one_at_a_time = np.concatenate([f(grid[i : i + 1]) for i in range(grid.size)])
-            ends_appended = f(np.concatenate([inside, [0.0, 1.0]]))
-            ends_apart = np.concatenate([f(inside), [f(0.0), f(1.0)]])
-            zero_d = [f(u) for u in grid]
-        assert np.array_equal(values.view(np.uint64), one_at_a_time.view(np.uint64))
-        assert np.array_equal(ends_appended.view(np.uint64), ends_apart.view(np.uint64))
-        assert all(np.ndim(z) == 0 for z in zero_d)
-        # numpy's power of a scalar may differ from its power in an array in the last bits
-        assert np.allclose(zero_d, values, rtol=1e-13, atol=0.0)
+            ends_appended = f(np.concatenate([inside, grid[[0, -1]]]))
+            ends_apart = np.concatenate([f(inside), [f(grid[0]), f(grid[-1])]])
+            zero_d = [f(float(u)) for u in grid]
+            two_d = f(grid[: 2 * half].reshape(2, half))
+        assert values.shape == grid.shape and two_d.shape == (2, half)
+        assert all(np.shape(z) == () for z in zero_d)
+        assert np.array_equal(bits(values), bits(one_at_a_time))
+        assert np.array_equal(bits(ends_appended), bits(ends_apart))
+        assert np.array_equal(bits(zero_d), bits(values))
+        assert np.array_equal(bits(two_d.ravel()), bits(values[: 2 * half]))
 
     def test_infinite_mean_flag(self):
         assert not Pareto(1.0, 0.5).has_finite_mean

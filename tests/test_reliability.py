@@ -16,13 +16,15 @@ from bivquant import (
     Uniform01,
     Weibull,
     conditional_mean,
+    conditional_quantile,
+    marginal_quantile,
     swap_axes,
 )
 from bivquant import models
 from bivquant import reliability as rel
 from bivquant.numerics import clip_prob
 
-from conftest import bench_inputs, mixed_models
+from conftest import BLOCK_MODELS, bench_inputs, bits, mixed_models
 from oracles import (
     EXP_ETA1_HALF,
     FGM_ETA2_HALF,
@@ -378,6 +380,41 @@ class TestPositivityAndMeans:
         oracle = trapezoid(fgm_phi_closed, 0.0, 1.0)
         assert conditional_mean(fgm_uniform, 0.5) == pytest.approx(oracle, abs=1e-9)
         assert conditional_mean(fgm_uniform, 0.5) == pytest.approx(5.0 / 12.0, abs=1e-12)
+
+
+#: A model per family on each axis, plus Pareto(0.75, 1.006) on each axis.
+SCALAR_MODELS = [
+    *BLOCK_MODELS,
+    BivariateModel(Pareto(0.75, 1.006), Weibull(1.2, 0.6), FGMCopula(0.8)),
+    BivariateModel(Weibull(0.9, 2.7), Pareto(0.75, 1.006), IndependenceCopula()),
+]
+
+
+@pytest.mark.parametrize(
+    "model", SCALAR_MODELS, ids=lambda m: "-".join(part.describe() for part in (m.marginal_x, m.marginal_y, m.copula))
+)
+class TestScalarEqualsGrid:
+    """At a scalar argument, a component or quantile is the grid value at that point, bit for bit."""
+
+    PROBS = np.linspace(0.02, 0.98, 25)
+    CONDITIONING = (0.3, 0.7)
+
+    @pytest.mark.parametrize("quantity", list(rel.QUANTITIES))
+    def test_components(self, model, quantity):
+        first, second = rel.QUANTITIES[quantity]
+        assert np.array_equal(bits([first(model, float(u)) for u in self.PROBS]), bits(first(model, self.PROBS)))
+        for u0 in self.CONDITIONING:
+            scalars = [second(model, u0, float(p)) for p in self.PROBS]
+            assert np.array_equal(bits(scalars), bits(second(model, u0, self.PROBS)))
+
+    def test_quantiles(self, model):
+        for axis in ("x", "y"):
+            scalars = [marginal_quantile(model, axis, float(u)) for u in self.PROBS]
+            assert np.array_equal(bits(scalars), bits(marginal_quantile(model, axis, self.PROBS)))
+        for sense in ("le", "ge"):
+            for u0 in self.CONDITIONING:
+                scalars = [conditional_quantile(model, sense, u0, float(p)) for p in self.PROBS]
+                assert np.array_equal(bits(scalars), bits(conditional_quantile(model, sense, u0, self.PROBS)))
 
 
 class TestExponentialInvariance:

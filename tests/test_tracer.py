@@ -12,7 +12,19 @@ from pathlib import Path
 import numpy as np
 
 import bivquant
-from bivquant import BivariateModel, Exponential, FGMCopula, Weibull, cli, numerics, reconstruction, reliability
+from bivquant import (
+    BivariateModel,
+    Exponential,
+    FGMCopula,
+    Pareto,
+    Uniform01,
+    Weibull,
+    cli,
+    models,
+    numerics,
+    reconstruction,
+    reliability,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
@@ -70,3 +82,20 @@ def test_traced_cli_loads_count_each_input_file_once(tmp_path):
             undo()
         assert (rec.calls["cli"], rec.calls["cli.load"], rec.errors["cli.load"]) == (1, loads, 0)
         assert rec.bytes_in == sum(path.stat().st_size for path in read)
+
+
+def test_every_kernel_of_every_family_is_one_traced_call():
+    # each family holds its own copy of every kernel, so the tracer names and counts each one
+    grid = np.linspace(0.1, 0.9, 5)
+    families = [Uniform01(), Exponential(1.3), Pareto(1.1, 2.4), Weibull(0.8, 1.7)]
+    originals = {(type(fam), name): vars(type(fam))[name] for fam in families for name in models.KERNELS}
+    for fam in families:
+        for name in models.KERNELS:
+            rec, undo = _load_spans().install()
+            try:
+                getattr(fam, name)(grid)
+            finally:
+                undo()
+            assert rec.calls["models"] == 1, (fam, name)
+            assert f"models.{type(fam).__name__}.{name}" in rec.func_time
+    assert {key: vars(key[0])[key[1]] for key in originals} == originals
