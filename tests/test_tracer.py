@@ -99,3 +99,24 @@ def test_every_kernel_of_every_family_is_one_traced_call():
             assert rec.calls["models"] == 1, (fam, name)
             assert f"models.{type(fam).__name__}.{name}" in rec.func_time
     assert {key: vars(key[0])[key[1]] for key in originals} == originals
+
+
+def test_every_reliability_component_is_one_traced_call():
+    # the components are built by one factory; each must still be a public function the tracer wraps and names
+    model = BivariateModel(Exponential(1.3), Weibull(1.1, 1.7), FGMCopula(-0.6))
+    grid = np.linspace(0.1, 0.9, 5)
+    originals = dict(reliability.QUANTITIES)
+    for quantity, pair in originals.items():
+        for index, component in enumerate(pair):
+            assert getattr(reliability, component.__name__) is component
+            args = (model, grid) if index == 0 else (model, 0.4, grid)
+            rec, undo = _load_spans().install()
+            try:
+                reliability.QUANTITIES[quantity][index](*args)
+            finally:
+                undo()
+            assert rec.calls["reliability"] == 1, (quantity, index)
+            assert [name for name in rec.func_time if name.startswith("reliability.")] == [
+                f"reliability.{component.__name__}"
+            ]
+    assert reliability.QUANTITIES == originals
