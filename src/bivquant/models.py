@@ -32,6 +32,7 @@ Axis = str  #: "x" or "y"
 Sense = str  #: "le" (conditioning on U <= u), "ge" (U >= u), "eq" (U = u, sampling only)
 
 _PUBLIC_SENSES = ("le", "ge")
+_SENSES = ("le", "ge", "eq")
 
 
 def _require_axis(axis) -> str:
@@ -40,9 +41,9 @@ def _require_axis(axis) -> str:
     return axis
 
 
-def _require_sense(sense) -> str:
-    if sense not in _PUBLIC_SENSES:
-        raise DomainError(f"sense must be one of {_PUBLIC_SENSES}, got {sense!r}")
+def _require_sense(sense, senses=_PUBLIC_SENSES) -> str:  # a copula takes all three _SENSES
+    if sense not in senses:
+        raise DomainError(f"sense must be one of {senses}, got {sense!r}")
     return sense
 
 
@@ -96,6 +97,7 @@ class Marginal(_Family, ABC):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._plain_gaps = all(getattr(cls, n) is getattr(Marginal, n) for n in KERNELS[-2:])  # Marginal's gap forms
         for name in KERNELS:
             body = getattr(cls, name)  # inherited gap forms too: each family holds all seven in its __dict__
             if not getattr(body, "__isabstractmethod__", False):
@@ -491,14 +493,12 @@ class IndependenceCopula(Copula):
         return np.asarray(u, dtype=float) * np.asarray(v, dtype=float)
 
     def cond_linear_coeff(self, sense, u):
-        if sense not in ("le", "ge", "eq"):
-            raise DomainError(f"unknown conditioning sense {sense!r}")
+        _require_sense(sense, _SENSES)
         return np.zeros_like(np.asarray(u, dtype=float))
 
     def cond_quantile(self, sense, u, p):
         # _quad_inv at c = 0 computes 2p / (1 + 1), which is p exactly
-        if sense not in ("le", "ge", "eq"):
-            raise DomainError(f"unknown conditioning sense {sense!r}")
+        _require_sense(sense, _SENSES)
         p = np.asarray(p, dtype=float)
         return np.broadcast_to(p, np.broadcast_shapes(np.shape(u), p.shape))
 
@@ -522,13 +522,11 @@ class FGMCopula(Copula):
 
     def cond_linear_coeff(self, sense, u):
         u = np.asarray(u, dtype=float)
-        if sense == "le":
+        if _require_sense(sense, _SENSES) == "le":
             return self.theta * (1.0 - u)
         if sense == "ge":
             return -self.theta * u
-        if sense == "eq":
-            return self.theta * (1.0 - 2.0 * u)
-        raise DomainError(f"unknown conditioning sense {sense!r}")
+        return self.theta * (1.0 - 2.0 * u)
 
 
 _COPULA_REGISTRY: dict[str, type] = {

@@ -8,7 +8,8 @@ graded mesh of [0, 1].  Both are pure and deterministic for a fixed
 gather indices, see :func:`_plan`) is built once per (config, end, t-grid),
 read-only, and at most 4 are kept: two arrays of up to
 ``4 * quad_points + 2`` nodes plus two per t, so about 130 KB per plan at
-the default and 4.2 MB at ``MAX_QUAD_POINTS``.
+the default and 4.2 MB at ``MAX_QUAD_POINTS``; ``verify`` evaluates each
+component once on the union of its three plans' nodes.
 :func:`require_real` is the one real-number check of model parameters and
 config fields, :func:`require_integer` the one integer check of counts and
 seeds, :func:`require_probs` the one probability check of levels,
@@ -68,11 +69,14 @@ def require_integer(name: str, value, least: int) -> int:
 
 
 def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
-    """``value`` as a float array; :class:`DomainError` naming its first value outside (0,1).
+    """``value`` as a float array; :class:`DomainError` if it is not numeric, or naming its first value outside (0,1).
 
     With ``closed``, the endpoints pass: the interval is [0, 1].
     """
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a number or an array of numbers, got {value!r}") from exc
     below = operator.le if closed else operator.lt
     # one reduction each way; NaN propagates through both, and 0.5 lets an empty grid pass
     if below(0.0, arr.min(initial=0.5)) and below(arr.max(initial=0.5), 1.0):
@@ -172,7 +176,7 @@ def _graded(rho, far, end: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(far, (1.0 - end) - sign * dist, end + sign * dist), GRADE * rho ** (GRADE - 1.0)
 
 
-@functools.lru_cache(maxsize=4)  # the three t-grids of ``verify``, and one more
+@functools.lru_cache(maxsize=4)  # the three t-grids of ``verify`` (its node table holds their nodes), and one more
 def _plan(cfg: NumericConfig, end: float, shape: tuple, data: bytes):
     """What :func:`integrate` needs besides ``f`` on the grid ``data``, read-only; None if it is empty.
 

@@ -15,7 +15,9 @@ scale).  The MRL map carries the offset through the mean and is exact in
 all cases.  The identity check verifies (1-t) m(t) = int_t^1 dz/h(z).
 
 :data:`CHECKS` lists every ``verify`` check with its name, grid and
-tolerance; :func:`verify` runs them and returns one record per check.
+tolerance; :func:`verify` runs them and returns one record per check.  It
+evaluates each component once, on a node table that holds every node the
+checks integrate over, and the checks read it off there.
 
 Inputs are callables, not models: the maps are statements about
 functions, so they accept model-derived components and standalone
@@ -34,7 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import models, reliability
-from .errors import ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError, SignError
+from .errors import (BivquantError, ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError,
+                     SignError)
 from .numerics import NumericConfig, config_or_default, integrate, t_grid
 
 COMPONENTS = ("first", "second")
@@ -82,8 +85,8 @@ def _require_kind(f: ComponentFunction, quantity: str):
 
 def _positive_samples(f: ComponentFunction, z):
     vals = np.asarray(f.eval(z), dtype=float)
-    bad = ~(np.isfinite(vals) & (vals > 0.0))
-    if bad.any():  # z is the 1-d node array of ``integrate``
+    if not (vals.min() > 0.0 and vals.max() < np.inf):  # NaN fails too; z is the 1-d node array of ``integrate``
+        bad = ~(np.isfinite(vals) & (vals > 0.0))
         raise SignError(f"{f.kind} sample is not strictly positive at z = {z[bad][0]!r}")
     return vals
 
@@ -160,25 +163,17 @@ def quantile_from_hazard(f: ComponentFunction, t, cfg: NumericConfig | None = No
     """
     _require_kind(f, "hazard")
     ts, scalar = t_grid(t)
-
-    def integrand(z):
-        return 1.0 / ((1.0 - z) * _positive_samples(f, z))
-
-    return _shaped(_integrate_with_tail(integrand, ts, 0.0, cfg)[0], scalar)
+    return _shaped(_integrate_with_tail(lambda z: 1.0 / ((1.0 - z) * _positive_samples(f, z)), ts, 0.0, cfg)[0], scalar)
 
 
 def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
     """Q(t) = mu - f(t) + int_0^t f(z)/(1-z) dz, with mu the component's ``mean_hint``."""
     _require_kind(f, "mrl")
     ts, scalar = t_grid(t)
-
-    def integrand(z):
-        return np.asarray(f.eval(z), dtype=float) / (1.0 - z)
-
     # the integrand is finite at 0 but model components reject z = 0 exactly;
     # the mesh is graded toward 1 as well because heavy-tailed components steepen there
     point = np.asarray(f.eval(ts), dtype=float)
-    integral = _integrate_with_tail(integrand, ts, 0.0, cfg)[0]
+    integral = _integrate_with_tail(lambda z: np.asarray(f.eval(z), dtype=float) / (1.0 - z), ts, 0.0, cfg)[0]
     return _shaped(float(f.mean_hint) - point + integral, scalar)
 
 
@@ -192,11 +187,7 @@ def quantile_from_reversed_hazard(f: ComponentFunction, t, cfg: NumericConfig | 
     """
     _require_kind(f, "rev-hazard")
     ts, scalar = t_grid(t)
-
-    def integrand(z):
-        return 1.0 / (z * _positive_samples(f, z))
-
-    values, inner, outer = _integrate_with_tail(integrand, ts, 0.0, cfg)
+    values, inner, outer = _integrate_with_tail(lambda z: 1.0 / (z * _positive_samples(f, z)), ts, 0.0, cfg)
     if inner > 1.02 * outer and inner > 1e-12:
         raise DivergenceError(
             f"clipped reversed-hazard integral keeps growing toward 0 "
@@ -210,11 +201,7 @@ def quantile_from_reversed_mrl(f: ComponentFunction, t, cfg: NumericConfig | Non
     """Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean."""
     _require_kind(f, "rev-mrl")
     ts, scalar = t_grid(t)
-
-    def integrand(z):
-        return np.asarray(f.eval(z), dtype=float) / z
-
-    integral = _integrate_with_tail(integrand, ts, 0.0, cfg)[0]
+    integral = _integrate_with_tail(lambda z: np.asarray(f.eval(z), dtype=float) / z, ts, 0.0, cfg)[0]
     return _shaped(np.asarray(f.eval(ts), dtype=float) + integral, scalar)
 
 
@@ -254,11 +241,14 @@ def round_trip(
     reconstructed = inverse_map(comp, ts, cfg)
     if component == "first":
         reference = models.marginal_quantile(model, "x", ts, cfg)
-        origin = model.marginal_x.support[0]
     else:
         reference = models.conditional_quantile(model, "le", conditioning_u, ts, cfg)
-        origin = model.marginal_y.support[0]
-    return reconstructed, reference if quantity == "mrl" else reference - origin
+    return reconstructed, _relative(reference, quantity, model.marginal_x if component == "first" else model.marginal_y)
+
+
+def _relative(reference, quantity: str, fam: models.Marginal):
+    """``reference`` as ``quantity``'s map recovers it: all maps but the MRL one see no support offset."""
+    return reference if quantity == "mrl" else reference - fam.support[0]
 
 
 def hazard_mrl_identity_residual(
@@ -277,14 +267,14 @@ def hazard_mrl_identity_residual(
     ts, scalar = t_grid(t)
     u0 = float(conditioning_u)
     reliability._require_interior("conditioning_u", u0, config_or_default(cfg))  # the check of round_trip
-    mrl = _of_probability(model, "mrl", component, u0, cfg)
-    hazard = _of_probability(model, "hazard", component, u0, cfg)
+    mrl, hazard = (_of_probability(model, q, component, u0, cfg) for q in ("mrl", "hazard"))
+    return _shaped(_identity_residual(mrl, hazard, ts, cfg), scalar)
 
-    def reciprocal_hazard(z):
-        return 1.0 / np.asarray(hazard(z), dtype=float)
 
+def _identity_residual(mrl: Callable, hazard: Callable, ts: np.ndarray, cfg: NumericConfig | None):
+    """(1-t) m(t) - int_t^1 dz/h(z) on ``ts``, for an MRL m and a hazard h of the probability."""
     lhs = (1.0 - ts) * np.asarray(mrl(ts), dtype=float)
-    return _shaped(lhs - _integrate_with_tail(reciprocal_hazard, ts, 1.0, cfg)[0], scalar)
+    return lhs - _integrate_with_tail(lambda z: 1.0 / np.asarray(hazard(z), dtype=float), ts, 1.0, cfg)[0]
 
 
 # --- the verify check table ------------------------------------------------
@@ -296,10 +286,10 @@ VERIFY_CONDITIONING_U = 0.5  #: the level u0 every second component is anchored 
 
 @dataclass(frozen=True)
 class Check:
-    """One ``verify`` check: ``residual(model, component, u0, ts, cfg)`` stays within ``tol`` on ``ts``."""
+    """One ``verify`` check: the round trip of ``quantity`` (the identity if None) stays within ``tol`` on ``ts``."""
 
     name: str
-    residual: Callable
+    quantity: str | None
     component: str
     ts: np.ndarray
     tol: float
@@ -307,22 +297,49 @@ class Check:
     def __post_init__(self):
         self.ts.flags.writeable = False  # shared by every verify call and every record
 
+    def residual(self, model, conditioning_u: float, cfg: NumericConfig | None = None, table=None):
+        """The residuals on ``model`` of :func:`round_trip` or :func:`hazard_mrl_identity_residual`, bit for bit
+        also when the maps read the component off ``table``: its ``all_quantities`` and the check's positions."""
+        if table is None and self.quantity is None:
+            return hazard_mrl_identity_residual(model, self.component, conditioning_u, self.ts, cfg)
+        if table is None:  # reconstructed minus reference
+            return np.subtract(*round_trip(model, self.quantity, self.component, conditioning_u, self.ts, cfg))
+        values, (at_plan, at_grid) = table
+        fam, role = (model.marginal_x, "X") if self.component == "first" else (model.marginal_y, "Y")
 
-def _round_trip_error(quantity, model, component, conditioning_u, ts, cfg):
-    reconstructed, reference = round_trip(model, quantity, component, conditioning_u, ts, cfg)
-    return reconstructed - reference
+        def read(quantity):  # ``integrate`` passes the plan's nodes, a point term the grid
+            if quantity not in values:  # the MRL of an infinite mean
+                reliability._require_finite_mean(fam, role)
+            return lambda z, v=values[quantity]: v[at_plan if z.size > at_grid.size else at_grid]
+
+        if self.quantity is None:
+            return _identity_residual(read("mrl"), read("hazard"), self.ts, cfg)
+        f = ComponentFunction(KIND_OF[self.quantity, self.component], read(self.quantity), values.get("mean"))
+        reference = _relative(values["quantile"][at_grid], self.quantity, fam)
+        return INVERSE_MAPS[self.quantity][0](f, self.ts, cfg) - reference
 
 
 #: Every check in output order: each round trip on 17 points of its t-range, each identity on t = k/34.
-CHECKS = tuple(
-    Check(f"{q}-roundtrip-{c}", functools.partial(_round_trip_error, q), c,
-          np.linspace(*t_range, 17), ROUND_TRIP_TOL)
-    for q, (_, t_range) in INVERSE_MAPS.items()
-    for c in COMPONENTS
-) + tuple(
-    Check(f"identity-{c}", hazard_mrl_identity_residual, c, np.arange(1, 34) / 34.0, IDENTITY_TOL)
-    for c in COMPONENTS
-)
+CHECKS = tuple(Check(f"{q}-roundtrip-{c}", q, c, np.linspace(*t_range, 17), ROUND_TRIP_TOL)
+               for q, (_, t_range) in INVERSE_MAPS.items() for c in COMPONENTS) + tuple(
+    Check(f"identity-{c}", None, c, np.arange(1, 34) / 34.0, IDENTITY_TOL) for c in COMPONENTS)
+
+
+@functools.lru_cache(maxsize=2)  # verify's config, and one more
+def _node_table(cfg: NumericConfig):
+    """verify's nodes (those ``integrate`` hands each check's integrand, and the check grids: about 8,400 at the
+    default config), sorted and read-only, and per check the positions of its plan's nodes and of its grid."""
+    arrays = []
+    for check in CHECKS:  # the plans of equal grids are one kept array
+        _integrate_with_tail(lambda z: arrays.append(z) or np.ones_like(z), check.ts, 1.0 - bool(check.quantity), cfg)
+        arrays.append(check.ts)
+    distinct = {id(a): a for a in arrays}
+    nodes = np.sort(np.concatenate(list(distinct.values())))
+    nodes = nodes[np.append(True, nodes[1:] != nodes[:-1])]  # np.unique would cost 1.6 MB of RSS
+    where = {key: np.searchsorted(nodes, a) for key, a in distinct.items()}
+    for a in (nodes, *where.values()):
+        a.flags.writeable = False
+    return nodes, tuple((where[id(z)], where[id(ts)]) for z, ts in zip(arrays[::2], arrays[1::2]))
 
 
 @dataclass(frozen=True)
@@ -346,15 +363,25 @@ class CheckResult:
 
 
 def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> list[CheckResult]:
-    """Every row of :data:`CHECKS` on ``model``, one record each.
+    """Every row of :data:`CHECKS` on ``model``, one record each: its ``residual`` bit for bit.
 
     A check whose component has an infinite mean fails with the error as
-    its note; any other :class:`BivquantError` propagates.
+    its note; any other :class:`BivquantError` propagates.  Each component
+    is evaluated once, on a node table that holds every check's nodes.  Where
+    that raises, the checks make their own calls: the first error in check
+    order is the one raised.
     """
+    u0 = VERIFY_CONDITIONING_U
+    try:
+        nodes, positions = _node_table(config_or_default(cfg))
+        sides = {c: reliability.all_quantities(model, c, u0, nodes, cfg) for c in COMPONENTS}
+        tables = [(sides[check.component], at) for check, at in zip(CHECKS, positions)]
+    except BivquantError:
+        tables = [None] * len(CHECKS)
     records = []
-    for check in CHECKS:
+    for check, table in zip(CHECKS, tables):
         try:
-            residuals, note = check.residual(model, check.component, VERIFY_CONDITIONING_U, check.ts, cfg), ""
+            residuals, note = check.residual(model, u0, cfg, table), ""
         except InfiniteMeanError as exc:
             residuals, note = None, str(exc)
         records.append(CheckResult(check.name, check.tol, check.ts, residuals, note))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from bivquant import (
+    DEFAULT_CONFIG,
     BivariateModel,
     DomainError,
     Exponential,
@@ -27,6 +28,7 @@ from bivquant import (
     cli,
     models,
     reconstruction,
+    reliability,
 )
 
 from conftest import bench_inputs, bench_module, bits
@@ -92,15 +94,21 @@ class TestCheckTable:
             with pytest.raises(ValueError):
                 check.ts[0] = 0.5
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            models.model_from_dict(POOL["cli-batch"]),
-            BivariateModel(Pareto(1.2, 0.9), Exponential(0.7), FGMCopula(-0.6)),  # X without a mean
-        ],
-        ids=["cli-batch", "fgm-pareto-exponential"],
-    )
-    def test_records_equal_the_direct_calls(self, model):
+    #: Every pool model, one FGM model whose X has no mean, and one whose X quantile derivative overflows
+    #: near 1: ``verify``'s node table reaches 1 - sing_clip there, the round trips do not, so its checks
+    #: run one by one.
+    DIRECT = {
+        **POOL,
+        "fgm-pareto-exponential": BivariateModel(Pareto(1.2, 0.9), Exponential(0.7), FGMCopula(-0.6)),
+        "pareto-overflowing-near-one": BivariateModel(Pareto(1.0, 0.02), Exponential(1.0), FGMCopula(0.5)),
+    }
+
+    @pytest.mark.parametrize("name", list(DIRECT))
+    def test_records_equal_the_direct_calls(self, name):
+        # verify evaluates each component once on a shared node table; each record must equal its public call
+        model = self.DIRECT[name]
+        if isinstance(model, dict):
+            model = models.model_from_dict(model)
         u0 = 0.5
         records = reconstruction.verify(model)
         assert [r.name for r in records] == self.NAMES
@@ -127,7 +135,8 @@ class TestCheckTable:
             else:
                 assert np.array_equal(bits(record.residuals), bits(direct())), record.name
                 assert record.note == ""
-        assert sum(r.residuals is None for r in records) == (2 if not model.marginal_x.has_finite_mean else 0)
+        infinite = (not model.marginal_x.has_finite_mean) + (not model.marginal_y.has_finite_mean)
+        assert sum(r.residuals is None for r in records) == 2 * infinite
 
     @pytest.mark.parametrize("residuals", [[1e-9, np.nan], [np.nan, 1e-9]], ids=["nan-last", "nan-first"])
     def test_nan_residual_fails(self, residuals):
@@ -136,6 +145,21 @@ class TestCheckTable:
         assert not record.passed
 
     def test_other_errors_propagate(self):
+        # the error of the first check, as its own call raises it
         overflowing = BivariateModel(Exponential(1e-310), Exponential(1.0), FGMCopula(0.5))
-        with pytest.raises(DomainError, match="overflows"):
+        first = reconstruction.CHECKS[0]
+        with pytest.raises(DomainError, match="overflows") as direct:
+            first.residual(overflowing, 0.5)
+        with pytest.raises(DomainError) as exc:
             reconstruction.verify(overflowing)
+        assert str(exc.value) == str(direct.value)
+
+    def test_a_table_error_runs_the_checks_one_by_one(self):
+        # the node table reaches 1 - sing_clip, where this X's quantile derivative overflows
+        model = self.DIRECT["pareto-overflowing-near-one"]
+        nodes, _ = reconstruction._node_table(DEFAULT_CONFIG)
+        with pytest.raises(DomainError, match="overflows"):
+            reliability.all_quantities(model, "first", 0.5, nodes)
+        records = reconstruction.verify(model)
+        assert [r.residuals is None for r in records] == [name.startswith(("mrl-roundtrip-first", "identity-first"))
+                                                          for name in self.NAMES]

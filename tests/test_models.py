@@ -160,6 +160,13 @@ class TestPartialIntegrals:
         assert np.array_equal(bits(zero_d), bits(values))
         assert np.array_equal(bits(two_d.ravel()), bits(values[: 2 * half]))
 
+    @pytest.mark.parametrize("u", [1e-9, 0.2, 0.5, 0.9, 1.0 - 1e-9])
+    def test_pareto_power_integral_at_expo_minus_one(self, u):
+        # shape 1 makes int_0^u Q a logarithm; shape 0.5 makes one term of int_0^u z Q one
+        assert float(Pareto(1.7, 1.0).quantile_integral(u)) == 1.7 * -math.log1p(-u)
+        closed = 1.7 * (u / (1.0 - u) + math.log1p(-u))  # int_0^u z (1-z)**-2 dz
+        assert float(Pareto(1.7, 0.5).weighted_quantile_integral(u)) == pytest.approx(closed, rel=1e-9)
+
     def test_infinite_mean_flag(self):
         assert not Pareto(1.0, 0.5).has_finite_mean
         assert not Pareto(1.0, 1.0).has_finite_mean
@@ -327,8 +334,16 @@ class TestIndependenceInverse:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_unknown_sense(self):
-        with pytest.raises(DomainError, match="unknown conditioning sense"):
+        with pytest.raises(DomainError, match=r"^sense must be one of \('le', 'ge', 'eq'\), got 'lt'$"):
             IndependenceCopula().cond_quantile("lt", 0.5, 0.5)
+
+
+@pytest.mark.parametrize("copula", [IndependenceCopula(), FGMCopula(0.5)], ids=lambda c: c.kind)
+@pytest.mark.parametrize("method", ["cond_linear_coeff", "cond_quantile", "cond_cdf_deriv"])
+def test_unknown_conditioning_sense(copula, method):
+    args = ("lt", 0.5) if method == "cond_linear_coeff" else ("lt", 0.5, 0.5)
+    with pytest.raises(DomainError, match=r"^sense must be one of \('le', 'ge', 'eq'\), got 'lt'$"):
+        getattr(copula, method)(*args)
 
 
 class TestSwapAxes:

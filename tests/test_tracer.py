@@ -120,3 +120,18 @@ def test_every_reliability_component_is_one_traced_call():
                 f"reliability.{component.__name__}"
             ]
     assert reliability.QUANTITIES == originals
+
+
+def test_traced_verify_charges_each_component_to_reliability_once():
+    # verify evaluates each component once on its node table, and each check integrates once
+    model = BivariateModel(Weibull(1.3, 0.9), Pareto(1.1, 2.4), FGMCopula(0.4))
+    reconstruction.verify(model)  # the node table is built outside the traced call
+    rec, undo = _load_spans().install()
+    try:
+        records = reconstruction.verify(model)
+    finally:
+        undo()
+    assert rec.calls["reliability"] == 2 and rec.errors["reliability"] == 0
+    assert [name for name in rec.func_time if name.startswith("reliability.")] == ["reliability.all_quantities"]
+    assert rec.calls["numerics"] == len(records) == len(reconstruction.CHECKS)
+    assert rec.integrand_points > 0
