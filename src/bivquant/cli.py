@@ -217,7 +217,7 @@ def cmd_field(args, model, cfg) -> int:
 
 def cmd_reconstruct(args, model, cfg) -> int:
     require_integer("grid", args.grid, 1)
-    ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind][1], args.grid)
+    ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind].t_range, args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
     table = np.column_stack([ts, rec, ref, np.abs(rec - ref)])
     _write_csv(args.out, "t,reconstructed,reference,abs_error", table)
@@ -239,8 +239,8 @@ def cmd_verify(args, model, cfg) -> int:
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
     if args.out:  # the identity residuals, one row per t
         rows, template = ["check,t,residual\n"], "%s," + _row(2) + "\n"
-        for r in records:
-            if r.name.startswith("identity-") and r.residuals is not None:
+        for check, r in zip(reconstruction.CHECKS, records):
+            if check.quantity is None and r.residuals is not None:
                 rows.extend(template % (r.name, t, x) for t, x in zip(r.ts, r.residuals))
         _write(args.out, rows)
     return 0 if all_pass else 1

@@ -26,25 +26,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BoundaryError, ConvergenceError, DegenerateConditioningError, DomainError, ModelSpecError
-from .numerics import NumericConfig, clip_prob, require_probs, require_real
+from .numerics import NumericConfig, clip_prob, require_choice, require_probs, require_real
 
 Axis = str  #: "x" or "y"
 Sense = str  #: "le" (conditioning on U <= u), "ge" (U >= u), "eq" (U = u, sampling only)
 
 _PUBLIC_SENSES = ("le", "ge")
-_SENSES = ("le", "ge", "eq")
-
-
-def _require_axis(axis) -> str:
-    if axis not in ("x", "y"):
-        raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
-    return axis
-
-
-def _require_sense(sense, senses=_PUBLIC_SENSES) -> str:  # a copula takes all three _SENSES
-    if sense not in senses:
-        raise DomainError(f"sense must be one of {senses}, got {sense!r}")
-    return sense
+_SENSES = ("le", "ge", "eq")  #: a copula takes all three
 
 
 def _require_positive(name: str, value) -> float:
@@ -435,12 +423,7 @@ class Weibull(Marginal):
         return out
 
 
-_MARGINAL_REGISTRY: dict[str, type] = {
-    "Uniform01": Uniform01,
-    "Exponential": Exponential,
-    "Pareto": Pareto,
-    "Weibull": Weibull,
-}
+_MARGINAL_REGISTRY: dict[str, type] = {cls.kind: cls for cls in (Uniform01, Exponential, Pareto, Weibull)}
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +476,12 @@ class IndependenceCopula(Copula):
         return np.asarray(u, dtype=float) * np.asarray(v, dtype=float)
 
     def cond_linear_coeff(self, sense, u):
-        _require_sense(sense, _SENSES)
+        require_choice("sense", sense, _SENSES)
         return np.zeros_like(np.asarray(u, dtype=float))
 
     def cond_quantile(self, sense, u, p):
         # _quad_inv at c = 0 computes 2p / (1 + 1), which is p exactly
-        _require_sense(sense, _SENSES)
+        require_choice("sense", sense, _SENSES)
         p = np.asarray(p, dtype=float)
         return np.broadcast_to(p, np.broadcast_shapes(np.shape(u), p.shape))
 
@@ -522,17 +505,14 @@ class FGMCopula(Copula):
 
     def cond_linear_coeff(self, sense, u):
         u = np.asarray(u, dtype=float)
-        if _require_sense(sense, _SENSES) == "le":
+        if require_choice("sense", sense, _SENSES) == "le":
             return self.theta * (1.0 - u)
         if sense == "ge":
             return -self.theta * u
         return self.theta * (1.0 - 2.0 * u)
 
 
-_COPULA_REGISTRY: dict[str, type] = {
-    "Independence": IndependenceCopula,
-    "FGM": FGMCopula,
-}
+_COPULA_REGISTRY: dict[str, type] = {cls.kind: cls for cls in (IndependenceCopula, FGMCopula)}
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +561,7 @@ class BivariateModel:
     copula: Copula
 
     def marginal(self, axis: Axis) -> Marginal:
-        return self.marginal_x if _require_axis(axis) == "x" else self.marginal_y
+        return self.marginal_x if require_choice("axis", axis, ("x", "y")) == "x" else self.marginal_y
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +605,7 @@ def orthant_prob(model: BivariateModel, direction: Direction, x, y):
 
 
 def _validated_conditioning(sense: Sense, conditioning_u, cfg: NumericConfig | None):
-    sense = _require_sense(sense)
+    sense = require_choice("sense", sense, _PUBLIC_SENSES)
     arr = require_probs("conditioning_u", conditioning_u, closed=True)
     if sense == "le" and np.any(arr == 0.0):
         raise DegenerateConditioningError("conditioning event {X <= Q_X(0)} has probability zero")

@@ -13,8 +13,9 @@ component once on the union of its three plans' nodes.
 :func:`require_real` is the one real-number check of model parameters and
 config fields, :func:`require_integer` the one integer check of counts and
 seeds, :func:`require_probs` the one probability check of levels,
-conditioning levels and component arguments, and :func:`require_finite`
-the one overflow check of quantiles.
+conditioning levels and component arguments, :func:`require_choice` the
+one check of string choices (axis, sense, component, kind), and
+:func:`require_finite` the one overflow check of quantiles.
 :func:`blocks` cuts a long elementwise fill into cache-sized row blocks.
 """
 
@@ -84,6 +85,13 @@ def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
     outside = arr[~(below(0.0, arr) & below(arr, 1.0))]  # NaN fails both comparisons
     interval = "[0, 1]" if closed else "(0,1)"
     raise DomainError(f"{name} must lie in {interval}, got {float(outside[0])!r}")
+
+
+def require_choice(name: str, value, choices: tuple) -> str:
+    """``value``; :class:`DomainError` unless it is a ``str`` in ``choices`` (an array is never compared)."""
+    if not (isinstance(value, str) and value in choices):
+        raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 def require_finite(fn: Callable, *args, what: str, family):

@@ -8,16 +8,17 @@ integral inverse map:
     from reversed hazard r:   Q(t) = int_0^t dz / (z r(z))
     from reversed MRL e:      Q(t) = e(t) + int_0^t e(z)/z dz
 
-The hazard-type maps are insensitive to a support offset: they recover
-Q(t) - Q(0), which equals Q(t) whenever the support starts at the lower
-quantile 0 (all built-ins except the Pareto family, whose offset is its
-scale).  The MRL map carries the offset through the mean and is exact in
-all cases.  The identity check verifies (1-t) m(t) = int_t^1 dz/h(z).
+Each map is one row of :data:`INVERSE_MAPS` run by one body.  The maps
+that read no mean recover Q(t) - Q(0), which is Q(t) whenever the support
+starts at 0 (all built-ins except the Pareto family, whose offset is its
+scale); the MRL map carries the offset through the mean.  The identity
+check verifies (1-t) m(t) = int_t^1 dz/h(z).
 
 :data:`CHECKS` lists every ``verify`` check with its name, grid and
-tolerance; :func:`verify` runs them and returns one record per check.  It
-evaluates each component once, on a node table that holds every node the
-checks integrate over, and the checks read it off there.
+tolerance; :func:`verify` runs them and returns one record per check.
+Checks and public calls read a component by the names of
+``reliability.all_quantities``: off the node table on which ``verify``
+evaluates each component once, or through ``reliability`` and ``models``.
 
 Inputs are callables, not models: the maps are statements about
 functions, so they accept model-derived components and standalone
@@ -31,16 +32,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import models, reliability
 from .errors import (BivquantError, ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError,
                      SignError)
-from .numerics import NumericConfig, config_or_default, integrate, t_grid
+from .numerics import NumericConfig, config_or_default, integrate, require_choice, t_grid
+from .reliability import COMPONENTS
 
-COMPONENTS = ("first", "second")
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
 #: quantity spelled with ``_``, then ``1`` for the first component or ``2``
 #: for the second (``("rev-hazard", "second")`` is ``"rev_hazard2"``).
@@ -50,6 +51,7 @@ KIND_OF = {
     for index, component in enumerate(COMPONENTS, start=1)
 }
 COMPONENT_KINDS = tuple(KIND_OF.values())
+_PAIR_OF = {kind: pair for pair, kind in KIND_OF.items()}
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class ComponentFunction:
 
     ``eval`` must accept ndarray arguments on (0, 1).  ``mean_hint``
     carries the matching mean (of X for ``mrl1``, of the conditional
-    variable for ``mrl2``); the MRL kinds require it and only the MRL
-    maps consume it.
+    variable for ``mrl2``); the kinds whose map reads the mean require it,
+    and only those maps consume it.
     """
 
     kind: str
@@ -67,9 +69,8 @@ class ComponentFunction:
     mean_hint: float | None = None
 
     def __post_init__(self):
-        if self.kind not in COMPONENT_KINDS:
-            raise DomainError(f"kind must be one of {COMPONENT_KINDS}, got {self.kind!r}")
-        if self.kind.startswith("mrl") and self.mean_hint is None:
+        quantity, _ = _PAIR_OF[require_choice("kind", self.kind, COMPONENT_KINDS)]
+        if INVERSE_MAPS[quantity].reads_mean and self.mean_hint is None:
             raise DomainError(f"a component of kind {self.kind!r} needs a mean_hint")
 
 
@@ -77,26 +78,16 @@ def _shaped(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def _require_kind(f: ComponentFunction, quantity: str):
-    allowed = (KIND_OF[quantity, "first"], KIND_OF[quantity, "second"])
-    if f.kind not in allowed:
-        raise DomainError(f"expected a component of kind {allowed}, got {f.kind!r}")
+def _samples(f: ComponentFunction, z):
+    return np.asarray(f.eval(z), dtype=float)
 
 
 def _positive_samples(f: ComponentFunction, z):
-    vals = np.asarray(f.eval(z), dtype=float)
+    vals = _samples(f, z)
     if not (vals.min() > 0.0 and vals.max() < np.inf):  # NaN fails too; z is the 1-d node array of ``integrate``
         bad = ~(np.isfinite(vals) & (vals > 0.0))
         raise SignError(f"{f.kind} sample is not strictly positive at z = {z[bad][0]!r}")
     return vals
-
-
-def _of_probability(model, quantity: str, component: str, u0: float, cfg: NumericConfig) -> Callable:
-    """The model's ``quantity`` component as a function of its probability argument alone."""
-    first_fn, second_fn = reliability.QUANTITIES[quantity]
-    if component == "first":
-        return lambda z: first_fn(model, z, cfg)
-    return lambda z: second_fn(model, u0, z, cfg)
 
 
 def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: NumericConfig | None):
@@ -129,6 +120,107 @@ def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: N
     return result, inner, outer
 
 
+def _unbounded_below(inner: float, outer: float):
+    """The reversed-hazard divergence probe: the mass on [clip, 8*clip] exceeds 1.02 times that on [8*clip, 64*clip]."""
+    if inner > 1.02 * outer and inner > 1e-12:
+        raise DivergenceError(
+            f"clipped reversed-hazard integral keeps growing toward 0 "
+            f"(mass {inner:.3e} on [clip, 8*clip] vs {outer:.3e} on [8*clip, 64*clip]); "
+            "the underlying support appears unbounded below"
+        )
+
+
+class InverseMap(NamedTuple):
+    """A quantity's map ``Q(t) = point(t) + int_0^t integrand(z, f) dz`` from its component ``f``."""
+
+    integrand: Callable
+    t_range: tuple  #: the t-range of its round trips
+    point: str | None = None  #: f(t), read "before" or "after" the integral, or no point term
+    reads_mean: bool = False  #: the point term is mean - f(t), which carries the support offset
+    probe: Callable | None = None  #: raises on the two tail masses of a divergent integral
+
+
+#: Each quantity's inverse map; keys match :data:`reliability.QUANTITIES`.
+INVERSE_MAPS = {
+    "hazard": InverseMap(lambda z, f: 1.0 / ((1.0 - z) * _positive_samples(f, z)), (0.01, 0.95)),
+    "mrl": InverseMap(lambda z, f: _samples(f, z) / (1.0 - z), (0.01, 0.95), "before", reads_mean=True),
+    "rev-hazard": InverseMap(lambda z, f: 1.0 / (z * _positive_samples(f, z)), (0.05, 0.99), probe=_unbounded_below),
+    "rev-mrl": InverseMap(lambda z, f: _samples(f, z) / z, (0.05, 0.99), "after"),
+}
+
+
+def _quantile_from(quantity: str, f: ComponentFunction, t, cfg: NumericConfig | None):
+    """The body of the four public maps: ``quantity``'s :class:`InverseMap` on the component ``f``."""
+    inverse, allowed = INVERSE_MAPS[quantity], (KIND_OF[quantity, "first"], KIND_OF[quantity, "second"])
+    if f.kind not in allowed:
+        raise DomainError(f"expected a component of kind {allowed}, got {f.kind!r}")
+    ts, scalar = t_grid(t)
+    point = _samples(f, ts) if inverse.point == "before" else None
+    values, inner, outer = _integrate_with_tail(lambda z: inverse.integrand(z, f), ts, 0.0, cfg)
+    if inverse.probe:
+        inverse.probe(inner, outer)
+    if inverse.point:
+        point = _samples(f, ts) if point is None else point
+        values = (float(f.mean_hint) - point if inverse.reads_mean else point) + values
+    return _shaped(values, scalar)
+
+
+def _public_map(quantity: str, doc: str):
+    """``quantity``'s public map, named as its :data:`reliability.QUANTITIES` functions are."""
+
+    def quantile_from(f: ComponentFunction, t, cfg: NumericConfig | None = None):
+        return _quantile_from(quantity, f, t, cfg)
+
+    quantile_from.__name__ = quantile_from.__qualname__ = f"quantile_from_{quantity.replace('rev-', 'reversed_')}"
+    quantile_from.__doc__ = doc + "\n\n``t`` is a scalar (the result is a float) or a 1-D grid (an array)."
+    return quantile_from
+
+
+quantile_from_hazard = _public_map("hazard", "Q(t) = int_0^t dz / ((1-z) f(z)); recovers Q relative to Q(0).")
+quantile_from_mrl = _public_map("mrl", "Q(t) = mu - f(t) + int_0^t f(z)/(1-z) dz, with mu = ``f.mean_hint``.")
+quantile_from_reversed_hazard = _public_map("rev-hazard", """Q(t) = int_0^t dz / (z f(z)); recovers Q relative to Q(0).
+
+Raises :class:`DivergenceError` when the integrand mass keeps growing toward 0 faster than the integrable rate
+(support unbounded below).""")
+quantile_from_reversed_mrl = _public_map("rev-mrl", "Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean.")
+
+
+def _reader(model: models.BivariateModel, component: str, u0: float, cfg: NumericConfig | None) -> Callable:
+    """The ``component`` of ``model`` at ``u0`` through the public calls: ``read(name)`` is, for a name of
+    :func:`reliability.all_quantities`, that function of the probability, and for ``"mean"`` the mean itself."""
+    first = component == "first"
+
+    def read(name: str):
+        if name == "mean":
+            return reliability._require_finite_mean(*reliability._marginal(model, component)) if first else \
+                reliability.conditional_mean(model, u0, cfg)
+        if name == "quantile":
+            return lambda z: models.marginal_quantile(model, "x", z, cfg) if first else \
+                models.conditional_quantile(model, "le", u0, z, cfg)
+        fn = reliability.QUANTITIES[name][COMPONENTS.index(component)]  # looked up per read, as its docs ask
+        return lambda z: fn(model, z, cfg) if first else fn(model, u0, z, cfg)
+
+    return read
+
+
+def _table_reader(model: models.BivariateModel, component: str, values: dict, at_plan, at_grid) -> Callable:
+    """:func:`_reader`'s ``read`` off ``values`` (``all_quantities`` on :func:`verify`'s node table), at one check's
+    positions: those of its plan's nodes, or of its grid, as ``integrate`` or a point term asks."""
+    def read(name: str):
+        if name not in values:  # the MRL or the mean of an infinite mean
+            reliability._require_finite_mean(*reliability._marginal(model, component))
+        v = values[name]
+        return v if name == "mean" else lambda z: v[at_plan if z.size > at_grid.size else at_grid]
+
+    return read
+
+
+def _component(quantity: str, component: str, read: Callable) -> ComponentFunction:
+    """``quantity``'s ``component`` from ``read``, with its mean where the map reads one."""
+    mean = read("mean") if INVERSE_MAPS[quantity].reads_mean else None
+    return ComponentFunction(KIND_OF[quantity, component], read(quantity), mean)
+
+
 def component_from_model(
     model: models.BivariateModel,
     kind: str,
@@ -142,77 +234,15 @@ def component_from_model(
     given {X <= Q_X(conditioning_u)}); an infinite mean raises here, at
     construction, rather than deep inside a quadrature loop.
     """
-    if kind not in COMPONENT_KINDS:
-        raise DomainError(f"kind must be one of {COMPONENT_KINDS}, got {kind!r}")
-    u0 = float(conditioning_u)
-    quantity, component = next(key for key, k in KIND_OF.items() if k == kind)
-    mean_hint = None
-    if quantity == "mrl" and component == "first":
-        reliability._require_finite_mean(model.marginal_x, "X")
-        mean_hint = model.marginal_x.mean
-    elif quantity == "mrl":
-        mean_hint = reliability.conditional_mean(model, u0, cfg)
-    return ComponentFunction(kind, _of_probability(model, quantity, component, u0, cfg), mean_hint)
+    quantity, component = _PAIR_OF[require_choice("kind", kind, COMPONENT_KINDS)]
+    return _component(quantity, component, _reader(model, component, float(conditioning_u), cfg))
 
 
-def quantile_from_hazard(f: ComponentFunction, t, cfg: NumericConfig | None = None):
-    """Q(t) = int_0^t dz / ((1-z) f(z)); recovers Q relative to Q(0).
-
-    ``t`` is a scalar (the result is a float) or a 1-D grid (an array);
-    the same holds for every inverse map below.
-    """
-    _require_kind(f, "hazard")
-    ts, scalar = t_grid(t)
-    return _shaped(_integrate_with_tail(lambda z: 1.0 / ((1.0 - z) * _positive_samples(f, z)), ts, 0.0, cfg)[0], scalar)
-
-
-def quantile_from_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
-    """Q(t) = mu - f(t) + int_0^t f(z)/(1-z) dz, with mu the component's ``mean_hint``."""
-    _require_kind(f, "mrl")
-    ts, scalar = t_grid(t)
-    # the integrand is finite at 0 but model components reject z = 0 exactly;
-    # the mesh is graded toward 1 as well because heavy-tailed components steepen there
-    point = np.asarray(f.eval(ts), dtype=float)
-    integral = _integrate_with_tail(lambda z: np.asarray(f.eval(z), dtype=float) / (1.0 - z), ts, 0.0, cfg)[0]
-    return _shaped(float(f.mean_hint) - point + integral, scalar)
-
-
-def quantile_from_reversed_hazard(f: ComponentFunction, t, cfg: NumericConfig | None = None):
-    """Q(t) = int_0^t dz / (z f(z)); recovers Q relative to Q(0).
-
-    Raises :class:`DivergenceError` when the integrand mass keeps growing
-    toward 0 faster than the integrable rate (support unbounded below):
-    when the mass on ``[clip, 8*clip]`` exceeds 1.02 times that on
-    ``[8*clip, 64*clip]``.
-    """
-    _require_kind(f, "rev-hazard")
-    ts, scalar = t_grid(t)
-    values, inner, outer = _integrate_with_tail(lambda z: 1.0 / (z * _positive_samples(f, z)), ts, 0.0, cfg)
-    if inner > 1.02 * outer and inner > 1e-12:
-        raise DivergenceError(
-            f"clipped reversed-hazard integral keeps growing toward 0 "
-            f"(mass {inner:.3e} on [clip, 8*clip] vs {outer:.3e} on [8*clip, 64*clip]); "
-            "the underlying support appears unbounded below"
-        )
-    return _shaped(values, scalar)
-
-
-def quantile_from_reversed_mrl(f: ComponentFunction, t, cfg: NumericConfig | None = None):
-    """Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean."""
-    _require_kind(f, "rev-mrl")
-    ts, scalar = t_grid(t)
-    integral = _integrate_with_tail(lambda z: np.asarray(f.eval(z), dtype=float) / z, ts, 0.0, cfg)[0]
-    return _shaped(np.asarray(f.eval(ts), dtype=float) + integral, scalar)
-
-
-#: Each quantity's inverse map and the t-range its round trips are checked
-#: on; keys match :data:`reliability.QUANTITIES`.
-INVERSE_MAPS = {
-    "hazard": (quantile_from_hazard, (0.01, 0.95)),
-    "mrl": (quantile_from_mrl, (0.01, 0.95)),
-    "rev-hazard": (quantile_from_reversed_hazard, (0.05, 0.99)),
-    "rev-mrl": (quantile_from_reversed_mrl, (0.05, 0.99)),
-}
+def _round_trip(model, quantity: str, component: str, read: Callable, ts: np.ndarray, cfg: NumericConfig | None):
+    """:func:`round_trip` on the component that ``read`` gives."""
+    reconstructed = _quantile_from(quantity, _component(quantity, component, read), ts, cfg)
+    offset = 0.0 if INVERSE_MAPS[quantity].reads_mean else reliability._marginal(model, component)[0].support[0]
+    return reconstructed, read("quantile")(ts) - offset
 
 
 def round_trip(
@@ -227,28 +257,16 @@ def round_trip(
 
     The ``component`` (``first``: of X; ``second``: of Y given
     {X <= Q_X(conditioning_u)}) of ``quantity`` goes through its inverse
-    map.  The reference is the model's own quantile function; every map but
-    the MRL one sees no support offset, so for those the reference is taken
-    relative to the lower end of the support.
+    map.  The reference is the model's own quantile function; a map that
+    reads no mean sees no support offset, so for those the reference is
+    taken relative to the lower end of the support.
     """
-    if (quantity, component) not in KIND_OF:
-        raise DomainError(f"no component {component!r} of quantity {quantity!r}")
+    require_choice("quantity", quantity, tuple(INVERSE_MAPS))
+    require_choice("component", component, COMPONENTS)
+    u0 = float(conditioning_u)
     # checked for both components, though only the second one reads it
-    reliability._require_interior("conditioning_u", float(conditioning_u), config_or_default(cfg))
-    ts = np.atleast_1d(ts)
-    inverse_map, _ = INVERSE_MAPS[quantity]
-    comp = component_from_model(model, KIND_OF[quantity, component], conditioning_u, cfg)
-    reconstructed = inverse_map(comp, ts, cfg)
-    if component == "first":
-        reference = models.marginal_quantile(model, "x", ts, cfg)
-    else:
-        reference = models.conditional_quantile(model, "le", conditioning_u, ts, cfg)
-    return reconstructed, _relative(reference, quantity, model.marginal_x if component == "first" else model.marginal_y)
-
-
-def _relative(reference, quantity: str, fam: models.Marginal):
-    """``reference`` as ``quantity``'s map recovers it: all maps but the MRL one see no support offset."""
-    return reference if quantity == "mrl" else reference - fam.support[0]
+    reliability._require_interior("conditioning_u", u0, config_or_default(cfg))
+    return _round_trip(model, quantity, component, _reader(model, component, u0, cfg), np.atleast_1d(ts), cfg)
 
 
 def hazard_mrl_identity_residual(
@@ -262,19 +280,17 @@ def hazard_mrl_identity_residual(
 
     ``t`` is a scalar (the result is a float) or a 1-D grid (an array).
     """
-    if component not in COMPONENTS:
-        raise DomainError(f"component must be 'first' or 'second', got {component!r}")
+    require_choice("component", component, COMPONENTS)
     ts, scalar = t_grid(t)
     u0 = float(conditioning_u)
     reliability._require_interior("conditioning_u", u0, config_or_default(cfg))  # the check of round_trip
-    mrl, hazard = (_of_probability(model, q, component, u0, cfg) for q in ("mrl", "hazard"))
-    return _shaped(_identity_residual(mrl, hazard, ts, cfg), scalar)
+    return _shaped(_identity_residual(_reader(model, component, u0, cfg), ts, cfg), scalar)
 
 
-def _identity_residual(mrl: Callable, hazard: Callable, ts: np.ndarray, cfg: NumericConfig | None):
-    """(1-t) m(t) - int_t^1 dz/h(z) on ``ts``, for an MRL m and a hazard h of the probability."""
-    lhs = (1.0 - ts) * np.asarray(mrl(ts), dtype=float)
-    return lhs - _integrate_with_tail(lambda z: 1.0 / np.asarray(hazard(z), dtype=float), ts, 1.0, cfg)[0]
+def _identity_residual(read: Callable, ts: np.ndarray, cfg: NumericConfig | None):
+    """(1-t) m(t) - int_t^1 dz/h(z) on ``ts``, for the MRL m and the hazard h that ``read`` gives."""
+    lhs = (1.0 - ts) * np.asarray(read("mrl")(ts), dtype=float)
+    return lhs - _integrate_with_tail(lambda z: 1.0 / np.asarray(read("hazard")(z), dtype=float), ts, 1.0, cfg)[0]
 
 
 # --- the verify check table ------------------------------------------------
@@ -293,36 +309,23 @@ class Check:
     component: str
     ts: np.ndarray
     tol: float
+    end: float  #: where its integral starts: 0 for an inverse map, 1 for the identity
 
     def __post_init__(self):
         self.ts.flags.writeable = False  # shared by every verify call and every record
 
-    def residual(self, model, conditioning_u: float, cfg: NumericConfig | None = None, table=None):
-        """The residuals on ``model`` of :func:`round_trip` or :func:`hazard_mrl_identity_residual`, bit for bit
-        also when the maps read the component off ``table``: its ``all_quantities`` and the check's positions."""
-        if table is None and self.quantity is None:
-            return hazard_mrl_identity_residual(model, self.component, conditioning_u, self.ts, cfg)
-        if table is None:  # reconstructed minus reference
-            return np.subtract(*round_trip(model, self.quantity, self.component, conditioning_u, self.ts, cfg))
-        values, (at_plan, at_grid) = table
-        fam, role = (model.marginal_x, "X") if self.component == "first" else (model.marginal_y, "Y")
-
-        def read(quantity):  # ``integrate`` passes the plan's nodes, a point term the grid
-            if quantity not in values:  # the MRL of an infinite mean
-                reliability._require_finite_mean(fam, role)
-            return lambda z, v=values[quantity]: v[at_plan if z.size > at_grid.size else at_grid]
-
+    def residual(self, model, read: Callable, cfg: NumericConfig | None = None):
+        """The residuals on ``model`` of :func:`round_trip` (reconstructed minus reference) or of
+        :func:`hazard_mrl_identity_residual`, the component read through ``read`` (see :func:`_reader`)."""
         if self.quantity is None:
-            return _identity_residual(read("mrl"), read("hazard"), self.ts, cfg)
-        f = ComponentFunction(KIND_OF[self.quantity, self.component], read(self.quantity), values.get("mean"))
-        reference = _relative(values["quantile"][at_grid], self.quantity, fam)
-        return INVERSE_MAPS[self.quantity][0](f, self.ts, cfg) - reference
+            return _identity_residual(read, self.ts, cfg)
+        return np.subtract(*_round_trip(model, self.quantity, self.component, read, self.ts, cfg))
 
 
 #: Every check in output order: each round trip on 17 points of its t-range, each identity on t = k/34.
-CHECKS = tuple(Check(f"{q}-roundtrip-{c}", q, c, np.linspace(*t_range, 17), ROUND_TRIP_TOL)
-               for q, (_, t_range) in INVERSE_MAPS.items() for c in COMPONENTS) + tuple(
-    Check(f"identity-{c}", None, c, np.arange(1, 34) / 34.0, IDENTITY_TOL) for c in COMPONENTS)
+CHECKS = tuple(Check(f"{q}-roundtrip-{c}", q, c, np.linspace(*inverse.t_range, 17), ROUND_TRIP_TOL, 0.0)
+               for q, inverse in INVERSE_MAPS.items() for c in COMPONENTS) + tuple(
+    Check(f"identity-{c}", None, c, np.arange(1, 34) / 34.0, IDENTITY_TOL, 1.0) for c in COMPONENTS)
 
 
 @functools.lru_cache(maxsize=2)  # verify's config, and one more
@@ -331,7 +334,7 @@ def _node_table(cfg: NumericConfig):
     default config), sorted and read-only, and per check the positions of its plan's nodes and of its grid."""
     arrays = []
     for check in CHECKS:  # the plans of equal grids are one kept array
-        _integrate_with_tail(lambda z: arrays.append(z) or np.ones_like(z), check.ts, 1.0 - bool(check.quantity), cfg)
+        _integrate_with_tail(lambda z: arrays.append(z) or np.ones_like(z), check.ts, check.end, cfg)
         arrays.append(check.ts)
     distinct = {id(a): a for a in arrays}
     nodes = np.sort(np.concatenate(list(distinct.values())))
@@ -367,21 +370,22 @@ def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> li
 
     A check whose component has an infinite mean fails with the error as
     its note; any other :class:`BivquantError` propagates.  Each component
-    is evaluated once, on a node table that holds every check's nodes.  Where
-    that raises, the checks make their own calls: the first error in check
-    order is the one raised.
+    is evaluated once, on a node table that holds every check's nodes, and
+    every check reads it there.  Where that raises, the checks read the
+    public calls: the first error in check order is the one raised.
     """
     u0 = VERIFY_CONDITIONING_U
     try:
         nodes, positions = _node_table(config_or_default(cfg))
         sides = {c: reliability.all_quantities(model, c, u0, nodes, cfg) for c in COMPONENTS}
-        tables = [(sides[check.component], at) for check, at in zip(CHECKS, positions)]
+        readers = [_table_reader(model, check.component, sides[check.component], *at)
+                   for check, at in zip(CHECKS, positions)]
     except BivquantError:
-        tables = [None] * len(CHECKS)
+        readers = [_reader(model, check.component, u0, cfg) for check in CHECKS]
     records = []
-    for check, table in zip(CHECKS, tables):
+    for check, read in zip(CHECKS, readers):
         try:
-            residuals, note = check.residual(model, u0, cfg, table), ""
+            residuals, note = check.residual(model, read, cfg), ""
         except InfiniteMeanError as exc:
             residuals, note = None, str(exc)
         records.append(CheckResult(check.name, check.tol, check.ts, residuals, note))

@@ -38,8 +38,10 @@ import functools
 import numpy as np
 
 from . import models
-from .errors import BoundaryError, DomainError, InfiniteMeanError, MonotonicityError
-from .numerics import NumericConfig, clip_prob, config_or_default, require_finite, require_probs
+from .errors import BoundaryError, InfiniteMeanError, MonotonicityError
+from .numerics import NumericConfig, clip_prob, config_or_default, require_choice, require_finite, require_probs
+
+COMPONENTS = ("first", "second")  #: of X, and of Y given {X <= Q_X(conditioning_u)}
 
 
 def _require_interior(name: str, value, cfg: NumericConfig):
@@ -55,12 +57,18 @@ def _require_interior(name: str, value, cfg: NumericConfig):
     return arr
 
 
-def _require_finite_mean(fam: models.Marginal, role: str):
+def _marginal(model, component: str) -> tuple[models.Marginal, str]:
+    """The marginal a component is built on (X for the first, Y for the second) and its role name."""
+    return (model.marginal_x, "X") if component == "first" else (model.marginal_y, "Y")
+
+
+def _require_finite_mean(fam: models.Marginal, role: str) -> float:
     if not fam.has_finite_mean:
         raise InfiniteMeanError(
             f"marginal {role} ({fam.describe()}) has infinite mean; "
             "mean residual life is undefined"
         )
+    return fam.mean
 
 
 def _checked_deriv(vals, what: str):
@@ -159,12 +167,10 @@ def all_quantities(model, component: str, conditioning_u, p, cfg: NumericConfig 
     Names are those of :data:`QUANTITIES`, ``"quantile"`` (q) and ``"mean"`` (of X, or :func:`conditional_mean`);
     by default all but, for an infinite mean, ``"mrl"`` and ``"mean"``.  A first component needs no ``conditioning_u``.
     """
-    if component not in ("first", "second"):
-        raise DomainError(f"component must be 'first' or 'second', got {component!r}")
-    cfg, second = config_or_default(cfg), component == "second"
+    cfg, second = config_or_default(cfg), require_choice("component", component, COMPONENTS) == "second"
     cu = _require_interior("conditioning_u", conditioning_u, cfg) if second or conditioning_u is not None else None
     p = _require_interior("p_cond" if second else "u", p, cfg)
-    fam, role = (model.marginal_y, "Y") if second else (model.marginal_x, "X")
+    fam, role = _marginal(model, component)
     names = [n for n in _FORMULAS if fam.has_finite_mean or n not in ("mrl", "mean")] if names is None else names
     if "mrl" in names:
         _require_finite_mean(fam, role)

@@ -37,6 +37,14 @@ def test_one_probability_check():
     assert spelled == []
 
 
+def test_one_choice_check():
+    # the rule of string choices (axis, sense, component, kind, quantity) is spelled once, in numerics.require_choice;
+    # Direction.from_string's parse message lists its spellings, not a tuple, so the marker skips it
+    package = Path(bivquant.__file__).parent
+    marker = "must be one of {"
+    assert [path.name for path in sorted(package.glob("*.py")) if marker in path.read_text()] == ["numerics.py"]
+
+
 def test_one_admissible_u_rule():
     # which u a direction admits is spelled once, in curves.require_admissible
     package = Path(bivquant.__file__).parent

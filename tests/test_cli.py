@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bivquant import cli, estimation, models, reconstruction, reliability
 from bivquant.cli import load_sample_csv, main
-from bivquant.errors import ModelSpecError
+from bivquant.errors import BivquantError, ModelSpecError
 
 from conftest import bench_inputs, traced_peak_mib
 
@@ -721,3 +721,35 @@ class TestMalformedFuzz:
             assert err == ""
         else:
             assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1, (rc, err)
+
+
+_CHOICE_MODEL = models.BivariateModel(models.Exponential(1.0), models.Weibull(1.2, 1.5), models.FGMCopula(0.4))
+
+#: Every library call that takes a string choice, with valid arguments around the one under test.
+CHOICE_CALLS = {
+    "marginal_quantile.axis": lambda v: models.marginal_quantile(_CHOICE_MODEL, v, 0.3),
+    "BivariateModel.marginal.axis": lambda v: _CHOICE_MODEL.marginal(v),
+    "conditional_quantile.sense": lambda v: models.conditional_quantile(_CHOICE_MODEL, v, 0.5, 0.3),
+    "FGMCopula.cond_linear_coeff.sense": lambda v: models.FGMCopula(0.4).cond_linear_coeff(v, 0.5),
+    "IndependenceCopula.cond_quantile.sense": lambda v: models.IndependenceCopula().cond_quantile(v, 0.5, 0.3),
+    "all_quantities.component": lambda v: reliability.all_quantities(_CHOICE_MODEL, v, 0.5, 0.3),
+    "hazard_mrl_identity_residual.component":
+        lambda v: reconstruction.hazard_mrl_identity_residual(_CHOICE_MODEL, v, 0.5, 0.3),
+    "ComponentFunction.kind": lambda v: reconstruction.ComponentFunction(v, lambda z: z, 1.0),
+    "component_from_model.kind": lambda v: reconstruction.component_from_model(_CHOICE_MODEL, v),
+    "round_trip.quantity": lambda v: reconstruction.round_trip(_CHOICE_MODEL, v, "first", 0.5, [0.3]),
+    "round_trip.component": lambda v: reconstruction.round_trip(_CHOICE_MODEL, "hazard", v, 0.5, [0.3]),
+}
+
+#: Malformed string choices: arrays (which compare elementwise), a list, a dict, None and a number.
+BAD_CHOICES = [np.array(["x", "y"]), np.array([1, 2]), ["first"], {}, None, 3]
+
+
+class TestLibraryChoiceFuzz:
+    """Every malformed string choice of the library ends in a named error, as the CLI's inputs do."""
+
+    @pytest.mark.parametrize("value", BAD_CHOICES, ids=repr)
+    @pytest.mark.parametrize("call", list(CHOICE_CALLS))
+    def test_bad_choice_is_a_bivquant_error(self, call, value):
+        with pytest.raises(BivquantError, match=" must be one of "):
+            CHOICE_CALLS[call](value)

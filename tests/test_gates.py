@@ -88,6 +88,8 @@ class TestCheckTable:
         assert [check.name for check in reconstruction.CHECKS] == self.NAMES
         assert {check.tol for check in reconstruction.CHECKS[:8]} == {reconstruction.ROUND_TRIP_TOL}
         assert {check.tol for check in reconstruction.CHECKS[8:]} == {reconstruction.IDENTITY_TOL}
+        # the inverse maps integrate from 0, the identity from 1: verify's node table holds each check's plan
+        assert [check.end for check in reconstruction.CHECKS] == [0.0] * 8 + [1.0] * 2
 
     def test_grids_are_read_only(self):
         for check in reconstruction.CHECKS:
@@ -121,7 +123,7 @@ class TestCheckTable:
                     return reconstruction.hazard_mrl_identity_residual(model, component, u0, ts)
             else:
                 quantity = quantity.removesuffix("-roundtrip")
-                ts = np.linspace(*reconstruction.INVERSE_MAPS[quantity][1], 17)
+                ts = np.linspace(*reconstruction.INVERSE_MAPS[quantity].t_range, 17)
 
                 def direct():
                     rec, ref = reconstruction.round_trip(model, quantity, component, u0, ts)
@@ -149,7 +151,7 @@ class TestCheckTable:
         overflowing = BivariateModel(Exponential(1e-310), Exponential(1.0), FGMCopula(0.5))
         first = reconstruction.CHECKS[0]
         with pytest.raises(DomainError, match="overflows") as direct:
-            first.residual(overflowing, 0.5)
+            first.residual(overflowing, reconstruction._reader(overflowing, first.component, 0.5, None))
         with pytest.raises(DomainError) as exc:
             reconstruction.verify(overflowing)
         assert str(exc.value) == str(direct.value)

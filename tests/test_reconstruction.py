@@ -3,6 +3,7 @@ import pytest
 
 from bivquant import (
     BivariateModel,
+    BoundaryError,
     ComponentFunction,
     DivergenceError,
     DomainError,
@@ -10,6 +11,7 @@ from bivquant import (
     FGMCopula,
     IndependenceCopula,
     InfiniteMeanError,
+    IntegrandError,
     Pareto,
     SignError,
     Uniform01,
@@ -35,6 +37,13 @@ from bivquant.reliability import QUANTITIES
 from conftest import mixed_models
 from oracles import LN2, PHI_HALF, fgm_phi_closed, trapezoid
 
+#: Each quantity's public inverse map.
+MAPS = {
+    "hazard": quantile_from_hazard,
+    "mrl": quantile_from_mrl,
+    "rev-hazard": quantile_from_reversed_hazard,
+    "rev-mrl": quantile_from_reversed_mrl,
+}
 MAIN_GRID = np.linspace(0.01, 0.95, 33)
 REV_GRID = np.linspace(0.05, 0.99, 33)
 IDENTITY_GRID = np.arange(1, 34) / 34.0
@@ -219,11 +228,39 @@ class TestRoundTrips:
                 assert e <= 1e-4, (repr(model), kind)
 
 
+class TestEvaluationOrder:
+    """Each map reads its point term f(t) at a fixed step: the MRL before the integral, the reversed MRL after it.
+
+    Each case fails at both steps, so the order decides which error a caller sees.
+    """
+
+    def test_mrl_reads_its_point_term_first(self):
+        # f(1e-13) is below eps_boundary; the integral overflows on this scale
+        model = BivariateModel(Pareto(1e300, 1.01), Exponential(1.0), IndependenceCopula())
+        comp = component_from_model(model, "mrl1")
+        with pytest.raises(BoundaryError, match=r"^u = 1e-13 lies outside"):
+            quantile_from_mrl(comp, [1e-13, 0.99])
+
+    def test_reversed_mrl_reads_its_point_term_last(self):
+        model = BivariateModel(Exponential(1e-310), Exponential(1.0), FGMCopula(0.5))
+        comp = component_from_model(model, "rev_mrl1")
+        with pytest.raises(IntegrandError, match=r"^integrand is not finite at z = 1.0000000000000014e-07$"):
+            quantile_from_reversed_mrl(comp, 1e-13)
+
+
 class TestRegistry:
     def test_inverse_maps_share_quantity_keys(self):
         assert list(INVERSE_MAPS) == list(QUANTITIES) == ["hazard", "mrl", "rev-hazard", "rev-mrl"]
-        assert INVERSE_MAPS["hazard"][1] == INVERSE_MAPS["mrl"][1] == (0.01, 0.95)
-        assert INVERSE_MAPS["rev-hazard"][1] == INVERSE_MAPS["rev-mrl"][1] == (0.05, 0.99)
+        assert INVERSE_MAPS["hazard"].t_range == INVERSE_MAPS["mrl"].t_range == (0.01, 0.95)
+        assert INVERSE_MAPS["rev-hazard"].t_range == INVERSE_MAPS["rev-mrl"].t_range == (0.05, 0.99)
+
+    def test_map_facts(self):
+        # only the MRL map reads the mean, so only it keeps the support offset; the MRL point term is read
+        # before the integral and the reversed MRL one after it; only the reversed hazard probes divergence
+        assert [q for q, m in INVERSE_MAPS.items() if m.reads_mean] == ["mrl"]
+        assert {q: m.point for q, m in INVERSE_MAPS.items()} == {
+            "hazard": None, "mrl": "before", "rev-hazard": None, "rev-mrl": "after"}
+        assert [q for q, m in INVERSE_MAPS.items() if m.probe] == ["rev-hazard"]
 
     def test_component_kind_spelling(self):
         assert KIND_OF["rev-hazard", "second"] == "rev_hazard2"
@@ -245,7 +282,7 @@ class TestRegistry:
     def test_first_component_round_trip_through_registry(self, quantity, indep_exp):
         # support starts at 0, so every inverse map returns the quantile itself
         comp = component_from_model(indep_exp, KIND_OF[quantity, "first"])
-        inverse, (lo, hi) = INVERSE_MAPS[quantity]
+        inverse, (lo, hi) = MAPS[quantity], INVERSE_MAPS[quantity].t_range
         e = max(
             abs(inverse(comp, t) - marginal_quantile(indep_exp, "x", t))
             for t in np.linspace(lo, hi, 9)
@@ -261,7 +298,7 @@ class TestGrids:
     def test_grid_equals_scalar_calls(self, quantity, component):
         model = BivariateModel(Exponential(1.3), Weibull(1.1, 1.7), FGMCopula(-0.6))
         comp = component_from_model(model, KIND_OF[quantity, component], 0.4)
-        inverse, (lo, hi) = INVERSE_MAPS[quantity]
+        inverse, (lo, hi) = MAPS[quantity], INVERSE_MAPS[quantity].t_range
         ts = np.linspace(lo, hi, 5)
         scalars = [inverse(comp, t) for t in ts]
         assert all(type(v) is float for v in scalars)
@@ -288,7 +325,7 @@ class TestGrids:
             ndims.append(np.ndim(z))
             return np.full_like(np.asarray(z, float), 0.5)
 
-        inverse, (lo, hi) = INVERSE_MAPS[quantity]
+        inverse, (lo, hi) = MAPS[quantity], INVERSE_MAPS[quantity].t_range
         inverse(ComponentFunction(KIND_OF[quantity, "first"], f, mean_hint=0.5), np.linspace(lo, hi, n))
         expected = {"hazard": 1, "mrl": 2, "rev-hazard": 1, "rev-mrl": 2}[quantity]
         assert ndims == [1] * expected
@@ -312,7 +349,8 @@ class TestGrids:
             return original(f, ts, *args, **kwargs)
 
         monkeypatch.setattr(reconstruction, "integrate", counting)
-        for quantity, (inverse, (lo, hi)) in INVERSE_MAPS.items():
+        for quantity, inverse in MAPS.items():
+            lo, hi = INVERSE_MAPS[quantity].t_range
             f = ComponentFunction(KIND_OF[quantity, "first"], lambda z: np.full_like(z, 0.5), mean_hint=0.5)
             for n in (1, 5):
                 sizes.clear()

@@ -514,5 +514,5 @@ class TestAllQuantities:
             assert bits(values["mean"]) == bits(conditional_mean(model, 0.4) if index else fam.mean)
 
     def test_unknown_component_is_domain_error(self, indep_exp):
-        with pytest.raises(DomainError, match="^component must be 'first' or 'second', got 'third'$"):
+        with pytest.raises(DomainError, match=r"^component must be one of \('first', 'second'\), got 'third'$"):
             rel.all_quantities(indep_exp, "third", 0.5, GRID)
