@@ -238,7 +238,7 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     non-finite value of ``f`` raises :class:`IntegrandError` naming its z,
     and so does a result that overflows, without a numpy warning.
     """
-    if end not in (0.0, 1.0):
+    if not (isinstance(end, numbers.Real) and end in (0.0, 1.0)):  # an array is never compared
         raise DomainError(f"end must be 0 or 1, got {end!r}")
     grid = np.atleast_1d(np.asarray(ts, dtype=float))
     plan = _plan(config_or_default(cfg), end, grid.shape, grid.tobytes())

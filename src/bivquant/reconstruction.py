@@ -17,8 +17,9 @@ check verifies (1-t) m(t) = int_t^1 dz/h(z).
 :data:`CHECKS` lists every ``verify`` check with its name, grid and
 tolerance; :func:`verify` runs them and returns one record per check.
 Checks and public calls read a component by the names of
-``reliability.all_quantities``: off the node table on which ``verify``
-evaluates each component once, or through ``reliability`` and ``models``.
+``reliability.all_quantities`` (the support offset Q(0) is ``offset``): off
+the node table on which ``verify`` evaluates each component once, or
+through ``all_quantities``, the one call that evaluates and checks one.
 
 Inputs are callables, not models: the maps are statements about
 functions, so they accept model-derived components and standalone
@@ -39,7 +40,7 @@ import numpy as np
 from . import models, reliability
 from .errors import (BivquantError, ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError,
                      SignError)
-from .numerics import NumericConfig, config_or_default, integrate, require_choice, t_grid
+from .numerics import NumericConfig, config_or_default, integrate, require_choice, require_probs, t_grid
 from .reliability import COMPONENTS
 
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
@@ -185,39 +186,38 @@ Raises :class:`DivergenceError` when the integrand mass keeps growing toward 0 f
 quantile_from_reversed_mrl = _public_map("rev-mrl", "Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean.")
 
 
-def _reader(model: models.BivariateModel, component: str, u0: float, cfg: NumericConfig | None) -> Callable:
-    """The ``component`` of ``model`` at ``u0`` through the public calls: ``read(name)`` is, for a name of
-    :func:`reliability.all_quantities`, that function of the probability, and for ``"mean"`` the mean itself."""
-    first = component == "first"
+def _reader(model: models.BivariateModel, component: str, conditioning_u, cfg: NumericConfig | None) -> Callable:
+    """The ``component`` of ``model`` through :func:`reliability.all_quantities`: ``read(name)`` is that name as a
+    function of the probability (``"mean"`` and ``"offset"`` read at ``()``).  Building it checks ``component``, then
+    that ``conditioning_u`` is one level in the clipped interval, for a first component too, which never reads it."""
+    require_choice("component", component, COMPONENTS)
+    level = require_probs("conditioning_u", conditioning_u)
+    if level.ndim:  # all_quantities takes a grid of levels; a component has one
+        raise DomainError(f"conditioning_u must be one number, got shape {level.shape}")
+    u0 = float(level)
+    reliability.all_quantities(model, component, u0, (), cfg, ())  # no name: the checks alone
 
     def read(name: str):
-        if name == "mean":
-            return reliability._require_finite_mean(*reliability._marginal(model, component)) if first else \
-                reliability.conditional_mean(model, u0, cfg)
-        if name == "quantile":
-            return lambda z: models.marginal_quantile(model, "x", z, cfg) if first else \
-                models.conditional_quantile(model, "le", u0, z, cfg)
-        fn = reliability.QUANTITIES[name][COMPONENTS.index(component)]  # looked up per read, as its docs ask
-        return lambda z: fn(model, z, cfg) if first else fn(model, u0, z, cfg)
+        return lambda z: reliability.all_quantities(model, component, u0, z, cfg, (name,))[name]
 
     return read
 
 
-def _table_reader(model: models.BivariateModel, component: str, values: dict, at_plan, at_grid) -> Callable:
+def _table_reader(model, component: str, values: dict, at_plan, at_grid, cfg: NumericConfig | None) -> Callable:
     """:func:`_reader`'s ``read`` off ``values`` (``all_quantities`` on :func:`verify`'s node table), at one check's
     positions: those of its plan's nodes, or of its grid, as ``integrate`` or a point term asks."""
     def read(name: str):
-        if name not in values:  # the MRL or the mean of an infinite mean
-            reliability._require_finite_mean(*reliability._marginal(model, component))
+        if name not in values:  # the MRL or the mean of an infinite mean, which all_quantities raises
+            reliability.all_quantities(model, component, VERIFY_CONDITIONING_U, (), cfg, (name,))
         v = values[name]
-        return v if name == "mean" else lambda z: v[at_plan if z.size > at_grid.size else at_grid]
+        return (lambda z: v) if isinstance(v, float) else lambda z: v[at_plan if z.size > at_grid.size else at_grid]
 
     return read
 
 
 def _component(quantity: str, component: str, read: Callable) -> ComponentFunction:
     """``quantity``'s ``component`` from ``read``, with its mean where the map reads one."""
-    mean = read("mean") if INVERSE_MAPS[quantity].reads_mean else None
+    mean = float(read("mean")(())) if INVERSE_MAPS[quantity].reads_mean else None
     return ComponentFunction(KIND_OF[quantity, component], read(quantity), mean)
 
 
@@ -235,13 +235,13 @@ def component_from_model(
     construction, rather than deep inside a quadrature loop.
     """
     quantity, component = _PAIR_OF[require_choice("kind", kind, COMPONENT_KINDS)]
-    return _component(quantity, component, _reader(model, component, float(conditioning_u), cfg))
+    return _component(quantity, component, _reader(model, component, conditioning_u, cfg))
 
 
-def _round_trip(model, quantity: str, component: str, read: Callable, ts: np.ndarray, cfg: NumericConfig | None):
+def _round_trip(quantity: str, component: str, read: Callable, ts: np.ndarray, cfg: NumericConfig | None):
     """:func:`round_trip` on the component that ``read`` gives."""
     reconstructed = _quantile_from(quantity, _component(quantity, component, read), ts, cfg)
-    offset = 0.0 if INVERSE_MAPS[quantity].reads_mean else reliability._marginal(model, component)[0].support[0]
+    offset = 0.0 if INVERSE_MAPS[quantity].reads_mean else read("offset")(())
     return reconstructed, read("quantile")(ts) - offset
 
 
@@ -262,11 +262,7 @@ def round_trip(
     taken relative to the lower end of the support.
     """
     require_choice("quantity", quantity, tuple(INVERSE_MAPS))
-    require_choice("component", component, COMPONENTS)
-    u0 = float(conditioning_u)
-    # checked for both components, though only the second one reads it
-    reliability._require_interior("conditioning_u", u0, config_or_default(cfg))
-    return _round_trip(model, quantity, component, _reader(model, component, u0, cfg), np.atleast_1d(ts), cfg)
+    return _round_trip(quantity, component, _reader(model, component, conditioning_u, cfg), np.atleast_1d(ts), cfg)
 
 
 def hazard_mrl_identity_residual(
@@ -280,17 +276,14 @@ def hazard_mrl_identity_residual(
 
     ``t`` is a scalar (the result is a float) or a 1-D grid (an array).
     """
-    require_choice("component", component, COMPONENTS)
+    require_choice("component", component, COMPONENTS)  # component, t, then the level, which the reader checks
     ts, scalar = t_grid(t)
-    u0 = float(conditioning_u)
-    reliability._require_interior("conditioning_u", u0, config_or_default(cfg))  # the check of round_trip
-    return _shaped(_identity_residual(_reader(model, component, u0, cfg), ts, cfg), scalar)
+    return _shaped(_identity_residual(_reader(model, component, conditioning_u, cfg), ts, cfg), scalar)
 
 
 def _identity_residual(read: Callable, ts: np.ndarray, cfg: NumericConfig | None):
     """(1-t) m(t) - int_t^1 dz/h(z) on ``ts``, for the MRL m and the hazard h that ``read`` gives."""
-    lhs = (1.0 - ts) * np.asarray(read("mrl")(ts), dtype=float)
-    return lhs - _integrate_with_tail(lambda z: 1.0 / np.asarray(read("hazard")(z), dtype=float), ts, 1.0, cfg)[0]
+    return (1.0 - ts) * read("mrl")(ts) - _integrate_with_tail(lambda z: 1.0 / read("hazard")(z), ts, 1.0, cfg)[0]
 
 
 # --- the verify check table ------------------------------------------------
@@ -314,12 +307,12 @@ class Check:
     def __post_init__(self):
         self.ts.flags.writeable = False  # shared by every verify call and every record
 
-    def residual(self, model, read: Callable, cfg: NumericConfig | None = None):
-        """The residuals on ``model`` of :func:`round_trip` (reconstructed minus reference) or of
+    def residual(self, read: Callable, cfg: NumericConfig | None = None):
+        """The residuals of :func:`round_trip` (reconstructed minus reference) or of
         :func:`hazard_mrl_identity_residual`, the component read through ``read`` (see :func:`_reader`)."""
         if self.quantity is None:
             return _identity_residual(read, self.ts, cfg)
-        return np.subtract(*_round_trip(model, self.quantity, self.component, read, self.ts, cfg))
+        return np.subtract(*_round_trip(self.quantity, self.component, read, self.ts, cfg))
 
 
 #: Every check in output order: each round trip on 17 points of its t-range, each identity on t = k/34.
@@ -371,21 +364,23 @@ def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> li
     A check whose component has an infinite mean fails with the error as
     its note; any other :class:`BivquantError` propagates.  Each component
     is evaluated once, on a node table that holds every check's nodes, and
-    every check reads it there.  Where that raises, the checks read the
-    public calls: the first error in check order is the one raised.
+    its checks read it there.  Where that raises, its checks read the
+    public calls; a component that evaluates on the table evaluates on any
+    part of it, so the first error in check order is the one raised.
     """
-    u0 = VERIFY_CONDITIONING_U
-    try:
-        nodes, positions = _node_table(config_or_default(cfg))
-        sides = {c: reliability.all_quantities(model, c, u0, nodes, cfg) for c in COMPONENTS}
-        readers = [_table_reader(model, check.component, sides[check.component], *at)
-                   for check, at in zip(CHECKS, positions)]
-    except BivquantError:
-        readers = [_reader(model, check.component, u0, cfg) for check in CHECKS]
-    records = []
-    for check, read in zip(CHECKS, readers):
+    nodes, positions = _node_table(config_or_default(cfg))
+    tables, public = {}, {}
+    for c in COMPONENTS:
         try:
-            residuals, note = check.residual(model, read, cfg), ""
+            tables[c] = reliability.all_quantities(model, c, VERIFY_CONDITIONING_U, nodes, cfg)
+        except BivquantError:
+            public[c] = _reader(model, c, VERIFY_CONDITIONING_U, cfg)
+    records = []
+    for check, at in zip(CHECKS, positions):
+        c = check.component
+        read = public[c] if c in public else _table_reader(model, c, tables[c], *at, cfg)
+        try:
+            residuals, note = check.residual(read, cfg), ""
         except InfiniteMeanError as exc:
             residuals, note = None, str(exc)
         records.append(CheckResult(check.name, check.tol, check.ts, residuals, note))

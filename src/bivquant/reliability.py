@@ -13,7 +13,8 @@ depends on the conditioning level.  :data:`QUANTITIES` maps each quantity's
 CLI spelling to that pair, both vectorized over their probability argument;
 the X/Y-interchanged pair is the same functions applied to
 ``models.swap_axes(model)``.  :func:`all_quantities` gives all four of a
-component from one state of q, which runs each marginal kernel once.  Each
+component from one state of q, which runs each marginal kernel once, with
+q itself and two numbers read at no point: its mean and its offset q(0).  Each
 component checks its probability arguments at its public boundary, and
 reports a value that is not finite (a marginal quantile that overflows) as
 one :class:`DomainError` through :func:`~bivquant.numerics.require_finite`.
@@ -62,13 +63,12 @@ def _marginal(model, component: str) -> tuple[models.Marginal, str]:
     return (model.marginal_x, "X") if component == "first" else (model.marginal_y, "Y")
 
 
-def _require_finite_mean(fam: models.Marginal, role: str) -> float:
+def _require_finite_mean(fam: models.Marginal, role: str):
     if not fam.has_finite_mean:
         raise InfiniteMeanError(
             f"marginal {role} ({fam.describe()}) has infinite mean; "
             "mean residual life is undefined"
         )
-    return fam.mean
 
 
 def _checked_deriv(vals, what: str):
@@ -158,21 +158,23 @@ _FORMULAS = {
     "rev-mrl": lambda q, p: q.gap / p,
     "quantile": lambda q, p: q.value,
     "mean": lambda q, p: q.mean,
+    "offset": lambda q, p: q.fam.support[0],  # q(0): phi and Q_Y start where the Y support does
 }
 
 
 def all_quantities(model, component: str, conditioning_u, p, cfg: NumericConfig | None = None, names=None) -> dict:
     """``names`` of ``component`` at ``p`` from one state of q, each its own function's bit for bit.
 
-    Names are those of :data:`QUANTITIES`, ``"quantile"`` (q) and ``"mean"`` (of X, or :func:`conditional_mean`);
-    by default all but, for an infinite mean, ``"mrl"`` and ``"mean"``.  A first component needs no ``conditioning_u``.
+    Names are those of :data:`QUANTITIES`, ``"quantile"`` (q), and the numbers ``"mean"`` (of X, or
+    :func:`conditional_mean`) and ``"offset"`` (q(0)), which any ``p``, ``()`` too, reads; by default all but, for an
+    infinite mean, ``"mrl"`` and ``"mean"``, which raise there.  A first component needs no ``conditioning_u``.
     """
     cfg, second = config_or_default(cfg), require_choice("component", component, COMPONENTS) == "second"
     cu = _require_interior("conditioning_u", conditioning_u, cfg) if second or conditioning_u is not None else None
     p = _require_interior("p_cond" if second else "u", p, cfg)
     fam, role = _marginal(model, component)
     names = [n for n in _FORMULAS if fam.has_finite_mean or n not in ("mrl", "mean")] if names is None else names
-    if "mrl" in names:
+    if "mrl" in names or "mean" in names:
         _require_finite_mean(fam, role)
     with np.errstate(all="ignore"):  # a value that is not finite is reported below, as one error
         q = _Phi(model, cu, clip_prob(model.copula.cond_quantile("le", cu, p), cfg)) if second else \

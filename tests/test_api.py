@@ -1,4 +1,5 @@
 import inspect
+import re
 from pathlib import Path
 
 import bivquant
@@ -35,6 +36,15 @@ def test_one_probability_check():
         and ("must lie in (0,1)" in path.read_text() or "must lie in [0, 1]" in path.read_text())
     ]
     assert spelled == []
+
+
+def test_reconstruction_reads_components_through_all_quantities():
+    # reconstruction evaluates and checks a component only through reliability.all_quantities
+    source = (Path(bivquant.__file__).parent / "reconstruction.py").read_text()
+    forbidden = [r"reliability\._\w", r"reliability\.conditional_mean", r"models\.marginal_quantile",
+                 r"models\.conditional_quantile"]
+    assert [pattern for pattern in forbidden if re.search(pattern, source)] == []
+    assert "reliability.all_quantities(" in source
 
 
 def test_one_choice_check():

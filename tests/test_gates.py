@@ -151,17 +151,27 @@ class TestCheckTable:
         overflowing = BivariateModel(Exponential(1e-310), Exponential(1.0), FGMCopula(0.5))
         first = reconstruction.CHECKS[0]
         with pytest.raises(DomainError, match="overflows") as direct:
-            first.residual(overflowing, reconstruction._reader(overflowing, first.component, 0.5, None))
+            first.residual(reconstruction._reader(overflowing, first.component, 0.5, None))
         with pytest.raises(DomainError) as exc:
             reconstruction.verify(overflowing)
         assert str(exc.value) == str(direct.value)
 
-    def test_a_table_error_runs_the_checks_one_by_one(self):
+    def test_a_table_error_runs_the_checks_one_by_one(self, monkeypatch):
         # the node table reaches 1 - sing_clip, where this X's quantile derivative overflows
         model = self.DIRECT["pareto-overflowing-near-one"]
         nodes, _ = reconstruction._node_table(DEFAULT_CONFIG)
         with pytest.raises(DomainError, match="overflows"):
             reliability.all_quantities(model, "first", 0.5, nodes)
+        evaluated, all_quantities = [], reliability.all_quantities
+
+        def counted(model, component, conditioning_u, p, *args):
+            evaluated.append((component, p is nodes))
+            return all_quantities(model, component, conditioning_u, p, *args)
+
+        monkeypatch.setattr(reliability, "all_quantities", counted)
         records = reconstruction.verify(model)
+        # each component is evaluated once on the table; only the one that raised there reads the public calls
+        assert [component for component, on_table in evaluated if on_table] == ["first", "second"]
+        assert {component for component, on_table in evaluated if not on_table} == {"first"}
         assert [r.residuals is None for r in records] == [name.startswith(("mrl-roundtrip-first", "identity-first"))
                                                           for name in self.NAMES]

@@ -74,6 +74,16 @@ class TestCumulativeIntegral:
         with pytest.raises(DomainError, match=f"end must be 0 or 1, got {end!r}"):
             integrate(never, [0.3], end)
 
+    @pytest.mark.parametrize("end", [np.array([0.0, 1.0]), "0", None], ids=["array", "string", "none"])
+    def test_end_that_is_not_a_number_is_rejected(self, end):
+        # an array end is never compared: the DomainError, not numpy's ambiguous truth value
+        with pytest.raises(DomainError, match="^end must be 0 or 1, got "):
+            integrate(np.exp, [0.5], end)
+
+    @pytest.mark.parametrize("end", [0, 1, 0.0, 1.0, np.float64(1.0)], ids=repr)
+    def test_numeric_ends_are_accepted(self, end):
+        assert np.array_equal(integrate(np.exp, GRID, end), integrate(np.exp, GRID, float(end)))
+
     def test_t_outside_unit_interval(self):
         with pytest.raises(DomainError, match=r"^t must lie in \(0,1\), got 1\.0$"):
             integrate(np.exp, [0.5, 1.0], 0.0)

@@ -409,6 +409,37 @@ class TestRoundTrip:
             round_trip(indep_exp, "hazard", "third", 0.5, [0.5])
 
 
+class TestEntryBoundary:
+    """The three entry points that take a level check it once, through the component's reader."""
+
+    ENTRIES = {
+        "round_trip": lambda model, component, u0: round_trip(model, "hazard", component, u0, [0.3]),
+        "identity": lambda model, component, u0: hazard_mrl_identity_residual(model, component, u0, 0.3),
+        "component_from_model": lambda model, component, u0: component_from_model(
+            model, KIND_OF["hazard", component], u0),
+    }
+
+    @pytest.mark.parametrize("u0", ["x", None, [0.4, 0.6], np.full((2, 2), 0.5), object(), 1.5],
+                             ids=["string", "none", "list", "2-d", "object", "outside"])
+    @pytest.mark.parametrize("component", ["first", "second"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_a_level_that_is_not_one_number_in_the_interval_is_a_domain_error(self, indep_exp, entry, component, u0):
+        # raised when the component is built, for a first component too, which never reads the level
+        with pytest.raises(DomainError, match="^conditioning_u "):
+            self.ENTRIES[entry](indep_exp, component, u0)
+
+    def test_a_grid_of_levels_is_not_read_as_one(self, indep_exp):
+        with pytest.raises(DomainError, match=r"^conditioning_u must be one number, got shape \(2,\)$"):
+            hazard_mrl_identity_residual(indep_exp, "first", np.array([0.4, 0.6]), 0.3)
+
+    @pytest.mark.parametrize("quantity", ["hazard", "rev-hazard", "mrl", "rev-mrl"])
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_every_round_trip_rejects_t_inside_the_clip(self, indep_exp, quantity, component):
+        # the reference quantile is read unclipped, as the MRL maps read their point term
+        with pytest.raises(BoundaryError, match="= 1e-12 lies outside the clipped interval"):
+            round_trip(indep_exp, quantity, component, 0.5, [1e-12, 0.5])
+
+
 class TestIdentity:
     def test_uniform_analytic_both_sides(self, indep_uniform):
         # both sides equal (1-t)^2/2 = 1/8 at t = 1/2

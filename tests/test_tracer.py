@@ -51,14 +51,17 @@ def test_traced_round_trip_counts_one_quadrature_and_is_undone():
     originals = _traced_names()
     model = BivariateModel(Exponential(1.3), Weibull(1.1, 1.7), FGMCopula(-0.6))
     rec, undo = _load_spans().install()
+    ts = np.linspace(0.05, 0.99, 9)
     try:
         assert reconstruction.integrate is not originals["reconstruction.integrate"]
-        reconstruction.round_trip(model, "rev-hazard", "second", 0.4, np.linspace(0.05, 0.99, 9))
+        reconstruction.round_trip(model, "rev-hazard", "second", 0.4, ts)
     finally:
         undo()
     assert rec.calls["numerics"] == 1
     assert rec.integrand_points > 0
-    assert rec.integrand_points == rec.points["reliability"]
+    # every read goes through reliability: the integrand's nodes, the level check and the offset at one point
+    # each, and the reference quantile on ts
+    assert rec.points["reliability"] == rec.integrand_points + 1 + 1 + ts.size
     assert _traced_names() == originals
 
 
