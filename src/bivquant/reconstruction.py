@@ -188,29 +188,30 @@ quantile_from_reversed_mrl = _public_map("rev-mrl", "Q(t) = f(t) + int_0^t f(z)/
 
 def _reader(model: models.BivariateModel, component: str, conditioning_u, cfg: NumericConfig | None) -> Callable:
     """The ``component`` of ``model`` through :func:`reliability.all_quantities`: ``read(name)`` is that name as a
-    function of the probability (``"mean"`` and ``"offset"`` read at ``()``).  Building it checks ``component``, then
-    that ``conditioning_u`` is one level in the clipped interval, for a first component too, which never reads it."""
-    require_choice("component", component, COMPONENTS)
+    function of the probability (``"mean"`` and ``"offset"`` read at ``()``).  Building it checks that ``conditioning_u``
+    is one level in the clipped interval, for a first component too, which never reads it; callers check ``component``."""
     level = require_probs("conditioning_u", conditioning_u)
     if level.ndim:  # all_quantities takes a grid of levels; a component has one
         raise DomainError(f"conditioning_u must be one number, got shape {level.shape}")
     u0 = float(level)
-    reliability.all_quantities(model, component, u0, (), cfg, ())  # no name: the checks alone
-
-    def read(name: str):
-        return lambda z: reliability.all_quantities(model, component, u0, z, cfg, (name,))[name]
-
-    return read
+    checked = reliability.all_quantities(model, component, u0, (), cfg, ("offset",))  # the checks, and Q(0)
+    return _table_reader(checked, None, None, _door(model, component, u0, cfg))
 
 
-def _table_reader(model, component: str, values: dict, at_plan, at_grid, cfg: NumericConfig | None) -> Callable:
+def _door(model: models.BivariateModel, component: str, u0: float, cfg: NumericConfig | None) -> Callable:
+    """``read(name)``: ``name`` of the checked ``component`` at the level ``u0``, one ``all_quantities`` call a read."""
+    return lambda name: lambda z: reliability.all_quantities(model, component, u0, z, cfg, (name,))[name]
+
+
+def _table_reader(values: dict, at_plan, at_grid, door: Callable) -> Callable:
     """:func:`_reader`'s ``read`` off ``values`` (``all_quantities`` on :func:`verify`'s node table), at one check's
-    positions: those of its plan's nodes, or of its grid, as ``integrate`` or a point term asks."""
+    positions: those of its plan's nodes, or of its grid, as ``integrate`` or a point term asks.  A name missing
+    from ``values`` (the MRL or the mean of an infinite mean, which raise there) is read through ``door``."""
     def read(name: str):
-        if name not in values:  # the MRL or the mean of an infinite mean, which all_quantities raises
-            reliability.all_quantities(model, component, VERIFY_CONDITIONING_U, (), cfg, (name,))
+        if name not in values:
+            return door(name)
         v = values[name]
-        return (lambda z: v) if isinstance(v, float) else lambda z: v[at_plan if z.size > at_grid.size else at_grid]
+        return (lambda z: v) if np.ndim(v) == 0 else lambda z: v[at_plan if z.size > at_grid.size else at_grid]
 
     return read
 
@@ -262,6 +263,7 @@ def round_trip(
     taken relative to the lower end of the support.
     """
     require_choice("quantity", quantity, tuple(INVERSE_MAPS))
+    require_choice("component", component, COMPONENTS)
     return _round_trip(quantity, component, _reader(model, component, conditioning_u, cfg), np.atleast_1d(ts), cfg)
 
 
@@ -378,7 +380,7 @@ def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> li
     records = []
     for check, at in zip(CHECKS, positions):
         c = check.component
-        read = public[c] if c in public else _table_reader(model, c, tables[c], *at, cfg)
+        read = public[c] if c in public else _table_reader(tables[c], *at, _door(model, c, VERIFY_CONDITIONING_U, cfg))
         try:
             residuals, note = check.residual(read, cfg), ""
         except InfiniteMeanError as exc:

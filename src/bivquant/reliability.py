@@ -158,7 +158,7 @@ _FORMULAS = {
     "rev-mrl": lambda q, p: q.gap / p,
     "quantile": lambda q, p: q.value,
     "mean": lambda q, p: q.mean,
-    "offset": lambda q, p: q.fam.support[0],  # q(0): phi and Q_Y start where the Y support does
+    "offset": lambda q, p: float(q.fam.support[0]),  # q(0): phi and Q_Y start where the Y support does
 }
 
 

@@ -96,12 +96,13 @@ class TestCheckTable:
             with pytest.raises(ValueError):
                 check.ts[0] = 0.5
 
-    #: Every pool model, one FGM model whose X has no mean, and one whose X quantile derivative overflows
-    #: near 1: ``verify``'s node table reaches 1 - sing_clip there, the round trips do not, so its checks
-    #: run one by one.
+    #: Every pool model, one FGM model whose X has no mean, one whose supports start at an int scale, and one
+    #: whose X quantile derivative overflows near 1: ``verify``'s node table reaches 1 - sing_clip there, the
+    #: round trips do not, so its checks run one by one.
     DIRECT = {
         **POOL,
         "fgm-pareto-exponential": BivariateModel(Pareto(1.2, 0.9), Exponential(0.7), FGMCopula(-0.6)),
+        "pareto-int-scales": BivariateModel(Pareto(1, 3.0), Pareto(2, 2.5), FGMCopula(0.3)),
         "pareto-overflowing-near-one": BivariateModel(Pareto(1.0, 0.02), Exponential(1.0), FGMCopula(0.5)),
     }
 

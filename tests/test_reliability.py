@@ -493,7 +493,8 @@ class TestAllQuantities:
     """One state per component gives every quantity, the quantile and the mean of their own functions, bit for bit."""
 
     MODELS = [*BLOCK_MODELS, BivariateModel(Pareto(1.2, 0.9), Weibull(0.7, 0.6), FGMCopula(0.8)),
-              BivariateModel(Weibull(1.1, 1.7), Pareto(2.0, 0.8), FGMCopula(-0.0))]
+              BivariateModel(Weibull(1.1, 1.7), Pareto(2.0, 0.8), FGMCopula(-0.0)),
+              BivariateModel(Pareto(1, 3.0), Pareto(2, 2.5), FGMCopula(0.3))]
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: "-".join(
         part.describe() for part in (m.marginal_x, m.marginal_y, m.copula)))
@@ -512,6 +513,8 @@ class TestAllQuantities:
         assert np.array_equal(bits(values["quantile"]), bits(quantile))
         if fam.has_finite_mean:
             assert bits(values["mean"]) == bits(conditional_mean(model, 0.4) if index else fam.mean)
+        # the support offset is one float, also where the family was given an int scale
+        assert type(values["offset"]) is float and values["offset"] == fam.support[0]
 
     def test_unknown_component_is_domain_error(self, indep_exp):
         with pytest.raises(DomainError, match=r"^component must be one of \('first', 'second'\), got 'third'$"):

@@ -59,9 +59,9 @@ def test_traced_round_trip_counts_one_quadrature_and_is_undone():
         undo()
     assert rec.calls["numerics"] == 1
     assert rec.integrand_points > 0
-    # every read goes through reliability: the integrand's nodes, the level check and the offset at one point
-    # each, and the reference quantile on ts
-    assert rec.points["reliability"] == rec.integrand_points + 1 + 1 + ts.size
+    # every read goes through reliability: the integrand's nodes, the level check that reads the offset at one
+    # point, and the reference quantile on ts
+    assert rec.points["reliability"] == rec.integrand_points + 1 + ts.size
     assert _traced_names() == originals
 
 
