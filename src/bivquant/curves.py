@@ -31,7 +31,7 @@ import numpy as np
 
 from . import models
 from .errors import DegenerateLevelError, DomainError
-from .numerics import NumericConfig, blocks, require_finite, require_integer, require_probs
+from .numerics import NumericConfig, blocks, require_finite, require_integer, require_prob, require_probs
 
 #: Tolerance of the level-set invariant; far above the root tolerance so the
 #: check is meaningful instead of tautological.
@@ -75,7 +75,7 @@ class QuantileCurve:
 
 def admissible_interval(p: float, direction: models.Direction):
     """Clipped u-interval on which the direction's parametrization is defined."""
-    p = float(require_probs("p", p))
+    p = require_prob("p", p)
     if direction.eps1 < 0:
         lo, hi = p + EDGE_MARGIN, 1.0 - EDGE_MARGIN
     else:
@@ -101,7 +101,7 @@ def conditional_args(p: float, direction: models.Direction, u):
 
 def require_admissible(p, direction: models.Direction, u_grid) -> tuple[float, np.ndarray]:
     """``p`` and ``u_grid`` as floats; :class:`DomainError` unless the direction admits the grid."""
-    p = float(require_probs("p", p))
+    p = require_prob("p", p)
     us = np.asarray(u_grid, dtype=float)
     if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
         raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")
@@ -115,7 +115,7 @@ def require_admissible(p, direction: models.Direction, u_grid) -> tuple[float, n
 
 def uniform_grid(p, direction: models.Direction, n_points: int) -> np.ndarray:
     """``n_points`` >= 2 equally spaced u over :func:`admissible_interval`; ``p`` is checked first."""
-    p, n = float(require_probs("p", p)), require_integer("n_points", n_points, 2)
+    p, n = require_prob("p", p), require_integer("n_points", n_points, 2)
     return np.linspace(*admissible_interval(p, direction), n)
 
 
@@ -144,7 +144,8 @@ def curve_from_conditional(
     cfg: NumericConfig | None = None,
 ) -> tuple[float, float]:
     """Single curve point at parameter u: the :func:`curve_points` row at u, bit for bit."""
-    p, us = require_admissible(p, direction, [float(u)])
+    # p first, as require_admissible checks it; u is named by the range rule of every u-grid
+    p, us = require_admissible(require_prob("p", p), direction, [require_prob("u_grid", u)])
     return tuple(_points_on_grid(model, p, direction, us, cfg)[0, 1:].tolist())
 
 
@@ -156,7 +157,7 @@ def curve_points(
     cfg: NumericConfig | None = None,
 ) -> QuantileCurve:
     """Materialize the curve on a uniform u-grid over the admissible interval."""
-    p = float(require_probs("p", p))
+    p = require_prob("p", p)
     points = _points_on_grid(model, p, direction, uniform_grid(p, direction, n_points), cfg)
     return QuantileCurve(p=p, direction=direction, points=points)
 

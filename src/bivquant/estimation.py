@@ -36,7 +36,7 @@ import numpy as np
 from . import models
 from .curves import QuantileCurve, conditional_args, require_admissible
 from .errors import DomainError, InsufficientMassError
-from .numerics import NumericConfig, blocks, clip_prob, require_finite, require_integer, require_probs
+from .numerics import NumericConfig, blocks, clip_prob, require_finite, require_integer, require_prob
 
 #: Smallest conditioning subsample accepted by the empirical estimators.
 MIN_COND_N = 30
@@ -163,7 +163,7 @@ def empirical_curve(
 
 def empirical_mrl_first(sample_set: SampleSet, u: float) -> float:
     """Mean exceedance over the empirical u-quantile of the first component."""
-    u = float(require_probs("u", u))
+    u = require_prob("u", u)
     j = _inf_index(u, len(sample_set.x))
     x_hat = float(np.partition(sample_set.x, j)[j])
     exceed = sample_set.x[sample_set.x > x_hat]  # sample order: np.mean's sum depends on it

@@ -439,10 +439,6 @@ def _quad_inv(p, c):
     return 2.0 * p / (1.0 + c + np.sqrt(np.maximum(disc, 0.0)))
 
 
-def _quad_deriv(v, c):
-    return 1.0 + c * (1.0 - 2.0 * v)
-
-
 class Copula(_Family, ABC):
     """Bivariate copula whose conditional CDFs are quadratic in v.
 
@@ -463,9 +459,6 @@ class Copula(_Family, ABC):
 
     def cond_quantile(self, sense: Sense, u, p):
         return _quad_inv(p, self.cond_linear_coeff(sense, u))
-
-    def cond_cdf_deriv(self, sense: Sense, u, v):
-        return _quad_deriv(np.asarray(v, dtype=float), self.cond_linear_coeff(sense, u))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ component once on the union of its three plans' nodes.
 :func:`require_real` is the one real-number check of model parameters and
 config fields, :func:`require_integer` the one integer check of counts and
 seeds, :func:`require_probs` the one probability check of levels,
-conditioning levels and component arguments, :func:`require_choice` the
+conditioning levels and component arguments (:func:`require_prob` where
+one number is due), :func:`require_choice` the
 one check of string choices (axis, sense, component, kind), and
 :func:`require_finite` the one overflow check of quantiles.
 :func:`blocks` cuts a long elementwise fill into cache-sized row blocks.
@@ -62,7 +63,7 @@ def require_integer(name: str, value, least: int) -> int:
     """``value`` as an int; :class:`DomainError` unless it is an integer >= ``least``."""
     try:
         valid = int(value) == value and value >= least
-    except (ValueError, OverflowError):  # NaN and the infinities have no integer value
+    except (TypeError, ValueError, OverflowError):  # None, a list; NaN and the infinities have no integer value
         valid = False
     if not valid:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -75,6 +76,8 @@ def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
     With ``closed``, the endpoints pass: the interval is [0, 1].
     """
     try:
+        if value is None:  # numpy would read it as NaN
+            raise TypeError
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a number or an array of numbers, got {value!r}") from exc
@@ -85,6 +88,14 @@ def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
     outside = arr[~(below(0.0, arr) & below(arr, 1.0))]  # NaN fails both comparisons
     interval = "[0, 1]" if closed else "(0,1)"
     raise DomainError(f"{name} must lie in {interval}, got {float(outside[0])!r}")
+
+
+def require_prob(name: str, value) -> float:
+    """``value`` as one float: :func:`require_probs`, then :class:`DomainError` unless it is one number."""
+    arr = require_probs(name, value)
+    if arr.ndim:
+        raise DomainError(f"{name} must be one number, got shape {arr.shape}")
+    return float(arr)
 
 
 def require_choice(name: str, value, choices: tuple) -> str:

@@ -40,7 +40,7 @@ import numpy as np
 from . import models, reliability
 from .errors import (BivquantError, ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError,
                      SignError)
-from .numerics import NumericConfig, config_or_default, integrate, require_choice, require_probs, t_grid
+from .numerics import NumericConfig, config_or_default, integrate, require_choice, require_prob, t_grid
 from .reliability import COMPONENTS
 
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
@@ -190,10 +190,7 @@ def _reader(model: models.BivariateModel, component: str, conditioning_u, cfg: N
     """The ``component`` of ``model`` through :func:`reliability.all_quantities`: ``read(name)`` is that name as a
     function of the probability (``"mean"`` and ``"offset"`` read at ``()``).  Building it checks that ``conditioning_u``
     is one level in the clipped interval, for a first component too, which never reads it; callers check ``component``."""
-    level = require_probs("conditioning_u", conditioning_u)
-    if level.ndim:  # all_quantities takes a grid of levels; a component has one
-        raise DomainError(f"conditioning_u must be one number, got shape {level.shape}")
-    u0 = float(level)
+    u0 = require_prob("conditioning_u", conditioning_u)  # all_quantities takes a grid of levels; a component has one
     checked = reliability.all_quantities(model, component, u0, (), cfg, ("offset",))  # the checks, and Q(0)
     return _table_reader(checked, None, None, _door(model, component, u0, cfg))
 

@@ -24,12 +24,12 @@ marginal through the substitution v = phi-probability, because the
 built-in copula conditionals are quadratic in v.  That keeps quantities
 exact to rounding, as the independence-reduction and exponential
 invariance checks require at 1e-9.  Both ends of an integral go into one
-kernel call, and the weighted moments, which enter with the copula's
-coefficient c, only when c is not zero at every point.  Under independence
-(c = 0) phi is Q_Y, and each second component equals the first one of the
-interchanged model bit for bit, except the MRL: Q_X's ``int_u^1`` is
-``mean - int_0^u``, phi's reads ``int_0^1`` from the kernel, and the two
-differ in the last bits.
+kernel call; c, the copula's coefficient, is computed where q' or an
+integral reads it, and the slope of q' and the weighted moments, which
+enter with c, only when c is not zero at every point.  Q_X is phi at c = 0
+with v = u, so one state serves both components, and under independence
+each second component equals the first one of the interchanged model bit
+for bit, all four quantities.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import functools
 import numpy as np
 
 from . import models
-from .errors import BoundaryError, InfiniteMeanError, MonotonicityError
+from .errors import BoundaryError, DomainError, InfiniteMeanError, MonotonicityError
 from .numerics import NumericConfig, clip_prob, config_or_default, require_choice, require_finite, require_probs
 
 COMPONENTS = ("first", "second")  #: of X, and of Y given {X <= Q_X(conditioning_u)}
@@ -79,11 +79,13 @@ def _checked_deriv(vals, what: str):
 
 
 class _Quantile:
-    """A formula's q: the ``role`` marginal's Q at ``at``, with q', int_p^1 q and int_0^p (q(p) - q).
-    Each kernel runs when a formula first reads it, and is kept; a partial moment runs on ``at``, 0 and 1."""
+    """A formula's q: the ``role`` marginal's Q at ``at``, the root v of the copula's ``v + c v (1-v) = p``, with c its
+    coefficient at ``conditioning_u``.  That is phi; Q_X is the case c = 0, with v = p and no copula.  So
+    ``q' = Q'(v) / (1 + c (1 - 2v))``, and an integral of q is one of Q weighted by ``1 + c - 2cw``.  Each kernel runs
+    when a formula first reads it, and is kept; a partial moment runs on ``at``, 0 and 1."""
 
-    def __init__(self, fam: models.Marginal, role: str, at):
-        self.fam, self.role, self.at = fam, role, at
+    def __init__(self, fam: models.Marginal, role: str, at, copula: models.Copula | None = None, conditioning_u=None):
+        self.fam, self.role, self.at, self.copula, self.conditioning_u = fam, role, at, copula, conditioning_u
 
     def _moment(self, kernel):
         values = kernel(np.append(self.at, (0.0, 1.0)))
@@ -92,62 +94,49 @@ class _Quantile:
     value = functools.cached_property(lambda self: self.fam.quantile(self.at))
     integral = functools.cached_property(lambda self: self._moment(self.fam.quantile_integral))  # int_0^z Q
     weighted = functools.cached_property(lambda self: self._moment(self.fam.weighted_quantile_integral))  # of w Q
+    c = functools.cached_property(  # where q' or an integral reads it
+        lambda self: 0.0 if self.copula is None else self.copula.cond_linear_coeff("le", self.conditioning_u))
 
     @functools.cached_property
     def deriv(self):
-        """q'; DomainError if it overflows, MonotonicityError unless positive."""
+        """q'; DomainError if Q' overflows, MonotonicityError unless Q' and the slope ``1 + c (1 - 2v)`` are positive.
+        The slope is skipped where c is zero (or -0.0) at every point, as in :meth:`_to_one` and :attr:`gap`."""
         what = f"marginal {self.role} quantile derivative"
-        qd = require_finite(self.fam.quantile_deriv, self.at, what=what, family=self.fam)
-        return _checked_deriv(qd, f"marginal {self.role} quantile")
-
-    upper = property(lambda self: self.fam.mean - self.integral[0])
-    mean = property(lambda self: self.fam.mean)
-    gap = property(lambda self: self._gap(False))
-
-    def _gap(self, weighted: bool):  # int_0^z (Q(z) - Q) dw at ``at``, with the weight 2w if ``weighted``
-        if self.fam._plain_gaps:  # Marginal's forms, on the kept kernels
-            return self.at * self.at * self.value - 2.0 * self.weighted[0] if weighted else \
-                self.at * self.value - self.integral[0]
-        return (self.fam.weighted_quantile_gap_integral if weighted else self.fam.quantile_gap_integral)(self.at)
-
-
-class _Phi(_Quantile):
-    """phi: Q_Y at ``v``, the root of the copula's ``v + c v (1-v) = p``; so ``phi' = Q_Y'(v) / (1 + c (1 - 2v))``,
-    and an integral of phi is one of Q_Y weighted by ``1 + c - 2cw``."""
-
-    def __init__(self, model: models.BivariateModel, conditioning_u, v):
-        self.copula, self.conditioning_u = model.copula, conditioning_u
-        super().__init__(model.marginal_y, "Y", v)
-
-    c = functools.cached_property(lambda self: self.copula.cond_linear_coeff("le", self.conditioning_u))  # integrals
-
-    @functools.cached_property
-    def deriv(self):
-        qd = _Quantile.deriv.func(self)
-        kd = self.copula.cond_cdf_deriv("le", self.conditioning_u, self.at)
-        return qd / _checked_deriv(kd, "conditional CDF of Y")
+        qd = _checked_deriv(require_finite(self.fam.quantile_deriv, self.at, what=what, family=self.fam),
+                            f"marginal {self.role} quantile")
+        if not np.any(self.c):
+            return qd
+        return qd / _checked_deriv(1.0 + self.c * (1.0 - 2.0 * self.at), f"conditional CDF of {self.role}")
 
     def _to_one(self, k: int):
-        """int of phi over the p-interval that maps to [w, 1] on the v scale, w = ``at`` (k = 0) or 0 (k = 1).
+        """int of q over the p-interval that maps to [w, 1] on the v scale, w = ``at`` (k = 0) or 0 (k = 1).
 
-        That is ``(1+c) J0 - 2c J1``, with ``J0``, ``J1`` the increments of ``int_0^z Q_Y`` and ``int_0^z w Q_Y(w)
-        dw`` from w to 1; ``J1`` is skipped where ``c`` is zero (or -0.0) at every point.
+        That is ``(1+c) J0 - 2c J1``, with ``J0``, ``J1`` the increments of ``int_0^z Q`` and ``int_0^z w Q(w) dw`` from
+        w to 1.  Where ``c`` is zero (or -0.0) at every point, ``J1`` is skipped and ``J0`` is ``mean - int_0^w Q``;
+        elsewhere ``J0`` takes the kernel's own end ``int_0^1 Q``, as ``J1`` does.  A Pareto kernel's end differs
+        from its mean in the last bits, and the two ends cancel in ``(1+c) J0 - 2c J1`` only when both come from it.
         """
-        out = (1.0 + self.c) * (self.integral[2] - self.integral[k])
-        if np.any(self.c):
-            out = out - 2.0 * self.c * (self.weighted[2] - self.weighted[k])
-        return out
+        if not np.any(self.c):  # 1 + c is 1, and gives a grid of levels its shape
+            return (1.0 + self.c) * (self.fam.mean - self.integral[k])
+        j0, j1 = self.integral[2] - self.integral[k], self.weighted[2] - self.weighted[k]
+        return (1.0 + self.c) * j0 - 2.0 * self.c * j1
 
     upper = property(lambda self: self._to_one(0))
     mean = property(lambda self: self._to_one(1))
 
     @property
     def gap(self):
-        # (1+c) int_0^v (Q_Y(v)-Q_Y) dw - c int_0^v 2w (Q_Y(v)-Q_Y) dw; the gap forms are cancellation-safe
+        # (1+c) int_0^v (Q(v)-Q) dw - c int_0^v 2w (Q(v)-Q) dw; the gap forms are cancellation-safe
         out = (1.0 + self.c) * self._gap(False)
         if np.any(self.c):  # as _to_one: at c = 0 the weighted gap takes nothing off
             out = out - self.c * self._gap(True)
         return out
+
+    def _gap(self, weighted: bool):  # int_0^z (Q(z) - Q) dw at ``at``, with the weight 2w if ``weighted``
+        if self.fam._plain_gaps:  # Marginal's forms, on the kept kernels
+            return self.at * self.at * self.value - 2.0 * self.weighted[0] if weighted else \
+                self.at * self.value - self.integral[0]
+        return (self.fam.weighted_quantile_gap_integral if weighted else self.fam.quantile_gap_integral)(self.at)
 
 
 #: Each quantity's formula on a quantile function q at p, keyed by its CLI spelling; then q and its mean.
@@ -172,13 +161,19 @@ def all_quantities(model, component: str, conditioning_u, p, cfg: NumericConfig 
     cfg, second = config_or_default(cfg), require_choice("component", component, COMPONENTS) == "second"
     cu = _require_interior("conditioning_u", conditioning_u, cfg) if second or conditioning_u is not None else None
     p = _require_interior("p_cond" if second else "u", p, cfg)
+    if second:  # a grid of levels pairs with the grid of p by broadcasting
+        try:
+            np.broadcast_shapes(cu.shape, p.shape)
+        except ValueError:
+            raise DomainError(f"conditioning_u of shape {cu.shape} does not broadcast against p_cond of shape "
+                              f"{p.shape}") from None
     fam, role = _marginal(model, component)
     names = [n for n in _FORMULAS if fam.has_finite_mean or n not in ("mrl", "mean")] if names is None else names
     if "mrl" in names or "mean" in names:
         _require_finite_mean(fam, role)
     with np.errstate(all="ignore"):  # a value that is not finite is reported below, as one error
-        q = _Phi(model, cu, clip_prob(model.copula.cond_quantile("le", cu, p), cfg)) if second else \
-            _Quantile(fam, role, p)
+        q = _Quantile(fam, role, clip_prob(model.copula.cond_quantile("le", cu, p), cfg), model.copula, cu) \
+            if second else _Quantile(fam, role, p)
     return {name: require_finite(_FORMULAS[name], q, p, what=f"{name.replace('rev-', 'reversed ')} {component}",
                                  family=fam) for name in names}
 
@@ -211,7 +206,7 @@ def conditional_mean(model, conditioning_u, cfg: NumericConfig | None = None):
     cfg = config_or_default(cfg)
     cu = _require_interior("conditioning_u", conditioning_u, cfg)
     _require_finite_mean(model.marginal_y, "Y")
-    mean = _Phi(model, cu, np.zeros(0)).mean
+    mean = _Quantile(model.marginal_y, "Y", np.zeros(0), model.copula, cu).mean
     return float(mean) if cu.ndim == 0 else mean
 
 

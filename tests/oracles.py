@@ -121,6 +121,24 @@ def weibull_integrals(scale, shape, u, digits=40):
         return float(g), float(scale * lower(t)), float(scale * (lower(t) - 2**-a * lower(2 * t)))
 
 
+def pareto_phi_mrl_and_mean(scale, shape, theta, u0, p, digits=50):
+    """(MRL of phi at p, mean of phi) by mpmath, for a Pareto Y under FGM(theta) given {X <= Q_X(u0)}.
+
+    phi(p) = Q_Y(v) at the root v of v + c v (1-v) = p, c = theta (1 - u0); substituting s = v + c v (1-v),
+    int_v^1 phi = s int_0^T t**-b (1 + c - 2c (1-t)) dt with T = 1 - v and b = 1/shape, a sum of powers of T.
+    """
+    with mpmath.workdps(digits):
+        scale, b, p = mpmath.mpf(scale), 1 / mpmath.mpf(shape), mpmath.mpf(p)
+        c = mpmath.mpf(theta) * (1 - mpmath.mpf(u0))
+        v = 2 * p / (1 + c + mpmath.sqrt((1 + c) ** 2 - 4 * c * p))
+
+        def to_one(t):  # int_w^1 of Q_Y (1 + c - 2cw) dw, w = 1 - t
+            j0, j1 = t ** (1 - b) / (1 - b), t ** (1 - b) / (1 - b) - t ** (2 - b) / (2 - b)
+            return scale * ((1 + c) * j0 - 2 * c * j1)
+
+        return float(to_one(1 - v) / (1 - p) - scale * (1 - v) ** -b), float(to_one(mpmath.mpf(1)))
+
+
 def integrate_per_call_mesh(f, ts, end, cfg, grade=6.0):
     """The cumulative Simpson sums of ``numerics.integrate``, with the graded mesh rebuilt on every call.
 

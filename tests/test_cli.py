@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bivquant import cli, estimation, models, reconstruction, reliability
+from bivquant import cli, curves, estimation, models, reconstruction, reliability
 from bivquant.cli import load_sample_csv, main
-from bivquant.errors import BivquantError, ModelSpecError
+from bivquant.errors import BivquantError, DomainError, ModelSpecError
 
 from conftest import bench_inputs, traced_peak_mib
 
@@ -753,3 +753,49 @@ class TestLibraryChoiceFuzz:
     def test_bad_choice_is_a_bivquant_error(self, call, value):
         with pytest.raises(BivquantError, match=" must be one of "):
             CHOICE_CALLS[call](value)
+
+
+_LL = models.Direction(-1, -1)
+
+#: Malformed value arguments of the library (counts, seeds, one-number probabilities, a level grid that does not pair
+#: with p, None), each with the exact message of its DomainError.
+VALUE_CALLS = {
+    "sample.seed-none": (lambda: estimation.sample(_CHOICE_MODEL, 100, None), "seed must be an integer >= 0, got None"),
+    "sample.n-list": (lambda: estimation.sample(_CHOICE_MODEL, [3], 1), "n must be an integer >= 1, got [3]"),
+    "curve_points.n_points-none": (lambda: curves.curve_points(_CHOICE_MODEL, 0.2, _LL, None),
+                                   "n_points must be an integer >= 2, got None"),
+    "uniform_grid.n_points-none": (lambda: curves.uniform_grid(0.2, _LL, None),
+                                   "n_points must be an integer >= 2, got None"),
+    "curve_points.p-list": (lambda: curves.curve_points(_CHOICE_MODEL, [0.2, 0.3], _LL, 5),
+                            "p must be one number, got shape (2,)"),
+    "admissible_interval.p-list": (lambda: curves.admissible_interval([0.2, 0.3], _LL),
+                                   "p must be one number, got shape (2,)"),
+    "require_admissible.p-list": (lambda: curves.require_admissible([0.2, 0.3], _LL, [0.5]),
+                                  "p must be one number, got shape (2,)"),
+    "uniform_grid.p-list": (lambda: curves.uniform_grid([0.2, 0.3], _LL, 5), "p must be one number, got shape (2,)"),
+    "empirical_mrl_first.u-list": (
+        lambda: estimation.empirical_mrl_first(estimation.sample(_CHOICE_MODEL, 100, 1), [0.2, 0.3]),
+        "u must be one number, got shape (2,)"),
+    "curve_from_conditional.u-list": (lambda: curves.curve_from_conditional(_CHOICE_MODEL, 0.2, _LL, [0.5, 0.6]),
+                                      "u_grid must be one number, got shape (2,)"),
+    "hazard_first.u-none": (lambda: reliability.hazard_first(_CHOICE_MODEL, None),
+                            "u must be a number or an array of numbers, got None"),
+    "conditional_mean.none": (lambda: reliability.conditional_mean(_CHOICE_MODEL, None),
+                              "conditioning_u must be a number or an array of numbers, got None"),
+    "hazard_second.levels": (lambda: reliability.hazard_second(_CHOICE_MODEL, [0.4, 0.6], [0.3, 0.5, 0.7]),
+                             "conditioning_u of shape (2,) does not broadcast against p_cond of shape (3,)"),
+    "reversed_mrl_second.levels": (
+        lambda: reliability.reversed_mrl_second(_CHOICE_MODEL, [0.4, 0.6], [0.3, 0.5, 0.7]),
+        "conditioning_u of shape (2,) does not broadcast against p_cond of shape (3,)"),
+    "all_quantities.levels": (lambda: reliability.all_quantities(_CHOICE_MODEL, "second", np.full((2, 2), 0.5), ()),
+                              "conditioning_u of shape (2, 2) does not broadcast against p_cond of shape (0,)"),
+}
+
+
+@pytest.mark.parametrize("call", list(VALUE_CALLS))
+def test_malformed_library_value_is_one_domain_error(call):
+    fn, message = VALUE_CALLS[call]
+    with pytest.raises(DomainError) as info:
+        fn()
+    assert str(info.value) == message
+

@@ -138,3 +138,6 @@ def test_traced_verify_charges_each_component_to_reliability_once():
     assert [name for name in rec.func_time if name.startswith("reliability.")] == ["reliability.all_quantities"]
     assert rec.calls["numerics"] == len(records) == len(reconstruction.CHECKS)
     assert rec.integrand_points > 0
+    # the kernel work of this model, exactly: a change in it shows here, not only in a traced benchmark run
+    assert rec.calls["models"] == 11
+    assert rec.points["models"] == 83_747
