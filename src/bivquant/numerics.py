@@ -2,12 +2,12 @@
 
 Two primitives back everything else in the package: probability clipping,
 and one quadrature, :func:`integrate`, which gives ``int_0^t`` or
-``int_t^1`` for a whole t-grid as cumulative Simpson sums on one fixed
+``int_t^1`` for a whole t-grid as cumulative Boole sums on one fixed
 graded mesh of [0, 1].  Both are pure and deterministic for a fixed
 :class:`NumericConfig`.  The plan of a grid (its mesh nodes, weights and
 gather indices, see :func:`_plan`) is built once per (config, end, t-grid),
 read-only, and at most 4 are kept: two arrays of up to
-``4 * quad_points + 2`` nodes plus two per t, so about 130 KB per plan at
+``4 * quad_points + 2`` nodes plus two per t, so about 66 KB per plan at
 the default and 4.2 MB at ``MAX_QUAD_POINTS``; ``verify`` evaluates each
 component once on the union of its three plans' nodes.
 :func:`require_real` is the one real-number check of model parameters and
@@ -36,7 +36,7 @@ from .errors import ConfigError, DomainError, IntegrandError
 #: Exponent of the power grading of the quadrature mesh toward 0 and 1.
 #: With distance rho**GRADE from the endpoint, the transformed integrand of
 #: an integrable power singularity z**(-s), s < 5/6, is smoother than cubic,
-#: so composite Simpson converges at full rate.
+#: so the composite rule converges at full rate.
 GRADE = 6.0
 
 #: Rows per block of the elementwise kernels that fill a large output: each
@@ -76,9 +76,10 @@ def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
     With ``closed``, the endpoints pass: the interval is [0, 1].
     """
     try:
-        if value is None:  # numpy would read it as NaN
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biuf":  # numpy would read None as NaN, and a string as the number it spells
             raise TypeError
-        arr = np.asarray(value, dtype=float)
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a number or an array of numbers, got {value!r}") from exc
     below = operator.le if closed else operator.lt
@@ -131,7 +132,9 @@ class NumericConfig:
         infinities.  Below 0.5, so that interval is not empty.
     quad_points:
         Resolution of the quadrature mesh, at most ``MAX_QUAD_POINTS``: each
-        half of [0, 1] has ``2 * quad_points`` Simpson panels.
+        half of [0, 1] has ``2 * quad_points`` panels, summed by Boole's rule
+        four at a time (a pair of Simpson pairs) and by Simpson's on a lone
+        last pair.
     sing_clip:
         Distance from 0 and from 1 at which the quadrature mesh stops; at
         least ``eps_boundary`` and below 0.5.
@@ -142,7 +145,7 @@ class NumericConfig:
     """
 
     eps_boundary: float = 1e-9
-    quad_points: int = 2048
+    quad_points: int = 1024
     sing_clip: float = 1e-7
 
     def __post_init__(self):
@@ -200,9 +203,10 @@ def _plan(cfg: NumericConfig, end: float, shape: tuple, data: bytes):
     """What :func:`integrate` needs besides ``f`` on the grid ``data``, read-only; None if it is empty.
 
     That is the grid size ``n``, the last near-half node ``k_near``, the
-    nodes ``z`` and their ``weight``, the index of each t's even node in
-    ``z`` and of its cumulative sum, each t's last half pair width, and the
-    Simpson factor of the whole pairs.
+    nodes ``z`` and their ``weight`` (dz/drho times the rule's coefficient,
+    or, at each t's midpoint and t node, its partial pair's), the index of
+    each t's quad end in ``z`` and in the prefix sum, and the factor of the
+    quad end's weighted value in each t's result.
     """
     ts, _ = t_grid(np.frombuffer(data).reshape(shape))
     if not ts.size:
@@ -210,44 +214,61 @@ def _plan(cfg: NumericConfig, end: float, shape: tuple, data: bytes):
     rho = np.linspace(cfg.sing_clip ** (1.0 / GRADE), 0.5 ** (1.0 / GRADE), 2 * int(cfg.quad_points) + 1)
     (z_near, w), (z_far, _) = _graded(rho, False, end), _graded(rho, True, end)
     m = rho.size - 1
+    q = m - m % 4
+    # in units of 2h/45: Boole on the quads of each half from its own endpoint, then Simpson's
+    # h/3 (1, 4, 1) on its lone odd pair next to 1/2
+    coeff = np.concatenate([np.tile([14.0, 32.0, 12.0, 32.0], q // 4), [7.0, 30.0, 7.5][: m - q + 1]])
+    coeff[0] -= 7.0
+    coeff[q] += 7.5 * (q < m)
+    unit = 2.0 * (rho[1] - rho[0]) / 45.0
     # each half of [0, 1] is graded toward its own endpoint; the half at
     # ``end`` is the near one, and rho_t places t in its half
     near_dist, far_dist = (ts, 1.0 - ts) if end == 0.0 else (1.0 - ts, ts)
     far = near_dist > 0.5
     rho_t = np.clip(np.where(far, far_dist, near_dist) ** (1.0 / GRADE), rho[0], rho[-1])
-    # the even node next to t on the ``end`` side: below rho_t in the near half, above it in the far one
-    below, above = np.searchsorted(rho, rho_t, "right") - 1, np.searchsorted(rho, rho_t, "left")
-    k = np.where(far, above + above % 2, below - below % 2)
+    # the quad end nearest t: a partial pair from it to t, and its midpoint, cover the rest
+    lo = np.searchsorted(rho, rho_t, "right") - 1
+    lo -= lo % 4
+    hi = np.minimum(lo + 4, m)
+    k = np.where(rho[hi] - rho_t < rho_t - rho[lo], hi, lo)
     k_near, k_far = (m, int(k[far].min())) if far.any() else (int(k.max()), m + 1)
     # only each t's midpoint and t node are new, on the far half where t is
     z_t, w_t = _graded(np.concatenate([0.5 * (rho[k] + rho_t), rho_t]), np.concatenate([far, far]), end)
+    span = np.where(far, rho[k] - rho_t, rho_t - rho[k]) / 6.0  # negative where t lies before its quad end
     z = np.concatenate([z_near[: k_near + 1], z_far[k_far:], z_t])
-    weight = np.concatenate([w[: k_near + 1], w[k_far:], w_t])
+    w = unit * coeff * w
+    weight = np.concatenate([w[: k_near + 1], w[k_far:], w_t * np.concatenate([4.0 * span, span])])
     idx_k = np.where(far, k_near + 1 + k - k_far, k)
-    idx_c = np.where(far, m - k // 2, k // 2)
-    span = np.abs(rho_t - rho[k]) / 6.0
-    for a in (z, weight, idx_k, idx_c, span):
+    idx_c = np.where(far, 2 * m + 1 - k, k)
+    # the quad end's coefficient on the side already summed: below it in the near half, above it in the far one
+    lower = np.where(k > q, 7.5, 7.0 * (k > 0))
+    factor = (np.where(far, coeff[k] - lower, lower) + span / unit) / coeff[k]
+    for a in (z, weight, idx_k, idx_c, factor):
         a.flags.writeable = False
-    return ts.size, k_near, z, weight, idx_k, idx_c, span, (rho[1] - rho[0]) / 3.0
+    return ts.size, k_near, z, weight, idx_k, idx_c, factor
 
 
 def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> np.ndarray:
     """``int_0^t f`` (``end = 0``) or ``int_t^1 f`` (``end = 1``) for each t of ``ts`` in (0, 1).
 
     ``f`` must accept ndarray arguments.  Each half of [0, 1] has
-    ``2 * quad_points`` Simpson panels, uniform in rho, at distance
+    ``2 * quad_points`` panels, uniform in rho, at distance
     ``rho**GRADE`` from the half's own endpoint, with rho running from
     ``sing_clip**(1/GRADE)`` to ``(1/2)**(1/GRADE)``.  So the mesh crowds
     toward 0 and 1, stops ``sing_clip`` short of both (for divergent
     integrands the result is the clipped integral by contract) and depends
-    on ``cfg`` only.  Whole panel pairs are summed cumulatively from
-    ``end``, in a fixed sequential order, up to the last even node before
-    t; one more pair with its own midpoint covers the rest.  So every t of
-    a grid comes from one call of ``f``, and each equals the value of a
-    one-point grid bit for bit.  The nodes, weights and indices of a grid
-    are built once per (config, end, grid) and kept (:func:`_plan`).  A
-    non-finite value of ``f`` raises :class:`IntegrandError` naming its z,
-    and so does a result that overflows, without a numpy warning.
+    on ``cfg`` only.  From each half's endpoint, every four panels (a pair
+    of Simpson pairs, ``S_h``) take Boole's rule, ``S_h + (S_h - S_2h)/15``
+    with ``S_2h`` Simpson's on every other node; where ``quad_points`` is
+    odd, the half's lone last pair takes Simpson's.  The weighted values
+    are summed cumulatively from ``end``, in a fixed sequential order, up
+    to the quad end nearest t; one Simpson pair from there to t, with its
+    own midpoint, covers the rest.  So every t of a grid comes from one
+    call of ``f``, and each equals the value of a one-point grid bit for
+    bit.  The nodes, weights and indices of a grid are built once per
+    (config, end, grid) and kept (:func:`_plan`).  A non-finite value of
+    ``f`` raises :class:`IntegrandError` naming its z, and so does a result
+    that overflows, without a numpy warning.
     """
     if not (isinstance(end, numbers.Real) and end in (0.0, 1.0)):  # an array is never compared
         raise DomainError(f"end must be 0 or 1, got {end!r}")
@@ -255,21 +276,16 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     plan = _plan(config_or_default(cfg), end, grid.shape, grid.tobytes())
     if plan is None:
         return np.zeros(0)
-    n, k_near, z, weight, idx_k, idx_c, span, h = plan
-
-    def pairs(y):
-        return h * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
-
+    n, k_near, z, weight, idx_k, idx_c, factor = plan
     with np.errstate(all="ignore"):  # a non-finite value or result is reported as one error
         g = np.asarray(f(z), dtype=float)
         bad = ~np.isfinite(g)
         if bad.any():
             raise IntegrandError(f"integrand is not finite at z = {float(z[bad][0])!r}")
         g = g * weight
-        g_near, g_far, g_mid, g_t = g[: k_near + 1], g[k_near + 1 : -2 * n], g[-2 * n : -n], g[-n:]
         # away from ``end``: the near half outward, then the far half toward its endpoint
-        cumulative = np.cumsum(np.concatenate([[0.0], pairs(g_near), pairs(g_far)[::-1]]))
-        values = cumulative[idx_c] + span * (g[idx_k] + 4.0 * g_mid + g_t)
+        prefix = np.cumsum(np.concatenate([[0.0], g[: k_near + 1], g[k_near + 1 : -2 * n][::-1]]))
+        values = prefix[idx_c] + factor * g[idx_k] + g[-2 * n : -n] + g[-n:]
     if not np.isfinite(values).all():
         raise IntegrandError("integral is not finite: the weighted sum of the integrand overflows")
     return values

@@ -322,7 +322,7 @@ CHECKS = tuple(Check(f"{q}-roundtrip-{c}", q, c, np.linspace(*inverse.t_range, 1
 
 @functools.lru_cache(maxsize=2)  # verify's config, and one more
 def _node_table(cfg: NumericConfig):
-    """verify's nodes (those ``integrate`` hands each check's integrand, and the check grids: about 8,400 at the
+    """verify's nodes (those ``integrate`` hands each check's integrand, and the check grids: about 4,300 at the
     default config), sorted and read-only, and per check the positions of its plan's nodes and of its grid."""
     arrays = []
     for check in CHECKS:  # the plans of equal grids are one kept array

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the production code paths: plain
 bisection instead of the closed-form conditional inverse, dense trapezoid
-sums instead of Simpson, np.roots instead of the stabilized quadratic
+sums instead of Boole's rule, np.roots instead of the stabilized quadratic
 formula, 40-digit mpmath instead of the numpy incomplete-gamma kernel.  Tests compare the library against values these oracles produce
 (frozen as literals where the spec states them).  The ``*_per_call``
 functions are the exception: they repeat the library's arithmetic with every
@@ -140,37 +140,45 @@ def pareto_phi_mrl_and_mean(scale, shape, theta, u0, p, digits=50):
 
 
 def integrate_per_call_mesh(f, ts, end, cfg, grade=6.0):
-    """The cumulative Simpson sums of ``numerics.integrate``, with the graded mesh rebuilt on every call.
+    """The cumulative Boole sums of ``numerics.integrate``, with the graded mesh rebuilt on every call.
 
     The same arithmetic, node order and summation order as the library, but no cached mesh: a
     linspace in rho, then the distance ``rho**grade`` and the weight of every node, mesh and t
-    nodes alike, in one array.
+    nodes alike, in one array; each half's coefficients laid down quad by quad, and each t's
+    quad end found among all of them.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     m = 2 * int(cfg.quad_points)
     rho = np.linspace(cfg.sing_clip ** (1.0 / grade), 0.5 ** (1.0 / grade), m + 1)
+    # Boole's 2h/45 (7, 32, 12, 32, 7) on each quad from the half's endpoint, Simpson's h/3 (1, 4, 1) on a lone pair
+    coeff, ends, below_end = np.zeros(m + 1), [0], {0: 0.0}
+    for start in range(0, m, 4):
+        rule = (7.0, 32.0, 12.0, 32.0, 7.0) if start + 4 <= m else (7.5, 30.0, 7.5)
+        coeff[start : start + len(rule)] += rule
+        ends.append(start + len(rule) - 1)
+        below_end[ends[-1]] = rule[-1]
+    ends = np.array(ends)
     near_dist, far_dist = (ts, 1.0 - ts) if end == 0.0 else (1.0 - ts, ts)
     far = near_dist > 0.5
     rho_t = np.clip(np.where(far, far_dist, near_dist) ** (1.0 / grade), rho[0], rho[-1])
-    below, above = np.searchsorted(rho, rho_t, "right") - 1, np.searchsorted(rho, rho_t, "left")
-    k = np.where(far, above + above % 2, below - below % 2)
+    k = ends[np.argmin(np.abs(rho[ends][None, :] - rho_t[:, None]), axis=1)]  # the nearest quad end, the lower on a tie
     k_near, k_far = (m, int(k[far].min())) if far.any() else (int(k.max()), m + 1)
     nodes = np.concatenate([rho[: k_near + 1], rho[k_far:], 0.5 * (rho[k] + rho_t), rho_t])
     on_far = np.concatenate([np.zeros(k_near + 1, bool), np.ones(m + 1 - k_far, bool), far, far])
     dist, weight = nodes**grade, grade * nodes ** (grade - 1.0)
     sign = 1.0 - 2.0 * end
     z = np.where(on_far, (1.0 - end) - sign * dist, end + sign * dist)
-    g = np.asarray(f(z), dtype=float) * weight
+    unit = 2.0 * (rho[1] - rho[0]) / 45.0
+    span = np.where(far, rho[k] - rho_t, rho_t - rho[k]) / 6.0
+    rule = np.concatenate([unit * coeff[: k_near + 1], unit * coeff[k_far:], 4.0 * span, span])
+    g = np.asarray(f(z), dtype=float) * (rule * weight)
     n = ts.size
-    g_near, g_far, g_mid, g_t = g[: k_near + 1], g[k_near + 1 : -2 * n], g[-2 * n : -n], g[-n:]
-
-    def pairs(y):
-        return (rho[1] - rho[0]) / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
-
-    cumulative = np.cumsum(np.concatenate([[0.0], pairs(g_near), pairs(g_far)[::-1]]))
-    g_k = g[np.where(far, k_near + 1 + k - k_far, k)]
-    last = np.abs(rho_t - rho[k]) / 6.0 * (g_k + 4.0 * g_mid + g_t)
-    return cumulative[np.where(far, m - k // 2, k // 2)] + last
+    prefix = np.cumsum(np.concatenate([[0.0], g[: k_near + 1], g[k_near + 1 : -2 * n][::-1]]))
+    # the quad end's share of its coefficient on the side already summed
+    summed = np.array([below_end[e] if not is_far else coeff[e] - below_end[e] for e, is_far in zip(k, far)])
+    factor = (summed + span / unit) / coeff[k]
+    at_end = g[np.where(far, k_near + 1 + k - k_far, k)]
+    return prefix[np.where(far, 2 * m + 1 - k, k)] + factor * at_end + g[-2 * n : -n] + g[-n:]
 
 
 def gamma_p_per_call(a, x, eps=float(np.finfo(float).eps)):

@@ -758,7 +758,7 @@ class TestLibraryChoiceFuzz:
 _LL = models.Direction(-1, -1)
 
 #: Malformed value arguments of the library (counts, seeds, one-number probabilities, a level grid that does not pair
-#: with p, None), each with the exact message of its DomainError.
+#: with p, None alone or in a list), each with the exact message of its DomainError.
 VALUE_CALLS = {
     "sample.seed-none": (lambda: estimation.sample(_CHOICE_MODEL, 100, None), "seed must be an integer >= 0, got None"),
     "sample.n-list": (lambda: estimation.sample(_CHOICE_MODEL, [3], 1), "n must be an integer >= 1, got [3]"),
@@ -780,6 +780,8 @@ VALUE_CALLS = {
                                       "u_grid must be one number, got shape (2,)"),
     "hazard_first.u-none": (lambda: reliability.hazard_first(_CHOICE_MODEL, None),
                             "u must be a number or an array of numbers, got None"),
+    "hazard_first.u-none-in-list": (lambda: reliability.hazard_first(_CHOICE_MODEL, [0.3, None]),
+                                    "u must be a number or an array of numbers, got [0.3, None]"),
     "conditional_mean.none": (lambda: reliability.conditional_mean(_CHOICE_MODEL, None),
                               "conditioning_u must be a number or an array of numbers, got None"),
     "hazard_second.levels": (lambda: reliability.hazard_second(_CHOICE_MODEL, [0.4, 0.6], [0.3, 0.5, 0.7]),

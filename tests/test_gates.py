@@ -42,8 +42,8 @@ def _pool():
 
 
 #: Seed 6, model 10 of the ``verify-sweep`` pool, written out.  X's Pareto shape just above 1 puts
-#: ``identity-first`` at 4.9e-7 with the default 2048 quad_points, 8.6e-7 at 1024 and 7.06e-6 (7x its
-#: tolerance) at 512, so the default mesh cannot shrink until the Pareto -> 1 tail is fixed.
+#: ``identity-first`` at 4.1e-7 with the default 1024 quad_points.  Boole's rule reads 3.6e-7 at 512 and
+#: 5.6e-6 (6x its tolerance) at 256; composite Simpson read 4.9e-7 at 2048, 8.6e-7 at 1024 and 7.06e-6 at 512.
 PARETO_NEAR_ONE = {
     "marginal_x": {"kind": "Pareto", "scale": 0.751872, "shape": 1.006823},
     "marginal_y": {"kind": "Pareto", "scale": 1.910374, "shape": 4.343249},

@@ -46,6 +46,15 @@ class TestCumulativeIntegral:
         assert np.allclose(integrate(f, GRID, 0.0, TIGHT), from_zero, rtol=1e-9, atol=0.0)
         assert np.allclose(integrate(f, GRID, 1.0, TIGHT), to_one, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("f, antiderivative", [(np.exp, np.exp), (np.cos, np.sin)], ids=["exp", "cos"])
+    def test_coarse_mesh_is_sixth_order(self, f, antiderivative):
+        # Boole's rule on 2 * 64 panels per half reads 8e-10 (exp) and 2e-10 (cos); composite Simpson reads 5e-8
+        cfg = NumericConfig(quad_points=64, sing_clip=1e-6)
+        from_zero = antiderivative(GRID) - antiderivative(1e-6)
+        to_one = antiderivative(1.0 - 1e-6) - antiderivative(GRID)
+        assert np.abs(integrate(f, GRID, 0.0, cfg) - from_zero).max() < 5e-9
+        assert np.abs(integrate(f, GRID, 1.0, cfg) - to_one).max() < 5e-9
+
     @pytest.mark.parametrize("end", [0.0, 1.0])
     def test_grid_equals_scalar_calls(self, end):
         ts = np.array([0.7, 0.01, 0.5, 0.7, 0.3, 1e-15, 0.999999, 0.5])  # unsorted, repeated
@@ -90,9 +99,10 @@ class TestCumulativeIntegral:
 
     @pytest.mark.parametrize("end", [0.0, 1.0])
     def test_overflowing_sum_is_one_error(self, end):
-        # every value is finite, but the weighted sums overflow; warnings are errors under pytest
+        # every value is finite, but the coarsest mesh's weights over [clip, 1 - clip] sum past 1, so the
+        # weighted sum overflows; warnings are errors under pytest
         with pytest.raises(IntegrandError, match="^integral is not finite"):
-            integrate(lambda z: np.full_like(z, 1e308), [0.5], end)
+            integrate(lambda z: np.full_like(z, 1.79e308), [0.5, 1e-7, 1.0 - 1e-7], end, NumericConfig(quad_points=1))
 
 
 class TestRequireProbs:
@@ -113,6 +123,14 @@ class TestRequireProbs:
         with pytest.raises(DomainError) as info:
             numerics.require_probs("u", value)
         assert str(info.value) == f"u must lie in (0,1), got {first!r}"  # one line, however long the grid
+
+    @pytest.mark.parametrize("value", [None, [0.3, None], "0.5", [0.3, "0.4"], [0.3, 1j]],
+                             ids=["none", "none-in-list", "string", "string-in-list", "complex-in-list"])
+    def test_names_a_value_that_is_not_numbers(self, value):
+        # numpy would read None as NaN and a string as the number it spells; neither is a number
+        with pytest.raises(DomainError) as info:
+            numerics.require_probs("u", value)
+        assert str(info.value) == f"u must be a number or an array of numbers, got {value!r}"
 
     def test_closed_accepts_the_endpoints(self):
         assert numerics.require_probs("u", [0.0, -0.0, 1.0], closed=True).tolist() == [0.0, -0.0, 1.0]
@@ -176,7 +194,8 @@ class TestNumericConfig:
 class TestMeshCache:
     """The nodes and values of :func:`integrate` equal those of a mesh built per call."""
 
-    CONFIGS = [NumericConfig(), NumericConfig(quad_points=64), CLIP_1E6]
+    #: quad_points 3 gives each half a lone Simpson pair after its one Boole quad
+    CONFIGS = [NumericConfig(), NumericConfig(quad_points=64), CLIP_1E6, NumericConfig(quad_points=3)]
     GRIDS = {
         "one-point": [0.3],
         "mixed": [0.7, 0.01, 0.5, 0.7, 0.3, 0.999, 0.5, 0.25],  # both halves, unsorted, repeated
@@ -185,7 +204,7 @@ class TestMeshCache:
     }
 
     @pytest.mark.parametrize("grid", list(GRIDS))
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "quad64", "clip1e-6"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "quad64", "clip1e-6", "quad3"])
     @pytest.mark.parametrize("end", [0.0, 1.0])
     def test_equals_per_call_mesh(self, cfg, end, grid):
         seen = {}

@@ -5,7 +5,9 @@ among them), so a rename in the package would otherwise only show up as a
 failing ``--trace 1`` benchmark run.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
@@ -19,12 +21,17 @@ from bivquant import (
     Pareto,
     Uniform01,
     Weibull,
+    DEFAULT_CONFIG,
     cli,
+    curves,
+    estimation,
     models,
     numerics,
     reconstruction,
     reliability,
 )
+
+from conftest import bench_inputs
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
@@ -140,4 +147,77 @@ def test_traced_verify_charges_each_component_to_reliability_once():
     assert rec.integrand_points > 0
     # the kernel work of this model, exactly: a change in it shows here, not only in a traced benchmark run
     assert rec.calls["models"] == 11
-    assert rec.points["models"] == 83_747
+    assert rec.points["models"] == 42_787
+
+
+def _traced(run):
+    rec, undo = _load_spans().install()
+    try:
+        run()
+    finally:
+        undo()
+    return rec
+
+
+def _work(rec, ops):
+    """The per-op work figures of a traced benchmark run (``benchmarks/worker.py``'s ``layer_metrics``)."""
+    return {
+        "numerics.integrate_calls": rec.calls["numerics"] / ops,
+        "numerics.integrand_points": rec.integrand_points / ops,
+        "reliability.calls": rec.calls["reliability"] / ops,
+        "reliability.points": rec.points["reliability"] / ops,
+        "models.calls": rec.calls["models"] / ops,
+        "models.points": rec.points["models"] / ops,
+        "curves.points": rec.points["curves"] / ops,
+    }
+
+
+#: The traced work of one op of each in-process workload, exactly. A change that moves one on purpose updates it
+#: here and states old -> new.
+VERIFY_SWEEP_WORK = {
+    "numerics.integrate_calls": 9.875,
+    "numerics.integrand_points": 29_344.5,
+    "reliability.calls": 2.125,
+    "reliability.points": 8_558.125,
+    "models.calls": 10.65625,
+    "models.points": 37_038.25,
+    "curves.points": 0.0,
+}
+MONTE_CARLO_WORK = {"models.points": 600_200.0, "curves.points": 200_601.0}
+
+
+def test_verify_sweep_work_per_op(tmp_path):
+    # the ops of the seed-1 verify-sweep pool: ``verify --model M --out F`` in-process, the node table built before
+    inputs = bench_inputs()
+    argvs = []
+    for i, spec in enumerate(inputs.draw_pool(inputs.VERIFY_LAYOUT, 1, "verify-sweep")):
+        path = tmp_path / f"model-{i:02d}.json"
+        path.write_text(json.dumps(spec))
+        argvs.append(["verify", "--model", str(path), "--out", str(tmp_path / "verify.csv")])
+    reconstruction._node_table(DEFAULT_CONFIG)
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in argvs]
+        assert set(codes) <= {0, 1}  # the infinite-mean models fail their MRL round trip and identity by name
+
+    assert _work(_traced(run), len(argvs)) == VERIFY_SWEEP_WORK
+
+
+def test_monte_carlo_work_per_op():
+    # the first op of the seed-1 monte-carlo pool: 1e5 pairs, a 200-point empirical curve, three empirical MRLs,
+    # and a 1e5-point analytic curve, each curve with its level residuals
+    inputs = bench_inputs()
+    model = models.model_from_dict(inputs.draw_pool(inputs.MC_LAYOUT, 1, "monte-carlo")[0])
+    direction = models.Direction.from_string("mm")
+
+    def run():
+        draws = estimation.sample(model, 100_000, 1000)
+        lo, hi = curves.admissible_interval(0.25, direction)
+        curves.level_residuals(model, estimation.empirical_curve(draws, 0.25, direction, np.linspace(lo, hi, 200)))
+        for u in (0.25, 0.5, 0.75):
+            estimation.empirical_mrl_first(draws, u)
+        curves.level_residuals(model, curves.curve_points(model, 0.25, direction, 100_000))
+
+    work = _work(_traced(run), 1)
+    assert {name: work[name] for name in MONTE_CARLO_WORK} == MONTE_CARLO_WORK
