@@ -31,7 +31,8 @@ import numpy as np
 
 from . import models
 from .errors import DegenerateLevelError, DomainError
-from .numerics import NumericConfig, blocks, require_finite, require_integer, require_prob, require_probs
+from .numerics import (NumericConfig, blocks, require_finite, require_integer, require_numbers, require_prob,
+                       require_probs)
 
 #: Tolerance of the level-set invariant; far above the root tolerance so the
 #: check is meaningful instead of tautological.
@@ -102,7 +103,7 @@ def conditional_args(p: float, direction: models.Direction, u):
 def require_admissible(p, direction: models.Direction, u_grid) -> tuple[float, np.ndarray]:
     """``p`` and ``u_grid`` as floats; :class:`DomainError` unless the direction admits the grid."""
     p = require_prob("p", p)
-    us = np.asarray(u_grid, dtype=float)
+    us = require_numbers("u_grid", u_grid)
     if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
         raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")
     require_probs("u_grid", us)

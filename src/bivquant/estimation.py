@@ -74,7 +74,7 @@ def sample(
     model: models.BivariateModel, n: int, seed: int, cfg: NumericConfig | None = None
 ) -> SampleSet:
     """Draw n pairs; identical (model, n, seed) yields bit-identical output."""
-    n, seed = require_integer("n", n, 1), require_integer("seed", seed, 0)
+    n, seed = require_integer("n", n, 1), require_integer("seed", seed, 0, None)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     w = rng.random(n)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BoundaryError, ConvergenceError, DegenerateConditioningError, DomainError, ModelSpecError
-from .numerics import NumericConfig, clip_prob, require_choice, require_probs, require_real
+from .numerics import NumericConfig, clip_prob, require_choice, require_numbers, require_probs, require_real
 
 Axis = str  #: "x" or "y"
 Sense = str  #: "le" (conditioning on U <= u), "ge" (U >= u), "eq" (U = u, sampling only)
@@ -583,8 +583,8 @@ def marginal_quantile(model: BivariateModel, axis: Axis, u, cfg: NumericConfig |
 
 def orthant_prob(model: BivariateModel, direction: Direction, x, y):
     """Probability of the direction-selected quadrant anchored at (x, y)."""
-    F = model.marginal_x.cdf(x)
-    G = model.marginal_y.cdf(y)
+    F = model.marginal_x.cdf(require_numbers("x", x))
+    G = model.marginal_y.cdf(require_numbers("y", y))
     C = model.copula.cdf(F, G)
     if direction.eps1 < 0 and direction.eps2 < 0:
         out = C
@@ -612,14 +612,12 @@ def conditional_quantile(
 ):
     """Unique y whose CDF given {X <= Q_X(u)} (``le``) or {X >= Q_X(u)} (``ge``) equals p.
 
-    Uses the closed-form inverse of the copula's quadratic conditional.
+    Q_Y at the exact closed-form root of the copula's quadratic conditional at the clipped ``conditioning_u`` and ``p``.
     """
     sense, uc = _validated_conditioning(sense, conditioning_u, cfg)
     parr = require_probs("p", p, closed=True)
     scalar = parr.ndim == 0 and np.ndim(conditioning_u) == 0
-    pc = clip_prob(parr, cfg)
-    v = clip_prob(model.copula.cond_quantile(sense, uc, pc), cfg)
-    out = model.marginal_y.quantile(v)
+    out = model.marginal_y.quantile(model.copula.cond_quantile(sense, uc, clip_prob(parr, cfg)))
     return float(out) if scalar else out
 
 

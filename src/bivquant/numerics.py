@@ -11,12 +11,12 @@ read-only, and at most 4 are kept: two arrays of up to
 the default and 4.2 MB at ``MAX_QUAD_POINTS``; ``verify`` evaluates each
 component once on the union of its three plans' nodes.
 :func:`require_real` is the one real-number check of model parameters and
-config fields, :func:`require_integer` the one integer check of counts and
-seeds, :func:`require_probs` the one probability check of levels,
-conditioning levels and component arguments (:func:`require_prob` where
-one number is due), :func:`require_choice` the
-one check of string choices (axis, sense, component, kind), and
-:func:`require_finite` the one overflow check of quantiles.
+config fields, :func:`require_integer` the one integer check of counts (up
+to :data:`MAX_COUNT`) and seeds, :func:`require_numbers` the one check of
+numeric arrays, and on it :func:`require_probs` the one probability check
+of levels, component arguments and t-grids (:func:`require_prob` for one
+number), :func:`require_choice` of string choices (axis, sense, component,
+kind) and :func:`require_finite` the one overflow check of quantiles.
 :func:`blocks` cuts a long elementwise fill into cache-sized row blocks.
 """
 
@@ -44,6 +44,9 @@ GRADE = 6.0
 #: allocator reuses it instead of mapping fresh pages for every call.
 BLOCK = 8192
 
+#: Largest accepted count (sample size, grid points): each integer up to it is a float, no such array fits in memory.
+MAX_COUNT = 2**53
+
 #: Largest accepted ``quad_points``: :func:`integrate` evaluates up to
 #: ``4 * quad_points + 2`` mesh nodes, plus two points per t, per call.
 MAX_QUAD_POINTS = 2**16
@@ -59,15 +62,28 @@ def require_real(name: str, value, error: type[Exception]) -> float:
         raise error(f"{name} is too large for a float") from exc
 
 
-def require_integer(name: str, value, least: int) -> int:
-    """``value`` as an int; :class:`DomainError` unless it is an integer >= ``least``."""
+def require_integer(name: str, value, least: int, most: int | None = MAX_COUNT) -> int:
+    """``value`` as an int; :class:`DomainError` unless it is an integer >= ``least`` and <= ``most`` (if not None)."""
     try:
         valid = int(value) == value and value >= least
     except (TypeError, ValueError, OverflowError):  # None, a list; NaN and the infinities have no integer value
         valid = False
     if not valid:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise DomainError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
+
+
+def require_numbers(name: str, value) -> np.ndarray:
+    """``value`` as a float array; :class:`DomainError` unless it is a number or an array of numbers."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biuf":  # numpy would read None as NaN, and a string as the number it spells
+            raise TypeError
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a number or an array of numbers, got {value!r}") from exc
 
 
 def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
@@ -75,13 +91,7 @@ def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
 
     With ``closed``, the endpoints pass: the interval is [0, 1].
     """
-    try:
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "biuf":  # numpy would read None as NaN, and a string as the number it spells
-            raise TypeError
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} must be a number or an array of numbers, got {value!r}") from exc
+    arr = require_numbers(name, value)
     below = operator.le if closed else operator.lt
     # one reduction each way; NaN propagates through both, and 0.5 lets an empty grid pass
     if below(0.0, arr.min(initial=0.5)) and below(arr.max(initial=0.5), 1.0):
@@ -127,9 +137,9 @@ class NumericConfig:
     Attributes
     ----------
     eps_boundary:
-        Probability arguments are clipped to ``[eps_boundary, 1 - eps_boundary]``
-        before quantile-type evaluation, so unbounded supports never produce
-        infinities.  Below 0.5, so that interval is not empty.
+        Probability arguments lie in ``[eps_boundary, 1 - eps_boundary]``: the
+        model quantiles clip theirs, the components check theirs, each once,
+        where it enters; phi's level is never clipped.  Below 0.5.
     quad_points:
         Resolution of the quadrature mesh, at most ``MAX_QUAD_POINTS``: each
         half of [0, 1] has ``2 * quad_points`` panels, summed by Boole's rule
@@ -186,7 +196,7 @@ def blocks(n: int):
 
 def t_grid(t) -> tuple[np.ndarray, bool]:
     """``t`` as a 1-D float grid on (0,1), and whether it was a scalar."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.atleast_1d(require_numbers("t", t))
     if ts.ndim > 1:
         raise DomainError(f"t must be a scalar or a 1-D grid, got shape {ts.shape}")
     return require_probs("t", ts), np.ndim(t) == 0
@@ -272,7 +282,7 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     """
     if not (isinstance(end, numbers.Real) and end in (0.0, 1.0)):  # an array is never compared
         raise DomainError(f"end must be 0 or 1, got {end!r}")
-    grid = np.atleast_1d(np.asarray(ts, dtype=float))
+    grid = np.atleast_1d(require_numbers("t", ts))
     plan = _plan(config_or_default(cfg), end, grid.shape, grid.tobytes())
     if plan is None:
         return np.zeros(0)

@@ -16,9 +16,9 @@ check verifies (1-t) m(t) = int_t^1 dz/h(z).
 
 :data:`CHECKS` lists every ``verify`` check with its name, grid and
 tolerance; :func:`verify` runs them and returns one record per check.
-Checks and public calls read a component by the names of
-``reliability.all_quantities`` (the support offset Q(0) is ``offset``): off
-the node table on which ``verify`` evaluates each component once, or
+Checks and public calls read a component through one reader, by the names
+of ``reliability.all_quantities`` (the support offset Q(0) is ``offset``):
+off the node table on which ``verify`` evaluates each component once, or
 through ``all_quantities``, the one call that evaluates and checks one.
 
 Inputs are callables, not models: the maps are statements about
@@ -186,28 +186,21 @@ Raises :class:`DivergenceError` when the integrand mass keeps growing toward 0 f
 quantile_from_reversed_mrl = _public_map("rev-mrl", "Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean.")
 
 
-def _reader(model: models.BivariateModel, component: str, conditioning_u, cfg: NumericConfig | None) -> Callable:
-    """The ``component`` of ``model`` through :func:`reliability.all_quantities`: ``read(name)`` is that name as a
-    function of the probability (``"mean"`` and ``"offset"`` read at ``()``).  Building it checks that ``conditioning_u``
-    is one level in the clipped interval, for a first component too, which never reads it; callers check ``component``."""
-    u0 = require_prob("conditioning_u", conditioning_u)  # all_quantities takes a grid of levels; a component has one
-    checked = reliability.all_quantities(model, component, u0, (), cfg, ("offset",))  # the checks, and Q(0)
-    return _table_reader(checked, None, None, _door(model, component, u0, cfg))
+def _reader(model: models.BivariateModel, component: str, u0, cfg: NumericConfig | None, table=None, at_plan=None,
+            at_grid=None) -> Callable:
+    """``read(name)``: a name of :func:`reliability.all_quantities` for ``component`` at the level ``u0`` as a function
+    of the probability (``"mean"`` and ``"offset"`` read at ``()``): off ``table`` (:func:`verify`'s values on its node
+    table) at one check's positions, those of its plan's nodes or of its grid as ``integrate`` or a point term asks, or
+    else one ``all_quantities`` call a read.  Without a table, building it checks that ``u0`` is one level in the
+    clipped interval (a first component never reads it) and reads Q(0); callers check ``component``."""
+    if table is None:
+        u0 = require_prob("conditioning_u", u0)  # all_quantities takes a grid of levels; a component has one
+        table = reliability.all_quantities(model, component, u0, (), cfg, ("offset",))
 
-
-def _door(model: models.BivariateModel, component: str, u0: float, cfg: NumericConfig | None) -> Callable:
-    """``read(name)``: ``name`` of the checked ``component`` at the level ``u0``, one ``all_quantities`` call a read."""
-    return lambda name: lambda z: reliability.all_quantities(model, component, u0, z, cfg, (name,))[name]
-
-
-def _table_reader(values: dict, at_plan, at_grid, door: Callable) -> Callable:
-    """:func:`_reader`'s ``read`` off ``values`` (``all_quantities`` on :func:`verify`'s node table), at one check's
-    positions: those of its plan's nodes, or of its grid, as ``integrate`` or a point term asks.  A name missing
-    from ``values`` (the MRL or the mean of an infinite mean, which raise there) is read through ``door``."""
     def read(name: str):
-        if name not in values:
-            return door(name)
-        v = values[name]
+        if name not in table:
+            return lambda z: reliability.all_quantities(model, component, u0, z, cfg, (name,))[name]
+        v = table[name]
         return (lambda z: v) if np.ndim(v) == 0 else lambda z: v[at_plan if z.size > at_grid.size else at_grid]
 
     return read
@@ -363,21 +356,21 @@ def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> li
     A check whose component has an infinite mean fails with the error as
     its note; any other :class:`BivquantError` propagates.  Each component
     is evaluated once, on a node table that holds every check's nodes, and
-    its checks read it there.  Where that raises, its checks read the
-    public calls; a component that evaluates on the table evaluates on any
-    part of it, so the first error in check order is the one raised.
+    its checks read it there.  Where that raises, its table is empty, so
+    each read is one ``all_quantities`` call at its check's positions; a
+    component that evaluates on the table evaluates on any part of it, so
+    the first error in check order is the one raised.
     """
     nodes, positions = _node_table(config_or_default(cfg))
-    tables, public = {}, {}
+    tables = {}
     for c in COMPONENTS:
         try:
             tables[c] = reliability.all_quantities(model, c, VERIFY_CONDITIONING_U, nodes, cfg)
         except BivquantError:
-            public[c] = _reader(model, c, VERIFY_CONDITIONING_U, cfg)
+            tables[c] = {}
     records = []
     for check, at in zip(CHECKS, positions):
-        c = check.component
-        read = public[c] if c in public else _table_reader(tables[c], *at, _door(model, c, VERIFY_CONDITIONING_U, cfg))
+        read = _reader(model, check.component, VERIFY_CONDITIONING_U, cfg, tables[check.component], *at)
         try:
             residuals, note = check.residual(read, cfg), ""
         except InfiniteMeanError as exc:

@@ -139,6 +139,18 @@ def pareto_phi_mrl_and_mean(scale, shape, theta, u0, p, digits=50):
         return float(to_one(1 - v) / (1 - p) - scale * (1 - v) ** -b), float(to_one(mpmath.mpf(1)))
 
 
+def uniform_phi_hazard_and_reversed_mrl(theta, u0, p, digits=50):
+    """(hazard, reversed MRL) of phi at p by mpmath, for a Uniform01 Y under FGM(theta) given {X <= Q_X(u0)}.
+
+    phi(p) is the root v of v + c v (1-v) = p, c = theta (1 - u0), so phi' = 1 / (1 + c (1 - 2v)); substituting
+    s = w + c w (1-w), int_0^p (phi(p) - phi) ds = int_0^v (v - w) (1 + c - 2cw) dw = (1 + c) v**2 / 2 - c v**3 / 3.
+    """
+    with mpmath.workdps(digits):
+        p, c = mpmath.mpf(p), mpmath.mpf(theta) * (1 - mpmath.mpf(u0))
+        v = 2 * p / (1 + c + mpmath.sqrt((1 + c) ** 2 - 4 * c * p))
+        return float((1 + c * (1 - 2 * v)) / (1 - p)), float(((1 + c) * v**2 / 2 - c * v**3 / 3) / p)
+
+
 def integrate_per_call_mesh(f, ts, end, cfg, grade=6.0):
     """The cumulative Boole sums of ``numerics.integrate``, with the graded mesh rebuilt on every call.
 
@@ -254,7 +266,7 @@ def curve_points_unblocked(model, p, direction, n_points, cfg=None):
     xs = model.marginal_x.quantile(clip_prob(us, cfg))
     sense, qs = curves.conditional_args(p, direction, us)
     v = _cond_quantile_unblocked(model.copula, sense, clip_prob(us, cfg), clip_prob(qs, cfg))
-    return np.column_stack([us, xs, model.marginal_y.quantile(clip_prob(v, cfg))])
+    return np.column_stack([us, xs, model.marginal_y.quantile(v)])
 
 
 def level_residuals_unblocked(model, curve):

@@ -47,6 +47,18 @@ def test_reconstruction_reads_components_through_all_quantities():
     assert "reliability.all_quantities(" in source
 
 
+def test_phi_level_is_not_clipped():
+    # a probability is clipped or checked once, where it enters; the components check theirs, and phi's level v is
+    # the exact root of the copula's quadratic
+    assert "clip_prob" not in (Path(bivquant.__file__).parent / "reliability.py").read_text()
+
+
+def test_one_reader_of_a_component():
+    # verify's table, a component missing from it and the public calls are read through one reader
+    source = (Path(bivquant.__file__).parent / "reconstruction.py").read_text()
+    assert source.count("lambda z: reliability.all_quantities(") == 1
+
+
 def test_one_choice_check():
     # the rule of string choices (axis, sense, component, kind, quantity) is spelled once, in numerics.require_choice;
     # Direction.from_string's parse message lists its spellings, not a tuple, so the marker skips it

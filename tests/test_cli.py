@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from bivquant import cli, curves, estimation, models, reconstruction, reliability
 from bivquant.cli import load_sample_csv, main
 from bivquant.errors import BivquantError, DomainError, ModelSpecError
+from bivquant.numerics import NumericConfig, integrate
 
 from conftest import bench_inputs, traced_peak_mib
 
@@ -336,6 +337,17 @@ class TestVerifyCommand:
         assert rc == 1
         assert lines[-2:] == ["max residual over all checks: nan", "verify: FAIL"]
 
+    def test_phi_level_below_eps_boundary_is_read_as_it_is(self, tmp_path, model_file, capsys):
+        # at eps_boundary = sing_clip = 1e-3 the first nodes sit at p = 1e-3, where phi's level v is about p / 1.5 under
+        # FGM(1) at u0 = 0.5; read there, not at eps_boundary, the reversed-MRL round trip passes (identity-second
+        # misses at this clip either way: the endpoint tail)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"numerics": {"eps_boundary": 1e-3, "sing_clip": 1e-3}}))
+        main(["verify", "--model", model_file({**EXP_MODEL, "copula": {"kind": "FGM", "theta": 1.0}}),
+              "--config", str(cfgfile)])
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("rev-mrl-roundtrip-second:")]
+        assert line.endswith(" PASS"), line
+
     def test_verify_deterministic(self, tmp_path, model_file, capsys):
         spec = model_file(EXP_MODEL)
         main(["verify", "--model", spec])
@@ -591,6 +603,7 @@ TINY_X = EXP_BYTES.replace(b'"rate": 1.0', b'"rate": 1e-310', 1)  # its X quanti
 #: Its X quantiles stay finite (about 1e307), but the MRL and reversed-MRL maps' own arithmetic overflows.
 SMALL_X = EXP_BYTES.replace(b'"rate": 1.0', b'"rate": 1e-307', 1)
 SAMPLE_ONE = ["sample", "--n", "1"]
+HUGE_COUNT = "100000000000000000000"
 
 
 class TestMalformedInputs:
@@ -621,13 +634,19 @@ class TestMalformedInputs:
             (EXP_BYTES, b'{"numerics": {"sing_clip": 0.0078125}}', ["verify"], 3),
             (EXP_BYTES, b'{"numerics": {"sing_clip": 0.015625}}', ["verify"], 3),
             (EXP_BYTES, b'{"numerics": {"sing_clip": 0.02}}', ["reconstruct", "--kind", "hazard"], 3),
+            # a count above numerics.MAX_COUNT, which numpy would refuse in its own words
+            (EXP_BYTES, None, ["sample", "--n", HUGE_COUNT], 2),
+            (EXP_BYTES, None, ["curve", "-p", "0.25", "--dir", "mm", "-n", HUGE_COUNT], 2),
+            (EXP_BYTES, None, ["reconstruct", "--kind", "hazard", "--grid", HUGE_COUNT], 2),
+            (EXP_BYTES, None, ["field", "--kind", "hazard", "--grid", HUGE_COUNT], 2),
         ],
         ids=["non-utf8-model", "non-utf8-config", "list-kind", "huge-model-parameter",
              "huge-numerics-field", "negative-seed", "overflowing-draws", "overflowing-curve",
              "overflowing-verify", "overflowing-hazard-field", "overflowing-rev-hazard-field",
              "overflowing-rev-mrl-field", "overflowing-hazard-reconstruct", "overflowing-rev-mrl-reconstruct",
              "overflowing-mrl-integrand", "overflowing-rev-mrl-tail", "empty-clip-interval", "empty-mesh",
-             "tail-probe-at-half", "tail-probe-at-one", "tail-probe-past-one"],
+             "tail-probe-at-half", "tail-probe-at-one", "tail-probe-past-one", "huge-sample-n", "huge-curve-n",
+             "huge-reconstruct-grid", "huge-field-grid"],
     )
     def test_one_error_line(self, tmp_path, model, config, command, expected):
         (tmp_path / "model.json").write_bytes(model)
@@ -766,6 +785,10 @@ VALUE_CALLS = {
                                    "n_points must be an integer >= 2, got None"),
     "uniform_grid.n_points-none": (lambda: curves.uniform_grid(0.2, _LL, None),
                                    "n_points must be an integer >= 2, got None"),
+    "sample.n-above-ceiling": (lambda: estimation.sample(_CHOICE_MODEL, 2**60, 1),
+                               "n must be at most 9007199254740992, got 1152921504606846976"),
+    "curve_points.n_points-above-ceiling": (lambda: curves.curve_points(_CHOICE_MODEL, 0.3, _LL, 2**63),
+                                            "n_points must be at most 9007199254740992, got 9223372036854775808"),
     "curve_points.p-list": (lambda: curves.curve_points(_CHOICE_MODEL, [0.2, 0.3], _LL, 5),
                             "p must be one number, got shape (2,)"),
     "admissible_interval.p-list": (lambda: curves.admissible_interval([0.2, 0.3], _LL),
@@ -801,3 +824,71 @@ def test_malformed_library_value_is_one_domain_error(call):
         fn()
     assert str(info.value) == message
 
+
+
+#: Malformed numeric arguments: no number (a string spelling one too), a number no float holds or a complex one, an
+#: array of strings, None inside a list, a shape no argument takes, and numbers outside every range.
+BAD_NUMBERS = [None, "x", "0.5", b"x", {}, object(), slice(1), 10**400, -(10**400), 0.5 + 0j, np.array(["a"]),
+               [0.3, None], [[0.3]], [], float("nan"), float("inf"), -1]
+
+_HAZARD1 = reconstruction.ComponentFunction("hazard1", lambda z: np.ones_like(z))
+_MRL1 = reconstruction.ComponentFunction("mrl1", lambda z: np.ones_like(z), 1.0)
+_SAMPLE = estimation.sample(_CHOICE_MODEL, 200, 1)
+
+#: Library calls with valid arguments, and the numeric or string arguments the fuzz replaces, one at a time; the
+#: object-typed ones (model, direction, sample set, component, config) stay duck-typed and out of its scope.
+FUZZ_CALLS = {
+    "marginal_quantile": (models.marginal_quantile, dict(model=_CHOICE_MODEL, axis="x", u=0.3)),
+    "conditional_quantile": (models.conditional_quantile,
+                             dict(model=_CHOICE_MODEL, sense="le", conditioning_u=0.5, p=0.3)),
+    "orthant_prob": (models.orthant_prob, dict(model=_CHOICE_MODEL, direction=_LL, x=0.5, y=0.5)),
+    "Exponential": (models.Exponential, dict(rate=1.0)),
+    "Pareto": (models.Pareto, dict(scale=1.0, shape=2.0)),
+    "Weibull": (models.Weibull, dict(scale=1.0, shape=2.0)),
+    "FGMCopula": (models.FGMCopula, dict(theta=0.4)),
+    "Direction": (models.Direction, dict(eps1=-1, eps2=1)),
+    "Direction.from_string": (models.Direction.from_string, dict(s="--")),
+    "NumericConfig": (NumericConfig, dict(eps_boundary=1e-9, quad_points=64, sing_clip=1e-7)),
+    "integrate": (integrate, dict(f=np.sin, ts=[0.3, 0.6], end=0.0)),
+    "admissible_interval": (curves.admissible_interval, dict(p=0.2, direction=_LL)),
+    "uniform_grid": (curves.uniform_grid, dict(p=0.2, direction=_LL, n_points=5)),
+    "curve_points": (curves.curve_points, dict(model=_CHOICE_MODEL, p=0.2, direction=_LL, n_points=5)),
+    "curve_from_conditional": (curves.curve_from_conditional, dict(model=_CHOICE_MODEL, p=0.2, direction=_LL, u=0.5)),
+    "sample": (estimation.sample, dict(model=_CHOICE_MODEL, n=5, seed=1)),
+    "empirical_curve": (estimation.empirical_curve, dict(sample_set=_SAMPLE, p=0.2, direction=_LL, u_grid=[0.5, 0.7])),
+    "empirical_mrl_first": (estimation.empirical_mrl_first, dict(sample_set=_SAMPLE, u=0.3)),
+    "all_quantities": (reliability.all_quantities,
+                       dict(model=_CHOICE_MODEL, component="second", conditioning_u=0.5, p=0.3)),
+    "hazard_first": (reliability.hazard_first, dict(model=_CHOICE_MODEL, u=0.3)),
+    "mrl_second": (reliability.mrl_second, dict(model=_CHOICE_MODEL, conditioning_u=0.5, p=0.3)),
+    "conditional_mean": (reliability.conditional_mean, dict(model=_CHOICE_MODEL, conditioning_u=0.5)),
+    "ComponentFunction": (reconstruction.ComponentFunction, dict(kind="mrl1", eval=np.ones_like, mean_hint=1.0)),
+    "component_from_model": (reconstruction.component_from_model,
+                             dict(model=_CHOICE_MODEL, kind="mrl2", conditioning_u=0.5)),
+    "quantile_from_hazard": (reconstruction.quantile_from_hazard, dict(f=_HAZARD1, t=0.3)),
+    "quantile_from_mrl": (reconstruction.quantile_from_mrl, dict(f=_MRL1, t=0.3)),
+    "round_trip": (reconstruction.round_trip,
+                   dict(model=_CHOICE_MODEL, quantity="hazard", component="second", conditioning_u=0.5, ts=[0.3])),
+    "hazard_mrl_identity_residual": (reconstruction.hazard_mrl_identity_residual,
+                                     dict(model=_CHOICE_MODEL, component="second", conditioning_u=0.5, t=0.3)),
+}
+_OBJECT_TYPED = {"model", "direction", "sample_set", "f", "eval"}
+
+
+class TestMalformedNumberFuzz:
+    """Derandomized: each numeric or string argument of each call takes every value of BAD_NUMBERS in turn, and each
+    call returns or raises a BivquantError; any other exception, a numpy warning included, fails."""
+
+    @pytest.mark.parametrize("call, name", [(call, name) for call, (_, kwargs) in FUZZ_CALLS.items()
+                                            for name in kwargs if name not in _OBJECT_TYPED])
+    def test_bivquant_error_or_a_value(self, call, name):
+        fn, kwargs = FUZZ_CALLS[call]
+        raw = []
+        for value in BAD_NUMBERS:
+            try:
+                fn(**{**kwargs, name: value})
+            except BivquantError:
+                pass
+            except Exception as exc:  # the finding: an error of any other kind
+                raw.append(f"{value!r}: {type(exc).__name__}: {exc}")
+        assert raw == []

@@ -119,6 +119,10 @@ class TestSample:
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             sample(indep_uniform, 5, seed=seed)
 
+    def test_a_seed_has_no_ceiling(self, indep_uniform):
+        # counts stop at numerics.MAX_COUNT; a seed is any integer >= 0, as numpy's generator takes it
+        assert sample(indep_uniform, 3, seed=10**400).n == 3
+
     @pytest.mark.parametrize("axis, model", [
         ("x", BivariateModel(Exponential(1e-310), Exponential(1.0), IndependenceCopula())),
         ("y", BivariateModel(Exponential(1.0), Pareto(1.0, 1e-3), FGMCopula(0.5))),

@@ -108,7 +108,7 @@ class TestCheckTable:
 
     @pytest.mark.parametrize("name", list(DIRECT))
     def test_records_equal_the_direct_calls(self, name):
-        # verify evaluates each component once on a shared node table; each record must equal its public call
+        # verify evaluates each component once on a shared node table; each record must equal its direct call
         model = self.DIRECT[name]
         if isinstance(model, dict):
             model = models.model_from_dict(model)
@@ -171,7 +171,8 @@ class TestCheckTable:
 
         monkeypatch.setattr(reliability, "all_quantities", counted)
         records = reconstruction.verify(model)
-        # each component is evaluated once on the table; only the one that raised there reads the public calls
+        # each component is evaluated once on the table; the one that raised there has an empty table, so each of
+        # its reads is one all_quantities call at its check's positions
         assert [component for component, on_table in evaluated if on_table] == ["first", "second"]
         assert {component for component, on_table in evaluated if not on_table} == {"first"}
         assert [r.residuals is None for r in records] == [name.startswith(("mrl-roundtrip-first", "identity-first"))

@@ -19,6 +19,7 @@ from bivquant import (
     IndependenceCopula,
     LOWER_LOWER,
     ModelSpecError,
+    NumericConfig,
     Pareto,
     Uniform01,
     Weibull,
@@ -269,6 +270,16 @@ class TestConditionalQuantile:
         # p is clipped to 1 - eps_boundary, so the unbounded tail ends at -ln(eps_boundary)
         got = conditional_quantile(indep_exp, "ge", 0.4, 1.0 - 1e-12)
         assert got == pytest.approx(-math.log(DEFAULT_CONFIG.eps_boundary), rel=1e-6)
+
+    def test_phi_level_is_not_clipped(self):
+        # p is clipped once, where it enters; the root v of v + c v (1-v) = p is exact, so y = v of a Uniform01 Y keeps
+        # rising below eps_boundary (c = 1/2 at u = 0.5, and 0.999 at u = 0.001)
+        model = BivariateModel(Exponential(1.0), Uniform01(), FGMCopula(1.0))
+        cfg = NumericConfig(eps_boundary=0.01, sing_clip=0.01)
+        for u, ps, config in ((0.5, [0.01, 0.012, 0.014], cfg), (0.001, [1.5e-9], None)):
+            c, p = 1.0 - u, np.array(ps)
+            root = 2.0 * p / (1.0 + c + np.sqrt((1.0 + c) ** 2 - 4.0 * c * p))
+            assert conditional_quantile(model, "le", u, p, config) == pytest.approx(root, rel=1e-12)
 
     def test_monotone_in_p(self, fgm_uniform):
         ys = conditional_quantile(fgm_uniform, "le", 0.37, np.linspace(0.01, 0.99, 50))

@@ -22,7 +22,6 @@ from bivquant import (
 )
 from bivquant import models
 from bivquant import reliability as rel
-from bivquant.numerics import clip_prob
 
 from conftest import BLOCK_MODELS, bench_inputs, bits, mixed_models
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     fgm_phi_closed,
     pareto_phi_mrl_and_mean,
     trapezoid,
+    uniform_phi_hazard_and_reversed_mrl,
 )
 
 GRID = np.linspace(0.05, 0.95, 19)
@@ -193,7 +193,7 @@ class TestPartialMoments:
         kernel's own int_0^1 where J1 enters; at v = 0 for the conditional mean too."""
         fam, cop = model.marginal_y, model.copula
         c = cop.cond_linear_coeff("le", np.asarray(cu))
-        v = clip_prob(cop.cond_quantile("le", np.asarray(cu), p))
+        v = cop.cond_quantile("le", np.asarray(cu), p)
         ends = np.append(v, 1.0)  # int_v^1: the grid and its end in one call
         j0, j1 = fam.quantile_integral(ends), fam.weighted_quantile_integral(ends)
         top = j0[-1] if np.any(c) else fam.mean
@@ -295,6 +295,13 @@ class TestReversedMrl:
         # reversed-time quantities are defined even for infinite-mean tails
         first = float(rel.reversed_mrl_first(heavy_pareto, 0.5))
         assert np.isfinite(first) and first > 0
+
+    def test_phi_level_below_eps_boundary_is_read_as_it_is(self):
+        # p = eps_boundary with c = 0.946: phi's level v is about p / 1.95, below eps_boundary; p is checked, v is exact
+        model = BivariateModel(Uniform01(), Uniform01(), FGMCopula(0.9654))
+        hazard, reversed_mrl = uniform_phi_hazard_and_reversed_mrl(0.9654, 0.02, 1e-9)
+        assert float(rel.reversed_mrl_second(model, 0.02, 1e-9)) == pytest.approx(reversed_mrl, rel=1e-12)
+        assert float(rel.hazard_second(model, 0.02, 1e-9)) == pytest.approx(hazard, rel=1e-12)
 
 
 @st.composite
