@@ -81,6 +81,10 @@ class Marginal(_Family, ABC):
     checks.  Each kernel of :data:`KERNELS` computes on its argument as a
     1-d float array and returns the argument's shape (a numpy scalar at 0-d),
     so a 0-d call is a one-point grid: it equals the grid value bit for bit.
+    The kernels are the one source of the numbers a family reports: its
+    ``support`` is ``(Q(0), Q(1))`` and its ``mean`` is ``int_0^1 Q``, each
+    read once at construction; ``inf`` marks an unbounded side or a tail
+    without a mean.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -91,15 +95,12 @@ class Marginal(_Family, ABC):
             if not getattr(body, "__isabstractmethod__", False):
                 setattr(cls, name, _on_1d(body))
 
-    @property
-    @abstractmethod
-    def support(self) -> tuple[float, float]:
-        """(inf, sup) of the support; ``math.inf`` marks an unbounded side."""
-
-    @property
-    @abstractmethod
-    def mean(self) -> float:
-        """Expectation; ``math.inf`` for heavy tails without one."""
+    def __post_init__(self):
+        with np.errstate(all="ignore"):  # an unbounded side or a tail without a mean reads inf
+            low, high = self.quantile(np.array([0.0, 1.0]))
+            mean = self.quantile_integral(1.0)
+        object.__setattr__(self, "support", (float(low), float(high)))
+        object.__setattr__(self, "mean", float(mean))
 
     @abstractmethod
     def quantile(self, u):
@@ -144,14 +145,6 @@ class Uniform01(Marginal):
 
     kind = "Uniform01"
 
-    @property
-    def support(self):
-        return (0.0, 1.0)
-
-    @property
-    def mean(self):
-        return 0.5
-
     def quantile(self, u):
         return u + 0.0
 
@@ -177,14 +170,7 @@ class Exponential(Marginal):
 
     def __post_init__(self):
         _require_positive("rate", self.rate)
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
-
-    @property
-    def mean(self):
-        return 1.0 / self.rate
+        super().__post_init__()
 
     def quantile(self, u):
         return -np.log1p(-u) / self.rate
@@ -240,16 +226,7 @@ class Pareto(Marginal):
     def __post_init__(self):
         _require_positive("scale", self.scale)
         _require_positive("shape", self.shape)
-
-    @property
-    def support(self):
-        return (self.scale, math.inf)
-
-    @property
-    def mean(self):
-        if self.shape <= 1.0:
-            return math.inf
-        return self.scale * self.shape / (self.shape - 1.0)
+        super().__post_init__()
 
     def quantile(self, u):
         return self.scale * (1.0 - u) ** (-1.0 / self.shape)
@@ -264,21 +241,20 @@ class Pareto(Marginal):
         return self.scale * b * (1.0 - u) ** (-b - 1.0)
 
     @staticmethod
-    def _one_minus_power_integral(u, expo):
-        # int_0^u (1-z)**expo dz, valid for expo != -1
-        if expo == -1.0:
+    def _one_minus_power_integral(u, k):
+        # int_0^u (1-z)**(k-1) dz; at k = 0 the power is 1/(1-z)
+        if k == 0.0:
             return -np.log1p(-u)
-        return (1.0 - (1.0 - u) ** (expo + 1.0)) / (expo + 1.0)
+        return (1.0 - (1.0 - u) ** k) / k
 
     def quantile_integral(self, u):
-        return self.scale * self._one_minus_power_integral(u, -1.0 / self.shape)
+        # k = 1 - 1/shape as (shape - 1)/shape: shape - 1 is exact near 1, so int_0^1 Q = scale/k is the mean to an ulp
+        return self.scale * self._one_minus_power_integral(u, (self.shape - 1.0) / self.shape)
 
     def weighted_quantile_integral(self, u):
-        b = 1.0 / self.shape
-        # z(1-z)**-b = (1-z)**-b - (1-z)**(1-b)
-        return self.scale * (
-            self._one_minus_power_integral(u, -b) - self._one_minus_power_integral(u, 1.0 - b)
-        )
+        # z(1-z)**-b = (1-z)**-b - (1-z)**(1-b), b = 1/shape
+        return self.scale * (self._one_minus_power_integral(u, (self.shape - 1.0) / self.shape)
+                             - self._one_minus_power_integral(u, (2.0 * self.shape - 1.0) / self.shape))
 
     def _gap_series(self, u, weighted: bool):
         """Binomial-series gaps: Q/scale = sum C_n u**n with C_n rising in b."""
@@ -376,14 +352,7 @@ class Weibull(Marginal):
         _require_positive("scale", self.scale)
         if 1.0 / _require_positive("shape", self.shape) > 170.62:  # Γ(1 + 1/shape) overflows
             raise ModelSpecError(f"Weibull shape {self.shape!r} is below 0.00586: gamma(1 + 1/shape) overflows")
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
-
-    @property
-    def mean(self):
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+        super().__post_init__()
 
     def quantile(self, u):
         return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)

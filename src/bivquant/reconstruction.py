@@ -40,7 +40,8 @@ import numpy as np
 from . import models, reliability
 from .errors import (BivquantError, ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError,
                      SignError)
-from .numerics import NumericConfig, config_or_default, integrate, require_choice, require_prob, t_grid
+from .numerics import (NumericConfig, config_or_default, integrate, require_choice, require_prob, require_real,
+                       t_grid)
 from .reliability import COMPONENTS
 
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
@@ -61,8 +62,8 @@ class ComponentFunction:
 
     ``eval`` must accept ndarray arguments on (0, 1).  ``mean_hint``
     carries the matching mean (of X for ``mrl1``, of the conditional
-    variable for ``mrl2``); the kinds whose map reads the mean require it,
-    and only those maps consume it.
+    variable for ``mrl2``), stored as a float; the kinds whose map reads the
+    mean require it, and only those maps consume it.
     """
 
     kind: str
@@ -71,7 +72,9 @@ class ComponentFunction:
 
     def __post_init__(self):
         quantity, _ = _PAIR_OF[require_choice("kind", self.kind, COMPONENT_KINDS)]
-        if INVERSE_MAPS[quantity].reads_mean and self.mean_hint is None:
+        if self.mean_hint is not None:
+            object.__setattr__(self, "mean_hint", require_real("mean_hint", self.mean_hint, DomainError))
+        elif INVERSE_MAPS[quantity].reads_mean:
             raise DomainError(f"a component of kind {self.kind!r} needs a mean_hint")
 
 
@@ -162,7 +165,7 @@ def _quantile_from(quantity: str, f: ComponentFunction, t, cfg: NumericConfig | 
         inverse.probe(inner, outer)
     if inverse.point:
         point = _samples(f, ts) if point is None else point
-        values = (float(f.mean_hint) - point if inverse.reads_mean else point) + values
+        values = (f.mean_hint - point if inverse.reads_mean else point) + values
     return _shaped(values, scalar)
 
 
@@ -254,7 +257,8 @@ def round_trip(
     """
     require_choice("quantity", quantity, tuple(INVERSE_MAPS))
     require_choice("component", component, COMPONENTS)
-    return _round_trip(quantity, component, _reader(model, component, conditioning_u, cfg), np.atleast_1d(ts), cfg)
+    ts = t_grid(ts)[0]  # quantity, component, t, then the level, which the reader checks
+    return _round_trip(quantity, component, _reader(model, component, conditioning_u, cfg), ts, cfg)
 
 
 def hazard_mrl_identity_residual(

@@ -24,9 +24,10 @@ marginal through the substitution v = phi-probability, because the
 built-in copula conditionals are quadratic in v, whose root is never
 clipped.  Components are within 3e-12 relative of 30-digit mpmath for p
 in [0.05, 0.99] (measured; open near 1).  Both ends of an integral go into one
-kernel call; c, the copula's coefficient, is computed where q' or an
-integral reads it, and the slope of q' and the weighted moments, which
-enter with c, only when c is not zero at every point.  Q_X is phi at c = 0
+kernel call, and an integral to 1 ends at the kernel's own ``int_0^1``, from
+which ``Marginal.mean`` is read too.  c, the copula's coefficient, is
+computed where q' or an integral reads it, and the slope of q' and the
+weighted moments, which enter with c, only when c is not zero at every point.  Q_X is phi at c = 0
 with v = u, so one state serves both components, and under independence
 each second component equals the first one of the interchanged model bit
 for bit, all four quantities.
@@ -112,14 +113,13 @@ class _Quantile:
         """int of q over the p-interval that maps to [w, 1] on the v scale, w = ``at`` (k = 0) or 0 (k = 1).
 
         That is ``(1+c) J0 - 2c J1``, with ``J0``, ``J1`` the increments of ``int_0^z Q`` and ``int_0^z w Q(w) dw`` from
-        w to 1.  Where ``c`` is zero (or -0.0) at every point, ``J1`` is skipped and ``J0`` is ``mean - int_0^w Q``;
-        elsewhere ``J0`` takes the kernel's own end ``int_0^1 Q``, as ``J1`` does.  A Pareto kernel's end differs
-        from its mean in the last bits, and the two ends cancel in ``(1+c) J0 - 2c J1`` only when both come from it.
+        w to the kernel's own end ``int_0^1``, whose ``J0`` is the family's mean.  Where ``c`` is zero (or -0.0) at
+        every point, ``J1`` is skipped; ``1 + c`` is then 1, and gives a grid of levels its shape.
         """
-        if not np.any(self.c):  # 1 + c is 1, and gives a grid of levels its shape
-            return (1.0 + self.c) * (self.fam.mean - self.integral[k])
-        j0, j1 = self.integral[2] - self.integral[k], self.weighted[2] - self.weighted[k]
-        return (1.0 + self.c) * j0 - 2.0 * self.c * j1
+        out = (1.0 + self.c) * (self.integral[2] - self.integral[k])
+        if np.any(self.c):
+            out = out - 2.0 * self.c * (self.weighted[2] - self.weighted[k])
+        return out
 
     upper = property(lambda self: self._to_one(0))
     mean = property(lambda self: self._to_one(1))
@@ -147,7 +147,7 @@ _FORMULAS = {
     "rev-mrl": lambda q, p: q.gap / p,
     "quantile": lambda q, p: q.value,
     "mean": lambda q, p: q.mean,
-    "offset": lambda q, p: float(q.fam.support[0]),  # q(0): phi and Q_Y start where the Y support does
+    "offset": lambda q, p: q.fam.support[0],  # q(0): phi and Q_Y start where the Y support does
 }
 
 

@@ -59,6 +59,14 @@ def test_one_reader_of_a_component():
     assert source.count("lambda z: reliability.all_quantities(") == 1
 
 
+def test_a_family_reports_what_its_kernels_give():
+    # support and mean are read once off the kernels (Marginal.__post_init__), and an integral of q to 1 ends at the
+    # kernel's own int_0^1, never at a family's mean
+    package = Path(bivquant.__file__).parent
+    assert re.findall(r"def (?:mean|support)\b", (package / "models.py").read_text()) == []
+    assert "fam.mean" not in (package / "reliability.py").read_text()
+
+
 def test_one_choice_check():
     # the rule of string choices (axis, sense, component, kind, quantity) is spelled once, in numerics.require_choice;
     # Direction.from_string's parse message lists its spellings, not a tuple, so the marker skips it

@@ -867,6 +867,9 @@ FUZZ_CALLS = {
                              dict(model=_CHOICE_MODEL, kind="mrl2", conditioning_u=0.5)),
     "quantile_from_hazard": (reconstruction.quantile_from_hazard, dict(f=_HAZARD1, t=0.3)),
     "quantile_from_mrl": (reconstruction.quantile_from_mrl, dict(f=_MRL1, t=0.3)),
+    "ComponentFunction+quantile_from_mrl": (  # the mean hint is read only by the map
+        lambda kind, mean_hint: reconstruction.quantile_from_mrl(
+            reconstruction.ComponentFunction(kind, np.ones_like, mean_hint), 0.3), dict(kind="mrl1", mean_hint=1.0)),
     "round_trip": (reconstruction.round_trip,
                    dict(model=_CHOICE_MODEL, quantity="hazard", component="second", conditioning_u=0.5, ts=[0.3])),
     "hazard_mrl_identity_residual": (reconstruction.hazard_mrl_identity_residual,

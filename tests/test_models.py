@@ -29,10 +29,11 @@ from bivquant import (
     orthant_prob,
     swap_axes,
 )
+from bivquant import models
 from bivquant.models import KERNELS, Copula, _quad_inv
 
-from conftest import bits
-from oracles import PHI_HALF, bisect, fgm_cdf, fgm_cond_cdf, trapezoid
+from conftest import bench_inputs, bits
+from oracles import PHI_HALF, bisect, fgm_cdf, fgm_cond_cdf, pareto_phi_mrl_and_mean, trapezoid
 
 ALL_MARGINALS = [Uniform01(), Exponential(0.7), Pareto(1.3, 2.2), Weibull(1.5, 0.8), Weibull(2.0, 3.0)]
 
@@ -195,6 +196,46 @@ class TestPartialIntegrals:
         assert math.isfinite(fam.mean)
         values = fam.quantile_integral([0.5, 0.999, 1.0])
         assert np.all(np.isfinite(values)) and values[-1] == fam.mean
+
+
+def _draws(kind: str, n: int = 200):
+    """n marginals of ``kind``, parameters uniform over the benchmark's FULL_RANGES from one fixed seed."""
+    inputs, rng = bench_inputs(), np.random.default_rng(35)
+    ranges = [inputs.FULL_RANGES[f"{kind}.{p}"] for p in inputs.PARAMS[kind]]
+    return [models._MARGINAL_REGISTRY[kind](*(float(rng.uniform(*r)) for r in ranges)) for _ in range(n)]
+
+
+class TestNumbersFromKernels:
+    """A family's support and mean are its kernels' Q(0), Q(1) and int_0^1 Q, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(models._MARGINAL_REGISTRY))
+    def test_support_and_mean_are_kernel_values(self, kind):
+        for fam in _draws(kind):
+            with np.errstate(all="ignore"):  # Q(1) and a heavy tail's int_0^1 Q are inf
+                ends, total = fam.quantile([0.0, 1.0]), fam.quantile_integral(1.0)
+            assert bits(fam.support).tolist() == bits(ends).tolist(), fam
+            assert bits(fam.mean) == bits(total), fam
+            assert type(fam.mean) is float and all(type(end) is float for end in fam.support)
+
+    @pytest.mark.parametrize("kind", ["Uniform01", "Exponential", "Weibull"])
+    def test_closed_forms_unchanged(self, kind):
+        closed = {"Uniform01": lambda f: (0.5, (0.0, 1.0)),
+                  "Exponential": lambda f: (1.0 / f.rate, (0.0, math.inf)),
+                  "Weibull": lambda f: (f.scale * math.gamma(1.0 + 1.0 / f.shape), (0.0, math.inf))}[kind]
+        for fam in _draws(kind):
+            mean, support = closed(fam)
+            assert bits(fam.mean) == bits(mean) and bits(fam.support).tolist() == bits(support).tolist(), fam
+
+    def test_pareto_support_is_floats(self):
+        # an int scale is Q(0) = scale * 1.0, so the offset that verify reads is a float
+        assert Pareto(2, 3.0).support == (2.0, math.inf) and type(Pareto(2, 3.0).support[0]) is float
+
+    @pytest.mark.parametrize("scale", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("shape", [1.0001, 1.001, 1.01])
+    def test_pareto_mean_near_shape_one(self, scale, shape):
+        # the exponent is formed from shape - 1: 1 - 1/shape, rounded, misses the mean by up to 2,125 ulp here
+        oracle = pareto_phi_mrl_and_mean(scale, shape, 0.0, 0.5, 0.5)[1]  # at c = 0: scale shape / (shape - 1)
+        assert abs(float(Pareto(scale, shape).quantile_integral(1.0)) - oracle) <= 2 * math.ulp(oracle)
 
 
 class TestOrthantProb:

@@ -101,6 +101,19 @@ class TestMrlMap:
         with pytest.raises(DomainError, match=f"kind '{kind}' needs a mean_hint"):
             ComponentFunction(kind, lambda z: (1.0 - z) / 2.0)
 
+    @pytest.mark.parametrize("hint, message", [({}, "must be a real number, got {}"), (10**400, "is too large"),
+                                               ("x", "must be a real number, got 'x'"),
+                                               (True, "must be a real number, got True")],
+                             ids=["dict", "huge-int", "string", "bool"])
+    def test_mean_hint_checked_where_it_enters(self, hint, message):
+        with pytest.raises(DomainError, match=f"^mean_hint {message}"):
+            ComponentFunction("mrl1", lambda z: (1.0 - z) / 2.0, hint)
+
+    def test_mean_hint_stored_as_float(self):
+        f = ComponentFunction("mrl1", lambda z: (1.0 - z) / 2.0, np.float32(0.5))
+        assert type(f.mean_hint) is float and quantile_from_mrl(f, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert type(ComponentFunction("rev_mrl1", np.ones_like, 2).mean_hint) is float
+
     def test_infinite_mean_at_construction(self, heavy_pareto):
         with pytest.raises(InfiniteMeanError, match="infinite mean"):
             component_from_model(heavy_pareto, "mrl1")
@@ -407,6 +420,15 @@ class TestRoundTrip:
     def test_unknown_component(self, indep_exp):
         with pytest.raises(DomainError, match="third"):
             round_trip(indep_exp, "hazard", "third", 0.5, [0.5])
+
+    def test_argument_order(self, indep_exp):
+        # quantity, component, t, then the level, as hazard_mrl_identity_residual; t is checked before it is wrapped
+        cases = [(("odds", "third", None), "^quantity "), (("hazard", "third", None), "^component "),
+                 (("hazard", "first", None), "^t must be a number or an array of numbers, got None$"),
+                 (("hazard", "first", [0.3]), "^conditioning_u ")]
+        for (quantity, component, ts), message in cases:
+            with pytest.raises(DomainError, match=message):
+                round_trip(indep_exp, quantity, component, 1.5, ts)
 
 
 class TestEntryBoundary:

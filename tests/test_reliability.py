@@ -189,20 +189,17 @@ class TestPartialMoments:
     def _full(model, cu, p):
         """(mrl_second, reversed_mrl_second, conditional_mean) with every term, c·J1 included.
 
-        J0 = int_v^1 Q_Y ends at the closed-form mean where c is zero, as the first component's does, and at the
-        kernel's own int_0^1 where J1 enters; at v = 0 for the conditional mean too."""
+        J0 = int_v^1 Q_Y and J1 end at the kernel's own int_0^1; at v = 0 for the conditional mean too."""
         fam, cop = model.marginal_y, model.copula
         c = cop.cond_linear_coeff("le", np.asarray(cu))
         v = cop.cond_quantile("le", np.asarray(cu), p)
         ends = np.append(v, 1.0)  # int_v^1: the grid and its end in one call
         j0, j1 = fam.quantile_integral(ends), fam.weighted_quantile_integral(ends)
-        top = j0[-1] if np.any(c) else fam.mean
-        tail = (1.0 + c) * (top - j0[:-1]) - 2.0 * c * (j1[-1] - j1[:-1])
+        tail = (1.0 + c) * (j0[-1] - j0[:-1]) - 2.0 * c * (j1[-1] - j1[:-1])
         mrl = tail / (1.0 - p) - fam.quantile(v)
         rev = ((1.0 + c) * fam.quantile_gap_integral(v) - c * fam.weighted_quantile_gap_integral(v)) / p
         j0, j1 = fam.quantile_integral(np.array([0.0, 1.0])), fam.weighted_quantile_integral(np.array([0.0, 1.0]))
-        top = j0[1] if np.any(c) else fam.mean
-        mean = float((1.0 + c) * (top - j0[0]) - 2.0 * c * (j1[1] - j1[0]))
+        mean = float((1.0 + c) * (j0[1] - j0[0]) - 2.0 * c * (j1[1] - j1[0]))
         return mrl, rev, mean
 
     @pytest.mark.parametrize("copula", [*ZERO_COEFF, FGMCopula(0.5)], ids=lambda c: c.describe())
@@ -315,7 +312,7 @@ def marginals(draw):
 class TestParetoAccuracy:
     """mrl_second and conditional_mean of a Pareto Y against 50-digit mpmath, one relative bound for every case.
 
-    165 models: shapes from 1.001 (where the kernel's rounded exponent 1 - 1/shape weighs most) to 4.5, and
+    165 models: shapes from 1.001 (where the kernel's exponent (shape - 1)/shape is nearest 0) to 4.5, and
     c = theta (1 - u0) from -0.98 to 0.98 through 0.
     """
 
