@@ -45,7 +45,7 @@ from .models import (
     orthant_prob,
     swap_axes,
 )
-from .numerics import DEFAULT_CONFIG, NumericConfig, integrate
+from .numerics import NumericConfig, integrate
 from .reconstruction import (
     ComponentFunction,
     component_from_model,
@@ -55,6 +55,5 @@ from .reconstruction import (
     quantile_from_reversed_hazard,
     quantile_from_reversed_mrl,
 )
-from .reliability import conditional_mean
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ back the mass dropped there (:func:`_integrate_with_tail`).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -62,8 +63,8 @@ class ComponentFunction:
 
     ``eval`` must accept ndarray arguments on (0, 1).  ``mean_hint``
     carries the matching mean (of X for ``mrl1``, of the conditional
-    variable for ``mrl2``), stored as a float; the kinds whose map reads the
-    mean require it, and only those maps consume it.
+    variable for ``mrl2``), stored as a float and checked finite; the kinds
+    whose map reads the mean require it, and only those maps consume it.
     """
 
     kind: str
@@ -74,6 +75,8 @@ class ComponentFunction:
         quantity, _ = _PAIR_OF[require_choice("kind", self.kind, COMPONENT_KINDS)]
         if self.mean_hint is not None:
             object.__setattr__(self, "mean_hint", require_real("mean_hint", self.mean_hint, DomainError))
+            if not math.isfinite(self.mean_hint):
+                raise DomainError(f"mean_hint must be finite, got {self.mean_hint!r}")
         elif INVERSE_MAPS[quantity].reads_mean:
             raise DomainError(f"a component of kind {self.kind!r} needs a mean_hint")
 

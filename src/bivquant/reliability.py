@@ -14,7 +14,8 @@ CLI spelling to that pair, both vectorized over their probability argument;
 the X/Y-interchanged pair is the same functions applied to
 ``models.swap_axes(model)``.  :func:`all_quantities` gives all four of a
 component from one state of q, which runs each marginal kernel once, with
-q itself and two numbers read at no point: its mean and its offset q(0).  Each
+q itself and two numbers read at no point: its mean (the second's is that
+of Y given {X <= Q_X(conditioning_u)}) and its offset q(0).  Each
 component checks its probability arguments at its public boundary, and
 reports a value that is not finite (a marginal quantile that overflows) as
 one :class:`DomainError` through :func:`~bivquant.numerics.require_finite`.
@@ -23,14 +24,16 @@ All integrals of phi reduce to closed-form partial moments of the Y
 marginal through the substitution v = phi-probability, because the
 built-in copula conditionals are quadratic in v, whose root is never
 clipped.  Components are within 3e-12 relative of 30-digit mpmath for p
-in [0.05, 0.99] (measured; open near 1).  Both ends of an integral go into one
-kernel call, and an integral to 1 ends at the kernel's own ``int_0^1``, from
-which ``Marginal.mean`` is read too.  c, the copula's coefficient, is
-computed where q' or an integral reads it, and the slope of q' and the
-weighted moments, which enter with c, only when c is not zero at every point.  Q_X is phi at c = 0
-with v = u, so one state serves both components, and under independence
-each second component equals the first one of the interchanged model bit
-for bit, all four quantities.
+in [0.05, 0.99] (measured; open near 1).  A partial-moment kernel runs
+once, on the points and the end 1: an integral to 1 ends at the kernel's
+own ``int_0^1``, from which ``Marginal.mean`` is read too, and one from 0
+is that end alone, since every kernel is 0 at 0.  c, the copula's
+coefficient, is computed where q' or an integral reads it, and the slope
+of q' and the weighted moments, which enter with c, only when c is not
+zero at every point.  Q_X is phi at c = 0 with v = u, so one state
+serves both components, and under independence each second component
+equals the first one of the interchanged model bit for bit, all four
+quantities.
 """
 
 from __future__ import annotations
@@ -64,14 +67,6 @@ def _marginal(model, component: str) -> tuple[models.Marginal, str]:
     return (model.marginal_x, "X") if component == "first" else (model.marginal_y, "Y")
 
 
-def _require_finite_mean(fam: models.Marginal, role: str):
-    if not fam.has_finite_mean:
-        raise InfiniteMeanError(
-            f"marginal {role} ({fam.describe()}) has infinite mean; "
-            "mean residual life is undefined"
-        )
-
-
 def _checked_deriv(vals, what: str):
     arr = np.asarray(vals, dtype=float)
     if not np.all(arr > 0.0):  # NaN fails too
@@ -83,14 +78,14 @@ class _Quantile:
     """A formula's q: the ``role`` marginal's Q at ``at``, the root v of the copula's ``v + c v (1-v) = p``, with c its
     coefficient at ``conditioning_u``.  That is phi; Q_X is the case c = 0, with v = p and no copula.  So
     ``q' = Q'(v) / (1 + c (1 - 2v))``, and an integral of q is one of Q weighted by ``1 + c - 2cw``.  Each kernel runs
-    when a formula first reads it, and is kept; a partial moment runs on ``at``, 0 and 1."""
+    when a formula first reads it, and is kept; a partial moment runs on ``at`` and 1, since every kernel is 0 at 0."""
 
     def __init__(self, fam: models.Marginal, role: str, at, copula: models.Copula | None = None, conditioning_u=None):
         self.fam, self.role, self.at, self.copula, self.conditioning_u = fam, role, at, copula, conditioning_u
 
     def _moment(self, kernel):
-        values = kernel(np.append(self.at, (0.0, 1.0)))
-        return values[:-2].reshape(np.shape(self.at)), values[-2], values[-1]
+        values = kernel(np.append(self.at, 1.0))
+        return values[:-1].reshape(np.shape(self.at)), values[-1]
 
     value = functools.cached_property(lambda self: self.fam.quantile(self.at))
     integral = functools.cached_property(lambda self: self._moment(self.fam.quantile_integral))  # int_0^z Q
@@ -109,20 +104,20 @@ class _Quantile:
             return qd
         return qd / _checked_deriv(1.0 + self.c * (1.0 - 2.0 * self.at), f"conditional CDF of {self.role}")
 
-    def _to_one(self, k: int):
-        """int of q over the p-interval that maps to [w, 1] on the v scale, w = ``at`` (k = 0) or 0 (k = 1).
+    def _to_one(self, increment):
+        """int of q over the p-interval that maps to [w, 1] on the v scale, w = ``at`` or 0.
 
-        That is ``(1+c) J0 - 2c J1``, with ``J0``, ``J1`` the increments of ``int_0^z Q`` and ``int_0^z w Q(w) dw`` from
-        w to the kernel's own end ``int_0^1``, whose ``J0`` is the family's mean.  Where ``c`` is zero (or -0.0) at
-        every point, ``J1`` is skipped; ``1 + c`` is then 1, and gives a grid of levels its shape.
+        That is ``(1+c) J0 - 2c J1``, with ``J0``, ``J1`` the ``increment`` of ``int_0^z Q`` and ``int_0^z w Q(w) dw``
+        from w to the kernel's own end ``int_0^1``: from 0, that end alone, whose ``J0`` is the family's mean.  Where
+        ``c`` is zero (or -0.0) at every point, ``J1`` is skipped; ``1 + c`` is then 1, and gives a grid its shape.
         """
-        out = (1.0 + self.c) * (self.integral[2] - self.integral[k])
+        out = (1.0 + self.c) * increment(self.integral)
         if np.any(self.c):
-            out = out - 2.0 * self.c * (self.weighted[2] - self.weighted[k])
+            out = out - 2.0 * self.c * increment(self.weighted)
         return out
 
-    upper = property(lambda self: self._to_one(0))
-    mean = property(lambda self: self._to_one(1))
+    upper = property(lambda self: self._to_one(lambda moment: moment[1] - moment[0]))
+    mean = property(lambda self: self._to_one(lambda moment: moment[1]))
 
     @property
     def gap(self):
@@ -149,14 +144,16 @@ _FORMULAS = {
     "mean": lambda q, p: q.mean,
     "offset": lambda q, p: q.fam.support[0],  # q(0): phi and Q_Y start where the Y support does
 }
+_NAMES = tuple(_FORMULAS)
 
 
 def all_quantities(model, component: str, conditioning_u, p, cfg: NumericConfig | None = None, names=None) -> dict:
     """``names`` of ``component`` at ``p`` from one state of q, each its own function's bit for bit.
 
-    Names are those of :data:`QUANTITIES`, ``"quantile"`` (q), and the numbers ``"mean"`` (of X, or
-    :func:`conditional_mean`) and ``"offset"`` (q(0)), which any ``p``, ``()`` too, reads; by default all but, for an
-    infinite mean, ``"mrl"`` and ``"mean"``, which raise there.  A first component needs no ``conditioning_u``.
+    Names are those of :data:`QUANTITIES`, ``"quantile"`` (q), and the numbers ``"mean"`` (of X, or of Y given
+    {X <= Q_X(conditioning_u)}, an array for a grid of levels) and ``"offset"`` (q(0)), which any ``p``, ``()`` too,
+    reads; by default all but, for an infinite mean, ``"mrl"`` and ``"mean"``, which raise there.  Any other name, or a
+    ``str`` for ``names``, is a :class:`DomainError`.  A first component needs no ``conditioning_u``.
     """
     cfg, second = config_or_default(cfg), require_choice("component", component, COMPONENTS) == "second"
     cu = _require_interior("conditioning_u", conditioning_u, cfg) if second or conditioning_u is not None else None
@@ -168,9 +165,15 @@ def all_quantities(model, component: str, conditioning_u, p, cfg: NumericConfig 
             raise DomainError(f"conditioning_u of shape {cu.shape} does not broadcast against p_cond of shape "
                               f"{p.shape}") from None
     fam, role = _marginal(model, component)
-    names = [n for n in _FORMULAS if fam.has_finite_mean or n not in ("mrl", "mean")] if names is None else names
-    if "mrl" in names or "mean" in names:
-        _require_finite_mean(fam, role)
+    if names is None:
+        names = [n for n in _FORMULAS if fam.has_finite_mean or n not in ("mrl", "mean")]
+    elif isinstance(names, str) or not np.iterable(names):
+        raise DomainError(f"names must be a sequence of names, got {names!r}")
+    else:
+        names = [require_choice("name", name, _NAMES) for name in names]
+    if not fam.has_finite_mean and ("mrl" in names or "mean" in names):
+        raise InfiniteMeanError(
+            f"marginal {role} ({fam.describe()}) has infinite mean; mean residual life is undefined")
     with np.errstate(all="ignore"):  # a value that is not finite is reported below, as one error
         q = _Quantile(fam, role, model.copula.cond_quantile("le", cu, p), model.copula, cu) if second \
             else _Quantile(fam, role, p)
@@ -199,15 +202,6 @@ hazard_first, hazard_second = _components("hazard")
 mrl_first, mrl_second = _components("mrl")
 reversed_hazard_first, reversed_hazard_second = _components("rev-hazard")
 reversed_mrl_first, reversed_mrl_second = _components("rev-mrl")
-
-
-def conditional_mean(model, conditioning_u, cfg: NumericConfig | None = None):
-    """Mean of Y given {X <= Q_X(conditioning_u)}, finite iff E[Y] is: a float, or an array for a grid."""
-    cfg = config_or_default(cfg)
-    cu = _require_interior("conditioning_u", conditioning_u, cfg)
-    _require_finite_mean(model.marginal_y, "Y")
-    mean = _Quantile(model.marginal_y, "Y", np.zeros(0), model.copula, cu).mean
-    return float(mean) if cu.ndim == 0 else mean
 
 
 # --- the component registry ----------------------------------------------

@@ -10,20 +10,43 @@ PUBLIC = {
     "BivariateModel", "Exponential", "Pareto", "Uniform01", "Weibull", "FGMCopula", "IndependenceCopula",
     "marginal_quantile", "conditional_quantile", "orthant_prob", "swap_axes", "model_from_dict",
     "CURVE_TOL", "QuantileCurve", "curve_from_conditional", "curve_points", "level_residuals",
-    "conditional_mean", "ComponentFunction", "component_from_model", "hazard_mrl_identity_residual",
+    "ComponentFunction", "component_from_model", "hazard_mrl_identity_residual",
     "quantile_from_hazard", "quantile_from_mrl", "quantile_from_reversed_hazard", "quantile_from_reversed_mrl",
     "SampleSet", "sample", "empirical_curve", "empirical_mrl_first",
-    "DEFAULT_CONFIG", "NumericConfig", "integrate",
+    "NumericConfig", "integrate",
     "BivquantError", "BoundaryError", "ConfigError", "ConvergenceError", "DegenerateConditioningError",
     "DegenerateLevelError", "DivergenceError", "DomainError", "InfiniteMeanError", "InsufficientMassError",
     "IntegrandError", "ModelSpecError", "MonotonicityError", "SignError",
 }
 
 
-def test_public_names_are_pinned():
+def _exports() -> set:
     # submodules become attributes once imported, so only non-module names count
-    names = {n for n, v in vars(bivquant).items() if not n.startswith("_") and not inspect.ismodule(v)}
-    assert names == PUBLIC
+    return {n for n, v in vars(bivquant).items() if not n.startswith("_") and not inspect.ismodule(v)}
+
+
+def test_public_names_are_pinned():
+    assert _exports() == PUBLIC
+
+
+#: Paper concepts exported though no reader below calls them: P(X <= x, Y <= y) in each orthant, and the two mixed
+#: directions of the paper's four.
+PAPER_CONCEPTS = {"orthant_prob", "LOWER_UPPER", "UPPER_LOWER"}
+
+
+def test_every_export_has_a_reader():
+    # a public name stays if the CLI, the benchmark, an acceptance test or the README's library tour reads it; an
+    # error class is public because callers catch it
+    root = Path(__file__).resolve().parents[1]
+    tour = (root / "README.md").read_text("utf-8").split("## Library quick tour", 1)[1].split("\n## ", 1)[0]
+    sources = [root / "src" / "bivquant" / "cli.py", root / "tests" / "test_acceptance.py",
+               *(path for path in sorted((root / "benchmarks").iterdir()) if path.suffix in (".py", ".md", ".json"))]
+    readers = [re.search(r"```python\n(.*?)```", tour, re.S).group(1), *(path.read_text("utf-8") for path in sources)]
+    errors = {name for name, value in vars(bivquant).items()
+              if inspect.isclass(value) and issubclass(value, bivquant.BivquantError)}
+    unread = [name for name in sorted(_exports() - PAPER_CONCEPTS - errors)
+              if not any(re.search(rf"\b{name}\b", text) for text in readers)]
+    assert unread == []
 
 
 def test_one_probability_check():

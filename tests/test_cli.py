@@ -752,6 +752,9 @@ CHOICE_CALLS = {
     "FGMCopula.cond_linear_coeff.sense": lambda v: models.FGMCopula(0.4).cond_linear_coeff(v, 0.5),
     "IndependenceCopula.cond_quantile.sense": lambda v: models.IndependenceCopula().cond_quantile(v, 0.5, 0.3),
     "all_quantities.component": lambda v: reliability.all_quantities(_CHOICE_MODEL, v, 0.5, 0.3),
+    "all_quantities.names": lambda v: reliability.all_quantities(_CHOICE_MODEL, "second", 0.5, 0.3, None, (v,)),
+    "all_quantities.names-after-a-name":
+        lambda v: reliability.all_quantities(_CHOICE_MODEL, "first", None, 0.3, None, ("quantile", v)),
     "hazard_mrl_identity_residual.component":
         lambda v: reconstruction.hazard_mrl_identity_residual(_CHOICE_MODEL, v, 0.5, 0.3),
     "ComponentFunction.kind": lambda v: reconstruction.ComponentFunction(v, lambda z: z, 1.0),
@@ -805,8 +808,9 @@ VALUE_CALLS = {
                             "u must be a number or an array of numbers, got None"),
     "hazard_first.u-none-in-list": (lambda: reliability.hazard_first(_CHOICE_MODEL, [0.3, None]),
                                     "u must be a number or an array of numbers, got [0.3, None]"),
-    "conditional_mean.none": (lambda: reliability.conditional_mean(_CHOICE_MODEL, None),
-                              "conditioning_u must be a number or an array of numbers, got None"),
+    "all_quantities.mean-none": (
+        lambda: reliability.all_quantities(_CHOICE_MODEL, "second", None, 0.5, None, ("mean",)),
+        "conditioning_u must be a number or an array of numbers, got None"),
     "hazard_second.levels": (lambda: reliability.hazard_second(_CHOICE_MODEL, [0.4, 0.6], [0.3, 0.5, 0.7]),
                              "conditioning_u of shape (2,) does not broadcast against p_cond of shape (3,)"),
     "reversed_mrl_second.levels": (
@@ -835,6 +839,12 @@ _HAZARD1 = reconstruction.ComponentFunction("hazard1", lambda z: np.ones_like(z)
 _MRL1 = reconstruction.ComponentFunction("mrl1", lambda z: np.ones_like(z), 1.0)
 _SAMPLE = estimation.sample(_CHOICE_MODEL, 200, 1)
 
+
+def _finite(value):
+    assert np.isfinite(value), f"returned {value!r}"  # not a BivquantError, so the fuzz reports it
+    return value
+
+
 #: Library calls with valid arguments, and the numeric or string arguments the fuzz replaces, one at a time; the
 #: object-typed ones (model, direction, sample set, component, config) stay duck-typed and out of its scope.
 FUZZ_CALLS = {
@@ -861,15 +871,20 @@ FUZZ_CALLS = {
                        dict(model=_CHOICE_MODEL, component="second", conditioning_u=0.5, p=0.3)),
     "hazard_first": (reliability.hazard_first, dict(model=_CHOICE_MODEL, u=0.3)),
     "mrl_second": (reliability.mrl_second, dict(model=_CHOICE_MODEL, conditioning_u=0.5, p=0.3)),
-    "conditional_mean": (reliability.conditional_mean, dict(model=_CHOICE_MODEL, conditioning_u=0.5)),
+    "all_quantities.mean": (
+        lambda model, conditioning_u: reliability.all_quantities(model, "second", conditioning_u, 0.5, None, ("mean",)),
+        dict(model=_CHOICE_MODEL, conditioning_u=0.5)),
     "ComponentFunction": (reconstruction.ComponentFunction, dict(kind="mrl1", eval=np.ones_like, mean_hint=1.0)),
     "component_from_model": (reconstruction.component_from_model,
                              dict(model=_CHOICE_MODEL, kind="mrl2", conditioning_u=0.5)),
     "quantile_from_hazard": (reconstruction.quantile_from_hazard, dict(f=_HAZARD1, t=0.3)),
     "quantile_from_mrl": (reconstruction.quantile_from_mrl, dict(f=_MRL1, t=0.3)),
-    "ComponentFunction+quantile_from_mrl": (  # the mean hint is read only by the map
+    "ComponentFunction+quantile_from_mrl": (  # the mean hint is read only by the map; a non-finite one never enters
         lambda kind, mean_hint: reconstruction.quantile_from_mrl(
             reconstruction.ComponentFunction(kind, np.ones_like, mean_hint), 0.3), dict(kind="mrl1", mean_hint=1.0)),
+    "quantile_from_mrl.finite": (  # a hint that enters is finite, and so is the map's value
+        lambda mean_hint: _finite(reconstruction.quantile_from_mrl(
+            reconstruction.ComponentFunction("mrl1", np.ones_like, mean_hint), 0.3)), dict(mean_hint=1.0)),
     "round_trip": (reconstruction.round_trip,
                    dict(model=_CHOICE_MODEL, quantity="hazard", component="second", conditioning_u=0.5, ts=[0.3])),
     "hazard_mrl_identity_residual": (reconstruction.hazard_mrl_identity_residual,

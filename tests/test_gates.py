@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from bivquant import (
-    DEFAULT_CONFIG,
     BivariateModel,
     DomainError,
     Exponential,
@@ -30,6 +29,7 @@ from bivquant import (
     reconstruction,
     reliability,
 )
+from bivquant.numerics import DEFAULT_CONFIG
 
 from conftest import bench_inputs, bench_module, bits
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bivquant import (
     ALL_DIRECTIONS,
-    DEFAULT_CONFIG,
     BivariateModel,
     BoundaryError,
     DegenerateConditioningError,
@@ -31,6 +30,7 @@ from bivquant import (
 )
 from bivquant import models
 from bivquant.models import KERNELS, Copula, _quad_inv
+from bivquant.numerics import DEFAULT_CONFIG
 
 from conftest import bench_inputs, bits
 from oracles import PHI_HALF, bisect, fgm_cdf, fgm_cond_cdf, pareto_phi_mrl_and_mean, trapezoid

@@ -109,6 +109,13 @@ class TestMrlMap:
         with pytest.raises(DomainError, match=f"^mean_hint {message}"):
             ComponentFunction("mrl1", lambda z: (1.0 - z) / 2.0, hint)
 
+    @pytest.mark.parametrize("hint", [float("nan"), float("inf"), -float("inf"), np.float64("nan")], ids=repr)
+    def test_non_finite_mean_hint_is_domain_error(self, hint):
+        # a hint that entered would make the MRL map return it at every t, with no error
+        with pytest.raises(DomainError) as info:
+            quantile_from_mrl(ComponentFunction("mrl1", lambda z: (1.0 - z) / 2.0, hint), [0.3, 0.5])
+        assert str(info.value) == f"mean_hint must be finite, got {float(hint)!r}"
+
     def test_mean_hint_stored_as_float(self):
         f = ComponentFunction("mrl1", lambda z: (1.0 - z) / 2.0, np.float32(0.5))
         assert type(f.mean_hint) is float and quantile_from_mrl(f, 0.5) == pytest.approx(0.5, abs=1e-9)

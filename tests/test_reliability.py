@@ -15,7 +15,6 @@ from bivquant import (
     Pareto,
     Uniform01,
     Weibull,
-    conditional_mean,
     conditional_quantile,
     marginal_quantile,
     swap_axes,
@@ -39,6 +38,13 @@ from oracles import (
 
 GRID = np.linspace(0.05, 0.95, 19)
 FULL_RANGES, PARAMS = bench_inputs().FULL_RANGES, bench_inputs().PARAMS
+
+
+def conditional_mean(model, conditioning_u):
+    """The mean of Y given {X <= Q_X(conditioning_u)}: ``all_quantities``' ``"mean"``, which reads any p, here one
+    that broadcasts with the levels."""
+    p = np.full(np.shape(conditioning_u), 0.5)
+    return rel.all_quantities(model, "second", conditioning_u, p, None, ("mean",))["mean"]
 
 
 class TestProbabilityValidation:
@@ -154,8 +160,7 @@ class TestMrl:
 
     @pytest.mark.parametrize("fam", [Weibull(1.3, 1.7), Pareto(1.0, 3.0)], ids=lambda f: f.kind)
     def test_second_reads_the_mean_end_once(self, monkeypatch, fam):
-        # int_v^1 phi takes the u = 1 end as one scalar, not one copy per grid point; the end 0 rides along
-        # as one more, for the conditional mean
+        # int_v^1 phi takes the u = 1 end as one scalar, not one copy per grid point; the mean needs no end 0
         points = {}
 
         def counting(name):
@@ -170,7 +175,7 @@ class TestMrl:
         for name in ("quantile_integral", "weighted_quantile_integral"):
             monkeypatch.setattr(type(fam), name, counting(name))
         rel.mrl_second(BivariateModel(Exponential(1.0), fam, FGMCopula(0.5)), 0.5, GRID)
-        assert points == {"quantile_integral": len(GRID) + 2, "weighted_quantile_integral": len(GRID) + 2}
+        assert points == {"quantile_integral": len(GRID) + 1, "weighted_quantile_integral": len(GRID) + 1}
 
 
 WEIGHTED = ("weighted_quantile_integral", "weighted_quantile_gap_integral")
@@ -210,6 +215,31 @@ class TestPartialMoments:
         assert np.array_equal(_bits(rel.mrl_second(model, 0.3, GRID)), _bits(mrl))
         assert np.array_equal(_bits(rel.reversed_mrl_second(model, 0.3, GRID)), _bits(rev))
         assert _bits(conditional_mean(model, 0.3)) == _bits(mean)
+
+    @pytest.mark.parametrize("levels", [0.3, np.array([[0.2], [0.7]])], ids=["one-level", "level-grid"])
+    @pytest.mark.parametrize("fam", Y_FAMILIES, ids=lambda f: f.kind)
+    def test_each_moment_call_takes_the_points_and_the_end_1(self, monkeypatch, fam, levels):
+        # every kernel is 0 at 0, so the mean is the end 1 alone: a call never reads the end 0 (the gap forms, which
+        # Pareto builds on its own moment kernel, stay out)
+        calls = []
+
+        def counting(name):
+            method = getattr(type(fam), name)
+
+            def counted(self, u):
+                calls.append((name, np.size(u), float(np.ravel(u)[-1])))
+                return method(self, u)
+
+            return counted
+
+        for name in ("quantile_integral", "weighted_quantile_integral"):
+            monkeypatch.setattr(type(fam), name, counting(name))
+        model = BivariateModel(fam, fam, FGMCopula(0.5))
+        for component, p in (("first", GRID), ("second", GRID), ("second", ())):
+            calls.clear()
+            at_size = np.broadcast(np.asarray(levels), np.asarray(p)).size if component == "second" else np.size(p)
+            rel.all_quantities(model, component, levels, p, None, ("mrl", "mean"))
+            assert calls and all(size == at_size + 1 and end == 1.0 for _, size, end in calls), (component, calls)
 
     @pytest.mark.parametrize("copula", ZERO_COEFF, ids=lambda c: c.describe())
     def test_zero_coefficient_is_signed_zero(self, copula):
@@ -433,10 +463,10 @@ class TestPositivityAndMeans:
 
     @pytest.mark.parametrize("model", BLOCK_MODELS)
     def test_conditional_mean_grid_is_one_call_per_level(self, model):
-        # a float per scalar level, and for a grid an array of its shape, each element the scalar call's bits
+        # one number per scalar level, and for a grid an array of its shape, each element the scalar call's bits
         levels = np.array([0.3, 0.5, 0.9])
         scalars = [conditional_mean(model, float(u0)) for u0 in levels]
-        assert all(type(value) is float for value in scalars)
+        assert all(np.ndim(value) == 0 for value in scalars)
         grid = conditional_mean(model, levels)
         assert isinstance(grid, np.ndarray) and grid.shape == levels.shape
         assert np.array_equal(bits(grid), bits(scalars))
@@ -543,9 +573,24 @@ class TestAllQuantities:
         quantile = conditional_quantile(model, "le", 0.4, GRID) if index else marginal_quantile(model, "x", GRID)
         assert np.array_equal(bits(values["quantile"]), bits(quantile))
         if fam.has_finite_mean:
-            assert bits(values["mean"]) == bits(conditional_mean(model, 0.4) if index else fam.mean)
+            # the mean reads no p: the state at the grid gives the bits of a one-name call at p = ()
+            alone = rel.all_quantities(model, component, 0.4, (), None, ("mean",))["mean"]
+            assert bits(values["mean"]) == bits(alone if index else fam.mean)
         # the support offset is one float, also where the family was given an int scale
         assert type(values["offset"]) is float and values["offset"] == fam.support[0]
+
+    @pytest.mark.parametrize("names, message", [
+        (("bogus",), "name must be one of ('hazard', 'mrl', 'rev-hazard', 'rev-mrl', 'quantile', 'mean', 'offset'), "
+                     "got 'bogus'"),
+        (("quantile", "Mean"), "name must be one of ('hazard', 'mrl', 'rev-hazard', 'rev-mrl', 'quantile', 'mean', "
+                               "'offset'), got 'Mean'"),
+        ("mean", "names must be a sequence of names, got 'mean'"),  # a str is not read letter by letter
+        (3, "names must be a sequence of names, got 3"),
+    ], ids=["unknown", "unknown-second", "str", "int"])
+    def test_unknown_name_is_domain_error(self, indep_exp, names, message):
+        with pytest.raises(DomainError) as info:
+            rel.all_quantities(indep_exp, "second", 0.5, GRID, None, names)
+        assert str(info.value) == message
 
     def test_unknown_component_is_domain_error(self, indep_exp):
         with pytest.raises(DomainError, match=r"^component must be one of \('first', 'second'\), got 'third'$"):
