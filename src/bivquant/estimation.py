@@ -4,10 +4,12 @@ Sampling draws (U, W) uniforms, inverts the conditional-on-U copula
 distribution (quadratic, closed form) to get V, and pushes both through
 the marginal quantiles.  The stream is fully determined by the seed, so
 the same (model, n, seed) gives a byte-identical :class:`SampleSet`.
-Both uniforms are drawn whole, so the stream does not depend on blocking;
-the inverse and the quantiles then fill a column-major (n, 2) array
-:data:`~bivquant.numerics.BLOCK` rows at a time, so their temporaries stay
-cache-sized, and a quantile that overflows is reported per block.
+The uniforms, the inverse and the quantiles fill a column-major (n, 2)
+array :data:`~bivquant.numerics.BLOCK` rows at a time, so every temporary
+stays cache-sized, and a quantile that overflows is reported per block.
+U is the first n doubles of the seed's PCG64 stream and W the next n, read
+by a second generator advanced n draws (``random`` takes one 64-bit draw
+per double), so the pairs are the ones whole-array draws give.
 
 Empirical quantiles are the inf-type (lower) sample quantiles, matching
 the definition the analytic quantile function uses: of m values, the order
@@ -36,7 +38,8 @@ import numpy as np
 from . import models
 from .curves import QuantileCurve, conditional_args, require_admissible
 from .errors import DomainError, InsufficientMassError
-from .numerics import NumericConfig, blocks, clip_prob, require_finite, require_integer, require_prob
+from .numerics import (NumericConfig, blocks, clip_prob, require_finite, require_integer, require_numbers,
+                       require_prob)
 
 #: Smallest conditioning subsample accepted by the empirical estimators.
 MIN_COND_N = 30
@@ -44,7 +47,7 @@ MIN_COND_N = 30
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n >= 1 (x, y) pairs, drawn by :func:`sample` or read from a sample file.
+    """n >= 1 finite (x, y) pairs, drawn by :func:`sample` or read from a sample file.
 
     The pairs are kept column-major, so ``x`` and ``y`` are contiguous.
     """
@@ -52,9 +55,11 @@ class SampleSet:
     pairs: np.ndarray  # shape (n, 2)
 
     def __post_init__(self):
-        pairs = np.asfortranarray(self.pairs)
+        pairs = np.asfortranarray(require_numbers("sample pairs", self.pairs))
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
             raise DomainError(f"sample pairs must have shape (n, 2) with n >= 1, got {pairs.shape}")
+        if not np.isfinite(pairs).all():
+            raise DomainError("sample pairs must be finite")
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -75,14 +80,15 @@ def sample(
 ) -> SampleSet:
     """Draw n pairs; identical (model, n, seed) yields bit-identical output."""
     n, seed = require_integer("n", n, 1), require_integer("seed", seed, 0, None)
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    w = rng.random(n)
+    u_stream, w_stream = np.random.default_rng(seed), np.random.default_rng(seed)
+    w_stream.bit_generator.advance(n)  # w is the stream's second n doubles
     pairs = np.empty((n, 2), order="F")
     fx, fy = model.marginal_x, model.marginal_y
     for part in blocks(n):
-        v = model.copula.cond_quantile("eq", u[part], w[part])
-        pairs[part, 0] = require_finite(fx.quantile, clip_prob(u[part], cfg), what="sampled x", family=fx)
+        size = len(pairs[part])
+        u, w = u_stream.random(size), w_stream.random(size)
+        v = model.copula.cond_quantile("eq", u, w)
+        pairs[part, 0] = require_finite(fx.quantile, clip_prob(u, cfg), what="sampled x", family=fx)
         pairs[part, 1] = require_finite(fy.quantile, clip_prob(v, cfg), what="sampled y", family=fy)
     return SampleSet(pairs)
 
@@ -99,11 +105,12 @@ def _select_in_prefixes(values: np.ndarray, sizes: np.ndarray, js: np.ndarray) -
     """out[i] = the js[i]-th smallest of values[:sizes[i]], for nondecreasing sizes.
 
     The prefixes are nested, so each position is counted once, when its
-    prefix first takes it in, into the chunk of its rank.
+    prefix first takes it in, into the chunk of its rank.  The answer is
+    read at its position through the rank order, so no sorted copy of the
+    values is made.
     """
     n = len(values)
     by_rank = np.argsort(values)  # position of the r-th smallest value
-    values_sorted = values[by_rank]
     width = isqrt(n - 1) + 1  # ceil(sqrt(n))
     n_chunks = (n - 1) // width + 1
     chunk_of = np.empty(n, dtype=np.intp)
@@ -121,7 +128,7 @@ def _select_in_prefixes(values: np.ndarray, sizes: np.ndarray, js: np.ndarray) -
         r = j - int(below[c - 1]) if c else j  # rank of the wanted value among the chunk's members
         lo = c * width
         members = by_rank[lo : lo + width]
-        out[i] = values_sorted[lo + np.flatnonzero(members < size)[r]]
+        out[i] = values[members[np.flatnonzero(members < size)[r]]]
     return out
 
 
@@ -135,9 +142,6 @@ def empirical_curve(
     p, us = require_admissible(p, direction, u_grid)
     order = np.argsort(sample_set.x)
     xs_sorted = sample_set.x[order]
-    if np.isnan(xs_sorted[-1]):  # sorted last; a NaN x lies on neither side of any x-hat
-        raise DomainError("sample x values must not be NaN")
-
     n = len(xs_sorted)
     x_hat = xs_sorted[_inf_index(us, n)]
     k = np.searchsorted(xs_sorted, x_hat, "right")

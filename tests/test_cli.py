@@ -436,7 +436,7 @@ class TestCsvWriter:
         (["curve", "-p", "0.25", "--dir", "mm", "-n", "20000"], 2.5),
     ], ids=["sample", "curve"])
     def test_traced_peak(self, tmp_path, model_file, command, bound_mib):
-        # streamed: 3.5 (sample) and 1.5 (curve) MiB; the whole table as joined text: 11.5 and 4.0
+        # streamed: 2.1 (sample) and 1.5 (curve) MiB; the whole table as joined text: 11.5 and 4.0
         argv = [command[0], "--model", model_file(FGM_MODEL), *command[1:], "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 0  # the first call builds per-family constants; keep them out of the peak
         assert traced_peak_mib(main, argv) < bound_mib
@@ -865,6 +865,7 @@ FUZZ_CALLS = {
     "curve_points": (curves.curve_points, dict(model=_CHOICE_MODEL, p=0.2, direction=_LL, n_points=5)),
     "curve_from_conditional": (curves.curve_from_conditional, dict(model=_CHOICE_MODEL, p=0.2, direction=_LL, u=0.5)),
     "sample": (estimation.sample, dict(model=_CHOICE_MODEL, n=5, seed=1)),
+    "SampleSet": (estimation.SampleSet, dict(pairs=_SAMPLE.pairs)),
     "empirical_curve": (estimation.empirical_curve, dict(sample_set=_SAMPLE, p=0.2, direction=_LL, u_grid=[0.5, 0.7])),
     "empirical_mrl_first": (estimation.empirical_mrl_first, dict(sample_set=_SAMPLE, u=0.3)),
     "all_quantities": (reliability.all_quantities,
@@ -893,9 +894,19 @@ FUZZ_CALLS = {
 _OBJECT_TYPED = {"model", "direction", "sample_set", "f", "eval"}
 
 
+def _returned_floats(value):
+    """The float arrays a call returned: itself, or those of a tuple's items, a dict's values, curve points or pairs."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [arr for item in value for arr in _returned_floats(item)]
+    arr = np.asarray(getattr(value, "points", getattr(value, "pairs", value)))
+    return [arr] if arr.dtype.kind == "f" else []
+
+
 class TestMalformedNumberFuzz:
     """Derandomized: each numeric or string argument of each call takes every value of BAD_NUMBERS in turn, and each
-    call returns or raises a BivquantError; any other exception, a numpy warning included, fails."""
+    call returns only finite floats or raises a BivquantError; any other exception, a numpy warning included, fails."""
 
     @pytest.mark.parametrize("call, name", [(call, name) for call, (_, kwargs) in FUZZ_CALLS.items()
                                             for name in kwargs if name not in _OBJECT_TYPED])
@@ -904,9 +915,12 @@ class TestMalformedNumberFuzz:
         raw = []
         for value in BAD_NUMBERS:
             try:
-                fn(**{**kwargs, name: value})
+                returned = fn(**{**kwargs, name: value})
             except BivquantError:
-                pass
+                continue
             except Exception as exc:  # the finding: an error of any other kind
                 raw.append(f"{value!r}: {type(exc).__name__}: {exc}")
+                continue
+            if not all(np.isfinite(arr).all() for arr in _returned_floats(returned)):
+                raw.append(f"{value!r}: returned {returned!r}")
         assert raw == []

@@ -141,6 +141,12 @@ class TestBlockedSample:
         assert pairs.shape == (n, 2)
         assert np.array_equal(bits(pairs), bits(sample_unblocked(model, n, SEED)))
 
+    def test_seed_past_64_bits(self, fgm_uniform):
+        # a seed numpy hashes into its state: both block streams still start from it
+        n = 3 * BLOCK + 5
+        pairs = sample(fgm_uniform, n, seed=10**400).pairs
+        assert np.array_equal(bits(pairs), bits(sample_unblocked(fgm_uniform, n, 10**400)))
+
 
 class TestColumnMajor:
     def _assert_contiguous(self, s):
@@ -166,15 +172,46 @@ class TestColumnMajor:
             SampleSet(np.zeros(shape))
 
 
+class TestPairsChecked:
+    """Pairs are checked once, where a SampleSet is built; the estimators read them as given."""
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([["1", "2"], ["3", "4"]]),
+        np.array([[1.0, 2.0], [3.0, None]], dtype=object),
+        np.array([[1.0, 2.0], [3.0, 4.0]]) + 0j,
+        [[1.0, 2.0], [3.0, None]],
+        None,
+    ], ids=["strings", "objects", "complex", "none-inside", "none"])
+    def test_not_numbers(self, pairs):
+        with pytest.raises(DomainError, match="sample pairs must be a number or an array of numbers"):
+            SampleSet(pairs)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("column", [0, 1], ids=["x", "y"])
+    def test_not_finite(self, column, bad):
+        pairs = np.ones((40, 2))
+        pairs[7, column] = bad
+        with pytest.raises(DomainError) as info:
+            SampleSet(pairs)
+        assert str(info.value) == "sample pairs must be finite"
+
+    def test_integers_read_as_floats(self):
+        s = SampleSet(np.arange(8).reshape(4, 2))
+        assert s.pairs.dtype == float
+        assert s.x.tolist() == [0.0, 2.0, 4.0, 6.0]
+
+
 class TestWorkingSet:
     """Per-call traced peaks at n = 1e5, in MiB; whole-array evaluation exceeds every bound.
 
     Whole-array peaks on this model: sample 6.1, curve_points 8.4,
-    level_residuals 3.8, empirical_curve 5.4.  Block by block: 3.5, 3.2, 1.1
-    and 3.1, so sample holds its n-sized u, w and pairs plus cache-sized
-    blocks.  empirical_curve reads 4.7 if it keeps the x order and sorted x
-    through the selection, and 3.8 if the chunk index takes n-sized temporaries.
-    curve_points reads 3.9 if its u-grid stays alive through the fill.
+    level_residuals 3.8, empirical_curve 5.4.  Block by block: 2.1, 3.2, 1.1
+    and 2.4, so sample holds its 1.5 MiB of pairs plus cache-sized blocks;
+    it reads 3.5 if it draws its n-sized u and w up front.  empirical_curve
+    reads 3.1 if the selection makes a sorted copy of y, 4.7 if it also keeps
+    the x order and sorted x through the selection, and 3.8 if the chunk index
+    takes n-sized temporaries.  curve_points reads 3.9 if its u-grid stays
+    alive through the fill.
     """
 
     MODEL = BivariateModel(Weibull(1.5, 0.8), Pareto(1.3, 2.2), FGMCopula(-0.6))
@@ -187,7 +224,13 @@ class TestWorkingSet:
         empirical_curve(sample(self.MODEL, 100, SEED), 0.25, UPPER_UPPER, [0.3])
 
     def test_sample(self):
-        assert traced_peak_mib(sample, self.MODEL, N_BIG, SEED) < 4.0
+        assert traced_peak_mib(sample, self.MODEL, N_BIG, SEED) < 2.5
+
+    def test_sample_holds_only_its_output(self):
+        # at 4e5 pairs (6.1 MiB) the blocks stay the same size: 7.0 MiB, where up-front uniforms read 12.6
+        n = 4 * N_BIG
+        output = n * 2 * 8 / 2**20
+        assert traced_peak_mib(sample, self.MODEL, n, SEED) < output + 1.5
 
     def test_curve_points(self):
         assert traced_peak_mib(curve_points, self.MODEL, 0.25, UPPER_UPPER, N_BIG) < 3.6
@@ -200,7 +243,7 @@ class TestWorkingSet:
     def test_empirical_curve(self, direction):
         s = sample(self.MODEL, N_BIG, SEED)
         grid = np.linspace(*admissible_interval(0.25, direction), 200)
-        assert traced_peak_mib(empirical_curve, s, 0.25, direction, grid) < 3.5
+        assert traced_peak_mib(empirical_curve, s, 0.25, direction, grid) < 2.8
 
 
 class TestEmpiricalCurve:
@@ -269,9 +312,9 @@ class TestEmpiricalCurve:
             empirical_curve(s, p, UPPER_UPPER, [0.2])
 
     def test_nan_x_rejected(self):
-        s = _sample_set([0.5, np.nan] + [1.0] * 40, np.arange(42))
-        with pytest.raises(DomainError, match="must not be NaN"):
-            empirical_curve(s, 0.1, UPPER_UPPER, [0.2])
+        # a NaN x lies on neither side of any x-hat: the set that would hold it is never built
+        with pytest.raises(DomainError, match="sample pairs must be finite"):
+            _sample_set([0.5, np.nan] + [1.0] * 40, np.arange(42))
 
     def test_insufficient_mass(self, fgm_uniform):
         s = sample(fgm_uniform, 50, seed=SEED)
