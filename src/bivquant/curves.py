@@ -44,16 +44,20 @@ EDGE_MARGIN = 1e-4
 
 @dataclass(frozen=True)
 class QuantileCurve:
-    """Ordered (u, x, y) triples of one level-p, direction-eps curve."""
+    """Ordered finite (u, x, y) triples of one level-p, direction-eps curve; ``p`` is kept as a float."""
 
     p: float
     direction: models.Direction
     points: np.ndarray  # shape (n, 3), u strictly increasing
 
     def __post_init__(self):
-        pts = np.asfortranarray(self.points, dtype=float)  # x and y contiguous
+        object.__setattr__(self, "p", require_prob("p", self.p))
+        pts = np.asfortranarray(require_numbers("points", self.points))  # x and y contiguous
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DomainError(f"points must have shape (n, 3), got {pts.shape}")
+        # one reduction each way, no temporary of the points' size: NaN propagates through both
+        if not (np.isfinite(pts.min(initial=0.0)) and np.isfinite(pts.max(initial=0.0))):
+            raise DomainError("points must be finite")
         if pts.shape[0] >= 2 and not np.all(np.diff(pts[:, 0]) > 0):
             raise DomainError("curve parameters u must be strictly increasing")
         object.__setattr__(self, "points", pts)

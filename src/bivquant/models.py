@@ -35,13 +35,6 @@ _PUBLIC_SENSES = ("le", "ge")
 _SENSES = ("le", "ge", "eq")  #: a copula takes all three
 
 
-def _require_positive(name: str, value) -> float:
-    value = require_real(name, value, DomainError)
-    if not math.isfinite(value) or value <= 0:
-        raise DomainError(f"{name} must be a strictly positive real, got {value!r}")
-    return value
-
-
 class _Family:
     """A named parametric family; subclasses are frozen dataclasses."""
 
@@ -84,7 +77,7 @@ class Marginal(_Family, ABC):
     The kernels are the one source of the numbers a family reports: its
     ``support`` is ``(Q(0), Q(1))`` and its ``mean`` is ``int_0^1 Q``, each
     read once at construction; ``inf`` marks an unbounded side or a tail
-    without a mean.
+    without a mean.  Each parameter is kept as the positive float ``require_real`` returns before a kernel reads it.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -96,6 +89,8 @@ class Marginal(_Family, ABC):
                 setattr(cls, name, _on_1d(body))
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, require_real(f.name, getattr(self, f.name), DomainError, positive=True))
         with np.errstate(all="ignore"):  # an unbounded side or a tail without a mean reads inf
             low, high = self.quantile(np.array([0.0, 1.0]))
             mean = self.quantile_integral(1.0)
@@ -168,10 +163,6 @@ class Exponential(Marginal):
     rate: float
     kind = "Exponential"
 
-    def __post_init__(self):
-        _require_positive("rate", self.rate)
-        super().__post_init__()
-
     def quantile(self, u):
         return -np.log1p(-u) / self.rate
 
@@ -222,11 +213,6 @@ class Pareto(Marginal):
     scale: float
     shape: float
     kind = "Pareto"
-
-    def __post_init__(self):
-        _require_positive("scale", self.scale)
-        _require_positive("shape", self.shape)
-        super().__post_init__()
 
     def quantile(self, u):
         return self.scale * (1.0 - u) ** (-1.0 / self.shape)
@@ -349,9 +335,9 @@ class Weibull(Marginal):
     kind = "Weibull"
 
     def __post_init__(self):
-        _require_positive("scale", self.scale)
-        if 1.0 / _require_positive("shape", self.shape) > 170.62:  # Γ(1 + 1/shape) overflows
-            raise ModelSpecError(f"Weibull shape {self.shape!r} is below 0.00586: gamma(1 + 1/shape) overflows")
+        shape = require_real("shape", self.shape, DomainError, positive=True)
+        if 1.0 / shape > 170.62:  # Γ(1 + 1/shape), which the mean reads, overflows
+            raise DomainError(f"Weibull shape {shape!r} is below 0.00586: gamma(1 + 1/shape) overflows")
         super().__post_init__()
 
     def quantile(self, u):
@@ -457,8 +443,9 @@ class FGMCopula(Copula):
 
     def __post_init__(self):
         theta = require_real("theta", self.theta, DomainError)
-        if not math.isfinite(theta) or not -1.0 <= theta <= 1.0:
-            raise DomainError(f"theta must lie in [-1, 1], got {self.theta!r}")
+        if not -1.0 <= theta <= 1.0:
+            raise DomainError(f"theta must lie in [-1, 1], got {theta!r}")
+        object.__setattr__(self, "theta", theta)
 
     def cdf(self, u, v):
         u = np.asarray(u, dtype=float)

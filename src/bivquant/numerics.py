@@ -10,9 +10,10 @@ read-only, and at most 4 are kept: two arrays of up to
 ``4 * quad_points + 2`` nodes plus two per t, so about 66 KB per plan at
 the default and 4.2 MB at ``MAX_QUAD_POINTS``; ``verify`` evaluates each
 component once on the union of its three plans' nodes.
-:func:`require_real` is the one real-number check of model parameters and
-config fields, :func:`require_integer` the one integer check of counts (up
-to :data:`MAX_COUNT`) and seeds, :func:`require_numbers` the one check of
+:func:`require_real` is the one check of real parameters (of families, the
+copula, the config, mean hints), each kept as the finite float it returns;
+:func:`require_integer` the one integer check of counts (up to
+:data:`MAX_COUNT`) and seeds, :func:`require_numbers` the one check of
 numeric arrays, and on it :func:`require_probs` the one probability check
 of levels, component arguments and t-grids (:func:`require_prob` for one
 number), :func:`require_choice` of string choices (axis, sense, component,
@@ -52,14 +53,18 @@ MAX_COUNT = 2**53
 MAX_QUAD_POINTS = 2**16
 
 
-def require_real(name: str, value, error: type[Exception]) -> float:
-    """``value`` as a float; ``error`` if it is a bool, not a real number, or too large for a float."""
+def require_real(name: str, value, error: type[Exception], positive: bool = False) -> float:
+    """``value`` as a finite float, above 0 if ``positive``; ``error`` if it is a bool, not a real number, too large
+    for a float, not finite, or (with ``positive``) not above 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        real = float(value)
     except OverflowError as exc:
         raise error(f"{name} is too large for a float") from exc
+    if not math.isfinite(real) or (positive and real <= 0.0):
+        raise error(f"{name} must be a finite{', strictly positive' if positive else ''} real, got {real!r}")
+    return real
 
 
 def require_integer(name: str, value, least: int, most: int | None = MAX_COUNT) -> int:
@@ -83,7 +88,10 @@ def require_numbers(name: str, value) -> np.ndarray:
             raise TypeError
         return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} must be a number or an array of numbers, got {value!r}") from exc
+        # an array is named by its dtype and shape: its repr spans lines and may list thousands of values
+        got = (f"an array of dtype {value.dtype} and shape {value.shape}" if isinstance(value, np.ndarray)
+               else repr(value))
+        raise DomainError(f"{name} must be a number or an array of numbers, got {got}") from exc
 
 
 def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
@@ -132,7 +140,7 @@ def require_finite(fn: Callable, *args, what: str, family):
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Tolerances and resolutions shared across the package.
+    """Tolerances and resolutions shared across the package, kept as the floats :func:`require_real` returns.
 
     Attributes
     ----------
@@ -141,7 +149,7 @@ class NumericConfig:
         model quantiles clip theirs, the components check theirs, each once,
         where it enters; phi's level is never clipped.  Below 0.5.
     quad_points:
-        Resolution of the quadrature mesh, at most ``MAX_QUAD_POINTS``: each
+        Resolution of the quadrature mesh, an int at most ``MAX_QUAD_POINTS``: each
         half of [0, 1] has ``2 * quad_points`` panels, summed by Boole's rule
         four at a time (a pair of Simpson pairs) and by Simpson's on a lone
         last pair.
@@ -160,9 +168,7 @@ class NumericConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(require_real(f.name, value, ConfigError)) or value <= 0:
-                raise ConfigError(f"{f.name} must be strictly positive, got {value!r}")
+            object.__setattr__(self, f.name, require_real(f.name, getattr(self, f.name), ConfigError, positive=True))
         for name in ("eps_boundary", "sing_clip"):  # from 0.5 up, [x, 1 - x] holds one point or none
             if getattr(self, name) >= 0.5:
                 raise ConfigError(f"{name} must be below 0.5, got {getattr(self, name)!r}")
@@ -170,10 +176,11 @@ class NumericConfig:
             raise ConfigError(
                 f"sing_clip ({self.sing_clip}) must be >= eps_boundary ({self.eps_boundary})"
             )
-        if int(self.quad_points) != self.quad_points:
+        if not self.quad_points.is_integer():
             raise ConfigError(f"quad_points must be an integer, got {self.quad_points!r}")
         if self.quad_points > MAX_QUAD_POINTS:
             raise ConfigError(f"quad_points must be at most {MAX_QUAD_POINTS}, got {self.quad_points!r}")
+        object.__setattr__(self, "quad_points", int(self.quad_points))
 
 
 DEFAULT_CONFIG = NumericConfig()
@@ -221,7 +228,7 @@ def _plan(cfg: NumericConfig, end: float, shape: tuple, data: bytes):
     ts, _ = t_grid(np.frombuffer(data).reshape(shape))
     if not ts.size:
         return None
-    rho = np.linspace(cfg.sing_clip ** (1.0 / GRADE), 0.5 ** (1.0 / GRADE), 2 * int(cfg.quad_points) + 1)
+    rho = np.linspace(cfg.sing_clip ** (1.0 / GRADE), 0.5 ** (1.0 / GRADE), 2 * cfg.quad_points + 1)
     (z_near, w), (z_far, _) = _graded(rho, False, end), _graded(rho, True, end)
     m = rho.size - 1
     q = m - m % 4

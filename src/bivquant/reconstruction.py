@@ -32,7 +32,6 @@ back the mass dropped there (:func:`_integrate_with_tail`).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -75,8 +74,6 @@ class ComponentFunction:
         quantity, _ = _PAIR_OF[require_choice("kind", self.kind, COMPONENT_KINDS)]
         if self.mean_hint is not None:
             object.__setattr__(self, "mean_hint", require_real("mean_hint", self.mean_hint, DomainError))
-            if not math.isfinite(self.mean_hint):
-                raise DomainError(f"mean_hint must be finite, got {self.mean_hint!r}")
         elif INVERSE_MAPS[quantity].reads_mean:
             raise DomainError(f"a component of kind {self.kind!r} needs a mean_hint")
 
@@ -93,7 +90,7 @@ def _positive_samples(f: ComponentFunction, z):
     vals = _samples(f, z)
     if not (vals.min() > 0.0 and vals.max() < np.inf):  # NaN fails too; z is the 1-d node array of ``integrate``
         bad = ~(np.isfinite(vals) & (vals > 0.0))
-        raise SignError(f"{f.kind} sample is not strictly positive at z = {z[bad][0]!r}")
+        raise SignError(f"{f.kind} sample is not a finite number above 0 at z = {z[bad][0]!r}")
     return vals
 
 
@@ -142,7 +139,7 @@ class InverseMap(NamedTuple):
 
     integrand: Callable
     t_range: tuple  #: the t-range of its round trips
-    point: str | None = None  #: f(t), read "before" or "after" the integral, or no point term
+    point: bool = False  #: the map adds the point term f(t), read before the integral
     reads_mean: bool = False  #: the point term is mean - f(t), which carries the support offset
     probe: Callable | None = None  #: raises on the two tail masses of a divergent integral
 
@@ -150,9 +147,9 @@ class InverseMap(NamedTuple):
 #: Each quantity's inverse map; keys match :data:`reliability.QUANTITIES`.
 INVERSE_MAPS = {
     "hazard": InverseMap(lambda z, f: 1.0 / ((1.0 - z) * _positive_samples(f, z)), (0.01, 0.95)),
-    "mrl": InverseMap(lambda z, f: _samples(f, z) / (1.0 - z), (0.01, 0.95), "before", reads_mean=True),
+    "mrl": InverseMap(lambda z, f: _samples(f, z) / (1.0 - z), (0.01, 0.95), point=True, reads_mean=True),
     "rev-hazard": InverseMap(lambda z, f: 1.0 / (z * _positive_samples(f, z)), (0.05, 0.99), probe=_unbounded_below),
-    "rev-mrl": InverseMap(lambda z, f: _samples(f, z) / z, (0.05, 0.99), "after"),
+    "rev-mrl": InverseMap(lambda z, f: _samples(f, z) / z, (0.05, 0.99), point=True),
 }
 
 
@@ -162,12 +159,11 @@ def _quantile_from(quantity: str, f: ComponentFunction, t, cfg: NumericConfig | 
     if f.kind not in allowed:
         raise DomainError(f"expected a component of kind {allowed}, got {f.kind!r}")
     ts, scalar = t_grid(t)
-    point = _samples(f, ts) if inverse.point == "before" else None
+    point = _samples(f, ts) if inverse.point else None  # so the component checks the caller's t before any quadrature
     values, inner, outer = _integrate_with_tail(lambda z: inverse.integrand(z, f), ts, 0.0, cfg)
     if inverse.probe:
         inverse.probe(inner, outer)
     if inverse.point:
-        point = _samples(f, ts) if point is None else point
         values = (f.mean_hint - point if inverse.reads_mean else point) + values
     return _shaped(values, scalar)
 

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -103,3 +104,30 @@ def test_one_admissible_u_rule():
     package = Path(bivquant.__file__).parent
     for rule in ("requires u > p", "requires u < 1 - p"):
         assert [path.name for path in sorted(package.glob("*.py")) if rule in path.read_text()] == ["curves.py"]
+
+
+def test_one_positive_real_rule():
+    # "a parameter is a finite, strictly positive real" is spelled once, in numerics.require_real, which every family
+    # parameter and config field goes through
+    package = Path(bivquant.__file__).parent
+    spelled = [path.name for path in sorted(package.glob("*.py")) if "strictly positive" in path.read_text()]
+    assert spelled == ["numerics.py"]
+
+
+def test_every_import_is_read():
+    # no linter is part of the toolchain: each module reads every name it imports (the package's re-exports in
+    # __init__.py excepted); a name read only in a docstring does not count
+    unread = []
+    for path in sorted(Path(bivquant.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unread == []

@@ -5,6 +5,7 @@ import io
 import json
 import struct
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,7 +141,9 @@ class TestCurveCommand:
         rc = main([*command, "--model", model_file(spec), "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Weibull shape 0.005 is below 0.00586" in err
+        # the bound is a parameter error like any other, so the line names its section
+        assert err == ("error: invalid marginal_x parameters for Weibull: "
+                       "Weibull shape 0.005 is below 0.00586: gamma(1 + 1/shape) overflows\n")
 
     def test_usage_error_exit_2(self, tmp_path, model_file):
         rc = main(["curve", "--model", model_file(EXP_MODEL), "--dir", "++",
@@ -831,9 +834,10 @@ def test_malformed_library_value_is_one_domain_error(call):
 
 
 #: Malformed numeric arguments: no number (a string spelling one too), a number no float holds or a complex one, an
-#: array of strings, None inside a list, a shape no argument takes, and numbers outside every range.
+#: array of strings, None inside a list, a shape no argument takes, and numbers outside every range; and a Fraction,
+#: a real that only a parameter kept as its float computes with.
 BAD_NUMBERS = [None, "x", "0.5", b"x", {}, object(), slice(1), 10**400, -(10**400), 0.5 + 0j, np.array(["a"]),
-               [0.3, None], [[0.3]], [], float("nan"), float("inf"), -1]
+               [0.3, None], [[0.3]], [], float("nan"), float("inf"), -1, Fraction(1, 3)]
 
 _HAZARD1 = reconstruction.ComponentFunction("hazard1", lambda z: np.ones_like(z))
 _MRL1 = reconstruction.ComponentFunction("mrl1", lambda z: np.ones_like(z), 1.0)
@@ -843,6 +847,13 @@ _SAMPLE = estimation.sample(_CHOICE_MODEL, 200, 1)
 def _finite(value):
     assert np.isfinite(value), f"returned {value!r}"  # not a BivquantError, so the fuzz reports it
     return value
+
+
+def _sample_and_component(marginal=models.Exponential(1.0), copula=models.FGMCopula(0.4), cfg=None):
+    """A sample and the second component of a model of ``marginal`` on both axes: a parameter kept as anything but a
+    float fails here, past its constructor."""
+    model = models.BivariateModel(marginal, marginal, copula)
+    return estimation.sample(model, 5, 1, cfg).pairs, reliability.all_quantities(model, "second", 0.5, 0.3, cfg)
 
 
 #: Library calls with valid arguments, and the numeric or string arguments the fuzz replaces, one at a time; the
@@ -859,12 +870,25 @@ FUZZ_CALLS = {
     "Direction": (models.Direction, dict(eps1=-1, eps2=1)),
     "Direction.from_string": (models.Direction.from_string, dict(s="--")),
     "NumericConfig": (NumericConfig, dict(eps_boundary=1e-9, quad_points=64, sing_clip=1e-7)),
+    "Exponential.run": (lambda rate: _sample_and_component(models.Exponential(rate)), dict(rate=1.0)),
+    "Pareto.run": (lambda scale, shape: _sample_and_component(models.Pareto(scale, shape)),
+                   dict(scale=1.0, shape=3.0)),
+    "Weibull.run": (lambda scale, shape: _sample_and_component(models.Weibull(scale, shape)),
+                    dict(scale=1.0, shape=2.0)),
+    "FGMCopula.run": (lambda theta: _sample_and_component(copula=models.FGMCopula(theta)), dict(theta=0.4)),
+    "NumericConfig.run": (
+        lambda eps_boundary, quad_points, sing_clip: _sample_and_component(
+            cfg=NumericConfig(eps_boundary, quad_points, sing_clip)),
+        dict(eps_boundary=1e-9, quad_points=64, sing_clip=1e-7)),
     "integrate": (integrate, dict(f=np.sin, ts=[0.3, 0.6], end=0.0)),
     "admissible_interval": (curves.admissible_interval, dict(p=0.2, direction=_LL)),
     "uniform_grid": (curves.uniform_grid, dict(p=0.2, direction=_LL, n_points=5)),
     "curve_points": (curves.curve_points, dict(model=_CHOICE_MODEL, p=0.2, direction=_LL, n_points=5)),
     "curve_from_conditional": (curves.curve_from_conditional, dict(model=_CHOICE_MODEL, p=0.2, direction=_LL, u=0.5)),
     "sample": (estimation.sample, dict(model=_CHOICE_MODEL, n=5, seed=1)),
+    "QuantileCurve+level_residuals": (  # a curve is read past its constructor, as a kept parameter is
+        lambda p, points: curves.level_residuals(_CHOICE_MODEL, curves.QuantileCurve(p, _LL, points)),
+        dict(p=0.2, points=[[0.3, 1.0, 2.0], [0.5, 1.5, 1.0]])),
     "SampleSet": (estimation.SampleSet, dict(pairs=_SAMPLE.pairs)),
     "empirical_curve": (estimation.empirical_curve, dict(sample_set=_SAMPLE, p=0.2, direction=_LL, u_grid=[0.5, 0.7])),
     "empirical_mrl_first": (estimation.empirical_mrl_first, dict(sample_set=_SAMPLE, u=0.3)),

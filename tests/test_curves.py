@@ -159,3 +159,29 @@ class TestSymmetryAndValidation:
     def test_curve_shape_validation(self):
         with pytest.raises(DomainError):
             QuantileCurve(p=0.5, direction=LOWER_LOWER, points=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["u", "x", "y"])
+    def test_curve_points_finite(self, column, bad):
+        # a non-finite point would read as a residual of p or 1 - p, with no error
+        points = np.array([[0.3, 1.0, 2.0], [0.5, 1.5, 1.0], [0.7, 2.0, 0.5]])
+        points[1, column] = bad
+        with pytest.raises(DomainError) as info:
+            QuantileCurve(p=0.2, direction=LOWER_LOWER, points=points)
+        assert str(info.value) == "points must be finite"
+
+    @pytest.mark.parametrize("p, message", [
+        ("x", "p must be a number or an array of numbers, got 'x'"),
+        (None, "p must be a number or an array of numbers, got None"),
+        (1.5, "p must lie in (0,1), got 1.5"),
+        ([0.2, 0.3], "p must be one number, got shape (2,)"),
+    ], ids=["string", "none", "above-1", "list"])
+    def test_curve_level_checked(self, p, message):
+        with pytest.raises(DomainError) as info:
+            QuantileCurve(p=p, direction=LOWER_LOWER, points=np.array([[0.3, 1.0, 2.0]]))
+        assert str(info.value) == message
+
+    def test_curve_keeps_float_level_and_points(self):
+        curve = QuantileCurve(p=np.float32(0.25), direction=LOWER_LOWER, points=[[1, 2, 3], [2, 3, 4]])
+        assert type(curve.p) is float and curve.p == 0.25
+        assert curve.points.dtype == float and curve.points.flags.f_contiguous

@@ -195,6 +195,16 @@ class TestPairsChecked:
             SampleSet(pairs)
         assert str(info.value) == "sample pairs must be finite"
 
+    @pytest.mark.parametrize("pairs, got", [
+        (np.array([["1", "2"], ["3", "4"]]), "an array of dtype <U1 and shape (2, 2)"),
+        (np.zeros((5000, 2), dtype=complex), "an array of dtype complex128 and shape (5000, 2)"),
+    ], ids=["strings", "complex"])
+    def test_rejected_array_named_in_one_line(self, pairs, got):
+        # an array's repr spans lines and lists its values; the message names its dtype and shape
+        with pytest.raises(DomainError) as info:
+            SampleSet(pairs)
+        assert str(info.value) == f"sample pairs must be a number or an array of numbers, got {got}"
+
     def test_integers_read_as_floats(self):
         s = SampleSet(np.arange(8).reshape(4, 2))
         assert s.pairs.dtype == float

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from bivquant import (
     orthant_prob,
     swap_axes,
 )
-from bivquant import models
+from bivquant import curves, estimation, models, reliability
 from bivquant.models import KERNELS, Copula, _quad_inv
 from bivquant.numerics import DEFAULT_CONFIG
 
@@ -186,10 +188,15 @@ class TestPartialIntegrals:
 
     @pytest.mark.parametrize("shape", [0.005, 0.0058, 1e-300, 5e-324])
     def test_weibull_shape_whose_gamma_overflows(self, shape):
-        # Γ(1 + 1/shape) overflows a double for shape below about 0.00586
-        with pytest.raises(ModelSpecError, match=f"^Weibull shape {shape!r} is below 0.00586") as info:
+        # Γ(1 + 1/shape) overflows a double for shape below about 0.00586: a parameter error, as any other
+        with pytest.raises(DomainError, match=f"^Weibull shape {shape!r} is below 0.00586") as info:
             Weibull(1.0, shape)
         assert "\n" not in str(info.value)
+        spec = {"marginal_x": {"kind": "Weibull", "scale": 1.0, "shape": shape}, "marginal_y": {"kind": "Uniform01"},
+                "copula": {"kind": "Independence"}}
+        with pytest.raises(ModelSpecError) as wrapped:
+            model_from_dict(spec)
+        assert str(wrapped.value) == f"invalid marginal_x parameters for Weibull: {info.value}"
 
     def test_weibull_smallest_shape_has_finite_integrals(self):
         fam = Weibull(1.0, 0.00587)
@@ -522,3 +529,53 @@ class TestModelSpec:
         bad["copula"] = {"kind": kind}
         with pytest.raises(ModelSpecError, match="unknown copula kind"):
             model_from_dict(bad)
+
+
+#: Parameters of each real type a caller may pass, per family, copula and config: ints (no positive int lies below
+#: the 0.5 of eps_boundary and sing_clip), numpy scalars and Fractions.
+PARAMETER_TYPES = {
+    "int": [(Exponential, (2,)), (Pareto, (1, 3)), (Weibull, (2, 1)), (FGMCopula, (-1,)),
+            (NumericConfig, (1e-9, 64, 1e-7))],
+    "numpy": [(Exponential, (np.float32(0.5),)), (Pareto, (np.int64(1), np.float16(2.5))),
+              (Weibull, (np.int32(2), np.float64(1.5))), (FGMCopula, (np.float32(0.25),)),
+              (NumericConfig, (np.float32(1e-9), np.int64(64), np.float64(1e-7)))],
+    "Fraction": [(Exponential, (Fraction(1, 3),)), (Pareto, (Fraction(3, 2), Fraction(5, 2))),
+                 (Weibull, (Fraction(7, 5), Fraction(3, 2))), (FGMCopula, (Fraction(-1, 3),)),
+                 (NumericConfig, (Fraction(1, 10**9), Fraction(128, 2), Fraction(1, 10**7)))],
+}
+
+
+class TestParametersKeptAsFloats:
+    """Every real parameter is kept as the float ``require_real`` returns, whatever real type it came as."""
+
+    @pytest.mark.parametrize("kind", list(PARAMETER_TYPES))
+    def test_stored_as_float(self, kind):
+        for cls, args in PARAMETER_TYPES[kind]:
+            obj = cls(*args)
+            kept = {f.name: getattr(obj, f.name) for f in fields(obj)}
+            assert kept == dict(zip(kept, map(float, args)))
+            assert {name: type(v) for name, v in kept.items()} == {
+                name: int if name == "quad_points" else float for name in kept}, cls
+
+    @pytest.mark.parametrize("kind", ["int", "Fraction"])
+    def test_same_bits_as_the_float_twin(self, kind):
+        # sample, curve points and all eight components of a model and a config built from these types equal their
+        # float twins' bit for bit
+        built = dict(PARAMETER_TYPES[kind])
+        twins = {cls: cls(*map(float, args)) for cls, args in built.items()}
+        built = {cls: cls(*args) for cls, args in built.items()}
+        cfg, twin_cfg = built[NumericConfig], twins[NumericConfig]
+        for pair in ((Exponential, Pareto), (Weibull, Exponential)):
+            model = BivariateModel(built[pair[0]], built[pair[1]], built[FGMCopula])
+            twin = BivariateModel(twins[pair[0]], twins[pair[1]], twins[FGMCopula])
+            assert bits(estimation.sample(model, 500, 3, cfg).pairs).tolist() == bits(
+                estimation.sample(twin, 500, 3, twin_cfg).pairs).tolist()
+            for direction in ALL_DIRECTIONS:
+                assert bits(curves.curve_points(model, 0.2, direction, 50, cfg).points).tolist() == bits(
+                    curves.curve_points(twin, 0.2, direction, 50, twin_cfg).points).tolist()
+            ts = np.linspace(0.01, 0.99, 41)
+            for component in ("first", "second"):
+                got = reliability.all_quantities(model, component, 0.5, ts, cfg)
+                want = reliability.all_quantities(twin, component, 0.5, ts, twin_cfg)
+                assert list(got) == list(want) and set(reliability.QUANTITIES) <= set(got)
+                assert all(bits(got[name]).tolist() == bits(want[name]).tolist() for name in got)
