@@ -2,13 +2,18 @@
 
 Subcommands: ``curve``, ``field``, ``reconstruct``, ``verify``, ``sample``.
 Exit codes: 0 success, 1 verification failure, 2 usage error (an output
-too large to allocate among them), 3 I/O or model-specification error.
+too large to allocate among them; ``sample`` allocates no n-row output),
+3 I/O or model-specification error.
 All outputs (CSV, JSON, SVG, reports) are byte-identical across re-runs
 for identical inputs; numbers are serialized with 9 significant digits in CSV.
 
 :func:`main` loads the model and numerics config and hands both to the
 subcommand.  Every table of numbers goes through one CSV writer,
-:func:`_write_csv`, which streams the rows of a float array 1,024 at a time.
+:func:`_write_csv`, which streams the rows of its float tables 1,024 at a
+time.  ``sample`` never holds its n pairs: it reads
+:func:`bivquant.estimation.sample_blocks` to the end once, so a draw that
+overflows is one error before any output, then draws the same blocks again
+into the writer.
 ``verify`` formats the records of :func:`bivquant.reconstruction.verify`;
 the check names, grids and tolerances live in
 :data:`bivquant.reconstruction.CHECKS` alone.
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 import warnings
@@ -112,18 +116,21 @@ def _write(path: str | None, chunks):
             fh.writelines(chunks)
 
 
-def _write_csv(path: str | None, header: str, table: np.ndarray, suffix: str = ""):
-    """The header, then one line per row of the 2-d float ``table``, each ending in ``suffix``.
+def _write_csv(path: str | None, header: str, tables, suffix: str = ""):
+    """The header, then one line per row of each 2-d float table of ``tables`` in turn, each ending in ``suffix``.
 
     Rows are converted and written 1,024 at a time: a whole 1e5-row sample
-    would hold about 12 MB as floats and 10 MB as joined text.
+    would hold about 12 MB as floats and 10 MB as joined text.  ``tables``
+    may be an iterator, read one table at a time while writing.
     """
-    template = _row(table.shape[1]) + suffix + "\n"
-    rows = (
-        "".join([template % tuple(row) for row in table[start : start + 1024].tolist()])
-        for start in range(0, len(table), 1024)
-    )
-    _write(path, itertools.chain([header + "\n"], rows))
+    def lines():
+        yield header + "\n"
+        for table in tables:
+            template = _row(table.shape[1]) + suffix + "\n"
+            for start in range(0, len(table), 1024):
+                yield "".join([template % tuple(row) for row in table[start : start + 1024].tolist()])
+
+    _write(path, lines())
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +201,7 @@ def cmd_curve(args, model, cfg) -> int:
         curve = curves.curve_points(model, args.level, direction, args.points, cfg)
     residuals = curves.level_residuals(model, curve)
     if args.format == "csv":
-        _write_csv(args.out, "u,x,y,orthant_prob_residual", np.column_stack([curve.points, residuals]))
+        _write_csv(args.out, "u,x,y,orthant_prob_residual", [np.column_stack([curve.points, residuals])])
     else:
         _write(args.out, [json.dumps(curve.to_dict(), sort_keys=True, indent=2) + "\n"])
     if args.svg:
@@ -211,7 +218,7 @@ def cmd_field(args, model, cfg) -> int:
     seconds = second_fn(model, probs[:, None], probs[None, :], cfg)
     g = args.grid  # row-major over (u, p_cond)
     table = np.column_stack([np.repeat(probs, g), np.tile(probs, g), np.repeat(firsts, g), seconds.ravel()])
-    _write_csv(args.out, "u,p_cond,first,second,kind", table, f",{args.kind}")
+    _write_csv(args.out, "u,p_cond,first,second,kind", [table], f",{args.kind}")
     return 0
 
 
@@ -220,7 +227,7 @@ def cmd_reconstruct(args, model, cfg) -> int:
     ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind].t_range, args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
     table = np.column_stack([ts, rec, ref, np.abs(rec - ref)])
-    _write_csv(args.out, "t,reconstructed,reference,abs_error", table)
+    _write_csv(args.out, "t,reconstructed,reference,abs_error", [table])
     return 0
 
 
@@ -247,7 +254,10 @@ def cmd_verify(args, model, cfg) -> int:
 
 
 def cmd_sample(args, model, cfg) -> int:
-    _write_csv(args.out, "x,y", estimation.sample(model, args.n, args.seed, cfg).pairs)
+    # the check pass draws every block and keeps none: a draw that overflows is raised before a byte is written
+    for _ in estimation.sample_blocks(model, args.n, args.seed, cfg):
+        pass
+    _write_csv(args.out, "x,y", estimation.sample_blocks(model, args.n, args.seed, cfg))
     return 0
 
 

@@ -4,9 +4,11 @@ Sampling draws (U, W) uniforms, inverts the conditional-on-U copula
 distribution (quadratic, closed form) to get V, and pushes both through
 the marginal quantiles.  The stream is fully determined by the seed, so
 the same (model, n, seed) gives a byte-identical :class:`SampleSet`.
-The uniforms, the inverse and the quantiles fill a column-major (n, 2)
-array :data:`~bivquant.numerics.BLOCK` rows at a time, so every temporary
-stays cache-sized, and a quantile that overflows is reported per block.
+:func:`sample_blocks` is the one code that draws: it yields the pairs as
+(rows, 2) blocks of :data:`~bivquant.numerics.BLOCK` rows, each drawn and
+checked finite when it is read, so every temporary stays cache-sized and a
+quantile that overflows is reported by its block.  :func:`sample` fills a
+column-major (n, 2) array from them; the CLI writes them straight to CSV.
 U is the first n doubles of the seed's PCG64 stream and W the next n, read
 by a second generator advanced n draws (``random`` takes one 64-bit draw
 per double), so the pairs are the ones whole-array draws give.
@@ -30,6 +32,7 @@ curve points do.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -75,21 +78,38 @@ class SampleSet:
         return self.pairs[:, 1]
 
 
+def sample_blocks(
+    model: models.BivariateModel, n: int, seed: int, cfg: NumericConfig | None = None
+) -> Iterator[np.ndarray]:
+    """The pairs of :func:`sample` as (rows, 2) blocks of at most :data:`~bivquant.numerics.BLOCK` rows.
+
+    ``n`` and ``seed`` are checked here; each block is drawn, and its
+    quantiles checked finite, only when the iterator reaches it.
+    """
+    n, seed = require_integer("n", n, 1), require_integer("seed", seed, 0, None)
+    u_stream, w_stream = np.random.default_rng(seed), np.random.default_rng(seed)
+    w_stream.bit_generator.advance(n)  # w is the stream's second n doubles
+    fx, fy = model.marginal_x, model.marginal_y
+
+    def draw(part: slice) -> np.ndarray:
+        size = min(part.stop, n) - part.start
+        u, w = u_stream.random(size), w_stream.random(size)
+        v = model.copula.cond_quantile("eq", u, w)
+        x = require_finite(fx.quantile, clip_prob(u, cfg), what="sampled x", family=fx)
+        y = require_finite(fy.quantile, clip_prob(v, cfg), what="sampled y", family=fy)
+        return np.column_stack([x, y])
+
+    return map(draw, blocks(n))
+
+
 def sample(
     model: models.BivariateModel, n: int, seed: int, cfg: NumericConfig | None = None
 ) -> SampleSet:
     """Draw n pairs; identical (model, n, seed) yields bit-identical output."""
-    n, seed = require_integer("n", n, 1), require_integer("seed", seed, 0, None)
-    u_stream, w_stream = np.random.default_rng(seed), np.random.default_rng(seed)
-    w_stream.bit_generator.advance(n)  # w is the stream's second n doubles
-    pairs = np.empty((n, 2), order="F")
-    fx, fy = model.marginal_x, model.marginal_y
-    for part in blocks(n):
-        size = len(pairs[part])
-        u, w = u_stream.random(size), w_stream.random(size)
-        v = model.copula.cond_quantile("eq", u, w)
-        pairs[part, 0] = require_finite(fx.quantile, clip_prob(u, cfg), what="sampled x", family=fx)
-        pairs[part, 1] = require_finite(fy.quantile, clip_prob(v, cfg), what="sampled y", family=fy)
+    drawn = sample_blocks(model, n, seed, cfg)  # checks n and seed before the pairs are allocated
+    pairs = np.empty((int(n), 2), order="F")
+    for part, block in zip(blocks(len(pairs)), drawn):
+        pairs[part] = block
     return SampleSet(pairs)
 
 

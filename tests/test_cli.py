@@ -394,15 +394,35 @@ class TestSampleCommand:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "x,y"
 
-    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 2500])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 2500, 8191, 8192, 8193, 3 * 8192 + 5])
     def test_rows_are_the_sample_set(self, tmp_path, model_file, n):
-        # the writer converts 1,024 rows at a time; each row is the pair printed value by value
-        out = tmp_path / "s.csv"
-        assert main(["sample", "--model", model_file(FGM_MODEL), "--n", str(n), "--seed", "9",
-                     "--out", str(out)]) == 0
+        # the writer converts 1,024 rows at a time of draws that reach it in blocks of 8,192; stdout and the file
+        # are the pairs printed value by value either way
         pairs = estimation.sample(models.model_from_dict(FGM_MODEL), n, 9).pairs
-        expected = ["x,y", *(f"{cli._fmt(x)},{cli._fmt(y)}" for x, y in pairs)]
-        assert out.read_text().splitlines() == expected
+        expected = "x,y\n" + "".join("%.9g,%.9g\n" % (x, y) for x, y in pairs.tolist())
+        argv = ["sample", "--model", model_file(FGM_MODEL), "--n", str(n), "--seed", "9"]
+        assert _run(argv) == (0, expected, "")
+        out = tmp_path / "s.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["no-file", "file"])
+    def test_late_block_overflow_writes_nothing(self, tmp_path, model_file, existing):
+        # the first draw that overflows is row 30,160, in block 4 of 13: found by the check pass, before any write
+        spec = {"marginal_x": {"kind": "Pareto", "scale": 1e300, "shape": 0.5},
+                "marginal_y": {"kind": "Uniform01"}, "copula": {"kind": "Independence"}}
+        out = tmp_path / "s.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc, text, err = _run(["sample", "--model", model_file(spec), "--n", "100000", "--seed", "1",
+                              "--out", str(out)])
+        assert (rc, text) == (2, "")
+        assert err == "error: sampled x is not finite: the quantile of Pareto(scale=1e+300,shape=0.5) overflows\n"
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+        assert _run(["sample", "--model", model_file(spec), "--n", "100000", "--seed", "1"]) == (2, "", err)
 
     def test_zero_n_exit_2(self, tmp_path, model_file):
         rc = main(["sample", "--model", model_file(FGM_MODEL), "--n", "0", "--seed", "1",
@@ -435,11 +455,13 @@ class TestCsvWriter:
         assert out.read_bytes() == text.encode()
 
     @pytest.mark.parametrize("command, bound_mib", [
-        (["sample", "--n", "100000", "--seed", "1"], 5.0),
+        (["sample", "--n", "100000", "--seed", "1"], 1.0),
+        (["sample", "--n", "400000", "--seed", "1"], 1.0),
         (["curve", "-p", "0.25", "--dir", "mm", "-n", "20000"], 2.5),
-    ], ids=["sample", "curve"])
+    ], ids=["sample", "sample-4e5", "curve"])
     def test_traced_peak(self, tmp_path, model_file, command, bound_mib):
-        # streamed: 2.1 (sample) and 1.5 (curve) MiB; the whole table as joined text: 11.5 and 4.0
+        # sample draws block by block into the CSV, flat in n: 0.67 (1e5) and 0.75 (4e5) MiB, where the whole pairs
+        # held before the write read 2.1 and 7.0; curve streams its table, 1.5; as joined text: 11.5 and 4.0
         argv = [command[0], "--model", model_file(FGM_MODEL), *command[1:], "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 0  # the first call builds per-family constants; keep them out of the peak
         assert traced_peak_mib(main, argv) < bound_mib
@@ -667,7 +689,7 @@ class TestMalformedInputs:
         "command, owner, name",
         [
             (["curve", "-p", "0.25", "--dir", "mm", "-n", "1000000000000"], cli.curves, "curve_points"),
-            (["sample", "--n", "1000000000000"], cli.estimation, "sample"),
+            (["sample", "--n", "1000000000000"], cli.estimation, "sample_blocks"),
             (["field", "--kind", "hazard", "--grid", "1000000"], reliability.QUANTITIES, "hazard"),
         ],
         ids=["curve", "sample", "field"],

@@ -140,12 +140,33 @@ class TestBlockedSample:
         pairs = sample(model, n, seed=SEED).pairs
         assert pairs.shape == (n, 2)
         assert np.array_equal(bits(pairs), bits(sample_unblocked(model, n, SEED)))
+        drawn = list(estimation.sample_blocks(model, n, SEED))  # what the CLI writes
+        assert [block.shape for block in drawn] == [(min(BLOCK, n - start), 2) for start in range(0, n, BLOCK)]
+        assert np.array_equal(bits(np.concatenate(drawn)), bits(pairs))
 
     def test_seed_past_64_bits(self, fgm_uniform):
         # a seed numpy hashes into its state: both block streams still start from it
         n = 3 * BLOCK + 5
         pairs = sample(fgm_uniform, n, seed=10**400).pairs
         assert np.array_equal(bits(pairs), bits(sample_unblocked(fgm_uniform, n, 10**400)))
+
+    @pytest.mark.parametrize("n, seed, message", [
+        (0, -1, "n must be an integer >= 1"),
+        (float("nan"), 1, "n must be an integer >= 1"),
+        (5, -1, "seed must be an integer >= 0"),
+    ])
+    def test_blocks_check_their_arguments_before_a_draw(self, indep_uniform, n, seed, message):
+        # n before seed, when called, not when the first block is read
+        with pytest.raises(DomainError, match=message):
+            estimation.sample_blocks(indep_uniform, n, seed)
+
+    def test_overflow_is_raised_by_its_block(self):
+        # X's first draw whose quantile overflows is row 30,160: three whole blocks come first
+        model = BivariateModel(Pareto(1e300, 0.5), Uniform01(), IndependenceCopula())
+        drawn = estimation.sample_blocks(model, 100_000, 1)
+        assert [len(next(drawn)) for _ in range(3)] == [BLOCK] * 3
+        with pytest.raises(DomainError, match=r"sampled x is not finite: the quantile of Pareto\(scale=1e\+300"):
+            next(drawn)
 
 
 class TestColumnMajor:
