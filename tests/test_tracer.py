@@ -9,9 +9,13 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import platform
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bivquant
 from bivquant import (
@@ -204,20 +208,76 @@ def test_verify_sweep_work_per_op(tmp_path):
     assert _work(_traced(run), len(argvs)) == VERIFY_SWEEP_WORK
 
 
+def _monte_carlo_op(model, direction):
+    draws = estimation.sample(model, 100_000, 1000)
+    lo, hi = curves.admissible_interval(0.25, direction)
+    curves.level_residuals(model, estimation.empirical_curve(draws, 0.25, direction, np.linspace(lo, hi, 200)))
+    for u in (0.25, 0.5, 0.75):
+        estimation.empirical_mrl_first(draws, u)
+    curves.level_residuals(model, curves.curve_points(model, 0.25, direction, 100_000))
+
+
 def test_monte_carlo_work_per_op():
     # the first op of the seed-1 monte-carlo pool: 1e5 pairs, a 200-point empirical curve, three empirical MRLs,
     # and a 1e5-point analytic curve, each curve with its level residuals
     inputs = bench_inputs()
     model = models.model_from_dict(inputs.draw_pool(inputs.MC_LAYOUT, 1, "monte-carlo")[0])
     direction = models.Direction.from_string("mm")
-
-    def run():
-        draws = estimation.sample(model, 100_000, 1000)
-        lo, hi = curves.admissible_interval(0.25, direction)
-        curves.level_residuals(model, estimation.empirical_curve(draws, 0.25, direction, np.linspace(lo, hi, 200)))
-        for u in (0.25, 0.5, 0.75):
-            estimation.empirical_mrl_first(draws, u)
-        curves.level_residuals(model, curves.curve_points(model, 0.25, direction, 100_000))
-
-    work = _work(_traced(run), 1)
+    work = _work(_traced(lambda: _monte_carlo_op(model, direction)), 1)
     assert {name: work[name] for name in MONTE_CARLO_WORK} == MONTE_CARLO_WORK
+
+
+#: Where the call pins were counted: a numpy function the package calls counts as one Python call, so another
+#: numpy (or interpreter) may count differently.
+CALLS_COUNTED_ON = {"python": "3.11.7", "numpy": "2.4.6"}
+PACKAGE = str(Path(bivquant.__file__).resolve().parent) + os.sep
+
+
+def _calls(run):
+    """The calls of ``run()`` after one warm pass (the first fills the caches): ``(package, out, c)``.
+
+    ``package`` counts Python calls into a frame under ``src/bivquant``, ``out`` Python calls from such a frame into
+    one outside it, and ``c`` C calls made from a package frame.  Calls numpy makes on its own do not count.
+    """
+    here = {"python": platform.python_version(), "numpy": np.__version__}
+    drift = "; ".join(f"{key} {CALLS_COUNTED_ON[key]} here {here[key]}" for key in here
+                      if here[key] != CALLS_COUNTED_ON[key])
+    if drift:
+        pytest.skip(f"call pins were counted on another platform: {drift}")
+    run()
+    counts = [0, 0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code.co_filename.startswith(PACKAGE):
+                counts[0] += 1
+            elif frame.f_back is not None and frame.f_back.f_code.co_filename.startswith(PACKAGE):
+                counts[1] += 1
+        elif event == "c_call" and frame.f_code.co_filename.startswith(PACKAGE):
+            counts[2] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return tuple(counts)
+
+
+#: The calls of each in-process workload, exactly, as :func:`_calls` counts them: ``verify`` over the seed-1
+#: verify-sweep pool, and one monte-carlo op.  A change that moves one updates it here and states old -> new.
+VERIFY_SWEEP_CALLS = (12_172, 14_323, 10_128)
+MONTE_CARLO_CALLS = (801, 2_165, 845)
+
+
+def test_verify_sweep_calls():
+    inputs = bench_inputs()
+    pool = [models.model_from_dict(spec) for spec in inputs.draw_pool(inputs.VERIFY_LAYOUT, 1, "verify-sweep")]
+    assert _calls(lambda: [reconstruction.verify(model) for model in pool]) == VERIFY_SWEEP_CALLS
+
+
+def test_monte_carlo_calls():
+    inputs = bench_inputs()
+    model = models.model_from_dict(inputs.draw_pool(inputs.MC_LAYOUT, 1, "monte-carlo")[0])
+    direction = models.Direction.from_string("mm")
+    assert _calls(lambda: _monte_carlo_op(model, direction)) == MONTE_CARLO_CALLS
