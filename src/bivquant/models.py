@@ -76,8 +76,9 @@ class Marginal(_Family, ABC):
     so a 0-d call is a one-point grid: it equals the grid value bit for bit.
     The kernels are the one source of the numbers a family reports: its
     ``support`` is ``(Q(0), Q(1))`` and its ``mean`` is ``int_0^1 Q``, each
-    read once at construction; ``inf`` marks an unbounded side or a tail
-    without a mean.  Each parameter is kept as the positive float ``require_real`` returns before a kernel reads it.
+    read once at construction, as is ``has_finite_mean``; ``inf`` marks an
+    unbounded side or a tail without a mean.  Each parameter is kept as the
+    positive float ``require_real`` returns before a kernel reads it.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -96,6 +97,7 @@ class Marginal(_Family, ABC):
             mean = self.quantile_integral(1.0)
         object.__setattr__(self, "support", (float(low), float(high)))
         object.__setattr__(self, "mean", float(mean))
+        object.__setattr__(self, "has_finite_mean", math.isfinite(mean))
 
     @abstractmethod
     def quantile(self, u):
@@ -128,10 +130,6 @@ class Marginal(_Family, ABC):
     def weighted_quantile_gap_integral(self, u):
         """``int_0^u 2 z (Q(u) - Q(z)) dz`` (equals ``u^2 Q(u) - 2 int_0^u z Q``)."""
         return u * u * self.quantile(u) - 2.0 * self.weighted_quantile_integral(u)
-
-    @property
-    def has_finite_mean(self) -> bool:
-        return math.isfinite(self.mean)
 
 
 @dataclass(frozen=True)
@@ -477,7 +475,7 @@ class Direction:
     eps2: int
 
     def __post_init__(self):
-        if self.eps1 not in (-1, 1) or self.eps2 not in (-1, 1):
+        if any(isinstance(e, (bool, np.bool_)) or e not in (-1, 1) for e in (self.eps1, self.eps2)):
             raise DomainError(f"direction signs must be -1 or +1, got ({self.eps1}, {self.eps2})")
 
     @classmethod

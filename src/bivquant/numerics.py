@@ -16,8 +16,9 @@ copula, the config, mean hints), each kept as the finite float it returns;
 :data:`MAX_COUNT`) and seeds, :func:`require_numbers` the one check of
 numeric arrays, and on it :func:`require_probs` the one probability check
 of levels, component arguments and t-grids (:func:`require_prob` for one
-number), :func:`require_choice` of string choices (axis, sense, component,
-kind) and :func:`require_finite` the one overflow check of quantiles.
+number); none takes a bool for a number.  :func:`require_choice` checks
+string choices (axis, sense, component, kind), and :func:`require_finite`
+is the one overflow check of quantiles, raising :func:`overflow_error`.
 :func:`blocks` cuts a long elementwise fill into cache-sized row blocks.
 """
 
@@ -68,9 +69,9 @@ def require_real(name: str, value, error: type[Exception], positive: bool = Fals
 
 
 def require_integer(name: str, value, least: int, most: int | None = MAX_COUNT) -> int:
-    """``value`` as an int; :class:`DomainError` unless it is an integer >= ``least`` and <= ``most`` (if not None)."""
+    """``value`` as an int; :class:`DomainError` unless it is an integer, not a bool, in [``least``, ``most``]."""
     try:
-        valid = int(value) == value and value >= least
+        valid = not isinstance(value, (bool, np.bool_)) and int(value) == value and value >= least
     except (TypeError, ValueError, OverflowError):  # None, a list; NaN and the infinities have no integer value
         valid = False
     if not valid:
@@ -81,10 +82,10 @@ def require_integer(name: str, value, least: int, most: int | None = MAX_COUNT) 
 
 
 def require_numbers(name: str, value) -> np.ndarray:
-    """``value`` as a float array; :class:`DomainError` unless it is a number or an array of numbers."""
+    """``value`` as a float array; :class:`DomainError` unless it is a number or an array of numbers, not bools."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind not in "biuf":  # numpy would read None as NaN, and a string as the number it spells
+        if arr.dtype.kind not in "iuf":  # numpy would read None as NaN, a string as the number it spells, True as 1
             raise TypeError
         return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -134,8 +135,13 @@ def require_finite(fn: Callable, *args, what: str, family):
     with np.errstate(all="ignore"):  # a non-finite value is reported below, as one error
         values = fn(*args)
     if not np.isfinite(values).all():
-        raise DomainError(f"{what} is not finite: the quantile of {family.describe()} overflows")
+        raise overflow_error(what, family)
     return values
+
+
+def overflow_error(what: str, family) -> DomainError:
+    """The error of :func:`require_finite`: ``what`` is not finite, since the quantile of ``family`` overflows."""
+    return DomainError(f"{what} is not finite: the quantile of {family.describe()} overflows")
 
 
 @dataclass(frozen=True)
@@ -287,7 +293,7 @@ def integrate(f: Callable, ts, end: float, cfg: NumericConfig | None = None) -> 
     ``f`` raises :class:`IntegrandError` naming its z, and so does a result
     that overflows, without a numpy warning.
     """
-    if not (isinstance(end, numbers.Real) and end in (0.0, 1.0)):  # an array is never compared
+    if isinstance(end, bool) or not (isinstance(end, numbers.Real) and end in (0.0, 1.0)):  # an array is never compared
         raise DomainError(f"end must be 0 or 1, got {end!r}")
     grid = np.atleast_1d(require_numbers("t", ts))
     plan = _plan(config_or_default(cfg), end, grid.shape, grid.tobytes())

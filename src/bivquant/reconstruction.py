@@ -16,10 +16,13 @@ check verifies (1-t) m(t) = int_t^1 dz/h(z).
 
 :data:`CHECKS` lists every ``verify`` check with its name, grid and
 tolerance; :func:`verify` runs them and returns one record per check.
-Checks and public calls read a component through one reader, by the names
-of ``reliability.all_quantities`` (the support offset Q(0) is ``offset``):
-off the node table on which ``verify`` evaluates each component once, or
-through ``all_quantities``, the one call that evaluates and checks one.
+A value is checked once, where it enters: the public functions (the four
+``quantile_from_*`` maps, :func:`round_trip`, :func:`verify`,
+:func:`hazard_mrl_identity_residual` and :func:`component_from_model`)
+check their arguments and resolve the config; the private bodies they run
+take checked values, and read a component through one reader by the names
+of ``reliability.all_quantities`` (Q(0) is ``offset``): off the node table
+of ``verify``, or through ``all_quantities``, which evaluates and checks.
 
 Inputs are callables, not models: the maps are statements about
 functions, so they accept model-derived components and standalone
@@ -40,8 +43,8 @@ import numpy as np
 from . import models, reliability
 from .errors import (BivquantError, ConfigError, DivergenceError, DomainError, InfiniteMeanError, IntegrandError,
                      SignError)
-from .numerics import (NumericConfig, config_or_default, integrate, require_choice, require_prob, require_real,
-                       t_grid)
+from .numerics import (DEFAULT_CONFIG, NumericConfig, config_or_default, integrate, require_choice, require_prob,
+                       require_real, t_grid)
 from .reliability import COMPONENTS
 
 #: :class:`ComponentFunction` kind of each (quantity, component) pair: the
@@ -82,19 +85,15 @@ def _shaped(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def _samples(f: ComponentFunction, z):
-    return np.asarray(f.eval(z), dtype=float)
-
-
-def _positive_samples(f: ComponentFunction, z):
-    vals = _samples(f, z)
-    if not (vals.min() > 0.0 and vals.max() < np.inf):  # NaN fails too; z is the 1-d node array of ``integrate``
+def _samples(g: Callable, z, kind: str | None = None):
+    vals = np.asarray(g(z), dtype=float)
+    if kind and not (vals.min() > 0.0 and vals.max() < np.inf):  # the hazard maps name a kind; NaN fails too
         bad = ~(np.isfinite(vals) & (vals > 0.0))
-        raise SignError(f"{f.kind} sample is not a finite number above 0 at z = {z[bad][0]!r}")
+        raise SignError(f"{kind} sample is not a finite number above 0 at z = {z[bad][0]!r}")
     return vals
 
 
-def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: NumericConfig | None):
+def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: NumericConfig):
     """``integrate`` on ``ts`` plus the mass the clip drops at ``end``, and the two probe masses.
 
     The masses ``inner`` on [c, 8c] and ``outer`` on [8c, 64c] from
@@ -107,7 +106,7 @@ def _integrate_with_tail(integrand: Callable, ts: np.ndarray, end: float, cfg: N
     half of [0, 1] graded toward ``end``, or (0, 1) itself: that ``sing_clip``
     is a :class:`ConfigError`, raised before the integrand runs.
     """
-    c = config_or_default(cfg).sing_clip
+    c = cfg.sing_clip
     probe = np.array([8.0 * c, 64.0 * c])
     if not probe[-1] < 0.5:
         raise ConfigError(f"sing_clip = {c!r} puts the outer tail probe at {float(probe[-1])!r}, not below 0.5")
@@ -135,7 +134,7 @@ def _unbounded_below(inner: float, outer: float):
 
 
 class InverseMap(NamedTuple):
-    """A quantity's map ``Q(t) = point(t) + int_0^t integrand(z, f) dz`` from its component ``f``."""
+    """A quantity's map ``Q(t) = point(t) + int_0^t integrand(z, g, kind) dz`` from its component ``g`` of ``kind``."""
 
     integrand: Callable
     t_range: tuple  #: the t-range of its round trips
@@ -146,33 +145,34 @@ class InverseMap(NamedTuple):
 
 #: Each quantity's inverse map; keys match :data:`reliability.QUANTITIES`.
 INVERSE_MAPS = {
-    "hazard": InverseMap(lambda z, f: 1.0 / ((1.0 - z) * _positive_samples(f, z)), (0.01, 0.95)),
-    "mrl": InverseMap(lambda z, f: _samples(f, z) / (1.0 - z), (0.01, 0.95), point=True, reads_mean=True),
-    "rev-hazard": InverseMap(lambda z, f: 1.0 / (z * _positive_samples(f, z)), (0.05, 0.99), probe=_unbounded_below),
-    "rev-mrl": InverseMap(lambda z, f: _samples(f, z) / z, (0.05, 0.99), point=True),
+    "hazard": InverseMap(lambda z, g, kind: 1.0 / ((1.0 - z) * _samples(g, z, kind)), (0.01, 0.95)),
+    "mrl": InverseMap(lambda z, g, kind: _samples(g, z) / (1.0 - z), (0.01, 0.95), point=True, reads_mean=True),
+    "rev-hazard": InverseMap(lambda z, g, kind: 1.0 / (z * _samples(g, z, kind)), (0.05, 0.99), probe=_unbounded_below),
+    "rev-mrl": InverseMap(lambda z, g, kind: _samples(g, z) / z, (0.05, 0.99), point=True),
 }
 
 
-def _quantile_from(quantity: str, f: ComponentFunction, t, cfg: NumericConfig | None):
-    """The body of the four public maps: ``quantity``'s :class:`InverseMap` on the component ``f``."""
-    inverse, allowed = INVERSE_MAPS[quantity], (KIND_OF[quantity, "first"], KIND_OF[quantity, "second"])
-    if f.kind not in allowed:
-        raise DomainError(f"expected a component of kind {allowed}, got {f.kind!r}")
-    ts, scalar = t_grid(t)
-    point = _samples(f, ts) if inverse.point else None  # so the component checks the caller's t before any quadrature
-    values, inner, outer = _integrate_with_tail(lambda z: inverse.integrand(z, f), ts, 0.0, cfg)
+def _quantile_from(kind: str, g: Callable, mean, ts: np.ndarray, cfg: NumericConfig):
+    """The maps' body, on checked values: ``kind``'s map on ``g`` (``mean`` where it reads one) at the grid ``ts``."""
+    inverse = INVERSE_MAPS[_PAIR_OF[kind][0]]
+    point = _samples(g, ts) if inverse.point else None  # so the component checks the caller's t before any quadrature
+    values, inner, outer = _integrate_with_tail(lambda z: inverse.integrand(z, g, kind), ts, 0.0, cfg)
     if inverse.probe:
         inverse.probe(inner, outer)
     if inverse.point:
-        values = (f.mean_hint - point if inverse.reads_mean else point) + values
-    return _shaped(values, scalar)
+        values = (mean - point if inverse.reads_mean else point) + values
+    return values
 
 
 def _public_map(quantity: str, doc: str):
-    """``quantity``'s public map, named as its :data:`reliability.QUANTITIES` functions are."""
+    """``quantity``'s public map, named as its :data:`reliability.QUANTITIES` functions are; it checks kind, then t."""
+    allowed = (KIND_OF[quantity, "first"], KIND_OF[quantity, "second"])
 
     def quantile_from(f: ComponentFunction, t, cfg: NumericConfig | None = None):
-        return _quantile_from(quantity, f, t, cfg)
+        if f.kind not in allowed:
+            raise DomainError(f"expected a component of kind {allowed}, got {f.kind!r}")
+        ts, scalar = t_grid(t)
+        return _shaped(_quantile_from(f.kind, f.eval, f.mean_hint, ts, config_or_default(cfg)), scalar)
 
     quantile_from.__name__ = quantile_from.__qualname__ = f"quantile_from_{quantity.replace('rev-', 'reversed_')}"
     quantile_from.__doc__ = doc + "\n\n``t`` is a scalar (the result is a float) or a 1-D grid (an array)."
@@ -188,30 +188,24 @@ Raises :class:`DivergenceError` when the integrand mass keeps growing toward 0 f
 quantile_from_reversed_mrl = _public_map("rev-mrl", "Q(t) = f(t) + int_0^t f(z)/z dz; consumes no mean.")
 
 
-def _reader(model: models.BivariateModel, component: str, u0, cfg: NumericConfig | None, table=None, at_plan=None,
+def _reader(model: models.BivariateModel, component: str, u0, cfg: NumericConfig, table=None, at_plan=None,
             at_grid=None) -> Callable:
-    """``read(name)``: a name of :func:`reliability.all_quantities` for ``component`` at the level ``u0`` as a function
-    of the probability (``"mean"`` and ``"offset"`` read at ``()``): off ``table`` (:func:`verify`'s values on its node
-    table) at one check's positions, those of its plan's nodes or of its grid as ``integrate`` or a point term asks, or
-    else one ``all_quantities`` call a read.  Without a table, building it checks that ``u0`` is one level in the
-    clipped interval (a first component never reads it) and reads Q(0); callers check ``component``."""
+    """``read(name, z=())``: the ``name`` of :func:`reliability.all_quantities` for ``component`` at the level ``u0``
+    and the probabilities ``z`` (the numbers ``"mean"`` and ``"offset"`` at ``()``), off ``table`` (:func:`verify`'s
+    values on its node table) at one check's plan nodes or grid, by the size of ``z``, or else from one
+    ``all_quantities`` call.  Without a table, building it checks that ``u0`` is one level in the clipped interval (a
+    first component never reads it) and reads Q(0); callers check ``component``."""
     if table is None:
         u0 = require_prob("conditioning_u", u0)  # all_quantities takes a grid of levels; a component has one
         table = reliability.all_quantities(model, component, u0, (), cfg, ("offset",))
 
-    def read(name: str):
+    def read(name: str, z=()):
         if name not in table:
-            return lambda z: reliability.all_quantities(model, component, u0, z, cfg, (name,))[name]
+            return reliability.all_quantities(model, component, u0, z, cfg, (name,))[name]
         v = table[name]
-        return (lambda z: v) if np.ndim(v) == 0 else lambda z: v[at_plan if z.size > at_grid.size else at_grid]
+        return v if name in ("mean", "offset") else v[at_plan if z.size > at_grid.size else at_grid]
 
     return read
-
-
-def _component(quantity: str, component: str, read: Callable) -> ComponentFunction:
-    """``quantity``'s ``component`` from ``read``, with its mean where the map reads one."""
-    mean = float(read("mean")(())) if INVERSE_MAPS[quantity].reads_mean else None
-    return ComponentFunction(KIND_OF[quantity, component], read(quantity), mean)
 
 
 def component_from_model(
@@ -228,14 +222,16 @@ def component_from_model(
     construction, rather than deep inside a quadrature loop.
     """
     quantity, component = _PAIR_OF[require_choice("kind", kind, COMPONENT_KINDS)]
-    return _component(quantity, component, _reader(model, component, conditioning_u, cfg))
+    read = _reader(model, component, conditioning_u, cfg)
+    mean = float(read("mean")) if INVERSE_MAPS[quantity].reads_mean else None
+    return ComponentFunction(kind, functools.partial(read, quantity), mean)
 
 
-def _round_trip(quantity: str, component: str, read: Callable, ts: np.ndarray, cfg: NumericConfig | None):
-    """:func:`round_trip` on the component that ``read`` gives."""
-    reconstructed = _quantile_from(quantity, _component(quantity, component, read), ts, cfg)
-    offset = 0.0 if INVERSE_MAPS[quantity].reads_mean else read("offset")(())
-    return reconstructed, read("quantile")(ts) - offset
+def _round_trip(quantity: str, component: str, read: Callable, ts: np.ndarray, cfg: NumericConfig):
+    """:func:`round_trip` on the component that ``read`` gives, at the checked grid ``ts``."""
+    mean, offset = (read("mean"), 0.0) if INVERSE_MAPS[quantity].reads_mean else (None, read("offset"))
+    reconstructed = _quantile_from(KIND_OF[quantity, component], functools.partial(read, quantity), mean, ts, cfg)
+    return reconstructed, read("quantile", ts) - offset
 
 
 def round_trip(
@@ -256,7 +252,7 @@ def round_trip(
     """
     require_choice("quantity", quantity, tuple(INVERSE_MAPS))
     require_choice("component", component, COMPONENTS)
-    ts = t_grid(ts)[0]  # quantity, component, t, then the level, which the reader checks
+    ts, cfg = t_grid(ts)[0], config_or_default(cfg)  # quantity, component, t, then the level, which the reader checks
     return _round_trip(quantity, component, _reader(model, component, conditioning_u, cfg), ts, cfg)
 
 
@@ -272,13 +268,13 @@ def hazard_mrl_identity_residual(
     ``t`` is a scalar (the result is a float) or a 1-D grid (an array).
     """
     require_choice("component", component, COMPONENTS)  # component, t, then the level, which the reader checks
-    ts, scalar = t_grid(t)
+    (ts, scalar), cfg = t_grid(t), config_or_default(cfg)
     return _shaped(_identity_residual(_reader(model, component, conditioning_u, cfg), ts, cfg), scalar)
 
 
-def _identity_residual(read: Callable, ts: np.ndarray, cfg: NumericConfig | None):
+def _identity_residual(read: Callable, ts: np.ndarray, cfg: NumericConfig):
     """(1-t) m(t) - int_t^1 dz/h(z) on ``ts``, for the MRL m and the hazard h that ``read`` gives."""
-    return (1.0 - ts) * read("mrl")(ts) - _integrate_with_tail(lambda z: 1.0 / read("hazard")(z), ts, 1.0, cfg)[0]
+    return (1.0 - ts) * read("mrl", ts) - _integrate_with_tail(lambda z: 1.0 / read("hazard", z), ts, 1.0, cfg)[0]
 
 
 # --- the verify check table ------------------------------------------------
@@ -302,9 +298,8 @@ class Check:
     def __post_init__(self):
         self.ts.flags.writeable = False  # shared by every verify call and every record
 
-    def residual(self, read: Callable, cfg: NumericConfig | None = None):
-        """The residuals of :func:`round_trip` (reconstructed minus reference) or of
-        :func:`hazard_mrl_identity_residual`, the component read through ``read`` (see :func:`_reader`)."""
+    def residual(self, read: Callable, cfg: NumericConfig = DEFAULT_CONFIG):
+        """:func:`round_trip`'s reconstructed minus reference, or :func:`hazard_mrl_identity_residual`, off ``read``."""
         if self.quantity is None:
             return _identity_residual(read, self.ts, cfg)
         return np.subtract(*_round_trip(self.quantity, self.component, read, self.ts, cfg))
@@ -364,7 +359,8 @@ def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> li
     component that evaluates on the table evaluates on any part of it, so
     the first error in check order is the one raised.
     """
-    nodes, positions = _node_table(config_or_default(cfg))
+    cfg = config_or_default(cfg)
+    nodes, positions = _node_table(cfg)
     tables = {}
     for c in COMPONENTS:
         try:

@@ -18,7 +18,7 @@ q itself and two numbers read at no point: its mean (the second's is that
 of Y given {X <= Q_X(conditioning_u)}) and its offset q(0).  Each
 component checks its probability arguments at its public boundary, and
 reports a value that is not finite (a marginal quantile that overflows) as
-one :class:`DomainError` through :func:`~bivquant.numerics.require_finite`.
+one :class:`DomainError` (:func:`~bivquant.numerics.overflow_error`).
 
 All integrals of phi reduce to closed-form partial moments of the Y
 marginal through the substitution v = phi-probability, because the
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import models
 from .errors import BoundaryError, DomainError, InfiniteMeanError, MonotonicityError
-from .numerics import NumericConfig, config_or_default, require_choice, require_finite, require_probs
+from .numerics import NumericConfig, config_or_default, overflow_error, require_choice, require_finite, require_probs
 
 COMPONENTS = ("first", "second")  #: of X, and of Y given {X <= Q_X(conditioning_u)}
 
@@ -60,11 +60,6 @@ def _require_interior(name: str, value, cfg: NumericConfig):
             f"[eps_boundary, 1 - eps_boundary] with eps_boundary = {eps}"
         )
     return arr
-
-
-def _marginal(model, component: str) -> tuple[models.Marginal, str]:
-    """The marginal a component is built on (X for the first, Y for the second) and its role name."""
-    return (model.marginal_x, "X") if component == "first" else (model.marginal_y, "Y")
 
 
 def _checked_deriv(vals, what: str):
@@ -164,7 +159,7 @@ def all_quantities(model, component: str, conditioning_u, p, cfg: NumericConfig 
         except ValueError:
             raise DomainError(f"conditioning_u of shape {cu.shape} does not broadcast against p_cond of shape "
                               f"{p.shape}") from None
-    fam, role = _marginal(model, component)
+    fam, role = (model.marginal_y, "Y") if second else (model.marginal_x, "X")  # the marginal q is built on
     if names is None:
         names = [n for n in _FORMULAS if fam.has_finite_mean or n not in ("mrl", "mean")]
     elif isinstance(names, str) or not np.iterable(names):
@@ -174,11 +169,15 @@ def all_quantities(model, component: str, conditioning_u, p, cfg: NumericConfig 
     if not fam.has_finite_mean and ("mrl" in names or "mean" in names):
         raise InfiniteMeanError(
             f"marginal {role} ({fam.describe()}) has infinite mean; mean residual life is undefined")
-    with np.errstate(all="ignore"):  # a value that is not finite is reported below, as one error
+    values = {}
+    with np.errstate(all="ignore"):  # a value that is not finite is reported as it is computed, as one error
         q = _Quantile(fam, role, model.copula.cond_quantile("le", cu, p), model.copula, cu) if second \
             else _Quantile(fam, role, p)
-    return {name: require_finite(_FORMULAS[name], q, p, what=f"{name.replace('rev-', 'reversed ')} {component}",
-                                 family=fam) for name in names}
+        for name in names:
+            values[name] = _FORMULAS[name](q, p)
+            if not np.isfinite(values[name]).all():
+                raise overflow_error(f"{name.replace('rev-', 'reversed ')} {component}", fam)
+    return values
 
 
 def _components(quantity: str):

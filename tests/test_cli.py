@@ -970,3 +970,12 @@ class TestMalformedNumberFuzz:
             if not all(np.isfinite(arr).all() for arr in _returned_floats(returned)):
                 raw.append(f"{value!r}: returned {returned!r}")
         assert raw == []
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool_"])
+    @pytest.mark.parametrize("call, name", [(call, name) for call, (_, kwargs) in FUZZ_CALLS.items()
+                                            for name in kwargs if name not in _OBJECT_TYPED])
+    def test_a_bool_is_not_a_number(self, call, name, value):
+        # numpy and int() read True as 1, so a count, seed, sign, end or grid would take it as one
+        fn, kwargs = FUZZ_CALLS[call]
+        with pytest.raises(BivquantError):
+            fn(**{**kwargs, name: value})

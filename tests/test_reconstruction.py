@@ -25,6 +25,7 @@ from bivquant import (
     quantile_from_reversed_mrl,
 )
 from bivquant import reconstruction
+from bivquant.numerics import DEFAULT_CONFIG
 from bivquant.reconstruction import (
     COMPONENT_KINDS,
     INVERSE_MAPS,
@@ -247,6 +248,28 @@ class TestRoundTrips:
                 assert e <= 1e-4, (repr(model), kind)
 
 
+class TestKindCheck:
+    """Each public map checks its component's kind, then t; its body takes checked values."""
+
+    OTHER_KINDS = [(quantity, kind) for quantity in MAPS for kind in COMPONENT_KINDS
+                   if kind not in (KIND_OF[quantity, "first"], KIND_OF[quantity, "second"])]
+
+    @pytest.mark.parametrize("quantity, kind", OTHER_KINDS)
+    def test_each_map_rejects_every_other_kind(self, quantity, kind):
+        first, second = KIND_OF[quantity, "first"], KIND_OF[quantity, "second"]
+        with pytest.raises(DomainError) as info:
+            MAPS[quantity](_const(kind, 1.0, mean=1.0), 0.5)
+        assert str(info.value) == f"expected a component of kind ('{first}', '{second}'), got '{kind}'"
+
+    @pytest.mark.parametrize("quantity", list(MAPS))
+    def test_the_kind_is_checked_before_t(self, quantity):
+        wrong = next(kind for q, kind in self.OTHER_KINDS if q == quantity)
+        with pytest.raises(DomainError, match="^expected a component of kind"):
+            MAPS[quantity](_const(wrong, 1.0, mean=1.0), None)
+        with pytest.raises(DomainError, match="^t must be a number"):  # the same t alone fails at t
+            MAPS[quantity](_const(KIND_OF[quantity, "first"], 1.0, mean=1.0), None)
+
+
 class TestEvaluationOrder:
     """Both MRL maps read their point term f(t) before the integral, so the component checks the caller's t first.
 
@@ -387,7 +410,7 @@ class TestEndpointTail:
         # over the whole interval between ``end`` and t
         ts = np.array([0.05, 0.3, 0.99])
         dist = ts if end == 0.0 else 1.0 - ts
-        got, _, _ = reconstruction._integrate_with_tail(lambda z: np.abs(z - end) ** -s, ts, end, None)
+        got, _, _ = reconstruction._integrate_with_tail(lambda z: np.abs(z - end) ** -s, ts, end, DEFAULT_CONFIG)
         assert np.allclose(got, dist ** (1.0 - s) / (1.0 - s), rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 0.8])
