@@ -16,9 +16,11 @@ Every emitted point is checked against the defining level-set property
 :func:`require_admissible` is the one check of a u-grid against the u
 constraints above, for analytic and empirical curves; :func:`uniform_grid`
 is the grid of :func:`curve_points` and of ``curve --sample``.  One
-evaluator fills the (u, x, y) rows :data:`~bivquant.numerics.BLOCK` at a
-time into a column-major output, so x and y are contiguous, and reports a
-quantile that overflows per block, naming the axis and its family.
+evaluator composes the kernels on the checked grid, for the bits of the
+public Q_X and phi, whose endpoint branches no admissible u or q reaches.  It
+fills the (u, x, y) rows :data:`~bivquant.numerics.BLOCK` at a time into a
+column-major output, so x and y are contiguous, and reports a quantile that
+overflows per block, naming the axis and its family.
 :func:`curve_from_conditional` is its one-row call: the :func:`curve_points`
 row at u, bit for bit.  :func:`level_residuals` is blocked the same way.
 """
@@ -31,8 +33,8 @@ import numpy as np
 
 from . import models
 from .errors import DegenerateLevelError, DomainError
-from .numerics import (NumericConfig, blocks, require_finite, require_integer, require_numbers, require_prob,
-                       require_probs)
+from .numerics import (NumericConfig, blocks, clip_prob, require_finite, require_integer, require_numbers,
+                       require_prob, require_probs)
 
 #: Tolerance of the level-set invariant; far above the root tolerance so the
 #: check is meaningful instead of tautological.
@@ -130,14 +132,11 @@ def _points_on_grid(model: models.BivariateModel, p: float, direction: models.Di
     points[:, 0] = us
     del us  # a grid built for this call is freed here, before the quantiles allocate
     for part in blocks(len(points)):
-        u = points[part, 0]
-        sense, qs = conditional_args(p, direction, u)
-        points[part, 1] = require_finite(
-            models.marginal_quantile, model, "x", u, cfg, what="curve x", family=model.marginal_x
-        )
-        points[part, 2] = require_finite(
-            models.conditional_quantile, model, sense, u, qs, cfg, what="curve y", family=model.marginal_y
-        )
+        sense, qs = conditional_args(p, direction, points[part, 0])  # q from u itself: only quantile arguments clip
+        u = clip_prob(points[part, 0], cfg)
+        points[part, 1] = require_finite(model.marginal_x.quantile, u, what="curve x", family=model.marginal_x)
+        v = model.copula.cond_quantile(sense, u, clip_prob(qs, cfg))
+        points[part, 2] = require_finite(model.marginal_y.quantile, v, what="curve y", family=model.marginal_y)
     return points
 
 

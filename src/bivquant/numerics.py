@@ -95,12 +95,16 @@ def require_numbers(name: str, value) -> np.ndarray:
         raise DomainError(f"{name} must be a number or an array of numbers, got {got}") from exc
 
 
-def require_probs(name: str, value, closed: bool = False) -> np.ndarray:
+def require_probs(name: str, value, closed: bool = False, grid: bool = False) -> np.ndarray:
     """``value`` as a float array; :class:`DomainError` if it is not numeric, or naming its first value outside (0,1).
 
-    With ``closed``, the endpoints pass: the interval is [0, 1].
+    With ``closed``, the interval is [0, 1].  With ``grid``, only a scalar or 1-D grid passes, before the range, as 1-D.
     """
     arr = require_numbers(name, value)
+    if grid:
+        arr = np.atleast_1d(arr)
+        if arr.ndim > 1:
+            raise DomainError(f"{name} must be a scalar or a 1-D grid, got shape {arr.shape}")
     below = operator.le if closed else operator.lt
     # one reduction each way; NaN propagates through both, and 0.5 lets an empty grid pass
     if below(0.0, arr.min(initial=0.5)) and below(arr.max(initial=0.5), 1.0):
@@ -209,10 +213,7 @@ def blocks(n: int):
 
 def t_grid(t) -> tuple[np.ndarray, bool]:
     """``t`` as a 1-D float grid on (0,1), and whether it was a scalar."""
-    ts = np.atleast_1d(require_numbers("t", t))
-    if ts.ndim > 1:
-        raise DomainError(f"t must be a scalar or a 1-D grid, got shape {ts.shape}")
-    return require_probs("t", ts), np.ndim(t) == 0
+    return require_probs("t", t, grid=True), np.ndim(t) == 0
 
 
 def _graded(rho, far, end: float) -> tuple[np.ndarray, np.ndarray]:

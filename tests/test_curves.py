@@ -13,17 +13,21 @@ from bivquant import (
     FGMCopula,
     IndependenceCopula,
     LOWER_LOWER,
+    NumericConfig,
     Pareto,
     QuantileCurve,
     UPPER_UPPER,
     Uniform01,
+    conditional_quantile,
     curve_from_conditional,
     curve_points,
     level_residuals,
+    marginal_quantile,
     orthant_prob,
     swap_axes,
 )
 
+from bivquant.curves import conditional_args, uniform_grid
 from bivquant.numerics import BLOCK
 
 from conftest import BLOCK_MODELS, BLOCK_SIZES, bits
@@ -105,6 +109,22 @@ class TestBlockedCurves:
         for curve in (curve_points(fgm_uniform, 0.25, LOWER_LOWER, 50),
                       QuantileCurve(0.25, LOWER_LOWER, np.array([[0.5, 0.5, 0.5], [0.6, 0.4, 0.4]]))):
             assert curve.x.flags.c_contiguous and curve.y.flags.c_contiguous
+
+
+class TestCurveIsThePublicQuantiles:
+    """The curve body composes the kernels on checked values; its points are the paper's public Q_X and phi."""
+
+    @pytest.mark.parametrize("cfg", [None, NumericConfig(eps_boundary=0.3, sing_clip=0.3)], ids=["default", "clip"])
+    @pytest.mark.parametrize("n", [max(n, 2) for n in BLOCK_SIZES])
+    @pytest.mark.parametrize("direction", ALL_DIRECTIONS, ids=str)
+    @pytest.mark.parametrize("model", BLOCK_MODELS, ids=repr)
+    def test_x_is_q_x_and_y_is_phi_bit_for_bit(self, model, direction, n, cfg):
+        # at eps_boundary 0.3 the clip moves u and q, so q must come from the unclipped u and be clipped itself
+        us = uniform_grid(0.25, direction, n)
+        sense, q = conditional_args(0.25, direction, us)
+        curve = curve_points(model, 0.25, direction, n, cfg)
+        assert np.array_equal(bits(curve.x), bits(marginal_quantile(model, "x", us, cfg)))
+        assert np.array_equal(bits(curve.y), bits(conditional_quantile(model, sense, us, q, cfg)))
 
 
 class TestCurveFromConditional:

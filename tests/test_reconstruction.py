@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bivquant import (
     FGMCopula,
     IndependenceCopula,
     InfiniteMeanError,
+    IntegrandError,
     Pareto,
     SignError,
     Uniform01,
@@ -378,6 +381,9 @@ class TestGrids:
             quantile_from_hazard(f, [0.2, 1.0, 0.5])
         with pytest.raises(DomainError, match="1-D grid"):
             quantile_from_hazard(f, np.full((2, 2), 0.5))
+        # the numbers, then the shape, then the range: a 2-D grid outside (0,1) is named by its shape
+        with pytest.raises(DomainError, match=r"^t must be a scalar or a 1-D grid, got shape \(2, 2\)$"):
+            quantile_from_hazard(f, np.full((2, 2), 1.5))
         assert quantile_from_hazard(f, []).shape == (0,)
 
     def test_divergence_probe_runs_once_per_call(self, monkeypatch):
@@ -412,6 +418,16 @@ class TestEndpointTail:
         dist = ts if end == 0.0 else 1.0 - ts
         got, _, _ = reconstruction._integrate_with_tail(lambda z: np.abs(z - end) ** -s, ts, end, DEFAULT_CONFIG)
         assert np.allclose(got, dist ** (1.0 - s) / (1.0 - s), rtol=1e-9, atol=0.0)
+
+    def test_tail_that_overflows_is_one_error(self):
+        # the integral is finite, but the tail inner**2 / (outer - inner) overflows: one error, no numpy warning
+        f = ComponentFunction("rev_mrl1", lambda z: 1e160 * np.ones_like(z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrandError) as info:
+                quantile_from_reversed_mrl(f, 0.5)
+        assert str(info.value) == ("integral plus the mass dropped at the clipped endpoint is not finite "
+                                   "(mass 2.079e+160 on [clip, 8*clip] and 2.079e+160 on [8*clip, 64*clip])")
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 0.8])
     def test_reversed_hazard_map_recovers_power_quantile(self, s):

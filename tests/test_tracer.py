@@ -5,6 +5,7 @@ among them), so a rename in the package would otherwise only show up as a
 failing ``--trace 1`` benchmark run.
 """
 
+import collections
 import contextlib
 import importlib.util
 import io
@@ -187,7 +188,7 @@ VERIFY_SWEEP_WORK = {
     "models.points": 37_035.84375,
     "curves.points": 0.0,
 }
-MONTE_CARLO_WORK = {"models.points": 600_200.0, "curves.points": 200_601.0}
+MONTE_CARLO_WORK = {"models.points": 700_200.0, "curves.points": 200_601.0}
 
 
 def test_verify_sweep_work_per_op(tmp_path):
@@ -234,10 +235,11 @@ PACKAGE = str(Path(bivquant.__file__).resolve().parent) + os.sep
 
 
 def _calls(run):
-    """The calls of ``run()`` after one warm pass (the first fills the caches): ``(package, out, c)``.
+    """The calls of ``run()`` after one warm pass (the first fills the caches): ``(package, out, c)``, and where.
 
     ``package`` counts Python calls into a frame under ``src/bivquant``, ``out`` Python calls from such a frame into
-    one outside it, and ``c`` C calls made from a package frame.  Calls numpy makes on its own do not count.
+    one outside it, and ``c`` C calls made from a package frame.  Calls numpy makes on its own do not count.  The
+    second value counts each counted call by (callee, caller); a caller outside the package reads ``outside``.
     """
     here = {"python": platform.python_version(), "numpy": np.__version__}
     drift = "; ".join(f"{key} {CALLS_COUNTED_ON[key]} here {here[key]}" for key in here
@@ -245,39 +247,58 @@ def _calls(run):
     if drift:
         pytest.skip(f"call pins were counted on another platform: {drift}")
     run()
-    counts = [0, 0, 0]
+    counts, where = [0, 0, 0], collections.Counter()
 
     def profile(frame, event, arg):
         if event == "call":
-            if frame.f_code.co_filename.startswith(PACKAGE):
+            if _in_package(frame):
                 counts[0] += 1
-            elif frame.f_back is not None and frame.f_back.f_code.co_filename.startswith(PACKAGE):
+                where[_name(frame), _name(frame.f_back) if _in_package(frame.f_back) else "outside"] += 1
+            elif _in_package(frame.f_back):
                 counts[1] += 1
-        elif event == "c_call" and frame.f_code.co_filename.startswith(PACKAGE):
+                where[_name(frame), _name(frame.f_back)] += 1
+        elif event == "c_call" and _in_package(frame):
             counts[2] += 1
+            where[f"{getattr(arg, '__module__', None) or 'builtins'}.{arg.__qualname__}", _name(frame)] += 1
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return tuple(counts)
+    return tuple(counts), where
+
+
+def _in_package(frame) -> bool:
+    return frame is not None and frame.f_code.co_filename.startswith(PACKAGE)
+
+
+def _name(frame) -> str:
+    return f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_qualname}"
+
+
+def _largest(where, n=15) -> str:
+    """The ``n`` largest (callee <- caller) counts of :func:`_calls`, one a line, for a failing pin's message."""
+    return "calls by (callee <- caller):\n" + "\n".join(
+        f"{count:6d}  {callee} <- {caller}" for (callee, caller), count in where.most_common(n))
 
 
 #: The calls of each in-process workload, exactly, as :func:`_calls` counts them: ``verify`` over the seed-1
 #: verify-sweep pool, and one monte-carlo op.  A change that moves one updates it here and states old -> new.
 VERIFY_SWEEP_CALLS = (7_650, 9_379, 7_012)
-MONTE_CARLO_CALLS = (801, 2_165, 848)
+MONTE_CARLO_CALLS = (619, 2_022, 575)
 
 
 def test_verify_sweep_calls():
     inputs = bench_inputs()
     pool = [models.model_from_dict(spec) for spec in inputs.draw_pool(inputs.VERIFY_LAYOUT, 1, "verify-sweep")]
-    assert _calls(lambda: [reconstruction.verify(model) for model in pool]) == VERIFY_SWEEP_CALLS
+    counts, where = _calls(lambda: [reconstruction.verify(model) for model in pool])
+    assert counts == VERIFY_SWEEP_CALLS, _largest(where)
 
 
 def test_monte_carlo_calls():
     inputs = bench_inputs()
     model = models.model_from_dict(inputs.draw_pool(inputs.MC_LAYOUT, 1, "monte-carlo")[0])
     direction = models.Direction.from_string("mm")
-    assert _calls(lambda: _monte_carlo_op(model, direction)) == MONTE_CARLO_CALLS
+    counts, where = _calls(lambda: _monte_carlo_op(model, direction))
+    assert counts == MONTE_CARLO_CALLS, _largest(where)
