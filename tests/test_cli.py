@@ -612,6 +612,54 @@ class TestConfigFile:
         assert rc == 3
 
 
+EXP_SECTION = EXP_MODEL["marginal_x"]
+
+
+class TestStrictObjects:
+    """A model or config object of the wrong type, kind or keys is one exit-3 line that names the fault exactly."""
+
+    @pytest.mark.parametrize(
+        "model, config, line",
+        [
+            ([1, 2], None, "model specification must be an object, got list"),
+            (dict(EXP_MODEL, extra=1, zeta=2), None, "unknown model keys: ['extra', 'zeta']"),
+            ({"marginal_x": EXP_SECTION}, None, "missing model keys: ['copula', 'marginal_y']"),
+            (dict(EXP_MODEL, copula=[1]), None, "copula must be an object, got list"),
+            (dict(EXP_MODEL, marginal_y={"rate": 1.0}), None, "marginal_y is missing the 'kind' key"),
+            (dict(EXP_MODEL, marginal_x={"kind": "Gamma", "rate": 1.0}), None,
+             "unknown marginal_x kind 'Gamma'; expected one of ['Exponential', 'Pareto', 'Uniform01', 'Weibull']"),
+            (dict(EXP_MODEL, marginal_x=dict(EXP_SECTION, shape=2.0)), None,
+             "unknown marginal_x keys for Exponential: ['shape']"),
+            (dict(EXP_MODEL, marginal_y={"kind": "Pareto"}), None,
+             "missing marginal_y keys for Pareto: ['scale', 'shape']"),
+            (dict(EXP_MODEL, copula={"kind": "FGM"}), None, "missing copula keys for FGM: ['theta']"),
+            (dict(EXP_MODEL, copula={"kind": "FGM", "theta": "0.5"}), None,
+             "invalid copula parameters for FGM: theta must be a real number, got '0.5'"),
+            ({"marginal_x": EXP_SECTION, "extra": 1}, None, "unknown model keys: ['extra']"),
+            (dict(EXP_MODEL, marginal_x={"kind": "Pareto", "scale": 1.0, "rate": 1.0}), None,
+             "unknown marginal_x keys for Pareto: ['rate']"),
+            (EXP_MODEL, [1], "config file must hold a JSON object"),
+            (EXP_MODEL, {"numerics": {}, "tolerances": {}}, "unknown config keys: ['tolerances']"),
+            (EXP_MODEL, {"numerics": [1]}, "'numerics' must be an object"),
+            (EXP_MODEL, {"numerics": {"panels": 512, "diff_step": 1e-5}},
+             "unknown numerics keys: ['diff_step', 'panels']"),
+        ],
+        ids=["model-not-object", "unknown-model-keys", "missing-model-keys", "section-not-object",
+             "section-without-kind", "unknown-kind", "unknown-section-keys", "missing-section-keys", "missing-copula-keys",
+             "parameter-not-real", "unknown-and-missing-model-keys", "unknown-and-missing-section-keys",
+             "config-not-object", "unknown-config-key", "numerics-not-object", "unknown-numerics-keys"],
+    )
+    def test_one_exact_error_line(self, tmp_path, model, config, line):
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        out_file = tmp_path / "out.csv"
+        argv = [*SAMPLE_ONE, "--model", str(tmp_path / "model.json"), "--out", str(out_file)]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert _run(argv) == (3, "", f"error: {line}\n")
+        assert not out_file.exists()
+
+
 def _run(argv):
     """Exit code, stdout and stderr of one in-process ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
