@@ -32,7 +32,7 @@ import numpy as np
 
 from . import curves, estimation, models, reconstruction, reliability
 from .errors import BivquantError, ConfigError, ModelSpecError
-from .numerics import NumericConfig, require_integer
+from .numerics import NumericConfig, require_integer, require_keys
 
 
 #: Every serialized number: 9 significant digits ("%.9g" % v == format(v, ".9g")).
@@ -76,16 +76,11 @@ def load_numeric_config(path: str | None) -> NumericConfig | None:
     payload = _load_json(path, "config", ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(payload) - {"numerics"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    require_keys("config keys", payload, {"numerics"}, (), ConfigError)
     overrides = payload.get("numerics", {})
     if not isinstance(overrides, dict):
         raise ConfigError("'numerics' must be an object")
-    allowed = {f.name for f in fields(NumericConfig)}
-    bad = set(overrides) - allowed
-    if bad:
-        raise ConfigError(f"unknown numerics keys: {sorted(bad)}")
+    require_keys("numerics keys", overrides, {f.name for f in fields(NumericConfig)}, (), ConfigError)
     return NumericConfig(**overrides)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BoundaryError, ConvergenceError, DegenerateConditioningError, DomainError, ModelSpecError
-from .numerics import NumericConfig, clip_prob, require_choice, require_numbers, require_probs, require_real
+from .numerics import (NumericConfig, clip_prob, require_choice, require_keys, require_numbers, require_probs,
+                       require_real)
 
 Axis = str  #: "x" or "y"
 Sense = str  #: "le" (conditioning on U <= u), "ge" (U >= u), "eq" (U = u, sampling only)
@@ -596,12 +597,7 @@ def _component_from_dict(section: str, d, registry: dict[str, type]):
         raise ModelSpecError(f"unknown {section} kind {kind!r}; expected one of {sorted(registry)}")
     params = {k: v for k, v in d.items() if k != "kind"}
     expected = {f.name for f in fields(cls)}
-    unknown = set(params) - expected
-    if unknown:
-        raise ModelSpecError(f"unknown {section} keys for {kind}: {sorted(unknown)}")
-    missing = expected - set(params)
-    if missing:
-        raise ModelSpecError(f"missing {section} keys for {kind}: {sorted(missing)}")
+    require_keys(f"{section} keys for {kind}", params, expected, expected, ModelSpecError)
     try:
         return cls(**params)
     except DomainError as exc:
@@ -612,15 +608,6 @@ def model_from_dict(d) -> BivariateModel:
     """Parse the strict JSON object {"marginal_x", "marginal_y", "copula"}."""
     if not isinstance(d, dict):
         raise ModelSpecError(f"model specification must be an object, got {type(d).__name__}")
-    expected = {"marginal_x", "marginal_y", "copula"}
-    unknown = set(d) - expected
-    if unknown:
-        raise ModelSpecError(f"unknown model keys: {sorted(unknown)}")
-    missing = expected - set(d)
-    if missing:
-        raise ModelSpecError(f"missing model keys: {sorted(missing)}")
-    return BivariateModel(
-        marginal_x=_component_from_dict("marginal_x", d["marginal_x"], _MARGINAL_REGISTRY),
-        marginal_y=_component_from_dict("marginal_y", d["marginal_y"], _MARGINAL_REGISTRY),
-        copula=_component_from_dict("copula", d["copula"], _COPULA_REGISTRY),
-    )
+    sections = {"marginal_x": _MARGINAL_REGISTRY, "marginal_y": _MARGINAL_REGISTRY, "copula": _COPULA_REGISTRY}
+    require_keys("model keys", d, sections, sections, ModelSpecError)
+    return BivariateModel(**{name: _component_from_dict(name, d[name], kinds) for name, kinds in sections.items()})

@@ -17,7 +17,8 @@ copula, the config, mean hints), each kept as the finite float it returns;
 numeric arrays, and on it :func:`require_probs` the one probability check
 of levels, component arguments and t-grids (:func:`require_prob` for one
 number); none takes a bool for a number.  :func:`require_choice` checks
-string choices (axis, sense, component, kind), and :func:`require_finite`
+string choices (axis, sense, component, kind), :func:`require_keys` the
+keys of a model spec or config object, and :func:`require_finite`
 is the one overflow check of quantiles, raising :func:`overflow_error`.
 :func:`blocks` cuts a long elementwise fill into cache-sized row blocks.
 """
@@ -127,6 +128,15 @@ def require_choice(name: str, value, choices: tuple) -> str:
     if not (isinstance(value, str) and value in choices):
         raise DomainError(f"{name} must be one of {choices}, got {value!r}")
     return value
+
+
+def require_keys(what: str, keys, allowed, required, error: type[Exception]) -> None:
+    """``error`` naming the sorted ``keys`` outside ``allowed``, or else the sorted ``required`` keys absent."""
+    unknown, missing = set(keys) - set(allowed), set(required) - set(keys)
+    if unknown:
+        raise error(f"unknown {what}: {sorted(unknown)}")
+    if missing:
+        raise error(f"missing {what}: {sorted(missing)}")
 
 
 def require_finite(fn: Callable, *args, what: str, family):

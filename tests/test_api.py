@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import bivquant
+from bivquant import numerics
 
 #: Every public name of the package; a name added or dropped is a deliberate edit here.
 PUBLIC = {
@@ -78,6 +79,16 @@ def test_one_probability_check():
         and ("must lie in (0,1)" in path.read_text() or "must lie in [0, 1]" in path.read_text())
     ]
     assert spelled == []
+
+
+def test_one_key_rule():
+    # "which keys may this object hold" is spelled once, in numerics.require_keys: every unknown- or missing-key
+    # message of a model spec, a spec section, a config file or its numerics block is built there
+    package = Path(bivquant.__file__).parent
+    message = re.compile(r"""f?["'](?:unknown|missing) [^"'\n]*(?:keys|: \{sorted\()""")
+    built = {path.name: len(message.findall(path.read_text())) for path in sorted(package.glob("*.py"))}
+    assert {name: count for name, count in built.items() if count} == {"numerics.py": 2}
+    assert len(message.findall(inspect.getsource(numerics.require_keys))) == 2
 
 
 def test_reconstruction_reads_components_through_all_quantities():
