@@ -131,7 +131,7 @@ def require_choice(name: str, value, choices: tuple) -> str:
 
 
 def require_keys(what: str, keys, allowed, required, error: type[Exception]) -> None:
-    """``error`` naming the sorted ``keys`` outside ``allowed``, or else the sorted ``required`` keys absent."""
+    """``error`` naming the sorted ``keys`` outside ``allowed``; failing that, the sorted ``required`` keys absent."""
     unknown, missing = set(keys) - set(allowed), set(required) - set(keys)
     if unknown:
         raise error(f"unknown {what}: {sorted(unknown)}")
