@@ -8,9 +8,9 @@ All outputs (CSV, JSON, SVG, reports) are byte-identical across re-runs
 for identical inputs; numbers are serialized with 9 significant digits in CSV.
 
 :func:`main` loads the model and numerics config and hands both to the
-subcommand.  Every table of numbers goes through one CSV writer,
-:func:`_write_csv`, which streams the rows of its float tables 1,024 at a
-time.  ``sample`` never holds its n pairs: it reads
+subcommand.  Every row of numbers goes through one row formatter, :func:`_rows`:
+the CSV tables of :func:`_write_csv` (``verify --out``'s too, the check name
+in the template) and the SVG polyline.  ``sample`` never holds its n pairs: it reads
 :func:`bivquant.estimation.sample_blocks` to the end once, so a draw that
 overflows is one error before any output, then draws the same blocks again
 into the writer.
@@ -44,11 +44,7 @@ def _fmt(x) -> str:
 
 
 def _row(n_numbers: int) -> str:
-    """%-template of n comma-separated numbers.
-
-    Filled once per row from ``tolist()`` floats, it prints what _fmt prints
-    per value at about half the cost.
-    """
+    """%-template of n comma-separated numbers."""
     return ",".join([_NUMBER] * n_numbers)
 
 
@@ -111,19 +107,26 @@ def _write(path: str | None, chunks):
             fh.writelines(chunks)
 
 
-def _write_csv(path: str | None, header: str, tables, suffix: str = ""):
-    """The header, then one line per row of each 2-d float table of ``tables`` in turn, each ending in ``suffix``.
+def _rows(table, template: str):
+    """``template % row`` for each row of the 2-d float ``table``, joined 1,024 rows at a time.
 
-    Rows are converted and written 1,024 at a time: a whole 1e5-row sample
-    would hold about 12 MB as floats and 10 MB as joined text.  ``tables``
-    may be an iterator, read one table at a time while writing.
+    Filled once per row from ``tolist()`` floats, a template prints what _fmt
+    prints per value at about half the cost.  The chunks bound memory: a whole
+    1e5-row sample would hold about 12 MB as floats and 10 MB as joined text.
+    """
+    for start in range(0, len(table), 1024):
+        yield "".join([template % tuple(row) for row in table[start : start + 1024].tolist()])
+
+
+def _write_csv(path: str | None, header: str, tables):
+    """The header, then one line per row of each (2-d float table, row template) pair of ``tables`` in turn.
+
+    ``tables`` may be an iterator, read one table at a time while writing.
     """
     def lines():
         yield header + "\n"
-        for table in tables:
-            template = _row(table.shape[1]) + suffix + "\n"
-            for start in range(0, len(table), 1024):
-                yield "".join([template % tuple(row) for row in table[start : start + 1024].tolist()])
+        for table, template in tables:
+            yield from _rows(table, template + "\n")
 
     _write(path, lines())
 
@@ -146,13 +149,8 @@ def render_curve_svg(curve: curves.QuantileCurve) -> str:
     ml, mr, mt, mb = 60.0, 20.0, 20.0, 45.0
     pw, ph = width - ml - mr, height - mt - mb
 
-    def sx(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * pw
-
-    def sy(y):
-        return mt + (y_hi - y) / (y_hi - y_lo) * ph
-
-    pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(xs, ys))
+    scaled = np.column_stack([ml + (xs - x_lo) / (x_hi - x_lo) * pw, mt + (y_hi - ys) / (y_hi - y_lo) * ph])
+    pts = "".join(_rows(scaled, " " + _row(2)))[1:]  # "x,y" pairs joined by single spaces
     legend = f"p={_fmt(curve.p)}, direction={curve.direction}"
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -196,7 +194,7 @@ def cmd_curve(args, model, cfg) -> int:
         curve = curves.curve_points(model, args.level, direction, args.points, cfg)
     residuals = curves.level_residuals(model, curve)
     if args.format == "csv":
-        _write_csv(args.out, "u,x,y,orthant_prob_residual", [np.column_stack([curve.points, residuals])])
+        _write_csv(args.out, "u,x,y,orthant_prob_residual", [(np.column_stack([curve.points, residuals]), _row(4))])
     else:
         _write(args.out, [json.dumps(curve.to_dict(), sort_keys=True, indent=2) + "\n"])
     if args.svg:
@@ -213,7 +211,7 @@ def cmd_field(args, model, cfg) -> int:
     seconds = second_fn(model, probs[:, None], probs[None, :], cfg)
     g = args.grid  # row-major over (u, p_cond)
     table = np.column_stack([np.repeat(probs, g), np.tile(probs, g), np.repeat(firsts, g), seconds.ravel()])
-    _write_csv(args.out, "u,p_cond,first,second,kind", [table], f",{args.kind}")
+    _write_csv(args.out, "u,p_cond,first,second,kind", [(table, f"{_row(4)},{args.kind}")])
     return 0
 
 
@@ -222,7 +220,7 @@ def cmd_reconstruct(args, model, cfg) -> int:
     ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind].t_range, args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
     table = np.column_stack([ts, rec, ref, np.abs(rec - ref)])
-    _write_csv(args.out, "t,reconstructed,reference,abs_error", [table])
+    _write_csv(args.out, "t,reconstructed,reference,abs_error", [(table, _row(4))])
     return 0
 
 
@@ -240,11 +238,10 @@ def cmd_verify(args, model, cfg) -> int:
     sys.stdout.write(f"max residual over all checks: {_fmt(worst)}\n")
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
     if args.out:  # the identity residuals, one row per t
-        rows, template = ["check,t,residual\n"], "%s," + _row(2) + "\n"
-        for check, r in zip(reconstruction.CHECKS, records):
-            if check.quantity is None and r.residuals is not None:
-                rows.extend(template % (r.name, t, x) for t, x in zip(r.ts, r.residuals))
-        _write(args.out, rows)
+        identities = [r for check, r in zip(reconstruction.CHECKS, records)
+                      if check.quantity is None and r.residuals is not None]
+        _write_csv(args.out, "check,t,residual",
+                   [(np.column_stack([r.ts, r.residuals]), f"{r.name},{_row(2)}") for r in identities])
     return 0 if all_pass else 1
 
 
@@ -252,7 +249,7 @@ def cmd_sample(args, model, cfg) -> int:
     # the check pass draws every block and keeps none: a draw that overflows is raised before a byte is written
     for _ in estimation.sample_blocks(model, args.n, args.seed, cfg):
         pass
-    _write_csv(args.out, "x,y", estimation.sample_blocks(model, args.n, args.seed, cfg))
+    _write_csv(args.out, "x,y", ((block, _row(2)) for block in estimation.sample_blocks(model, args.n, args.seed, cfg)))
     return 0
 
 

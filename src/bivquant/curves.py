@@ -76,7 +76,7 @@ class QuantileCurve:
         return {
             "p": self.p,
             "direction": str(self.direction),
-            "points": [[float(a), float(b), float(c)] for a, b, c in self.points],
+            "points": self.points.tolist(),
         }
 
 

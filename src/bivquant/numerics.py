@@ -132,11 +132,12 @@ def require_choice(name: str, value, choices: tuple) -> str:
 
 def require_keys(what: str, keys, allowed, required, error: type[Exception]) -> None:
     """``error`` naming the sorted ``keys`` outside ``allowed``; failing that, the sorted ``required`` keys absent."""
+    # by text, then repr: keys of any type are named, never compared, and 2 and "2" keep one order in every process
     unknown, missing = set(keys) - set(allowed), set(required) - set(keys)
     if unknown:
-        raise error(f"unknown {what}: {sorted(unknown)}")
+        raise error(f"unknown {what}: {sorted(unknown, key=lambda k: (str(k), repr(k)))}")
     if missing:
-        raise error(f"missing {what}: {sorted(missing)}")
+        raise error(f"missing {what}: {sorted(missing, key=lambda k: (str(k), repr(k)))}")
 
 
 def require_finite(fn: Callable, *args, what: str, family):

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import re
 import struct
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -467,6 +468,57 @@ class TestCsvWriter:
         assert traced_peak_mib(main, argv) < bound_mib
 
 
+def _polyline(svg: str) -> str:
+    return re.search(r'<polyline [^>]*points="([^"]*)"', svg).group(1)
+
+
+def _polyline_reference(curve) -> str:
+    """The per-point rule: each point scaled into the 800x600 plot on its own, "%.9g,%.9g", joined by spaces."""
+    x_lo, x_hi, y_lo, y_hi = float(curve.x.min()), float(curve.x.max()), float(curve.y.min()), float(curve.y.max())
+    x_pad, y_pad = 0.05 * (x_hi - x_lo) or 0.5, 0.05 * (y_hi - y_lo) or 0.5
+    x_lo, x_hi, y_lo, y_hi = x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
+    return " ".join("%.9g,%.9g" % (60.0 + (a - x_lo) / (x_hi - x_lo) * 720.0, 20.0 + (y_hi - b) / (y_hi - y_lo) * 535.0)
+                    for a, b in zip(curve.x.tolist(), curve.y.tolist()))
+
+
+def _points_reference(curve) -> list:
+    return [[float(a), float(b), float(c)] for a, b, c in curve.points]
+
+
+class TestOneRowFormatter:
+    """CSV tables, ``verify --out`` and the SVG polyline share one row formatter; each prints its per-row rule,
+    on both sides of its 1,024-row chunks."""
+
+    @pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 2000])
+    def test_curve_svg_and_json(self, tmp_path, model_file, n):
+        svg, out = tmp_path / "curve.svg", tmp_path / "curve.json"
+        assert main(["curve", "--model", model_file(PARETO_MODEL), "-p", "0.3", "--dir", "+-", "-n", str(n),
+                     "--format", "json", "--out", str(out), "--svg", str(svg)]) == 0
+        curve = curves.curve_points(models.model_from_dict(PARETO_MODEL), 0.3, models.Direction(1, -1), n)
+        assert _polyline(svg.read_text()) == _polyline_reference(curve)
+        assert out.read_text() == json.dumps(
+            {"direction": "+-", "p": 0.3, "points": _points_reference(curve)}, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2000])
+    def test_flat_x_range_takes_the_half_pad(self, n):
+        # x = 2.5 everywhere, so the x axis runs 2 .. 3; one point (which no CLI grid makes) is flat in y too
+        us = np.linspace(0.1, 0.9, n)
+        curve = curves.QuantileCurve(0.3, models.Direction(1, -1), np.column_stack([us, np.full(n, 2.5), 1.0 / us]))
+        svg = cli.render_curve_svg(curve)
+        assert _polyline(svg) == _polyline_reference(curve)
+        assert 'font-size="11">2</text>' in svg and 'font-size="11">3</text>' in svg
+        assert curve.to_dict()["points"] == _points_reference(curve)
+
+    @pytest.mark.parametrize("spec", [EXP_MODEL, FGM_MODEL], ids=["exponential", "fgm"])
+    def test_verify_out_rows(self, tmp_path, model_file, capsys, spec):
+        out = tmp_path / "resid.csv"
+        assert main(["verify", "--model", model_file(spec), "--out", str(out)]) == 0
+        records = [r for r in reconstruction.verify(models.model_from_dict(spec)) if r.name.startswith("identity-")]
+        assert [r.name for r in records if r.residuals is not None] == ["identity-first", "identity-second"]
+        rows = ["%s,%.9g,%.9g\n" % (r.name, t, x) for r in records for t, x in zip(r.ts, r.residuals)]
+        assert out.read_text() == "check,t,residual\n" + "".join(rows)
+
+
 class TestSampleDrivenCurve:
     def test_empirical_curve_from_sample_csv(self, tmp_path, model_file):
         spec = model_file(FGM_MODEL)
@@ -813,6 +865,19 @@ class TestMalformedFuzz:
             assert err == ""
         else:
             assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1, (rc, err)
+
+    @settings(max_examples=10)
+    @given(spec=SPECS, others=st.lists(st.sampled_from([0, -7, None, (), (1, "a"), "extra", "kind"]), unique=True))
+    @pytest.mark.parametrize("key", [2, None, ("kind",)], ids=["int", "None", "tuple"])
+    @pytest.mark.parametrize("place", [None, "marginal_x", "marginal_y", "copula"], ids=str)
+    def test_keys_json_cannot_spell_are_one_spec_error(self, place, key, spec, others):
+        # an int, None or tuple key, at the top or in a section, alone or beside other keys: JSON cannot write these,
+        # a library caller can, and each ends in the named error of an unknown key
+        spec = copy.deepcopy(spec)
+        node = spec if place is None else spec[place]
+        node.update((k, 1.0) for k in [key, *others] if k != "kind" or place is None)
+        with pytest.raises(ModelSpecError, match=r"^unknown (model|\w+) keys( for \w+)?: \["):
+            models.model_from_dict(spec)
 
 
 _CHOICE_MODEL = models.BivariateModel(models.Exponential(1.0), models.Weibull(1.2, 1.5), models.FGMCopula(0.4))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -460,6 +463,28 @@ class TestModelSpec:
         bad = self.spec() | {"extra": 1}
         with pytest.raises(ModelSpecError, match="extra"):
             model_from_dict(bad)
+
+    @pytest.mark.parametrize("section, extra, line", [
+        (None, {"a": 1, 2: 3}, "unknown model keys: [2, 'a']"),
+        ("marginal_y", {3: 1, "z": 2}, "unknown marginal_y keys for Exponential: [3, 'z']"),
+    ], ids=["top", "section"])
+    def test_keys_json_cannot_spell_are_named_in_text_order(self, section, extra, line):
+        # an int key beside a string key: the keys are sorted as text, never compared with each other
+        bad = self.spec() | extra if section is None else self.spec() | {section: self.spec()[section] | extra}
+        with pytest.raises(ModelSpecError) as info:
+            model_from_dict(bad)
+        assert str(info.value) == line
+
+    def test_keys_of_one_text_keep_one_order(self):
+        # 2 and "2" share their text and sort by repr after it, so the message does not follow the string hash seed
+        # (on CPython 3.11, hash seeds 4 and 5 flip a sort by text alone)
+        src = os.path.dirname(os.path.dirname(models.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("from bivquant import model_from_dict\n"
+                "try:\n    model_from_dict({2: 0, '2': 0})\nexcept Exception as exc:\n    print(exc)")
+        lines = {subprocess.run([sys.executable, "-c", code], env=env | {"PYTHONHASHSEED": str(seed)},
+                                capture_output=True, text=True).stdout for seed in range(8)}
+        assert lines == {"unknown model keys: ['2', 2]\n"}
 
     def test_unknown_family(self):
         bad = self.spec()
