@@ -15,8 +15,8 @@ in the template) and the SVG polyline.  ``sample`` never holds its n pairs: it r
 overflows is one error before any output, then draws the same blocks again
 into the writer.
 ``verify`` formats the records of :func:`bivquant.reconstruction.verify`;
-the check names, grids and tolerances live in
-:data:`bivquant.reconstruction.CHECKS` alone.
+each holds its check row, the one place of that check's name, grid and
+tolerance.
 """
 
 from __future__ import annotations
@@ -228,20 +228,19 @@ def cmd_verify(args, model, cfg) -> int:
     records = reconstruction.verify(model, cfg)
     for r in records:
         if r.residuals is None:
-            sys.stdout.write(f"{r.name}: FAIL ({r.note})\n")
+            sys.stdout.write(f"{r.check.name}: FAIL ({r.note})\n")
         else:
             status = "PASS" if r.passed else "FAIL"
-            sys.stdout.write(f"{r.name}: max_residual={_fmt(r.max_residual)} tol={_fmt(r.tol)} {status}\n")
+            sys.stdout.write(f"{r.check.name}: max_residual={_fmt(r.max_residual)} tol={_fmt(r.check.tol)} {status}\n")
     all_pass = all(r.passed for r in records)
     checked = [r.max_residual for r in records if r.residuals is not None]
     worst = float(np.max(checked)) if checked else float("nan")  # NaN if any residual is NaN
     sys.stdout.write(f"max residual over all checks: {_fmt(worst)}\n")
     sys.stdout.write(f"verify: {'PASS' if all_pass else 'FAIL'}\n")
     if args.out:  # the identity residuals, one row per t
-        identities = [r for check, r in zip(reconstruction.CHECKS, records)
-                      if check.quantity is None and r.residuals is not None]
+        identities = [r for r in records if r.check.quantity is None and r.residuals is not None]
         _write_csv(args.out, "check,t,residual",
-                   [(np.column_stack([r.ts, r.residuals]), f"{r.name},{_row(2)}") for r in identities])
+                   [(np.column_stack([r.check.ts, r.residuals]), f"{r.check.name},{_row(2)}") for r in identities])
     return 0 if all_pass else 1
 
 

@@ -330,11 +330,9 @@ def _node_table(cfg: NumericConfig):
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check on one model: its residuals on ``ts``, or None and the reason in ``note``."""
+    """One row of :data:`CHECKS` on one model: its residuals on ``check.ts``, or None and the reason in ``note``."""
 
-    name: str
-    tol: float
-    ts: np.ndarray
+    check: Check
     residuals: np.ndarray | None
     note: str = ""
 
@@ -345,7 +343,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.residuals is not None and self.max_residual <= self.tol
+        return self.residuals is not None and self.max_residual <= self.check.tol
 
 
 def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> list[CheckResult]:
@@ -374,5 +372,5 @@ def verify(model: models.BivariateModel, cfg: NumericConfig | None = None) -> li
             residuals, note = check.residual(read, cfg), ""
         except InfiniteMeanError as exc:
             residuals, note = None, str(exc)
-        records.append(CheckResult(check.name, check.tol, check.ts, residuals, note))
+        records.append(CheckResult(check, residuals, note))
     return records

@@ -333,8 +333,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("order", [(1e-9, np.nan), (np.nan, 1e-9)], ids=["nan-last", "nan-first"])
     def test_nan_residual_fails_the_run(self, model_file, monkeypatch, capsys, order):
-        ts = np.array([0.5])
-        records = [reconstruction.CheckResult(f"check-{i}", 1e-6, ts, np.array([x])) for i, x in enumerate(order)]
+        rows = reconstruction.CHECKS[-2:]
+        records = [reconstruction.CheckResult(row, np.full(row.ts.shape, x)) for row, x in zip(rows, order)]
         monkeypatch.setattr(reconstruction, "verify", lambda model, cfg: records)
         rc = main(["verify", "--model", model_file(EXP_MODEL)])
         lines = capsys.readouterr().out.splitlines()
@@ -513,9 +513,10 @@ class TestOneRowFormatter:
     def test_verify_out_rows(self, tmp_path, model_file, capsys, spec):
         out = tmp_path / "resid.csv"
         assert main(["verify", "--model", model_file(spec), "--out", str(out)]) == 0
-        records = [r for r in reconstruction.verify(models.model_from_dict(spec)) if r.name.startswith("identity-")]
-        assert [r.name for r in records if r.residuals is not None] == ["identity-first", "identity-second"]
-        rows = ["%s,%.9g,%.9g\n" % (r.name, t, x) for r in records for t, x in zip(r.ts, r.residuals)]
+        records = [r for r in reconstruction.verify(models.model_from_dict(spec))
+                   if r.check.name.startswith("identity-")]
+        assert [r.check.name for r in records if r.residuals is not None] == ["identity-first", "identity-second"]
+        rows = ["%s,%.9g,%.9g\n" % (r.check.name, t, x) for r in records for t, x in zip(r.check.ts, r.residuals)]
         assert out.read_text() == "check,t,residual\n" + "".join(rows)
 
 
