@@ -10,7 +10,11 @@ for identical inputs; numbers are serialized with 9 significant digits in CSV.
 :func:`main` loads the model and numerics config and hands both to the
 subcommand.  Every row of numbers goes through one row formatter, :func:`_rows`:
 the CSV tables of :func:`_write_csv` (``verify --out``'s too, the check name
-in the template) and the SVG polyline.  ``sample`` never holds its n pairs: it reads
+in the template) and the SVG polyline.  It prints exactly ``template % row``:
+a table of 16,384 values or more is laid out in numpy by
+:mod:`bivquant._rowtext`, which leaves to ``%`` only the values it cannot
+prove (near-ties, inf, NaN, subnormals, |v| outside about 1e-99 .. 1e99).
+``sample`` never holds its n pairs: it reads
 :func:`bivquant.estimation.sample_blocks` to the end once, so a draw that
 overflows is one error before any output, then draws the same blocks again
 into the writer.
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import curves, estimation, models, reconstruction, reliability
 from .errors import BivquantError, ConfigError, ModelSpecError
-from .numerics import NumericConfig, require_integer, require_keys
+from .numerics import BLOCK, NumericConfig, require_integer, require_keys
 
 
 #: Every serialized number: 9 significant digits ("%.9g" % v == format(v, ".9g")).
@@ -107,15 +111,33 @@ def _write(path: str | None, chunks):
             fh.writelines(chunks)
 
 
+#: A table of fewer values is filled per row by ``%``, which costs less there.  The numpy layout costs about
+#: 0.1 us a value against 0.3 us, but a process pays about 4 ms for it once (its import and tables), the per-row
+#: cost of some 20,000 values; a full block of ``sample`` holds 16,384.
+_KERNEL_MIN = 16384
+
+
+def _layout():
+    """:func:`bivquant._rowtext.chunk_text`, imported on the first call: a command that writes no large table does
+    not compile it."""
+    from ._rowtext import chunk_text
+
+    return chunk_text
+
+
 def _rows(table, template: str):
     """``template % row`` for each row of the 2-d float ``table``, joined 1,024 rows at a time.
 
-    Filled once per row from ``tolist()`` floats, a template prints what _fmt
-    prints per value at about half the cost.  The chunks bound memory: a whole
-    1e5-row sample would hold about 12 MB as floats and 10 MB as joined text.
+    A table of ``_KERNEL_MIN`` values or more is laid out in numpy by
+    :func:`_layout`'s function; a smaller one is filled once per row from
+    ``tolist()`` floats.  Both print what _fmt prints per value.  The chunks
+    bound memory: a whole 1e5-row sample would hold about 12 MB as floats
+    and 10 MB as joined text.
     """
+    chunk_text = _layout() if table.size >= _KERNEL_MIN else None
     for start in range(0, len(table), 1024):
-        yield "".join([template % tuple(row) for row in table[start : start + 1024].tolist()])
+        chunk = table[start : start + 1024]
+        yield chunk_text(chunk, template) if chunk_text else "".join([template % tuple(row) for row in chunk.tolist()])
 
 
 def _write_csv(path: str | None, header: str, tables):
@@ -245,6 +267,10 @@ def cmd_verify(args, model, cfg) -> int:
 
 
 def cmd_sample(args, model, cfg) -> int:
+    if 2 * min(args.n, BLOCK) >= _KERNEL_MIN:
+        # its blocks take the numpy layout: compiled before the draws, the compiler's 0.8 MB of temporaries are reused
+        # by them instead of adding 0.4 MB to the command's peak
+        _layout()
     # the check pass draws every block and keeps none: a draw that overflows is raised before a byte is written
     for _ in estimation.sample_blocks(model, args.n, args.seed, cfg):
         pass

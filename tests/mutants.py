@@ -1,8 +1,8 @@
-"""A catalogue of mutants of the gate code, each with the test that must kill it.
+"""A catalogue of mutants of the gate code and the CSV row formatter, each with the test that must kill it.
 
 A mutant is one exact text of one file under ``src/bivquant`` and its
 replacement: a looser tolerance, a verdict that forgives, a check grid or
-an estimator bent a little.  Run::
+an estimator bent a little, or a number laid out a little wrong.  Run::
 
     python tests/mutants.py [NAME ...]
 
@@ -48,6 +48,7 @@ _GATES, _RECON = "tests/test_gates.py::", "tests/test_reconstruction.py::"
 _DIRECT = _GATES + "TestCheckTable::test_records_equal_the_direct_calls"
 _LITERAL = _GATES + "test_literal_tolerances"
 _EMPIRICAL_MRL = "tests/test_estimation.py::TestEmpiricalMrl::test_equals_sorted_order_statistic"
+_ROWS = "tests/test_cli.py::TestVectorisedRows::"
 
 CATALOGUE = (
     *(Mutant(f"verdict-{k}x-tol", "reconstruction.py", _PASSED, _PASSED.replace("<= self", f"<= {k} * self"),
@@ -83,6 +84,10 @@ CATALOGUE = (
            "sample_set.x[sample_set.x >= x_hat]", _EMPIRICAL_MRL),
     Mutant("empirical-mrl-rank-50", "estimation.py", "x_hat = float(np.partition(sample_set.x, j)[j])",
            "x_hat = float(np.partition(sample_set.x, j + 50)[j + 50])", _EMPIRICAL_MRL),
+    Mutant("row-kernel-margin-0", "_rowtext.py", "_MARGIN = 3.4e-7", "_MARGIN = 0.0", _ROWS + "test_dyadic_ties"),
+    Mutant("row-kernel-fixed-from-1e-5", "_rowtext.py", "fixed = -4 <= x < 9", "fixed = -5 <= x < 9",
+           _ROWS + "test_powers_of_ten"),
+    Mutant("row-kernel-exponent-one-digit", "_rowtext.py", 'b"e%+03d" % x', 'b"e%+d" % x', _ROWS + "test_powers_of_ten"),
 )
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import re
@@ -184,21 +185,30 @@ class TestFieldCommand:
         spec = {"marginal_x": {"kind": "Weibull", "scale": 1.2, "shape": 0.8},
                 "marginal_y": {"kind": "Pareto", "scale": 1.0, "shape": 2.5},
                 "copula": {"kind": "FGM", "theta": -0.7}}
-        monkeypatch.setattr(cli, "_NUMBER", "%r")  # every bit in the CSV
+        tables = []  # every bit of the table field hands the CSV writer
+        write_csv = cli._write_csv
+
+        def spy(path, header, pairs):
+            pairs = list(pairs)
+            tables.extend(table for table, _ in pairs)
+            return write_csv(path, header, pairs)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
         out = tmp_path / "field.csv"
         assert main(["field", "--model", model_file(spec), "--kind", kind, "--grid", "7",
                      "--out", str(out)]) == 0
-        rows = read_rows(out)
+        (table,) = tables
+        assert [r["u"] for r in read_rows(out)] == [cli._fmt(u) for u in table[:, 0]]
         # the per-u loop: one first_fn call and one row of seconds per u
         model = models.model_from_dict(spec)
         first_fn, second_fn = reliability.QUANTITIES[kind]
         probs = np.arange(1, 8) / 8.0
-        assert [(float(r["u"]), float(r["p_cond"])) for r in rows] == [(u, p) for u in probs for p in probs]
+        assert [(u, p) for u, p in table[:, :2].tolist()] == [(u, p) for u in probs for p in probs]
         seconds = np.concatenate([second_fn(model, u, probs) for u in probs])
-        assert np.array_equal([float(r["second"]) for r in rows], seconds)
+        assert np.array_equal(table[:, 3], seconds)
         # a vector call may differ from scalar calls in the last bit
         firsts = [float(first_fn(model, u)) for u in probs for _ in probs]
-        assert np.allclose([float(r["first"]) for r in rows], firsts, rtol=1e-12, atol=0.0)
+        assert np.allclose(table[:, 2], firsts, rtol=1e-12, atol=0.0)
 
     def test_boundary_error_is_one_line(self, tmp_path, model_file, capsys):
         # every u of the grid lies inside eps_boundary; the message names the first
@@ -360,16 +370,18 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
 
 
+#: Every double: the floats hypothesis draws, and every 64-bit pattern read as a double
+ALL_DOUBLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+)
+
+
 class TestRowFormat:
     """The writers' "%.9g" templates print each value as format(v, ".9g") does."""
 
     @settings(max_examples=2000)
-    @given(
-        st.one_of(
-            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-            st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
-        )
-    )
+    @given(ALL_DOUBLES)
     @example(0.0)
     @example(-0.0)
     @example(float("nan"))
@@ -383,6 +395,131 @@ class TestRowFormat:
         assert "%.9g" % v == format(v, ".9g")
         assert "%.9g" % np.float64(v) == format(v, ".9g")
         assert cli._row(2) % (v, v) == f"{cli._fmt(v)},{cli._fmt(v)}"
+
+
+#: The row templates the CLI builds: CSV rows of 1-4 numbers, verify --out's check name before its numbers,
+#: field's kind after them, and the SVG polyline's " x,y" pairs
+CLI_TEMPLATES = [*(cli._row(k) + "\n" for k in range(1, 5)), "identity-first," + cli._row(2) + "\n",
+                 cli._row(4) + ",rev-hazard\n", " " + cli._row(2)]
+
+#: Templates with literal text the CLI does not write: words of text between numbers, and an escaped %
+OTHER_TEMPLATES = [cli._row(1) + " <- " + cli._row(2) + "\n", "%%" + cli._row(2) + " %%\n"]
+
+NAMED_DOUBLES = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 2.2250738585072009e-308,
+                 -2.2250738585072009e-308, 1.7976931348623157e308, 100000000.5, 999999999.5, 0.0001,
+                 float(np.nextafter(0.0001, 0.0)), 1e9, 123456789.5]
+
+
+def _per_row(table, template):
+    return "".join([template % tuple(row) for row in table.tolist()])
+
+
+def _table(values, template, rows=None):
+    """``values`` in turn, repeated to fill ``rows`` rows (or just hold them) of ``template``'s numbers."""
+    columns = template.count(cli._NUMBER)
+    return np.resize(np.asarray(values, dtype=np.float64), (rows or -(-len(values) // columns), columns))
+
+
+@functools.cache
+def _powers_of_ten():
+    """+-10**k for k = -310 .. 308, as Python reads them, and the doubles 1 and 2 ulps to each side."""
+    out = []
+    for k in range(-310, 309):
+        v = float(f"1e{k}")
+        near = [v]
+        for toward in (0.0, np.inf):
+            step = v
+            for _ in range(2):
+                step = float(np.nextafter(step, toward))
+                near.append(step)
+        out += near + [-x for x in near]
+    return tuple(out)
+
+
+@functools.cache
+def _dyadic_ties(count=10_000):
+    """``count`` doubles, either sign, each exactly halfway between two 9-digit decimals: (2n + 1) * 10**(X - 8) / 2."""
+    rng = np.random.default_rng(47)
+    ties = []
+    while len(ties) < count:
+        x = int(rng.integers(-5, 18))
+        if x >= 8:  # (2n + 1) * 5**(X - 8) * 2**(X - 9), exact while the odd factor stays below 2**53
+            odd = (2 * int(rng.integers(10**8, 10**9)) + 1) * 5 ** (x - 8)
+        else:  # 2n + 1 = m * 5**(8 - X), so the double is m * 2**(X - 9)
+            lo, hi = -(-(2 * 10**8 + 1) // 5 ** (8 - x)), (2 * 10**9 - 1) // 5 ** (8 - x)
+            odd = int(rng.integers(lo, hi + 1)) | 1
+            if odd > hi:
+                continue
+        if odd >= 2**53:
+            continue
+        tie = odd * 2.0 ** (x - 9)
+        assert Fraction(tie) * 2 * Fraction(10) ** (8 - x) % 2 == 1  # 2n + 1, odd
+        ties.append(tie if rng.integers(2) else -tie)
+    return tuple(ties)
+
+
+@pytest.fixture
+def kernel_only(monkeypatch):
+    """Every table through the numpy layout, however few its values, and each row it leaves to % spliced in."""
+    from bivquant import _rowtext
+
+    monkeypatch.setattr(cli, "_KERNEL_MIN", 1)
+    monkeypatch.setattr(_rowtext, "_SPLICE_MAX", 1.0)
+
+
+class TestVectorisedRows:
+    """``_rows`` prints exactly ``template % row`` for every double and every template the CLI builds: through its
+    numpy kernel and through the per-row ``%``, on every platform."""
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(ALL_DOUBLES, min_size=1, max_size=64), st.sampled_from(CLI_TEMPLATES))
+    @example(NAMED_DOUBLES, cli._row(2) + "\n")
+    def test_any_doubles(self, kernel_only, values, template):
+        table = _table(values, template)
+        assert "".join(cli._rows(table, template)) == _per_row(table, template)
+
+    @pytest.mark.parametrize("template", CLI_TEMPLATES + OTHER_TEMPLATES)
+    def test_named_doubles(self, kernel_only, template):
+        table = _table(NAMED_DOUBLES, template, rows=len(NAMED_DOUBLES))
+        assert "".join(cli._rows(table, template)) == _per_row(table, template)
+
+    @pytest.mark.parametrize("template", CLI_TEMPLATES + OTHER_TEMPLATES)
+    def test_powers_of_ten(self, kernel_only, template):
+        table = _table(_powers_of_ten(), template)
+        assert "".join(cli._rows(table, template)) == _per_row(table, template)
+
+    @pytest.mark.parametrize("template", CLI_TEMPLATES)
+    def test_dyadic_ties(self, kernel_only, template):
+        table = _table(_dyadic_ties(), template)
+        assert "".join(cli._rows(table, template)) == _per_row(table, template)
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])
+    @pytest.mark.parametrize("template", CLI_TEMPLATES)
+    def test_tables_around_a_chunk(self, kernel_only, template, rows):
+        values = [*NAMED_DOUBLES, *_dyadic_ties(300), *np.random.default_rng(rows).standard_normal(1000) * 1e3]
+        table = _table(values, template, rows=rows)
+        assert "".join(cli._rows(table, template)) == _per_row(table, template)
+
+    @pytest.mark.parametrize("share", [0.1, 0.3, 1.0])
+    def test_rows_left_to_percent(self, share):
+        # a call that leaves _SPLICE_MAX of its rows or fewer to % splices them in; one that leaves more, all its rows
+        rng = np.random.default_rng(47)
+        table = rng.standard_normal((cli._KERNEL_MIN, 2))
+        table[rng.random(len(table)) < share, 1] = np.nan
+        template = cli._row(2) + "\n"
+        assert "".join(cli._rows(table, template)) == _per_row(table, template)
+
+    @pytest.mark.parametrize("rows", [cli._KERNEL_MIN // 2 - 1, cli._KERNEL_MIN // 2])
+    def test_default_cut_over(self, monkeypatch, rows):
+        # a table of _KERNEL_MIN values or more is laid out in numpy, a smaller one filled per row by %
+        from bivquant import _rowtext
+
+        laid_out, chunk_text = [], _rowtext.chunk_text
+        monkeypatch.setattr(_rowtext, "chunk_text", lambda chunk, t: laid_out.append(len(chunk)) or chunk_text(chunk, t))
+        template = cli._row(2) + "\n"
+        table = _table([*NAMED_DOUBLES, *np.random.default_rng(rows).standard_normal(1000) * 1e3], template, rows=rows)
+        assert "".join(cli._rows(table, template)) == _per_row(table, template)
+        assert sum(laid_out) == (rows if table.size >= cli._KERNEL_MIN else 0)
 
 
 class TestSampleCommand:
@@ -459,10 +596,12 @@ class TestCsvWriter:
         (["sample", "--n", "100000", "--seed", "1"], 1.0),
         (["sample", "--n", "400000", "--seed", "1"], 1.0),
         (["curve", "-p", "0.25", "--dir", "mm", "-n", "20000"], 2.5),
-    ], ids=["sample", "sample-4e5", "curve"])
+        (["field", "--kind", "hazard", "--grid", "99"], 1.0),
+    ], ids=["sample", "sample-4e5", "curve", "field"])
     def test_traced_peak(self, tmp_path, model_file, command, bound_mib):
-        # sample draws block by block into the CSV, flat in n: 0.67 (1e5) and 0.75 (4e5) MiB, where the whole pairs
-        # held before the write read 2.1 and 7.0; curve streams its table, 1.5; as joined text: 11.5 and 4.0
+        # sample draws block by block into the CSV, flat in n: 0.66 (1e5) and 0.74 (4e5) MiB, where the whole pairs
+        # held before the write read 2.1 and 7.0; curve streams its table, 1.4; as joined text: 11.5 and 4.0; field's
+        # 9,801 x 4 table, 0.60 (0.67 through the per-row %)
         argv = [command[0], "--model", model_file(FGM_MODEL), *command[1:], "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 0  # the first call builds per-family constants; keep them out of the peak
         assert traced_peak_mib(main, argv) < bound_mib
