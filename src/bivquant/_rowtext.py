@@ -198,8 +198,8 @@ def _template_words(template: str):
 
 
 def _text(words) -> str:
-    """The bytes of ``words`` without their NUL padding."""
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    """The UTF-8 text of ``words`` without its NUL padding (no multibyte character holds a NUL byte)."""
+    return words.tobytes().translate(None, b"\0").decode()
 
 
 def chunk_text(chunk, template: str) -> str:

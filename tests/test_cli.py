@@ -402,8 +402,9 @@ class TestRowFormat:
 CLI_TEMPLATES = [*(cli._row(k) + "\n" for k in range(1, 5)), "identity-first," + cli._row(2) + "\n",
                  cli._row(4) + ",rev-hazard\n", " " + cli._row(2)]
 
-#: Templates with literal text the CLI does not write: words of text between numbers, and an escaped %
-OTHER_TEMPLATES = [cli._row(1) + " <- " + cli._row(2) + "\n", "%%" + cli._row(2) + " %%\n"]
+#: Templates with literal text the CLI does not write: words of text between numbers, an escaped % and non-ASCII text
+OTHER_TEMPLATES = [cli._row(1) + " <- " + cli._row(2) + "\n", "%%" + cli._row(2) + " %%\n",
+                   "µ=" + cli._row(1) + "→" + cli._row(1) + "\n"]
 
 NAMED_DOUBLES = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 2.2250738585072009e-308,
                  -2.2250738585072009e-308, 1.7976931348623157e308, 100000000.5, 999999999.5, 0.0001,
