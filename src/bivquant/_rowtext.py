@@ -4,9 +4,10 @@
 each row, where ``template`` holds ``"%.9g"`` numbers between literal text.
 :func:`_kernel` finds each value's nine digits and decimal exponent in
 float64 and lays its text out in two uint64 words; the values whose
-rounding float64 cannot prove, and the specials, take ``%`` for their row.
-The CLI imports this module only for a table of 16,384 values or more,
-so a command that writes only small tables does not compile it.
+rounding float64 cannot prove, and the specials, take ``"%.9g" % v`` in
+their words, and their row takes ``%`` only where that text fills all 16
+bytes.  The CLI imports this module only for a table of 16,384 values or
+more, so a command that writes only small tables does not compile it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import functools
 
 import numpy as np
 
-from .cli import _NUMBER
+#: The one number format the layout prints, ``cli._NUMBER``; this module does not import the CLI, which runs as
+#: ``__main__`` and would be compiled and run a second time as ``bivquant.cli``.
+_NUMBER = "%.9g"
+_NUMBER_BYTES = _NUMBER.encode()
 
 #: Values per kernel call: its temporaries stay below those of the per-row ``%`` on the same rows.
 _KERNEL_VALUES = 2048
-
-#: A call that leaves more than this share of its rows to ``%`` fills every row by ``%``: splicing the rows in
-#: between the laid-out runs costs more from about 30% of them (961 against 923 us on 1,024 rows).
-_SPLICE_MAX = 0.25
 
 #: Bound on |s - t| for the scaled value s in float64, below 1e9 where its rounding is decided, and the
 #: exact t: s carries at most three roundings of relative size 2**-53 (the power of ten, the product, a
@@ -36,7 +36,8 @@ def _tables():
     """The kernel's lookup tables, built on its first call.
 
     By the top 12 bits of a double (sign, biased exponent e): ``scale``, the
-    correctly rounded 10**(8 - e0) for e0 = floor(e * log10(2)), and ``xi``,
+    correctly rounded 10**(8 - e0) for e0 = floor(e * log10(2)), negated
+    with the sign, and ``xi``,
     the row of X = e0 and the sign in the tables by decimal exponent.  The
     values the kernel leaves to ``%`` get no scale (NaN): zero, subnormals,
     inf, NaN and |v| outside about 1e-99 .. 1e99.
@@ -58,7 +59,7 @@ def _tables():
     powers = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(-90, 108)])  # correctly rounded
     scale, xi = np.full(4096, np.nan), np.full(4096, 99)
     scale[first:last], xi[first:last] = powers.take(98 - e0), e0 + 99
-    scale[2048:], xi[2048:] = scale[:2048], xi[:2048] + 199  # the sign bit
+    scale[2048:], xi[2048:] = -scale[:2048], xi[:2048] + 199  # the sign bit: v * scale is |v| * 10**(8 - e0)
 
     shb, shift, affix = [], [], []
     for x in range(-99, 100):
@@ -96,35 +97,39 @@ def _tables():
     ndl = np.array([0, 5, 6, 7, 8], np.uint8).take(ndh)
     ndl[0] = 0
     nines = np.array([0] + [9] * 9, np.uint8)  # by the ninth digit
-    move, keep, point = (np.array(table, np.uint64) for table in (move, keep, point))
-    tables = scale, xi, np.array(shb * 2, np.intp), carry, shift, affix, move, keep, point, ascii4, ndh, ndl, nines
+    keep, point = (np.ascontiguousarray(np.array(table, np.uint64).T) for table in (keep, point))  # by word
+    shift, affix = np.ascontiguousarray(shift.T), np.ascontiguousarray(affix.T)
+    tables = (scale, xi, np.array(shb * 2, np.intp), carry, *shift, *affix, np.array(move, np.uint64), *keep, *point,
+              ascii4, ndh, ndl, nines)
     for table in tables:  # shared by every call
         table.setflags(write=False)
     return tables
 
 
 def _kernel(values, lit, out):
-    """Lay out ``"%.9g" % v`` of each float64 of ``values`` in two uint64 words of ``out`` and OR in ``lit``.
+    """Lay out ``"%.9g" % v`` of each float64 of ``values`` in two uint64 words of ``out`` and OR ``lit`` into
+    the second.
 
     ``out`` has the shape of ``values`` and a last axis of 2, and ``lit``
-    the shape of one row of ``out``.  A value's 16 bytes hold its text from
-    byte 0, then NUL and ``lit``'s bits in the bytes the text leaves free.
-    The value is n * 10**(X - 8) for
-    nine digits n: s = |v| * 10**(8 - e0), scaled once more by 1/10 where
-    it rounds to ten digits, rounds to n.  Returns the flat indices of the
-    values left to ``%``: near-ties, where that rounding needs more than
-    float64 gives, and the values with no scale but 0, which is laid out here.
+    the shape of ``values``.  A value's 16 bytes hold its text from byte 0,
+    then NUL and ``lit``'s bits in the bytes the text leaves free.  The
+    value is n * 10**(X - 8) for nine digits n: s = |v| * 10**(8 - e0),
+    scaled once more by 1/10 where it rounds to ten digits, rounds to n.
+    The text is built in two contiguous words w0, w1, written to ``out``
+    by their last OR.  Returns the flat indices of the values left to
+    :func:`_put`: near-ties, where that rounding needs more than float64
+    gives, and the values with no scale but 0, which is laid out here.
     """
-    scale, xi_table, shb, carry, shift, affix, move, keep, point, ascii4, ndh, ndl, nines = _tables()
+    (scale, xi_table, shb, carry, shift0, shift1, affix0, affix1, move, keep0, keep1, point0, point1, ascii4, ndh,
+     ndl, nines) = _tables()
     top = (values.view(np.uint64) >> 52).view(np.intp)
-    s = np.abs(values)
     with np.errstate(invalid="ignore"):  # a signalling NaN
-        s *= scale.take(top)
+        s = values * scale.take(top)
     xi = xi_table.take(top)
     del top
     up = s >= 999999999.5 + _MARGIN  # rounds to ten digits; a near-tie below is caught next
-    np.divide(s, 10.0, out=s, where=up)
-    np.add(xi, 1, out=xi, where=up)
+    s /= np.where(up, 10.0, 1.0)
+    xi += up.view(np.uint8)  # the uint8 cast of sh += nd below, not a bool one
     r = np.rint(s)
     s -= r
     np.abs(s, out=s)
@@ -137,9 +142,13 @@ def _kernel(values, lit, out):
     del s, up
     n = r.astype(np.intp)
     del r
-    hi = n // 100000  # digits 1-4
+    # n // d as (n * M) >> k, M = ceil(2**k / d): exact for n < N where (M * d - 2**k) * N < 2**k, so for n < 2**30
+    # (d = 100000, k = 47) and n < 2**17 (d = 10, k = 35); no integer division loop to page in
+    hi = n * 1407374884  # digits 1-4
+    hi >>= 47
     n -= hi * 100000
-    lo = n // 10  # digits 5-8
+    lo = n * 3435973837  # digits 5-8
+    lo >>= 35
     n -= lo * 10  # digit 9
     nd = np.maximum(ndh.take(hi), ndl.take(lo))
     np.maximum(nd, nines.take(n), out=nd)
@@ -152,23 +161,27 @@ def _kernel(values, lit, out):
     text |= ascii4.take(hi)
     del hi
     moved = text & move.take(sh)
-    np.multiply(moved, 255, out=out[..., 0])  # text with the moved bytes one byte up
-    out[..., 0] += text
+    w0 = moved * np.uint64(255)  # text with the moved bytes one byte up
+    w0 += text
     del text
-    np.right_shift(moved, 56, out=out[..., 1])
+    w1 = moved >> np.uint64(56)
     del moved
     n <<= 8
-    out[..., 1] |= n.view(np.uint64)
+    w1 |= n.view(np.uint64)
     del n
-    out &= keep.take(sh, axis=0)
-    out |= point.take(sh, axis=0)
+    w0 &= keep0.take(sh)
+    w1 &= keep1.take(sh)
+    w0 |= point0.take(sh)
+    w1 |= point1.take(sh)
     del sh
-    carried = out[..., 0] >> carry.take(xi)
-    out <<= shift.take(xi, axis=0)
-    out[..., 1] |= carried
+    carried = w0 >> carry.take(xi)
+    w0 <<= shift0.take(xi)
+    w1 <<= shift1.take(xi)
+    w1 |= carried
     del carried
-    out |= affix.take(xi, axis=0)
-    out |= lit
+    np.bitwise_or(w0, affix0.take(xi), out=out[..., 0])
+    w1 |= lit
+    np.bitwise_or(w1, affix1.take(xi), out=out[..., 1])
     return left
 
 
@@ -177,14 +190,16 @@ def _template_words(template: str):
     """``template`` as one row of uint64 words: its literal text NUL-padded, and two words for each number.
 
     Returns the row, the word index of the first number, the words from one
-    number to the next and the literal bits of each number's two words.  A
-    one-byte literal after a number rides in the last byte of its words;
+    number to the next and the literal bits of each number's second word,
+    repeated for a kernel call's rows.  A one-byte literal after a number
+    rides in the last byte of its words;
     a longer one takes words of its own, and each number's words are followed
     by as many as the longest literal between two numbers takes, so that the
     numbers stand evenly spaced.
     """
     pieces = [(piece % ()).encode() for piece in template.split(_NUMBER)]
-    lit = np.array([[0, ord(p) << 56 if len(p) == 1 else 0] for p in pieces[1:]], np.uint64)
+    lit = np.array([ord(p) << 56 if len(p) == 1 else 0 for p in pieces[1:]], np.uint64)
+    lit = np.tile(lit, (max(1, _KERNEL_VALUES // len(lit)), 1))
     row = [pieces[0]]
     for after in pieces[1:]:
         row += [bytes(16), after if len(after) > 1 else b""]
@@ -202,33 +217,49 @@ def _text(words) -> str:
     return words.tobytes().translate(None, b"\0").decode()
 
 
+def _put(values, left, lit, out):
+    """Write ``"%.9g" % v`` of the values of ``values`` at the flat indices ``left`` into their words of ``out``.
+
+    ``values``, ``lit`` and ``out`` are as for :func:`_kernel`.  Returns the
+    rows of the values whose text takes all 16 bytes, a negative double with
+    nine digits and a three-digit exponent: there is no byte left for a NUL
+    or for ``lit``, so their rows take ``%``.
+    """
+    rows, columns = np.divmod(left, values.shape[1])
+    text = np.array([_NUMBER_BYTES % v for v in values.take(left).tolist()], "S16").view(np.uint64).reshape(-1, 2)
+    out[rows, columns] = text
+    out[rows, columns, 1] |= lit[rows, columns]
+    return list(dict.fromkeys(rows[text[:, 1] >> np.uint64(56) != 0].tolist()))
+
+
 def chunk_text(chunk, template: str) -> str:
     """``template % tuple(row)`` for each row of the 2-d float ``chunk``, joined.
 
     :func:`_kernel` lays out ``_KERNEL_VALUES`` values per call into one
-    buffer of words with the template's literal text in place, which then
-    loses its NUL padding in one ``bytes.translate``; a row with a value left
-    to ``%`` is filled by it, and every row of a call that leaves more than
-    ``_SPLICE_MAX`` of its rows.
+    buffer of words with the template's literal text in place, and
+    :func:`_put` the values it leaves; the buffer then loses its NUL padding
+    in one ``bytes.translate``, and the rare row whose text fills a number's
+    words is filled by ``%``.
     """
     row, first, step, lit = _template_words(template)
     rows, columns = chunk.shape
     per = min(rows, max(1, _KERNEL_VALUES // columns))
     words = np.empty((per, len(row)), np.uint64)
-    words[:] = row
+    if len(row) > 2 * columns:  # literal words, which no kernel call writes
+        words[:] = row
     slots = words[:, first : first + step * columns].reshape(per, columns, step)[..., :2]
     text = []
     for begin in range(0, rows, per):
         part = np.ascontiguousarray(chunk[begin : begin + per], dtype=np.float64)
         n = len(part)
-        left = _kernel(part, lit, slots[:n])
-        rows_left = np.unique(left // columns).tolist() if len(left) else []  # the rows with a value left to %
-        if len(rows_left) > _SPLICE_MAX * n:
-            text.append("".join([template % tuple(values) for values in part.tolist()]))
-            continue
+        left = _kernel(part, lit[:n], slots[:n])
+        spliced = _put(part, left, lit[:n], slots[:n]) if len(left) else []
         done = 0
-        for r in rows_left:
-            text += [_text(words[done:r]), template % tuple(part[r].tolist())]
+        for r, row_text in zip(spliced, [template % tuple(values) for values in part[spliced].tolist()]):
+            if r > done:
+                text.append(_text(words[done:r]))
+            text.append(row_text)
             done = r + 1
-        text.append(_text(words[done:n]))
+        if n > done:
+            text.append(_text(words[done:n]))
     return "".join(text)

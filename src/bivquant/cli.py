@@ -12,8 +12,9 @@ subcommand.  Every row of numbers goes through one row formatter, :func:`_rows`:
 the CSV tables of :func:`_write_csv` (``verify --out``'s too, the check name
 in the template) and the SVG polyline.  It prints exactly ``template % row``:
 a table of 16,384 values or more is laid out in numpy by
-:mod:`bivquant._rowtext`, which leaves to ``%`` only the values it cannot
-prove (near-ties, inf, NaN, subnormals, |v| outside about 1e-99 .. 1e99).
+:mod:`bivquant._rowtext`, which prints ``"%.9g" % v`` in place for the
+values it cannot prove (near-ties, inf, NaN, subnormals, |v| outside about
+1e-99 .. 1e99) and leaves to ``%`` only a row with a 16-byte number.
 ``sample`` never holds its n pairs: it reads
 :func:`bivquant.estimation.sample_blocks` to the end once, so a draw that
 overflows is one error before any output, then draws the same blocks again
@@ -117,9 +118,11 @@ def _write(path: str | None, chunks):
 _KERNEL_MIN = 16384
 
 
-def _layout():
-    """:func:`bivquant._rowtext.chunk_text`, imported on the first call: a command that writes no large table does
-    not compile it."""
+def _layout_for(size: int):
+    """The numpy layout for a table of ``size`` values, :func:`bivquant._rowtext.chunk_text`, or None below
+    ``_KERNEL_MIN``: imported on the first call, so a command that writes no large table does not compile it."""
+    if size < _KERNEL_MIN:
+        return None
     from ._rowtext import chunk_text
 
     return chunk_text
@@ -129,12 +132,12 @@ def _rows(table, template: str):
     """``template % row`` for each row of the 2-d float ``table``, joined 1,024 rows at a time.
 
     A table of ``_KERNEL_MIN`` values or more is laid out in numpy by
-    :func:`_layout`'s function; a smaller one is filled once per row from
+    :func:`_layout_for`'s function; a smaller one is filled once per row from
     ``tolist()`` floats.  Both print what _fmt prints per value.  The chunks
     bound memory: a whole 1e5-row sample would hold about 12 MB as floats
     and 10 MB as joined text.
     """
-    chunk_text = _layout() if table.size >= _KERNEL_MIN else None
+    chunk_text = _layout_for(table.size)
     for start in range(0, len(table), 1024):
         chunk = table[start : start + 1024]
         yield chunk_text(chunk, template) if chunk_text else "".join([template % tuple(row) for row in chunk.tolist()])
@@ -267,10 +270,9 @@ def cmd_verify(args, model, cfg) -> int:
 
 
 def cmd_sample(args, model, cfg) -> int:
-    if 2 * min(args.n, BLOCK) >= _KERNEL_MIN:
-        # its blocks take the numpy layout: compiled before the draws, the compiler's 0.8 MB of temporaries are reused
-        # by them instead of adding 0.4 MB to the command's peak
-        _layout()
+    # the layout its blocks take, compiled before the draws: the compiler's 0.8 MB of temporaries are reused by them
+    # instead of adding 0.4 MB to the command's peak
+    _layout_for(2 * min(args.n, BLOCK))
     # the check pass draws every block and keeps none: a draw that overflows is raised before a byte is written
     for _ in estimation.sample_blocks(model, args.n, args.seed, cfg):
         pass

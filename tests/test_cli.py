@@ -4,10 +4,14 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,11 +465,8 @@ def _dyadic_ties(count=10_000):
 
 @pytest.fixture
 def kernel_only(monkeypatch):
-    """Every table through the numpy layout, however few its values, and each row it leaves to % spliced in."""
-    from bivquant import _rowtext
-
+    """Every table through the numpy layout, however few its values."""
     monkeypatch.setattr(cli, "_KERNEL_MIN", 1)
-    monkeypatch.setattr(_rowtext, "_SPLICE_MAX", 1.0)
 
 
 class TestVectorisedRows:
@@ -501,14 +502,48 @@ class TestVectorisedRows:
         table = _table(values, template, rows=rows)
         assert "".join(cli._rows(table, template)) == _per_row(table, template)
 
-    @pytest.mark.parametrize("share", [0.1, 0.3, 1.0])
-    def test_rows_left_to_percent(self, share):
-        # a call that leaves _SPLICE_MAX of its rows or fewer to % splices them in; one that leaves more, all its rows
+    @pytest.mark.parametrize("left, to_percent", [(np.nan, False), (1.23456789e300, False), (-1.23456789e-300, True)])
+    @pytest.mark.parametrize("share", [0.1, 1.0])
+    def test_values_the_kernel_leaves(self, monkeypatch, left, to_percent, share):
+        # such a value takes "%.9g" % v in its words, and its row stays laid out: only a text of 16 bytes, which
+        # leaves no byte for the literal after it, sends its row to %
+        from bivquant import _rowtext
+
+        sent, put = [], _rowtext._put
+
+        def counted(*args):
+            rows = put(*args)
+            sent.extend(rows)
+            return rows
+
+        monkeypatch.setattr(_rowtext, "_put", counted)
         rng = np.random.default_rng(47)
         table = rng.standard_normal((cli._KERNEL_MIN, 2))
-        table[rng.random(len(table)) < share, 1] = np.nan
+        rows = rng.random(len(table)) < share
+        table[rows, 1] = left
         template = cli._row(2) + "\n"
         assert "".join(cli._rows(table, template)) == _per_row(table, template)
+        assert len(sent) == (rows.sum() if to_percent else 0)
+
+    def test_one_number_format(self):
+        from bivquant import _rowtext
+
+        assert _rowtext._NUMBER == cli._NUMBER
+
+    def test_the_layout_leaves_the_main_module_alone(self, tmp_path, model_file):
+        # `python -m bivquant.cli` runs cli.py as __main__: the layout, imported on sample's first block, must not
+        # import it a second time as bivquant.cli
+        code = ("import runpy, sys\n"
+                "try:\n    runpy.run_module('bivquant.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit:\n    pass\n"
+                "print(sorted(name for name in sys.modules if name.startswith('bivquant.')))")
+        argv = ["sample", "--model", model_file(FGM_MODEL), "--n", "20000", "--out", str(tmp_path / "draws.csv")]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        modules = done.stdout.splitlines()[-1]
+        assert "'bivquant._rowtext'" in modules and "'bivquant.cli'" not in modules
 
     @pytest.mark.parametrize("rows", [cli._KERNEL_MIN // 2 - 1, cli._KERNEL_MIN // 2])
     def test_default_cut_over(self, monkeypatch, rows):
