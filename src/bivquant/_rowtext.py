@@ -37,9 +37,9 @@ def _tables():
 
     By the top 12 bits of a double (sign, biased exponent e): ``scale``, the
     correctly rounded 10**(8 - e0) for e0 = floor(e * log10(2)), negated
-    with the sign, and ``xi``,
-    the row of X = e0 and the sign in the tables by decimal exponent.  The
-    values the kernel leaves to ``%`` get no scale (NaN): zero, subnormals,
+    with the sign, and ``xi``, the row of X = e0 and the sign in the tables
+    by decimal exponent.  No scale (NaN) goes to zero, which the kernel lays
+    out itself, and to the values it leaves to :func:`_put`: subnormals,
     inf, NaN and |v| outside about 1e-99 .. 1e99.
 
     By ``xi = X + 99 + 199 * sign``: 10 * the layout class (0..3 for
