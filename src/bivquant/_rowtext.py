@@ -8,6 +8,15 @@ rounding float64 cannot prove, and the specials, take ``"%.9g" % v`` in
 their words, and their row takes ``%`` only where that text fills all 16
 bytes.  The CLI imports this module only for a table of 16,384 values or
 more, so a command that writes only small tables does not compile it.
+
+Lean by design, since the layout runs in the CLI's largest process, the
+``sample`` child: the tables take 149 KB, built from Python lists of at most
+398 items and whole-array integer passes, and the kernel and the tables keep
+to integer arithmetic and shifts, one dtype per operation, with no bitwise
+and/or and no uint8 operand.  numpy pages in 64 KB of its code for each
+family of loops a process first runs (integer arithmetic, bitwise
+operations, a uint8-to-intp cast, ...), and the draws before ``sample``'s
+write run none of these.
 """
 
 from __future__ import annotations
@@ -31,83 +40,109 @@ _KERNEL_VALUES = 2048
 _MARGIN = 3.4e-7
 
 
+def _point_byte(cls: int) -> int:
+    """The byte of the point of layout class ``cls``, or of the hole the NUL strip removes where it has none."""
+    return 1 if cls == 13 else 8 if cls < 4 else min(cls - 3, 8)
+
+
+def _prefix(cls: int) -> bytes:
+    """The "0.000" before the digits of layout class ``cls``."""
+    return b"0." + b"0" * (3 - cls) if cls < 4 else b""
+
+
 @functools.cache
 def _tables():
     """The kernel's lookup tables, built on its first call.
 
-    By the top 12 bits of a double (sign, biased exponent e): ``scale``, the
-    correctly rounded 10**(8 - e0) for e0 = floor(e * log10(2)), negated
-    with the sign, and ``xi``, the row of X = e0 and the sign in the tables
-    by decimal exponent.  No scale (NaN) goes to zero, which the kernel lays
-    out itself, and to the values it leaves to :func:`_put`: subnormals,
-    inf, NaN and |v| outside about 1e-99 .. 1e99.
+    The first item is ``slot0``.  By slot, the top 12 bits (sign, biased
+    exponent e) of a double less ``slot0``, clipped to the table:
+    ``scale``, the correctly rounded 10**(8 - e0) for e0 = floor(e *
+    log10(2)), negated with the sign, and ``xi``, the row of X = e0 and the
+    sign in the tables by decimal exponent.  The slots of |v| in about
+    1e-99 .. 1e99 are the rows after the first of each sign; every other
+    double reads a row with no scale (NaN), and with the sign of a negative
+    one: zero, which the kernel lays out itself, and the values it leaves
+    to :func:`_put`, subnormals, inf, NaN and the rest.
 
-    By ``xi = X + 99 + 199 * sign``: 10 * the layout class (0..3 for
-    -4 <= X < 0, 4..12 for 0 <= X < 9, 13 for the exponent form); how far the
-    two words move up to make room for the sign and the "0.000" prefix; that
-    prefix; and "e+dd" in bytes 11-14.  By ``sh = 10 * class + nd``, nd the
-    digits left once trailing zeros go: the bytes that move up one to make
-    room for the point, the bytes kept, and the point (with the ASCII bits of
-    the ninth digit where it is kept).  By a 4-digit group: its ASCII digits,
-    and its digits up to its last nonzero one, as digits 1-4 (``ndh``, 1 for
-    0000) and as digits 5-8 (``ndl``, 0 for 0000); by digit 9, 9 unless 0.
+    By ``xi = X + 99 + 199 * sign``: ``140 * sign + 10 *`` the layout class
+    (0..3 for -4 <= X < 0, 4..12 for 0 <= X < 9, 13 for the exponent form);
+    the bits below the point's byte; how far the two words move up to make
+    room for the sign and the "0.000" prefix; and "e+dd" in bytes 11-14.
+    By ``sh = 140 * sign + 10 * class + nd``, nd the digits left once
+    trailing zeros go: the bits of the first 8 digits kept, and the
+    prefix, sign and point (with the ASCII bits of the ninth digit where it
+    is kept) in their final bytes.  By a 4-digit group: its ASCII digits in
+    bytes 0-3, and its digits up to its last nonzero one in byte 4, as
+    digits 1-4 (1 for 0000), and in byte 7, as digits 5-8 (0 for 0000); by
+    digit 9, 9 unless 0.
     """
-    # e0 = floor(e * log10(2)) = (e * 78913) >> 18, exact while |e| < 1650; it takes each integer in turn
-    exponents = [((biased - 1023) * 78913) >> 18 for biased in range(2048)]
-    first, last = exponents.index(-99), exponents.index(99)
-    e0 = np.array(exponents[first:last])
+    # e0 = floor(e * log10(2)) = (e * 78913) >> 18, exact while |e| < 1650; first and last, the biased exponents
+    # e of e0 = -99 and 99, bound those with a scale
+    first, last = (next(b for b in range(2048) if (b - 1023) * 78913 >> 18 == x) for x in (-99, 99))
+    e0 = (np.arange(first, last) - 1023) * 78913 >> 18
     powers = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(-90, 108)])  # correctly rounded
-    scale, xi = np.full(4096, np.nan), np.full(4096, 99)
-    scale[first:last], xi[first:last] = powers.take(98 - e0), e0 + 99
-    scale[2048:], xi[2048:] = -scale[:2048], xi[:2048] + 199  # the sign bit: v * scale is |v| * 10**(8 - e0)
+    slot0 = first - 1  # an index below the table wraps to a negative one, which the clip reads as 0
+    scale, xi = np.full(2048 + last - slot0 + 1, np.nan), np.full(2048 + last - slot0 + 1, 99)
+    xi[2048 - slot0 :] += 199  # the sign bit, -0 with it
+    scale[1 : last - slot0] = powers.take(98 - e0)
+    xi[1 : last - slot0] += e0
+    scale[2049 : 2048 + last - slot0] = -scale[1 : last - slot0]  # the sign bit: v * scale is |v| * 10**(8 - e0)
+    xi[2049 : 2048 + last - slot0] += e0
 
-    shb, shift, affix = [], [], []
+    shb, below, shift0, shift1, exponent = [], [], [], [], []
     for x in range(-99, 100):
         fixed = -4 <= x < 9
-        prefix = b"0." + b"0" * (-x - 1) if fixed and x < 0 else b""
-        shb.append(10 * (x + 4 if fixed else 13))
+        cls = x + 4 if fixed else 13
+        shb.append(10 * cls)
+        below.append(8 * _point_byte(cls))
         # byte 8, the point's or a hole, and byte 9, the ninth digit, move up; for X < 0 one byte less
-        shift.append((8 * len(prefix), 8 * len(prefix) - 8 * (fixed and x < 0)))
-        affix.append((int.from_bytes(prefix, "little"), 0 if fixed else int.from_bytes(b"e%+03d" % x, "little") << 24))
-    shift, affix = np.array(shift, np.uint64), np.array(affix, np.uint64)
-    minus = affix.copy()
-    minus[:, 0] <<= np.uint64(8)
-    minus[:, 0] |= np.uint64(ord("-"))
-    shift = np.concatenate([shift, shift + np.uint64(8)])  # the rows with a sign
-    affix, carry = np.concatenate([affix, minus]), np.uint64(64) - shift[:, 0]
+        shift0.append(8 * len(_prefix(cls)))
+        shift1.append(8 * len(_prefix(cls)) - 8 * (cls < 4))
+        exponent.append(0 if fixed else int.from_bytes(b"e%+03d" % x, "little") << 24)
+    shb = np.array(shb + [cls + 140 for cls in shb])  # the rows with a sign
+    shift0, shift1 = (np.array(shift + [bits + 8 for bits in shift], np.uint64) for shift in (shift0, shift1))
+    below, exponent = np.array(below * 2, np.uint64), np.array(exponent * 2, np.uint64)
+    carry = np.uint64(64) - shift0
 
-    move, keep, point = [0] * 140, [(0, 0)] * 140, [(0, 0)] * 140
-    for cls in range(14):
-        x = cls - 4
-        at = 1 if cls == 13 else min(x + 1, 8) if x >= 0 else 8  # the byte of the point, or of a hole
-        for nd in range(1, 10):
-            kept = max(nd, 1 if cls == 13 else max(x + 1, 0))  # the integer digits stay
-            length = kept + (kept > at)
-            dot = 0x2E << 8 * at if kept > at and (cls == 13 or 0 <= x < 8) else 0
-            bits, mask = dot | (0x30 << 72 if length == 10 else 0), (1 << 8 * length) - 1
-            move[10 * cls + nd] = 2**64 - (1 << 8 * at)
-            keep[10 * cls + nd] = mask % 2**64, mask >> 64
-            point[10 * cls + nd] = bits % 2**64, bits >> 64
+    keep, put0, put1 = [], [], []
+    for sign in (0, 1):
+        for cls in range(14):
+            x, at = cls - 4, _point_byte(cls)
+            prefix = b"-" * sign + _prefix(cls)
+            for nd in range(10):  # nd = 0 takes a row no value reads
+                kept = max(nd, 1 if cls == 13 else max(x + 1, 0))  # the integer digits stay
+                dot = 0x2E << 8 * at if kept > at and (cls == 13 or 0 <= x < 8) else 0
+                bits = (dot | (0x30 << 72 if kept == 9 else 0)) << 8 * len(prefix) | int.from_bytes(prefix, "little")
+                if cls < 4:  # byte 8 is a hole, which the second word's smaller move drops
+                    bits = bits % 2**64 | bits >> 72 << 64
+                keep.append(64 - 8 * min(kept, 8))
+                put0.append(bits % 2**64)
+                put1.append(bits >> 64)
+    keep, put0, put1 = (np.array(table, np.uint64) for table in (keep, put0, put1))
 
-    pairs = [b"%02d" % i for i in range(100)]  # a group is 100 * a + b for two such pairs a, b
-    ascii2 = np.array([int.from_bytes(p, "little") for p in pairs], np.uint64)
-    ascii4 = (ascii2[:, None] | ascii2 << np.uint64(16)).ravel()
-    nd2 = np.array([len(p.rstrip(b"0")) for p in pairs], np.uint8)  # 0 for 00
-    ndh = np.maximum(np.maximum(nd2, 1)[:, None], np.array([0, 3, 4], np.uint8).take(nd2)).ravel()  # b's 2 + nd2
-    ndl = np.array([0, 5, 6, 7, 8], np.uint8).take(ndh)
-    ndl[0] = 0
-    nines = np.array([0] + [9] * 9, np.uint8)  # by the ninth digit
-    keep, point = (np.ascontiguousarray(np.array(table, np.uint64).T) for table in (keep, point))  # by word
-    shift, affix = np.ascontiguousarray(shift.T), np.ascontiguousarray(affix.T)
-    tables = (scale, xi, np.array(shb * 2, np.intp), carry, *shift, *affix, np.array(move, np.uint64), *keep, *point,
-              ascii4, ndh, ndl, nines)
+    # a group is 100 * a + b for two digit pairs a, b; a pair's digits up to its last nonzero one: 0 for 00
+    pair = np.arange(100)
+    tens = pair * 205 >> 11  # pair // 10
+    ones = pair - 10 * tens
+    nd2 = np.minimum(pair, 1) + np.minimum(ones, 1)
+    digits = np.maximum(np.maximum(nd2, 1)[:, None], nd2 + 2 * np.minimum(nd2, 1))  # digits 1-4
+    digits *= 2**24 + 1
+    digits += 4 << 24  # and digits 5-8
+    digits <<= 32
+    digits.flat[0] = 1 << 32  # 0000: 1 and 0
+    ascii2 = tens + (ones << 8) + 0x3030
+    digits += ascii2[:, None]
+    digits += ascii2 << 16
+    digits = digits.ravel().view(np.uint64)
+    nines = np.minimum(np.arange(10, dtype=np.uint64), 1) * np.uint64(9)
+    tables = (scale, xi, shb, below, carry, shift0, shift1, exponent, keep, put0, put1, digits, nines)
     for table in tables:  # shared by every call
         table.setflags(write=False)
-    return tables
+    return (np.uint64(slot0), *tables)
 
 
 def _kernel(values, lit, out):
-    """Lay out ``"%.9g" % v`` of each float64 of ``values`` in two uint64 words of ``out`` and OR ``lit`` into
+    """Lay out ``"%.9g" % v`` of each float64 of ``values`` in two uint64 words of ``out`` and add ``lit`` into
     the second.
 
     ``out`` has the shape of ``values`` and a last axis of 2, and ``lit``
@@ -115,21 +150,24 @@ def _kernel(values, lit, out):
     then NUL and ``lit``'s bits in the bytes the text leaves free.  The
     value is n * 10**(X - 8) for nine digits n: s = |v| * 10**(8 - e0),
     scaled once more by 1/10 where it rounds to ten digits, rounds to n.
-    The text is built in two contiguous words w0, w1, written to ``out``
-    by their last OR.  Returns the flat indices of the values left to
-    :func:`_put`: near-ties, where that rounding needs more than float64
-    gives, and the values with no scale but 0, which is laid out here.
+    The text is built in two contiguous words w0, w1, then copied to
+    ``out``; every sum adds bits into NUL bytes, so it is the OR.
+    Returns the flat indices of the values left to :func:`_put`: near-ties,
+    where that rounding needs more than float64 gives, and the values with
+    no scale but 0, which is laid out here.
     """
-    (scale, xi_table, shb, carry, shift0, shift1, affix0, affix1, move, keep0, keep1, point0, point1, ascii4, ndh,
-     ndl, nines) = _tables()
-    top = (values.view(np.uint64) >> 52).view(np.intp)
+    slot0, scale, xi_table, shb, below, carry, shift0, shift1, exponent, keep, put0, put1, digits, nines = _tables()
+    top = values.view(np.uint64) >> np.uint64(52)
+    top -= slot0  # below the table it wraps to a negative index, which the clip reads as row 0
+    top = top.view(np.intp)
     with np.errstate(invalid="ignore"):  # a signalling NaN
-        s = values * scale.take(top)
-    xi = xi_table.take(top)
+        s = values * scale.take(top, mode="clip")
+    xi = xi_table.take(top, mode="clip")
     del top
     up = s >= 999999999.5 + _MARGIN  # rounds to ten digits; a near-tie below is caught next
     s /= np.where(up, 10.0, 1.0)
-    xi += up.view(np.uint8)  # the uint8 cast of sh += nd below, not a bool one
+    xi += np.where(up, 1, 0)  # an intp operand: a bool one runs numpy's cast loops
+    del up
     r = np.rint(s)
     s -= r
     np.abs(s, out=s)
@@ -139,7 +177,7 @@ def _kernel(values, lit, out):
         r[zero] = 0.0
         left = np.flatnonzero(~((s < 0.5 - _MARGIN) | zero))
         r.flat[left] = 1e8
-    del s, up
+    del s
     n = r.astype(np.intp)
     del r
     # n // d as (n * M) >> k, M = ceil(2**k / d): exact for n < N where (M * d - 2**k) * N < 2**k, so for n < 2**30
@@ -150,66 +188,79 @@ def _kernel(values, lit, out):
     lo = n * 3435973837  # digits 5-8
     lo >>= 35
     n -= lo * 10  # digit 9
-    nd = np.maximum(ndh.take(hi), ndl.take(lo))
-    np.maximum(nd, nines.take(n), out=nd)
-    sh = shb.take(xi)
-    sh += nd
-    del nd
-    text = ascii4.take(lo)
+    text = digits.take(lo)
     del lo
-    text <<= 32
-    text |= ascii4.take(hi)
+    group = digits.take(hi)
     del hi
-    moved = text & move.take(sh)
+    nd = np.maximum(text, group << np.uint64(24))  # the top bytes decide: lo's digits 5-8 or hi's digits 1-4
+    nd >>= np.uint64(56)
+    np.maximum(nd, nines.take(n), out=nd)
+    text <<= np.uint64(32)
+    group <<= np.uint64(32)
+    group >>= np.uint64(32)
+    text += group  # the ASCII of digits 1-8
+    del group
+    sh = shb.take(xi)
+    sh += nd.view(np.intp)
+    del nd
+    kept = keep.take(sh)  # the trailing zeros of digits 1-8 go
+    text <<= kept
+    text >>= kept
+    del kept
+    at = below.take(xi)
+    moved = text >> at  # the bytes from the point's up
+    moved <<= at
+    del at
     w0 = moved * np.uint64(255)  # text with the moved bytes one byte up
     w0 += text
     del text
     w1 = moved >> np.uint64(56)
     del moved
     n <<= 8
-    w1 |= n.view(np.uint64)
+    w1 += n.view(np.uint64)
     del n
-    w0 &= keep0.take(sh)
-    w1 &= keep1.take(sh)
-    w0 |= point0.take(sh)
-    w1 |= point1.take(sh)
-    del sh
     carried = w0 >> carry.take(xi)
     w0 <<= shift0.take(xi)
     w1 <<= shift1.take(xi)
-    w1 |= carried
+    w1 += carried
     del carried
-    np.bitwise_or(w0, affix0.take(xi), out=out[..., 0])
-    w1 |= lit
-    np.bitwise_or(w1, affix1.take(xi), out=out[..., 1])
+    w0 += put0.take(sh)
+    out[..., 0] = w0
+    w1 += put1.take(sh)
+    w1 += lit
+    w1 += exponent.take(xi)
+    out[..., 1] = w1
     return left
 
 
 @functools.cache
 def _template_words(template: str):
-    """``template`` as one row of uint64 words: its literal text NUL-padded, and two words for each number.
+    """The buffer of one kernel call's rows of ``template``: its literal text NUL-padded, and two words a number.
 
-    Returns the row, the word index of the first number, the words from one
-    number to the next and the literal bits of each number's second word,
-    repeated for a kernel call's rows.  A one-byte literal after a number
-    rides in the last byte of its words;
-    a longer one takes words of its own, and each number's words are followed
-    by as many as the longest literal between two numbers takes, so that the
-    numbers stand evenly spaced.
+    Returns the buffer, the view of each number's two words in it, and the
+    literal bits of each number's second word.  A one-byte literal after a
+    number rides in the last byte of its words; a longer one takes words of
+    its own, and each number's words are followed by as many as the longest
+    literal between two numbers takes, so that the numbers stand evenly
+    spaced.  Every call reuses the buffer, whose literal words no call
+    writes.
     """
     pieces = [(piece % ()).encode() for piece in template.split(_NUMBER)]
+    columns = len(pieces) - 1
+    per = max(1, _KERNEL_VALUES // columns)
     lit = np.array([ord(p) << 56 if len(p) == 1 else 0 for p in pieces[1:]], np.uint64)
-    lit = np.tile(lit, (max(1, _KERNEL_VALUES // len(lit)), 1))
+    lit = np.tile(lit, (per, 1))
+    lit.setflags(write=False)
     row = [pieces[0]]
     for after in pieces[1:]:
         row += [bytes(16), after if len(after) > 1 else b""]
     width = max(map(len, row[2:-1:2]), default=0)  # the longest literal between two numbers
     row[2::2] = [after.ljust(width, b"\0") for after in row[2::2]]
     words = [np.frombuffer(text.ljust(-(-len(text) // 8) * 8, b"\0"), np.uint64) for text in row]
-    row = np.concatenate(words)
-    for table in row, lit:  # shared by every call
-        table.setflags(write=False)
-    return row, len(words[0]), 2 + -(-width // 8), lit
+    first, step = len(words[0]), 2 + -(-width // 8)
+    buffer = np.empty((per, sum(map(len, words))), np.uint64)
+    buffer[:] = np.concatenate(words)
+    return buffer, buffer[:, first : first + step * columns].reshape(per, columns, step)[..., :2], lit
 
 
 def _text(words) -> str:
@@ -235,30 +286,25 @@ def _put(values, left, lit, out):
 def chunk_text(chunk, template: str) -> str:
     """``template % tuple(row)`` for each row of the 2-d float ``chunk``, joined.
 
-    :func:`_kernel` lays out ``_KERNEL_VALUES`` values per call into one
-    buffer of words with the template's literal text in place, and
+    :func:`_kernel` lays out ``_KERNEL_VALUES`` values per call into the
+    template's buffer of words, with its literal text in place, and
     :func:`_put` the values it leaves; the buffer then loses its NUL padding
     in one ``bytes.translate``, and the rare row whose text fills a number's
     words is filled by ``%``.
     """
-    row, first, step, lit = _template_words(template)
-    rows, columns = chunk.shape
-    per = min(rows, max(1, _KERNEL_VALUES // columns))
-    words = np.empty((per, len(row)), np.uint64)
-    if len(row) > 2 * columns:  # literal words, which no kernel call writes
-        words[:] = row
-    slots = words[:, first : first + step * columns].reshape(per, columns, step)[..., :2]
+    words, slots, lit = _template_words(template)
+    per = len(words)
     text = []
-    for begin in range(0, rows, per):
+    for begin in range(0, len(chunk), per):
         part = np.ascontiguousarray(chunk[begin : begin + per], dtype=np.float64)
         n = len(part)
         left = _kernel(part, lit[:n], slots[:n])
         spliced = _put(part, left, lit[:n], slots[:n]) if len(left) else []
         done = 0
-        for r, row_text in zip(spliced, [template % tuple(values) for values in part[spliced].tolist()]):
+        for r in spliced:
             if r > done:
                 text.append(_text(words[done:r]))
-            text.append(row_text)
+            text.append(template % tuple(part[r].tolist()))
             done = r + 1
         if n > done:
             text.append(_text(words[done:n]))

@@ -8,7 +8,12 @@ All outputs (CSV, JSON, SVG, reports) are byte-identical across re-runs
 for identical inputs; numbers are serialized with 9 significant digits in CSV.
 
 :func:`main` loads the model and numerics config and hands both to the
-subcommand.  Every row of numbers goes through one row formatter, :func:`_rows`:
+subcommand.  A process compiles only the modules its command reads: the
+package imports none on ``import bivquant``, this module imports those of
+``curve``, ``field`` and ``sample``, and :func:`main` imports
+``reconstruction`` for ``reconstruct`` and ``verify`` before it builds the
+parser, whose objects would otherwise fragment the memory that compilation
+frees.  Every row of numbers goes through one row formatter, :func:`_rows`:
 the CSV tables of :func:`_write_csv` (``verify --out``'s too, the check name
 in the template) and the SVG polyline.  It prints exactly ``template % row``:
 a table of 16,384 values or more is laid out in numpy by
@@ -26,18 +31,23 @@ tolerance.
 
 from __future__ import annotations
 
+# the package's modules first and the largest first (estimation imports curves), so that each compiles into memory
+# an earlier compilation freed, before the standard library's modules below load objects into it: in the order
+# curves, estimation, models, reliability a child's peak RSS read up to 0.6 MB more, and up to 0.3 MB more again
+# with the standard library's first
+from . import models, reliability, estimation, curves
+from .errors import BivquantError, ConfigError, ModelSpecError
+from .numerics import BLOCK, NumericConfig, require_integer, require_keys
+
 import argparse
 import functools
+import importlib
 import json
 import sys
 import warnings
 from dataclasses import fields
 
 import numpy as np
-
-from . import curves, estimation, models, reconstruction, reliability
-from .errors import BivquantError, ConfigError, ModelSpecError
-from .numerics import BLOCK, NumericConfig, require_integer, require_keys
 
 
 #: Every serialized number: 9 significant digits ("%.9g" % v == format(v, ".9g")).
@@ -86,7 +96,11 @@ def load_numeric_config(path: str | None) -> NumericConfig | None:
 
 
 def load_sample_csv(path: str) -> estimation.SampleSet:
-    """Read an 'x,y' sample CSV back into a SampleSet."""
+    """Read an 'x,y' sample CSV back into a SampleSet: its first line is that header, and every other a pair."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+    if header.rstrip(b"\r\n") != b"x,y":  # a sample without it would lose its first pair
+        raise ModelSpecError(f"sample file {path!r} does not start with the header line x,y")
     try:
         with warnings.catch_warnings():
             # a header-only file is reported below, as one error
@@ -241,6 +255,8 @@ def cmd_field(args, model, cfg) -> int:
 
 
 def cmd_reconstruct(args, model, cfg) -> int:
+    from . import reconstruction  # imported by main, before the parser
+
     require_integer("grid", args.grid, 1)
     ts = np.linspace(*reconstruction.INVERSE_MAPS[args.kind].t_range, args.grid)
     rec, ref = reconstruction.round_trip(model, args.kind, args.component, args.conditioning_u, ts, cfg)
@@ -250,6 +266,8 @@ def cmd_reconstruct(args, model, cfg) -> int:
 
 
 def cmd_verify(args, model, cfg) -> int:
+    from . import reconstruction  # imported by main, before the parser
+
     records = reconstruction.verify(model, cfg)
     for r in records:
         if r.residuals is None:
@@ -318,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recon = sub.add_parser("reconstruct", parents=[common],
                              help="rebuild a quantile function from a reliability component")
     p_recon.add_argument("--kind", choices=tuple(reliability.QUANTITIES), required=True)
-    p_recon.add_argument("--component", choices=reconstruction.COMPONENTS, default="first")
+    p_recon.add_argument("--component", choices=reliability.COMPONENTS, default="first")
     p_recon.add_argument("--conditioning-u", type=float, default=0.5)
     p_recon.add_argument("--grid", type=int, default=33)
 
@@ -332,16 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Each subcommand, and the package modules it reads beyond those imported above.
 _COMMANDS = {
-    "curve": cmd_curve,
-    "field": cmd_field,
-    "reconstruct": cmd_reconstruct,
-    "verify": cmd_verify,
-    "sample": cmd_sample,
+    "curve": (cmd_curve, ()),
+    "field": (cmd_field, ()),
+    "reconstruct": (cmd_reconstruct, ("reconstruction",)),
+    "verify": (cmd_verify, ("reconstruction",)),
+    "sample": (cmd_sample, ()),
 }
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the parser takes no option before its command, so argv[0] names the command of every line it accepts; its
+    # modules are compiled before the parser and the model are built, whose objects they would otherwise fragment
+    for name in _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else ():
+        importlib.import_module(f".{name}", __package__)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -349,7 +373,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         model, cfg = load_model(args.model), load_numeric_config(args.config)
-        return _COMMANDS[args.command](args, model, cfg)
+        return _COMMANDS[args.command][0](args, model, cfg)
     except (ModelSpecError, ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

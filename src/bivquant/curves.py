@@ -60,7 +60,7 @@ class QuantileCurve:
         # one reduction each way, no temporary of the points' size: NaN propagates through both
         if not (np.isfinite(pts.min(initial=0.0)) and np.isfinite(pts.max(initial=0.0))):
             raise DomainError("points must be finite")
-        if pts.shape[0] >= 2 and not np.all(np.diff(pts[:, 0]) > 0):
+        if not np.all(pts[1:, 0] > pts[:-1, 0]):  # the order test with a bool temporary, not a float one
             raise DomainError("curve parameters u must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -110,7 +110,7 @@ def require_admissible(p, direction: models.Direction, u_grid) -> tuple[float, n
     """``p`` and ``u_grid`` as floats; :class:`DomainError` unless the direction admits the grid."""
     p = require_prob("p", p)
     us = require_numbers("u_grid", u_grid)
-    if us.ndim != 1 or len(us) == 0 or not np.all(np.diff(us) > 0):
+    if us.ndim != 1 or len(us) == 0 or not np.all(us[1:] > us[:-1]):
         raise DomainError("u_grid must be a nonempty strictly increasing 1-d sequence")
     require_probs("u_grid", us)
     if direction.eps1 < 0 and us[0] <= p:

@@ -1,8 +1,10 @@
-"""A catalogue of mutants of the gate code and the CSV row formatter, each with the test that must kill it.
+"""A catalogue of mutants of the gate code, the CSV row formatter and the package's exports, each with the test that
+must kill it.
 
 A mutant is one exact text of one file under ``src/bivquant`` and its
 replacement: a looser tolerance, a verdict that forgives, a check grid or
-an estimator bent a little, or a number laid out a little wrong.  Run::
+an estimator bent a little, a number laid out a little wrong, or a public
+name read from the wrong module.  Run::
 
     python tests/mutants.py [NAME ...]
 
@@ -88,6 +90,11 @@ CATALOGUE = (
     Mutant("row-kernel-fixed-from-1e-5", "_rowtext.py", "fixed = -4 <= x < 9", "fixed = -5 <= x < 9",
            _ROWS + "test_powers_of_ten"),
     Mutant("row-kernel-exponent-one-digit", "_rowtext.py", 'b"e%+03d" % x', 'b"e%+d" % x', _ROWS + "test_powers_of_ten"),
+    Mutant("row-kernel-slot-unclipped", "_rowtext.py", 'xi = xi_table.take(top, mode="clip")', "xi = xi_table.take(top)",
+           _ROWS + "test_named_doubles"),
+    Mutant("export-from-wrong-module", "__init__.py", '"numerics": ("NumericConfig", "integrate"),',
+           '"numerics": ("NumericConfig",), "reliability": ("integrate",),',
+           "tests/test_api.py::test_every_public_name_resolves"),
 )
 
 

@@ -1,6 +1,9 @@
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bivquant
@@ -23,12 +26,29 @@ PUBLIC = {
 
 
 def _exports() -> set:
-    # submodules become attributes once imported, so only non-module names count
-    return {n for n, v in vars(bivquant).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    # the package resolves its names on first access, so its namespace holds only those read so far
+    return set(bivquant.__all__)
 
 
 def test_public_names_are_pinned():
     assert _exports() == PUBLIC
+    assert len(bivquant.__all__) == len(PUBLIC)
+
+
+def test_import_loads_no_submodule():
+    # every public name resolves on first access, so a process compiles only the modules it reads
+    src = str(Path(bivquant.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, bivquant; print(sorted(name for name in sys.modules if name.startswith('bivquant')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "['bivquant']\n"
+
+
+def test_every_public_name_resolves():
+    # each from the module the package names for it, and not a module
+    resolved = {name: getattr(bivquant, name) for name in sorted(PUBLIC)}
+    assert [name for name, value in resolved.items() if inspect.ismodule(value)] == []
+    assert PUBLIC <= set(dir(bivquant))
 
 
 #: Paper concepts exported though no reader below calls them: P(X <= x, Y <= y) in each orthant, and the two mixed
@@ -51,8 +71,8 @@ def test_every_export_has_a_reader():
     sources = [ROOT / "src" / "bivquant" / "cli.py", ROOT / "tests" / "test_acceptance.py",
                *(path for path in sorted((ROOT / "benchmarks").iterdir()) if path.suffix in (".py", ".md", ".json"))]
     readers = [_tour(), *(path.read_text("utf-8") for path in sources)]
-    errors = {name for name, value in vars(bivquant).items()
-              if inspect.isclass(value) and issubclass(value, bivquant.BivquantError)}
+    errors = {name for name in _exports()
+              if inspect.isclass(getattr(bivquant, name)) and issubclass(getattr(bivquant, name), bivquant.BivquantError)}
     unread = [name for name in sorted(_exports() - PAPER_CONCEPTS - errors)
               if not any(re.search(rf"\b{name}\b", text) for text in readers)]
     assert unread == []

@@ -558,6 +558,35 @@ class TestVectorisedRows:
         assert sum(laid_out) == (rows if table.size >= cli._KERNEL_MIN else 0)
 
 
+class TestProcessFootprint:
+    """What a CLI child compiles and holds: each command its own modules, and the numpy layout its lean tables."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "20000", "--out", "draws.csv"],
+        ["curve", "-p", "0.25", "--dir", "mm", "-n", "50", "--svg", "curve.svg", "--out", "curve.csv"],
+        ["field", "--kind", "mrl", "--grid", "99", "--out", "field.csv"],
+    ], ids=["sample", "curve", "field"])
+    def test_a_command_compiles_only_its_modules(self, tmp_path, model_file, argv):
+        code = ("import runpy, sys\n"
+                "try:\n    runpy.run_module('bivquant.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
+                "print(sorted(name for name in sys.modules if name.startswith('bivquant.')))")
+        argv = [argv[0], "--model", model_file(FGM_MODEL), *argv[1:]]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        modules = done.stdout.splitlines()[-1]
+        assert "'bivquant.reliability'" in modules and "'bivquant.reconstruction'" not in modules
+
+    def test_the_layout_tables_are_lean(self):
+        # 149,224 bytes, built with a traced peak of 0.28 MiB; the tables before read 190,250 bytes and 0.37 MiB
+        from bivquant import _rowtext
+
+        assert sum(table.nbytes for table in _rowtext._tables()) < 150_000
+        assert traced_peak_mib(_rowtext._tables.__wrapped__) < 0.3
+
+
 class TestSampleCommand:
     def test_deterministic_bytes(self, tmp_path, model_file):
         spec = model_file(FGM_MODEL)
@@ -744,6 +773,24 @@ class TestSampleDrivenCurve:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "has no rows" in err
+
+    def test_headerless_sample_is_one_error(self, tmp_path, model_file, capsys):
+        # read with its first line skipped as a header, a 40-pair file without one read as 39 pairs
+        pairs = "".join(f"{0.01 * k},{0.02 * k}\n" for k in range(1, 41))
+        path = tmp_path / "s.csv"
+        path.write_text(pairs)
+        out = tmp_path / "o.csv"
+        rc = main(["curve", "--model", model_file(FGM_MODEL), "-p", "0.25", "--dir", "mm",
+                   "--sample", str(path), "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            3, f"error: sample file {str(path)!r} does not start with the header line x,y\n")
+        assert not out.exists()
+
+    def test_crlf_sample_reads_every_pair(self, tmp_path):
+        pairs = [(0.01 * k, 0.02 * k) for k in range(1, 41)]
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x,y\r\n" + b"".join(b"%r,%r\r\n" % pair for pair in pairs))
+        assert load_sample_csv(str(path)).pairs.tolist() == [list(pair) for pair in pairs]
 
     @pytest.mark.parametrize("points", [-5, 0, 1])
     @pytest.mark.parametrize("with_sample", [False, True], ids=["model", "sample"])
