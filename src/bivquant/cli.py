@@ -13,7 +13,11 @@ package imports none on ``import bivquant``, this module imports those of
 ``curve``, ``field`` and ``sample``, and :func:`main` imports
 ``reconstruction`` for ``reconstruct`` and ``verify`` before it builds the
 parser, whose objects would otherwise fragment the memory that compilation
-frees.  Every row of numbers goes through one row formatter, :func:`_rows`:
+frees.  The program's one entry, :func:`entry` (``python -m bivquant.cli``
+and the ``bivquant`` script), blocks the ``_hashlib`` module before
+:func:`main` runs, so the ``numpy.random`` that ``sample`` imports never maps
+OpenSSL's libcrypto; a caller of :func:`main` or of the library keeps its
+own ``hashlib``.  Every row of numbers goes through one row formatter, :func:`_rows`:
 the CSV tables of :func:`_write_csv` (``verify --out``'s too, the check name
 in the template) and the SVG polyline.  It prints exactly ``template % row``:
 a table of 16,384 values or more is laid out in numpy by
@@ -386,6 +390,9 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's libcrypto (3.4 MB of the sample child's
+    # 36.1 MB peak RSS) for hashing no command does; blocked, hashlib and hmac take their builtin hashes instead
+    sys.modules.setdefault("_hashlib", None)
     sys.exit(main())
 
 

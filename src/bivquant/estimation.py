@@ -24,8 +24,11 @@ and ``>`` put them.  The y values are ranked once and the ranks cut into
 chunks of ⌈√n⌉; walking the grid in the order the conditioning set grows,
 each step adds the new positions to per-chunk counts, finds the chunk that
 holds the wanted order statistic and scans only that chunk.  G grid points
-on n pairs cost O(n log n + G·√n).  The x order and sorted x are dropped
-once y is carried and the split taken, before the y ranking allocates.
+on n pairs cost O(n log n + G·√n).  Sorted x is dropped once the split is
+taken, before y is gathered into the x order (reversed for a suffix, so
+that it is contiguous), and the x order once y is gathered, before the y
+ranking allocates; the chunk index takes the smallest unsigned type that
+holds it (uint16 up to 2**32 pairs).
 The u-grid passes :func:`bivquant.curves.require_admissible`, as analytic
 curve points do.
 """
@@ -133,7 +136,7 @@ def _select_in_prefixes(values: np.ndarray, sizes: np.ndarray, js: np.ndarray) -
     by_rank = np.argsort(values)  # position of the r-th smallest value
     width = isqrt(n - 1) + 1  # ceil(sqrt(n))
     n_chunks = (n - 1) // width + 1
-    chunk_of = np.empty(n, dtype=np.intp)
+    chunk_of = np.empty(n, dtype=np.min_scalar_type(n_chunks - 1))  # uint16 up to 2**32 values, not intp's 8 bytes
     whole = n // width * width  # ranks in full chunks: a (chunks, width) view, filled by broadcasting
     chunk_of[by_rank[:whole].reshape(-1, width)] = np.arange(n // width)[:, None]
     chunk_of[by_rank[whole:]] = n // width
@@ -165,9 +168,12 @@ def empirical_curve(
     n = len(xs_sorted)
     x_hat = xs_sorted[_inf_index(us, n)]
     k = np.searchsorted(xs_sorted, x_hat, "right")
-    ys_by_x = sample_set.y[order]
-    del order, xs_sorted  # the selection below needs neither
+    del xs_sorted  # before y is gathered, so the two n-sized copies never coexist
     prefix = direction.eps1 < 0
+    # a suffix of the x order is a prefix of the reversed order, growing as u falls: gathered reversed, y is
+    # contiguous, so the selection's argsort makes no copy of it
+    ys_by_x = sample_set.y[order if prefix else order[::-1]]
+    del order  # the selection below needs no x order
     sizes = k if prefix else n - k
     short = np.flatnonzero(sizes < MIN_COND_N)
     if len(short):
@@ -180,8 +186,8 @@ def empirical_curve(
     js = _inf_index(q, sizes)
     if prefix:
         ys = _select_in_prefixes(ys_by_x, sizes, js)
-    else:  # a suffix of the x order is a prefix of the reversed order, growing as u falls
-        ys = _select_in_prefixes(ys_by_x[::-1], sizes[::-1], js[::-1])[::-1]
+    else:
+        ys = _select_in_prefixes(ys_by_x, sizes[::-1], js[::-1])[::-1]
     return QuantileCurve(p=p, direction=direction, points=np.column_stack([us, x_hat, ys]))
 
 

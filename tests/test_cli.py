@@ -1315,3 +1315,44 @@ class TestMalformedNumberFuzz:
         fn, kwargs = FUZZ_CALLS[call]
         with pytest.raises(BivquantError):
             fn(**{**kwargs, name: value})
+
+
+class TestProgramImports:
+    """What a `python -m bivquant.cli` child loads: no OpenSSL, and numpy.random only for `sample`."""
+
+    # runs cli.py as __main__, as `python -m` does, then reports the child's modules and mappings
+    CODE = ("import runpy, sys\n"
+            "try:\n    runpy.run_module('bivquant.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
+            "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+            "print(sys.modules.get('_hashlib', 'absent') is None, 'numpy.random' in sys.modules, 'libcrypto' in maps)")
+
+    def child(self, argv):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", self.CODE, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        return done.stdout.splitlines()[-1].split()
+
+    def test_sample_maps_no_libcrypto(self, tmp_path, model_file):
+        model = model_file(FGM_MODEL)
+        argv = ["sample", "--model", model, "--n", "1000", "--seed", "3"]
+        blocked, rng_loaded, libcrypto = self.child([*argv, "--out", str(tmp_path / "child.csv")])
+        assert (blocked, rng_loaded, libcrypto) == ("True", "True", "False")
+        assert main([*argv, "--out", str(tmp_path / "main.csv")]) == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["curve", "-p", "0.25", "--dir", "pp", "-n", "50"],
+        ["field", "--kind", "hazard", "--grid", "9"],
+        ["verify"],
+        ["reconstruct", "--kind", "mrl", "--component", "first"],
+    ], ids=lambda command: command[0])
+    def test_other_commands_never_import_numpy_random(self, tmp_path, model_file, command):
+        argv = [*command, "--model", model_file(EXP_MODEL), "--out", str(tmp_path / "out.csv")]
+        assert self.child(argv)[1] == "False"
+
+    def test_main_leaves_hashlib_alone(self, tmp_path, model_file):
+        before = sys.modules.get("_hashlib")
+        assert main(["sample", "--model", model_file(FGM_MODEL), "--n", "10", "--out", str(tmp_path / "s.csv")]) == 0
+        assert sys.modules.get("_hashlib") is before

@@ -238,11 +238,13 @@ class TestWorkingSet:
 
     Whole-array peaks on this model: sample 6.1, curve_points 8.4,
     level_residuals 3.8, empirical_curve 5.4.  Block by block: 2.1, 3.2, 1.1
-    and 2.4, so sample holds its 1.5 MiB of pairs plus cache-sized blocks;
+    and 1.94, so sample holds its 1.5 MiB of pairs plus cache-sized blocks;
     it reads 3.5 if it draws its n-sized u and w up front.  empirical_curve
     reads 3.1 if the selection makes a sorted copy of y, 4.7 if it also keeps
-    the x order and sorted x through the selection, and 3.8 if the chunk index
-    takes n-sized temporaries.  curve_points reads 3.9 if its u-grid stays
+    the x order and sorted x through the selection, 3.8 if the chunk index
+    takes n-sized temporaries, 2.36 with an intp chunk index, 2.29 if sorted
+    x lives until y is gathered, and 2.30 (upper directions) if y is gathered
+    in x order and reversed as a view.  curve_points reads 3.9 if its u-grid stays
     alive through the fill.
     """
 
@@ -283,7 +285,7 @@ class TestWorkingSet:
     def test_empirical_curve(self, direction):
         s = sample(self.MODEL, N_BIG, SEED)
         grid = np.linspace(*admissible_interval(0.25, direction), 200)
-        assert traced_peak_mib(empirical_curve, s, 0.25, direction, grid) < 2.8
+        assert traced_peak_mib(empirical_curve, s, 0.25, direction, grid) < 2.0
 
 
 class TestEmpiricalCurve:
