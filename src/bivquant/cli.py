@@ -16,8 +16,9 @@ parser, whose objects would otherwise fragment the memory that compilation
 frees.  The program's one entry, :func:`entry` (``python -m bivquant.cli``
 and the ``bivquant`` script), blocks the ``_hashlib`` module before
 :func:`main` runs, so the ``numpy.random`` that ``sample`` imports never maps
-OpenSSL's libcrypto; a caller of :func:`main` or of the library keeps its
-own ``hashlib``.  Every row of numbers goes through one row formatter, :func:`_rows`:
+OpenSSL's libcrypto; it does so only where Python has every builtin hash
+module that ``hashlib`` then falls back to.  A caller of :func:`main` or of
+the library keeps its own ``hashlib``.  Every row of numbers goes through one row formatter, :func:`_rows`:
 the CSV tables of :func:`_write_csv` (``verify --out``'s too, the check name
 in the template) and the SVG polyline.  It prints exactly ``template % row``:
 a table of 16,384 values or more is laid out in numpy by
@@ -389,10 +390,19 @@ def main(argv=None) -> int:
         return 2
 
 
+#: The builtin hash modules hashlib falls back to without ``_hashlib`` (Python 3.12 merged sha256 and sha512 into _sha2).
+_BUILTIN_HASHES = ("_md5", "_sha1", *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
+                   "_sha3", "_blake2")
+
+
 def entry():
     # numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's libcrypto (3.4 MB of the sample child's
-    # 36.1 MB peak RSS) for hashing no command does; blocked, hashlib and hmac take their builtin hashes instead
-    sys.modules.setdefault("_hashlib", None)
+    # 36.1 MB peak RSS) for hashing no command does; blocked, hashlib and hmac take their builtin hashes instead.  A
+    # Python built with only some builtin hashes (--with-builtin-hashlib-hashes, as in some distribution and FIPS
+    # builds) keeps _hashlib: without it hashlib logs each missing hash to stderr and random's sha512 import fails
+    import importlib.util
+    if all(importlib.util.find_spec(name) for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
     sys.exit(main())
 
 

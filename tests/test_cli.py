@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import functools
+import importlib.util
 import io
 import json
 import os
@@ -1352,7 +1353,20 @@ class TestProgramImports:
         argv = [*command, "--model", model_file(EXP_MODEL), "--out", str(tmp_path / "out.csv")]
         assert self.child(argv)[1] == "False"
 
-    def test_main_leaves_hashlib_alone(self, tmp_path, model_file):
-        before = sys.modules.get("_hashlib")
+    def test_main_leaves_hashlib_alone(self, tmp_path, model_file, monkeypatch):
+        # unloaded first: the test process imported hashlib long before, and a block in main() must show here
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
         assert main(["sample", "--model", model_file(FGM_MODEL), "--n", "10", "--out", str(tmp_path / "s.csv")]) == 0
-        assert sys.modules.get("_hashlib") is before
+        assert sys.modules.get("_hashlib", "absent") is not None
+
+    @pytest.mark.parametrize("missing", [None, "_md5", cli._BUILTIN_HASHES[-1]])
+    def test_entry_blocks_hashlib_only_over_builtin_hashes(self, tmp_path, model_file, monkeypatch, missing):
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None if name == missing else find_spec(name))
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        monkeypatch.setattr(sys, "argv", ["bivquant", "sample", "--model", model_file(FGM_MODEL), "--n", "10",
+                                          "--out", str(tmp_path / "s.csv")])
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        assert exit_.value.code == 0
+        assert (sys.modules.get("_hashlib", "absent") is None) == (missing is None)
